@@ -17,7 +17,6 @@ let jobs = ref 1
 
 (* Frontier size at which a search layer goes parallel; None means the
    kernel's automatic default. *)
-let par_threshold = ref None
 
 (* Parallel driver for the sweeps; None means each sweep's library
    default (async for scheme/classify). *)
@@ -463,7 +462,7 @@ let sweep_timings () =
     let metrics = ref Patterns_search.Metrics.zero in
     let (pats, stats), secs =
       wall (fun () ->
-          S.scheme ~metrics ~jobs:j ?par_threshold:!par_threshold ?par_mode:!par_mode ~n ())
+          S.scheme ~metrics ~jobs:j ?par_mode:!par_mode ~n ())
     in
     ( name, j, secs,
       Printf.sprintf "patterns=%d configs=%d" (Pattern.Set.cardinal pats)
@@ -474,8 +473,8 @@ let sweep_timings () =
     let metrics = ref Patterns_search.Metrics.zero in
     let v, secs =
       wall (fun () ->
-          Classify.classify ~metrics ?max_configs ~jobs:j ?par_threshold:!par_threshold
-            ?par_mode:!par_mode ~max_failures:1 ~rule ~n p)
+          Classify.classify ~metrics ?max_configs ~jobs:j ?par_mode:!par_mode
+            ~max_failures:1 ~rule ~n p)
     in
     (name, j, secs, Printf.sprintf "configs=%d" v.Classify.configs, !metrics)
   in
@@ -487,9 +486,8 @@ let sweep_timings () =
     let metrics = ref Patterns_search.Metrics.zero in
     let v, secs =
       wall (fun () ->
-          Classify.classify ~metrics ?max_configs ~jobs:j ?par_threshold:!par_threshold
-            ?par_mode:!par_mode ~max_failures:1
-            ~spill:{ Patterns_search.Search.dir; mem_budget } ~rule ~n p)
+          Classify.classify ~metrics ?max_configs ~jobs:j ?par_mode:!par_mode
+            ~max_failures:1 ~spill:{ Patterns_search.Search.dir; mem_budget } ~rule ~n p)
     in
     (try Sys.rmdir dir with Sys_error _ -> ());
     (name, j, secs, Printf.sprintf "configs=%d" v.Classify.configs, !metrics)
@@ -507,8 +505,7 @@ let sweep_timings () =
   in
   (* incremental rows: the same query cold and through the reuse
      machinery — classify against a base database (wholesale fact
-     reuse at the same fault bound, semi-naive widening at bound + 1)
-     and the systematic hunt with and without shared failure-free
+     reuse at the same fault bound) and the systematic hunt with and without shared failure-free
      prefixes.  Always jobs=1, so the rows are never advisory: the
      honest lever on a small runner is work reduction (fewer states
      expanded for the same answer), not parallel speedup.  The base
@@ -522,16 +519,15 @@ let sweep_timings () =
       let metrics = ref Patterns_search.Metrics.zero in
       let v, secs =
         wall (fun () ->
-            Classify.classify ~metrics ?base ~jobs:1 ?par_threshold:!par_threshold
-              ?par_mode:!par_mode ~max_failures ~rule ~n p)
+            Classify.classify ~metrics ?base ~jobs:1 ?par_mode:!par_mode ~max_failures ~rule
+              ~n p)
       in
       (name, 1, secs, Printf.sprintf "configs=%d" v.Classify.configs, !metrics)
     in
     let seeded mf =
       let base = Patterns_db.Db.create () in
       let _ : Classify.verdict =
-        Classify.classify ~base ~jobs:1 ?par_threshold:!par_threshold ?par_mode:!par_mode
-          ~max_failures:mf ~rule ~n p
+        Classify.classify ~base ~jobs:1 ?par_mode:!par_mode ~max_failures:mf ~rule ~n p
       in
       base
     in
@@ -563,8 +559,6 @@ let sweep_timings () =
         ~max_failures:2 ();
       classify_row "incremental: classify fig3-chain n=3 mf=2 reused" ~base:(seeded 2)
         ~max_failures:2 ();
-      classify_row "incremental: classify fig3-chain n=3 mf 1->2 widened"
-        ~base:(seeded 1) ~max_failures:2 ();
       hunt_row "incremental: hunt systematic fig3-chain n=3 IC replay" ~memo:false ~runs;
       hunt_row "incremental: hunt systematic fig3-chain n=3 IC memoized" ~memo:true ~runs;
       (* the widened adversary: the same systematic sweep through the
@@ -637,7 +631,7 @@ let emit_json ~path =
   in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema\": \"patterns-bench/5\",\n");
+  Buffer.add_string b (Printf.sprintf "  \"schema\": \"patterns-bench/6\",\n");
   Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n" !jobs);
   Buffer.add_string b
     (Printf.sprintf "  \"par_mode\": \"%s\",\n"
@@ -678,8 +672,8 @@ let emit_json ~path =
            must only pin what every rerun reproduces.  The /8
            incremental section rides along: prefix_hits and
            prefix_states_saved (shared failure-free prefixes in the
-           systematic hunt), delta_seeds and delta_reused_edges
-           (base-database reuse in classify) are deterministic on the
+           systematic hunt) and delta_reused_edges (base-database
+           reuse in classify) are deterministic on the
            full sweeps benched here; spill_fd_reopens is
            eviction-order-volatile and gated like the other spill
            counters.  The /9 fault section (drops_injected,
@@ -691,20 +685,20 @@ let emit_json ~path =
           "\"kernel\": { \"outcome\": \"%s\", \"states_expanded\": %d, \"dedup_hits\": %d, \
            \"frontier_peak\": %d, \"pruned\": %d, \"fingerprint_probes\": %d, \
            \"collision_fallbacks\": %d, \"intern_bindings\": %d, \"layers\": %d, \
-           \"par_layers\": %d, \"shard_bits\": %d, \"shard_occupancy_max\": %d, \
+           \"shard_bits\": %d, \"shard_occupancy_max\": %d, \
            \"shard_occupancy_total\": %d, \"frontier_peak_sum\": %d, \"spill_runs\": %d, \
            \"spill_evictions\": %d, \"spill_probes\": %d, \"spill_read_bytes\": %d, \
            \"spill_write_bytes\": %d, \"spill_fd_reopens\": %d, \"prefix_hits\": %d, \
-           \"prefix_states_saved\": %d, \"delta_seeds\": %d, \"delta_reused_edges\": %d, \
+           \"prefix_states_saved\": %d, \"delta_reused_edges\": %d, \
            \"drops_injected\": %d, \"omission_plans\": %d, \"mobile_faults\": %d }"
           (outcome_string metrics.outcome)
           metrics.states_expanded metrics.dedup_hits metrics.frontier_peak metrics.pruned
           metrics.fingerprint_probes metrics.collision_fallbacks metrics.intern_bindings
-          metrics.layers metrics.par_layers metrics.shard_bits metrics.shard_occupancy_max
+          metrics.layers metrics.shard_bits metrics.shard_occupancy_max
           metrics.shard_occupancy_total metrics.frontier_peak_sum metrics.spill_runs
           metrics.spill_evictions metrics.spill_probes metrics.spill_read_bytes
           metrics.spill_write_bytes metrics.spill_fd_reopens metrics.prefix_hits
-          metrics.prefix_states_saved metrics.delta_seeds metrics.delta_reused_edges
+          metrics.prefix_states_saved metrics.delta_reused_edges
           metrics.drops_injected metrics.omission_plans metrics.mobile_faults
       in
       Buffer.add_string b
@@ -874,7 +868,6 @@ let check_against ~baseline =
           expect "omission_plans" m.omission_plans;
           expect "mobile_faults" m.mobile_faults
         end;
-        expect "delta_seeds" m.delta_seeds;
         expect "delta_reused_edges" m.delta_reused_edges;
         (* intern_bindings is a hash-cons cache gauge, not a semantic
            counter: the intermediate edge/knowledge sets interned along
@@ -903,7 +896,6 @@ let check_against ~baseline =
           expect "spill_fd_reopens" m.spill_fd_reopens
         end;
         expect "layers" m.layers;
-        expect "par_layers" m.par_layers;
         expect "shard_bits" m.shard_bits;
         expect "shard_occupancy_max" m.shard_occupancy_max;
         expect "shard_occupancy_total" m.shard_occupancy_total)
@@ -958,12 +950,10 @@ let check_against ~baseline =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--jobs J] [--par-threshold K] [--par-mode MODE] [--json] [--quick] \
-     [--out PATH] [--check] [--baseline PATH]\n\
-    \  --jobs J     worker domains for the parallel sweeps (0 = all cores)\n\
-    \  --par-threshold K  frontier size at which a search layer goes parallel\n\
-    \               (default: automatic; results are identical for every value)\n\
-    \  --par-mode M parallel driver for the sweeps: async (default) or layers;\n\
+    "usage: main.exe [--jobs J] [--par-mode MODE] [--json] [--quick] [--out PATH] \
+     [--check] [--baseline PATH]\n\
+    \  --jobs J     worker domains for the async sweeps (0 = all cores)\n\
+    \  --par-mode M driver for the sweeps: async (default) or layers (serial);\n\
     \               exhaustive sweeps produce identical counters under both\n\
     \  --json       emit machine-readable timings to BENCH_patterns.json and exit\n\
     \  --quick      smaller quotas and sweeps (CI smoke); with --check, compares\n\
@@ -984,10 +974,6 @@ let () =
     | [] -> ()
     | ("-j" | "--jobs") :: v :: rest -> (
       match int_of_string_opt v with Some j -> jobs := j; parse rest | None -> usage ())
-    | "--par-threshold" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some k -> par_threshold := Some k; parse rest
-      | None -> usage ())
     | "--par-mode" :: v :: rest -> (
       match v with
       | "layers" -> par_mode := Some Patterns_search.Search.Layers; parse rest

@@ -87,36 +87,36 @@ let failures_arg =
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"J"
-         ~doc:"Worker domains for the sweep (0 = all cores). The result is identical \
-               for every value; only the wall clock changes.")
+         ~doc:"Worker domains for the $(b,async) driver (0 = all cores); $(b,--par-mode \
+               layers) runs on one domain whatever the value. An exhaustive search gives \
+               the same answer and deterministic counters for every value. A truncated \
+               one does too under $(b,layers); under $(b,async) it keeps its counts but \
+               visits a schedule-dependent subset, so its verdict or witness may differ.")
 
 let resolve_jobs j = if j <= 0 then Patterns_stdx.Domain_pool.default_jobs () else j
-
-let par_threshold_arg =
-  Arg.(value & opt (some int) None
-       & info [ "par-threshold" ] ~docv:"K"
-         ~doc:"($(b,--par-mode layers) only) Frontier size at which a search layer is \
-               expanded across the worker domains (default: automatic). The result is \
-               identical for every value; only the wall clock changes.")
 
 let par_mode_arg =
   Arg.(value
        & opt (some (enum [ ("async", Patterns_search.Search.Async);
                            ("layers", Patterns_search.Search.Layers) ])) None
        & info [ "par-mode" ] ~docv:"MODE"
-         ~doc:"Parallel search driver: $(b,async) distributes work through per-worker \
-               stealing deques over a lock-free visited table; $(b,layers) is the \
-               layer-synchronous barrier driver. The default is $(b,async) everywhere \
-               except $(b,realize), whose shortest-witness guarantee needs $(b,layers). \
-               An exhaustive search produces identical answers and deterministic \
-               counters under both; a truncated one keeps its counts but visits a \
-               schedule-dependent subset under $(b,async).")
+         ~doc:"Search driver: $(b,async) distributes work across $(b,--jobs) domains \
+               through per-worker stealing deques over a lock-free visited table; \
+               $(b,layers) is the serial breadth-first search in a canonical layer order, \
+               on one domain. The default is $(b,async) everywhere except $(b,realize), \
+               whose shortest-witness guarantee needs $(b,layers). The choice can change \
+               answers: $(b,layers) gives the same truncation point for every \
+               $(b,--jobs), while a truncated $(b,async) search visits a \
+               schedule-dependent subset; and where distinct paths reach one \
+               behavioural configuration the two can report different counts.")
 
 let metrics_json_arg =
   Arg.(value & opt (some string) None
        & info [ "metrics-json" ] ~docv:"FILE"
-         ~doc:"Write the search kernel's metrics (schema $(b,patterns-search-metrics/8)) \
-               as JSON to $(docv); $(b,-) means stdout.")
+         ~doc:(Printf.sprintf
+                 "Write the search kernel's metrics (schema $(b,%s)) as JSON to $(docv); \
+                  $(b,-) means stdout."
+                 Patterns_search.Metrics.schema))
 
 let db_arg =
   Arg.(value & opt (some string) None
@@ -130,14 +130,14 @@ let db_arg =
 let base_db_arg =
   Arg.(value & opt (some string) None
        & info [ "base-db" ] ~docv:"FILE"
-         ~doc:"Incremental base for $(b,check)/$(b,classify): reuse the per-vector \
-               $(b,classify_vec) facts an earlier run recorded into $(docv) — wholesale \
-               when $(b,--max-failures) matches, semi-naively widened (only the crash \
-               successors of the stored boundary are explored) when it grew by one — and \
-               record freshly completed vectors back on exit.  Verdicts are bit-identical \
-               to a from-scratch run; the metrics /8 section ($(b,delta_seeds), \
-               $(b,delta_reused_edges)) counts the reuse.  Ignored while $(b,--deadline) \
-               or $(b,--max-states) is set.  May name the same file as $(b,--db).")
+         ~doc:"Incremental base for $(b,check)/$(b,classify): answer each input vector \
+               wholesale from the $(b,classify_vec) fact an earlier run recorded into \
+               $(docv) under the same $(b,--max-failures) and $(b,--par-mode), run the \
+               other vectors fresh, and record them back on exit.  Verdicts are \
+               bit-identical to a from-scratch run under the same driver; the metrics \
+               field $(b,delta_reused_edges) counts the derivations skipped.  Ignored \
+               while $(b,--deadline) or $(b,--max-states) is set.  May name the same file \
+               as $(b,--db).")
 
 let deadline_arg =
   Arg.(value & opt (some float) None
@@ -149,8 +149,9 @@ let max_states_arg =
   Arg.(value & opt (some int) None
        & info [ "max-states" ] ~docv:"K"
          ~doc:"Live-state budget (visited + frontier) per search. Exceeding it truncates \
-               the answer gracefully (exit 2) instead of exhausting memory; deterministic \
-               for every --jobs value.")
+               the answer gracefully (exit 2) instead of exhausting memory. Under \
+               $(b,--par-mode layers) the truncation point is the same for every \
+               $(b,--jobs); under $(b,async) it is schedule-dependent.")
 
 let spill_dir_arg =
   Arg.(value & opt (some string) None
@@ -296,8 +297,8 @@ let run_cmd =
 
 let scheme_cmd =
   let doc = "Enumerate a protocol's scheme (all failure-free communication patterns)." in
-  let run name n jobs par_threshold par_mode deadline max_states spill_dir mem_budget
-      checkpoint resume kill_after metrics_json =
+  let run name n jobs par_mode deadline max_states spill_dir mem_budget checkpoint resume
+      kill_after metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let spill = spill_of spill_dir mem_budget in
@@ -307,7 +308,7 @@ let scheme_cmd =
     let metrics = ref Patterns_search.Metrics.zero in
     let pats, stats =
       catch_failures (fun () ->
-          S.scheme ~metrics ~jobs:(resolve_jobs jobs) ?par_threshold ?par_mode ?deadline
+          S.scheme ~metrics ~jobs:(resolve_jobs jobs) ?par_mode ?deadline
             ?max_live:max_states ?spill ?checkpoint:ckpt ~n ())
     in
     Format.printf "%a@.%a@." Patterns_pattern.Scheme.pp_stats stats
@@ -317,8 +318,7 @@ let scheme_cmd =
   in
   Cmd.v (Cmd.info "scheme" ~doc)
     Term.(
-      const run $ protocol_arg $ n_arg $ jobs_arg $ par_threshold_arg $ par_mode_arg
-      $ deadline_arg $ max_states_arg $ spill_dir_arg $ mem_budget_arg $ checkpoint_arg
+      const run $ protocol_arg $ n_arg $ jobs_arg $ par_mode_arg $ deadline_arg $ max_states_arg $ spill_dir_arg $ mem_budget_arg $ checkpoint_arg
       $ resume_arg $ kill_after_arg $ metrics_json_arg)
 
 (* ----- realize ----- *)
@@ -344,8 +344,8 @@ let realize_cmd =
          & info [ "max-configs" ] ~docv:"K"
            ~doc:"Search budget; when hit, the answer is $(b,truncated), not unrealizable.")
   in
-  let run name n inputs target_of k max_configs jobs par_threshold par_mode spill_dir
-      mem_budget checkpoint resume kill_after metrics_json =
+  let run name n inputs target_of k max_configs jobs par_mode spill_dir mem_budget
+      checkpoint resume kill_after metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let inputs = or_die (parse_inputs n inputs) in
@@ -376,7 +376,7 @@ let realize_cmd =
     let metrics = ref Patterns_search.Metrics.zero in
     let result =
       catch_failures (fun () ->
-          S.realize ~metrics ~jobs:(resolve_jobs jobs) ?par_threshold ?par_mode
+          S.realize ~metrics ~jobs:(resolve_jobs jobs) ?par_mode
             ~max_configs ?spill ?checkpoint:ckpt ~n ~inputs ~target ())
     in
     let code =
@@ -402,7 +402,7 @@ let realize_cmd =
   Cmd.v (Cmd.info "realize" ~doc)
     Term.(
       const run $ protocol_arg $ n_arg $ inputs_arg $ target_of_arg $ pattern_arg
-      $ max_configs_arg $ jobs_arg $ par_threshold_arg $ par_mode_arg $ spill_dir_arg
+      $ max_configs_arg $ jobs_arg $ par_mode_arg $ spill_dir_arg
       $ mem_budget_arg $ checkpoint_arg $ resume_arg $ kill_after_arg $ metrics_json_arg)
 
 (* ----- dot ----- *)
@@ -455,8 +455,7 @@ let classify_term =
            ~doc:"Exploration budget; when hit, the verdict is marked $(b,truncated) and the \
                  exit code is 2.")
   in
-  let run name n max_failures max_configs fifo_notices jobs par_threshold par_mode
-      deadline max_states spill_dir mem_budget checkpoint resume kill_after db_file
+  let run name n max_failures max_configs fifo_notices jobs par_mode deadline max_states spill_dir mem_budget checkpoint resume kill_after db_file
       base_db_file metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
@@ -475,7 +474,7 @@ let classify_term =
       catch_failures (fun () ->
           Classify.classify ~metrics ?db:(db_handle db) ?base:(db_handle base)
             ~max_failures ~max_configs ~fifo_notices ~jobs:(resolve_jobs jobs)
-            ?par_threshold ?par_mode ?deadline ?max_live:max_states ?spill
+            ?par_mode ?deadline ?max_live:max_states ?spill
             ?checkpoint:ckpt ~rule ~n entry.Patterns_protocols.Registry.protocol)
     in
     save_db db;
@@ -499,7 +498,7 @@ let classify_term =
   in
   Term.(
     const run $ protocol_arg $ n_arg $ max_failures_arg $ max_configs_arg $ fifo_notices_arg
-    $ jobs_arg $ par_threshold_arg $ par_mode_arg $ deadline_arg $ max_states_arg
+    $ jobs_arg $ par_mode_arg $ deadline_arg $ max_states_arg
     $ spill_dir_arg $ mem_budget_arg $ checkpoint_arg $ resume_arg $ kill_after_arg
     $ db_arg $ base_db_arg $ metrics_json_arg)
 

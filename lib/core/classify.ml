@@ -21,19 +21,21 @@ type verdict = {
 
 (* ----- execution-database facts for classification sweeps ----- *)
 
-(* The fact key names every parameter the verdict depends on.  The
-   parallel knobs (jobs, par_threshold, par_mode) are excluded: the
-   sweep is jobs- and mode-invariant, which is exactly why its verdict
-   is cacheable.  The deadline is excluded too, but deadline-bounded
+(* The fact key names every parameter the verdict depends on, the
+   driver included: the two drivers can disagree on count statistics
+   where distinct paths converge on one behavioural node.  [jobs] is
+   excluded — under either driver an exhaustive verdict is
+   jobs-invariant, which is exactly why it is cacheable.  The deadline is excluded too, but deadline-bounded
    sweeps are never *stored* — their truncation point is wall-clock
    dependent, so their verdicts are not reproducible facts. *)
-let fact_key ~name ~rule ~n ~max_failures ~max_configs ~fifo_notices ~max_live
+let fact_key ~name ~rule ~n ~max_failures ~max_configs ~fifo_notices ~max_live ~par_mode
     ~inputs_choices =
   let vec v = String.concat "" (List.map (fun b -> if b then "1" else "0") v) in
-  Printf.sprintf "%s|%d|%s|mf=%d|mc=%d|fifo=%b|ml=%s|iv=%s" name n
+  Printf.sprintf "%s|%d|%s|mf=%d|mc=%d|fifo=%b|ml=%s|mode=%s|iv=%s" name n
     (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
     max_failures max_configs fifo_notices
     (match max_live with None -> "-" | Some l -> string_of_int l)
+    (Patterns_search.Search.par_mode_string par_mode)
     (String.concat "," (List.map vec inputs_choices))
 
 let verdict_to_fact v =
@@ -105,16 +107,17 @@ let verdict_of_fact j =
     }
 
 let classify ?metrics ?db ?base ?max_failures ?max_configs ?inputs_choices
-    ?(fifo_notices = false) ?(jobs = 1) ?par_threshold ?par_mode ?deadline ?max_live ?spill
+    ?(fifo_notices = false) ?(jobs = 1) ?par_mode ?deadline ?max_live ?spill
     ?checkpoint ~rule ~n (module P : Protocol.S) =
   let module X = Explore.Make (P) in
   let defaults = X.default_options ~n in
   let max_failures = Option.value max_failures ~default:defaults.X.max_failures in
   let max_configs = Option.value max_configs ~default:defaults.X.max_configs in
   let inputs_choices = Option.value inputs_choices ~default:defaults.X.inputs_choices in
+  let par_mode = Option.value par_mode ~default:defaults.X.par_mode in
   let key =
     fact_key ~name:P.name ~rule ~n ~max_failures ~max_configs ~fifo_notices ~max_live
-      ~inputs_choices
+      ~par_mode ~inputs_choices
   in
   let merge_db_metrics db s0 =
     let s1 = Db.stats db in
@@ -150,8 +153,7 @@ let classify ?metrics ?db ?base ?max_failures ?max_configs ?inputs_choices
         inputs_choices;
         fifo_notices;
         jobs;
-        par_threshold;
-        par_mode = Option.value par_mode ~default:defaults.X.par_mode;
+        par_mode;
         deadline;
         max_live;
         edge_sink;

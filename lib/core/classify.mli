@@ -36,7 +36,6 @@ val classify :
   ?inputs_choices:bool list list ->
   ?fifo_notices:bool ->
   ?jobs:int ->
-  ?par_threshold:int ->
   ?par_mode:Patterns_search.Search.par_mode ->
   ?deadline:float ->
   ?max_live:int ->
@@ -54,29 +53,29 @@ val classify :
 
     [base] enables incremental re-classification
     ({!Explore.Make.options}[.base]): per-vector ["classify_vec"]
-    facts from an earlier sweep are reused wholesale when
-    [max_failures] matches and semi-naively widened when it grew by
-    one, with verdicts bit-identical to a from-scratch sweep under the
-    layered driver's deterministic visit order (and under any driver
-    for protocols whose counts are visit-order-insensitive — see
-    {!Explore.Make.options}[.base]); fresh vectors store new facts
-    into it.  [base] may be the same database as [db].  Ignored while
-    [deadline] or [max_live] is set.
+    facts an earlier sweep stored under the same [max_failures] and
+    driver are reused wholesale, with verdicts bit-identical to a
+    from-scratch sweep under that driver; other vectors run fresh and
+    store new facts into it.  [base] may be the same database as
+    [db].  Ignored while [deadline] or [max_live] is set.
 
-    [par_mode] selects the parallel driver (default
-    {!Patterns_search.Search.Async}); exhaustive sweeps give identical
-    verdicts for both modes and every [jobs], truncated ones should
-    pin [Layers] when comparing counts across [jobs].
+    [par_mode] selects the driver (default
+    {!Patterns_search.Search.Async}; [Layers] is the serial
+    canonical-order driver).  Exhaustive sweeps give identical
+    verdicts for every [jobs]; the two modes can disagree on counts
+    where distinct paths converge on one behavioural node, and
+    truncated sweeps should pin [Layers] when comparing across
+    [jobs].
 
     [db] attaches an execution database: if a verdict fact for the
-    same (protocol, n, rule, budget, fault-bound, input-set) sweep is
+    same (protocol, n, rule, budget, fault-bound, driver, input-set) sweep is
     stored, it is returned with {e zero} kernel expansions (only the
     database counters move in [?metrics]); otherwise the sweep runs
     live with every kernel expansion recorded as an edge, and — when
     no wall-clock deadline bounds it — its verdict is stored as a
-    fact for the next call.  The parallel knobs are deliberately
-    absent from the fact key: the sweep is jobs- and mode-invariant,
-    which is what makes its verdict cacheable. *)
+    fact for the next call.  [jobs] is deliberately absent from the
+    fact key: an exhaustive verdict is jobs-invariant, which is what
+    makes it cacheable. *)
 
 val solves : verdict -> Taxonomy.t -> bool
 (** Interpret the verdict against a taxonomy point (the rule is

@@ -11,7 +11,6 @@ module Make (P : Protocol.S) = struct
     inputs_choices : bool list list;
     fifo_notices : bool;
     jobs : int;
-    par_threshold : int option;
     par_mode : Patterns_search.Search.par_mode;
     deadline : float option;
     max_live : int option;
@@ -28,7 +27,6 @@ module Make (P : Protocol.S) = struct
       inputs_choices = Listx.all_bool_vectors n;
       fifo_notices = false;
       jobs = 1;
-      par_threshold = None;
       par_mode = Patterns_search.Search.Async;
       deadline = None;
       max_live = None;
@@ -118,17 +116,17 @@ module Make (P : Protocol.S) = struct
       occurrences = a.occurrences + b.occurrences;
     }
 
-  (* Observation accumulator for the parallel drivers: one per
-     expansion task (layered) or per worker (async).  [cells] holds
-     the seven violation witnesses, indexed below, each tagged with
-     the fingerprint key of the node whose expansion observed it; the
-     canonical witness is the one at the {e smallest key}, which is a
-     property of the violation set alone — not of chunk boundaries,
-     worker schedules, or visitation order — so both drivers and
-     every [jobs] value report the same witness.  (A key tie between
-     two distinct violating nodes is a 62-bit fingerprint collision;
-     ties within one node's expansion resolve first-observed, which
-     is the node's deterministic internal order.) *)
+  (* Observation accumulator: one per search (serial driver) or per
+     worker (async).  [cells] holds the seven violation witnesses,
+     indexed below, each tagged with the fingerprint key of the node
+     whose expansion observed it; the canonical witness is the one at
+     the {e smallest key}, which is a property of the violation set
+     alone — not of worker schedules or visitation order — so both
+     drivers and every [jobs] value report the same witness.  (A key
+     tie between two distinct violating nodes is a 62-bit fingerprint
+     collision; ties within one node's expansion resolve
+     first-observed, which is the node's deterministic internal
+     order.) *)
   let ic_cell = 0
   and tc_cell = 1
   and wt_cell = 2
@@ -142,10 +140,6 @@ module Make (P : Protocol.S) = struct
     cells : (int * string) option array;
     mutable errors : string list;
     mutable smap : state_info State_map.t;
-    mutable boundary : (E.config * Decision.t option array) list;
-        (* nodes with exactly [max_failures] failures, collected only
-           when a base database is in play — the frontier a later
-           [max_failures + 1] sweep seeds its delta region from *)
     mutable edges_gen : int;
         (* successor derivations performed (summed [List.length succs]
            over expansions) — an exact count, unlike the kernel's
@@ -158,7 +152,6 @@ module Make (P : Protocol.S) = struct
       cells = Array.make 7 None;
       errors = [];
       smap = State_map.empty;
-      boundary = [];
       edges_gen = 0;
     }
 
@@ -172,7 +165,6 @@ module Make (P : Protocol.S) = struct
     Array.iteri (fun i v -> a.cells.(i) <- min_violation a.cells.(i) v) b.cells;
     a.errors <- a.errors @ b.errors;
     a.smap <- State_map.union (fun _ x y -> Some (merge_info x y)) a.smap b.smap;
-    a.boundary <- List.rev_append b.boundary a.boundary;
     a.edges_gen <- a.edges_gen + b.edges_gen;
     a
 
@@ -350,15 +342,11 @@ module Make (P : Protocol.S) = struct
             Fingerprint.feed h
               (match cell with None -> 0 | Some Decision.Commit -> 1 | Some Decision.Abort -> 2))
           (E.behavioral_fingerprint c) d
-
-      (* expansion goes through the layer-synchronous driver's
-         observation interface; the serial entry point is unused *)
-      let expand _ = invalid_arg "Explore.Node.expand: use run_par"
     end
 
   module K = Patterns_search.Search.Make (Node)
 
-  let node_expand ~fifo_notices ~max_failures ~rule ~capture o
+  let node_expand ~fifo_notices ~max_failures ~rule o
       ((config, decided) as node : Node.state) =
     (* every violation observed while expanding this node is tagged
        with the node's fingerprint key — the canonical-witness order *)
@@ -366,9 +354,9 @@ module Make (P : Protocol.S) = struct
     observe_config ~rule o key config decided;
     let actions = E.applicable ~fifo_notices config in
     if actions = [] then observe_terminal o key config decided;
-    let nf = failures_in config in
-    if capture && nf = max_failures then o.boundary <- node :: o.boundary;
-    let fail_actions = if nf < max_failures then E.failure_actions config else [] in
+    let fail_actions =
+      if failures_in config < max_failures then E.failure_actions config else []
+    in
     let succs =
       List.filter_map
         (fun a ->
@@ -403,7 +391,7 @@ module Make (P : Protocol.S) = struct
      exactly.  The frontier, visited store and budget live in the
      search kernel; this function only hangs the paper's observations
      on the expansion closure. *)
-  let explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n ~capture inputs =
+  let explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n inputs =
     let root_config = E.init ~n ~inputs in
     let edges = Option.map edge_adapter options.edge_sink in
     let outcome, o, m =
@@ -413,14 +401,14 @@ module Make (P : Protocol.S) = struct
           merge = vobs_merge;
           expand =
             node_expand ~fifo_notices:options.fifo_notices
-              ~max_failures:options.max_failures ~rule ~capture;
+              ~max_failures:options.max_failures ~rule;
         }
       in
       let root = (root_config, Array.make n None) in
       match options.par_mode with
       | Patterns_search.Search.Layers ->
-        K.run_par ~pool ?par_threshold:options.par_threshold ~budget ?deadline
-          ?max_live:options.max_live ?spill:options.spill ?edges ~expand ~root ()
+        K.run ~budget ?deadline ?max_live:options.max_live ?spill:options.spill ?edges
+          ~expand ~root ()
       | Patterns_search.Search.Async ->
         K.run_par_async ~pool ~budget ?deadline ?max_live:options.max_live
           ?spill:options.spill ?edges ~expand ~root ()
@@ -445,35 +433,35 @@ module Make (P : Protocol.S) = struct
       states = List.map snd (State_map.bindings o.smap);
     }
 
-  (* ----- per-vector base facts: the EDB for delta re-exploration -----
+  (* ----- per-vector base facts -----
 
      One fact per fully explored input vector, kind ["classify_vec"],
-     carrying everything a later sweep needs to either reuse the
-     vector wholesale (same [max_failures]) or semi-naively widen it
-     ([max_failures + 1]): the observation accumulator, the exact
-     derivation count, and the frozen boundary — the nodes with
-     exactly [max_failures] failures, whose crash successors are the
-     only new sources the widened space adds.  The key pins the
-     answer-relevant parameters (protocol, n, rule, max_failures,
-     fifo, vector) and deliberately excludes budgets, parallelism
-     knobs and deadlines: reuse re-checks the budget against the
-     stored size, and deadline-bounded runs never store or consume
-     facts. *)
+     carrying everything a later sweep at the same [max_failures]
+     needs to reuse the vector wholesale: the observation accumulator
+     and the exact derivation count.  The key pins the answer-relevant
+     parameters (protocol, n, rule, max_failures, fifo, driver,
+     vector) and deliberately excludes budgets, [jobs] and deadlines:
+     reuse re-checks the budget against the stored size, and
+     deadline-bounded runs never store or consume facts.  The driver
+     is in the key because the two can disagree on count statistics
+     where distinct paths converge on one behavioural node (the
+     representative kept is visit-order dependent). *)
 
   let bits_of inputs =
     String.concat "" (List.map (fun b -> if b then "1" else "0") inputs)
 
-  let vec_fact_key ~rule ~n ~max_failures ~fifo_notices inputs =
-    Printf.sprintf "%s|%d|%s|mf=%d|fifo=%b|vec=%s" P.name n
+  let vec_fact_key ~rule ~n ~max_failures ~fifo_notices ~par_mode inputs =
+    Printf.sprintf "%s|%d|%s|mf=%d|fifo=%b|mode=%s|vec=%s" P.name n
       (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
-      max_failures fifo_notices (bits_of inputs)
+      max_failures fifo_notices
+      (Patterns_search.Search.par_mode_string par_mode)
+      (bits_of inputs)
 
-  (* binary payloads (state infos, frozen boundary) travel as hex of
-     [Marshal] — the db is line-oriented JSON.  Marshal bytes are
-     compared by nobody: facts are decoded before use, so the
-     insertion-order-dependent sharing in the byte string is
-     harmless. *)
-  let vec_fact_of ~configs ~boundary o =
+  (* the state infos travel as hex of [Marshal] — the db is
+     line-oriented JSON.  Marshal bytes are compared by nobody: facts
+     are decoded before use, so the insertion-order-dependent sharing
+     in the byte string is harmless. *)
+  let vec_fact_of ~configs o =
     let cells =
       List.filter_map
         (fun i ->
@@ -484,13 +472,6 @@ module Make (P : Protocol.S) = struct
         [ 0; 1; 2; 3; 4; 5; 6 ]
     in
     let infos = Array.of_list (List.map snd (State_map.bindings o.smap)) in
-    let frozen_boundary =
-      List.stable_sort
-        (fun a b -> Fingerprint.compare (Node.fingerprint a) (Node.fingerprint b))
-        boundary
-      |> List.map (fun (c, d) -> (E.freeze c, d))
-      |> Array.of_list
-    in
     Json.Obj
       [
         ("configs", Json.Int configs);
@@ -503,14 +484,12 @@ module Make (P : Protocol.S) = struct
                (fun e -> Json.String e)
                (Listx.dedup_sorted ~cmp:String.compare o.errors)) );
         ("smap", Json.String (Hex.encode (Marshal.to_string infos [])));
-        ("boundary", Json.String (Hex.encode (Marshal.to_string frozen_boundary [])));
       ]
 
-  (* [with_boundary:false] skips decoding the frozen boundary — the
-     expensive half of a fact, and dead weight for wholesale reuse,
-     which answers from the observations alone.  Only the widening
-     rung pays for the thaw. *)
-  let vobs_of_fact ~with_boundary j =
+  (* Fields other than the ones read here are ignored, so facts that
+     still carry the frozen ["boundary"] of older writers decode the
+     same. *)
+  let vobs_of_fact j =
     let exception Bad in
     let get k = match Json.member k j with Some v -> v | None -> raise Bad in
     let int k = match Json.to_int (get k) with Ok i -> i | Error _ -> raise Bad in
@@ -534,141 +513,42 @@ module Make (P : Protocol.S) = struct
           (lst "errors");
       let infos : state_info array = Marshal.from_string (Hex.decode (str "smap")) 0 in
       Array.iter (fun info -> o.smap <- State_map.add info.state info o.smap) infos;
-      if with_boundary then begin
-        let frozen : (E.frozen * Decision.t option array) array =
-          Marshal.from_string (Hex.decode (str "boundary")) 0
-        in
-        o.boundary <- Array.to_list (Array.map (fun (fz, d) -> (E.thaw fz, d)) frozen)
-      end;
       Some (configs, o)
     with Bad | Invalid_argument _ | Failure _ -> None
 
   (* One vector of the sweep, with the base database consulted when it
-     is sound to do so.  Three rungs, first applicable wins:
-
-     - {e exact}: a fact at this [max_failures] whose size fits the
-       per-vector budget — the stored observations are the answer, no
-       search at all ([delta_reused_edges] counts the derivations
-       skipped wholesale);
-     - {e widen}: a fact at [max_failures - 1] — thaw its boundary,
-       derive only the crash successors (the semi-naive delta seeds:
-       every configuration the widened space adds is reachable from
-       one of them, and from none of the old nodes, because failure
-       counts only grow along edges and are part of the behavioural
-       identity), and close just that region with {!K.run_delta}
-       under the leftover budget.  Exhaustion of the delta within
-       [budget - base] is equivalent to exhaustion of the full space
-       within [budget], so the stitched report is bit-identical to
-       from-scratch; any truncation falls through to a fresh run,
-       which then reproduces the from-scratch truncation exactly;
-     - {e fresh}: the ordinary exhaustive run, storing a new fact when
-       it completed untruncated.
-
-     Base consultation is disabled under a wall-clock deadline or a
-     live-state cap: both make completeness run-dependent, and the
-     facts only speak for completed regions. *)
+     is sound to do so: a fact for this vector whose size fits the
+     per-vector budget is the answer, with no search at all
+     ([delta_reused_edges] counts the derivations skipped); otherwise
+     the vector runs fresh and, when it completes untruncated, stores
+     a new fact.  Base consultation is disabled under a wall-clock
+     deadline or a live-state cap: both make completeness
+     run-dependent, and the facts only speak for completed regions. *)
   let vector_result ?deadline ~options ~pool ~budget ~rule ~n inputs =
-    let base =
-      match options.base with
-      | Some db when options.deadline = None && options.max_live = None -> Some db
-      | _ -> None
-    in
-    let capture = base <> None in
-    let key = vec_fact_key ~rule ~n ~fifo_notices:options.fifo_notices in
-    let fresh () =
+    let fresh ~store =
       let o, truncated, m =
-        explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n ~capture inputs
+        explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n inputs
       in
       let configs = m.Patterns_search.Metrics.states_expanded in
-      (match base with
-      | Some db when (not truncated) && m.Patterns_search.Metrics.deadline_hits = 0 ->
-        Db.put_fact db ~kind:"classify_vec"
-          ~key:(key ~max_failures:options.max_failures inputs)
-          (vec_fact_of ~configs ~boundary:o.boundary o)
-      | _ -> ());
+      if (not truncated) && m.Patterns_search.Metrics.deadline_hits = 0 then
+        store (vec_fact_of ~configs o);
       (report_of ~configs ~truncated o, m)
     in
-    let widen db configs0 o0 =
-      let base_edges = o0.edges_gen in
-      let seeds = ref [] in
-      List.iter
-        (fun ((config, decided) as node) ->
-          let nkey = Fingerprint.to_int (Node.fingerprint node) in
-          let succs =
-            List.filter_map
-              (fun a ->
-                match E.apply ~step:0 config a with
-                | Error e ->
-                  o0.errors <- e :: o0.errors;
-                  None
-                | Ok (c', events) ->
-                  Some (c', observe_events ~rule o0 nkey config events decided))
-              (E.failure_actions config)
-          in
-          o0.edges_gen <- o0.edges_gen + List.length succs;
-          (match options.edge_sink with
-          | Some sink ->
-            List.iteri
-              (fun i s ->
-                sink ~src:nkey ~event:("#" ^ string_of_int i)
-                  ~dst:(Fingerprint.to_int (Node.fingerprint s)))
-              succs
-          | None -> ());
-          seeds := List.rev_append succs !seeds)
-        (List.stable_sort
-           (fun a b -> Fingerprint.compare (Node.fingerprint a) (Node.fingerprint b))
-           o0.boundary);
-      let expand =
-        {
-          K.empty = vobs_empty;
-          merge = vobs_merge;
-          expand =
-            node_expand ~fifo_notices:options.fifo_notices
-              ~max_failures:options.max_failures ~rule ~capture:true;
-        }
+    match options.base with
+    | Some db when options.deadline = None && options.max_live = None -> (
+      let key =
+        vec_fact_key ~rule ~n ~max_failures:options.max_failures
+          ~fifo_notices:options.fifo_notices ~par_mode:options.par_mode inputs
       in
-      let edges = Option.map edge_adapter options.edge_sink in
-      let outcome, od, m =
-        K.run_delta ~budget:(budget - configs0) ?spill:options.spill ?edges ~expand
-          ~seeds:(List.rev !seeds) ()
-      in
-      match outcome with
-      | Patterns_search.Search.Exhausted ->
-        let delta_boundary = od.boundary in
-        let o = vobs_merge o0 od in
-        let configs = configs0 + m.Patterns_search.Metrics.states_expanded in
-        let m = Patterns_search.Metrics.with_incremental ~delta_reused_edges:base_edges m in
-        Db.put_fact db ~kind:"classify_vec"
-          ~key:(key ~max_failures:options.max_failures inputs)
-          (vec_fact_of ~configs ~boundary:delta_boundary o);
-        Some (report_of ~configs ~truncated:false o, m)
-      | _ -> None
-    in
-    match base with
-    | None -> fresh ()
-    | Some db -> (
-      let lookup ~with_boundary mf =
-        Option.bind
-          (Db.get_fact db ~kind:"classify_vec" ~key:(key ~max_failures:mf inputs))
-          (vobs_of_fact ~with_boundary)
-      in
-      match lookup ~with_boundary:false options.max_failures with
+      match Option.bind (Db.get_fact db ~kind:"classify_vec" ~key) vobs_of_fact with
       | Some (configs, o) when configs <= budget ->
         let m =
           Patterns_search.Metrics.with_incremental ~delta_reused_edges:o.edges_gen
             Patterns_search.Metrics.zero
         in
         (report_of ~configs ~truncated:false o, m)
-      | _ -> (
-        let prior =
-          if options.max_failures > 0 then
-            lookup ~with_boundary:true (options.max_failures - 1)
-          else None
-        in
-        match prior with
-        | Some (configs0, o0) when configs0 <= budget -> (
-          match widen db configs0 o0 with Some r -> r | None -> fresh ())
-        | _ -> fresh ()))
+      | _ -> fresh ~store:(Db.put_fact db ~kind:"classify_vec" ~key))
+    | _ -> fresh ~store:ignore
 
   (* ----- deterministic merge of per-vector reports ----- *)
 
@@ -722,12 +602,11 @@ module Make (P : Protocol.S) = struct
        roughly the work of the old single-visited-set loop *)
     let budget = (options.max_configs + nvec - 1) / nvec in
     (* Input vectors are baked into every configuration, so the roots
-       partition the state space.  Since PR 4 the parallelism is
-       *intra*-root: the layer-synchronous driver fans each vector's
-       frontier layers across the pool, and the outer loop stays on
-       the pool-owning domain (nested pool maps are not supported),
-       merging reports and metrics in vector order — bit-identical
-       for every [jobs]. *)
+       partition the state space.  The parallelism is *intra*-root:
+       the async driver spreads each vector's search across the pool,
+       and the outer loop stays on the pool-owning domain (nested pool
+       maps are not supported), merging reports and metrics in vector
+       order. *)
     (* the optional wall-clock deadline bounds the whole sweep: each
        vector's search gets the time remaining at its turn *)
     let t_end =
@@ -764,7 +643,7 @@ module Make (P : Protocol.S) = struct
         options.checkpoint
     in
     let report, m =
-      Patterns_stdx.Domain_pool.with_pool ~jobs:options.jobs (fun pool ->
+      Patterns_search.Search.with_pool ~jobs:options.jobs options.par_mode (fun pool ->
           List.fold_left
             (fun (acc, ms) (i, inputs) ->
               let r, m =

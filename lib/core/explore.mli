@@ -35,22 +35,18 @@ module Make (P : Protocol.S) : sig
             sender's messages (fail-stop-processor discipline); the
             paper's unordered default is [false] *)
     jobs : int;
-        (** worker domains (default 1); parallelism is intra-root —
-            each vector's search is fanned across the pool by the
-            driver selected by [par_mode] — and any value yields the
-            same report on an exhaustive sweep *)
-    par_threshold : int option;
-        (** ([Layers] mode only) frontier size at which a layer is
-            expanded in parallel; [None] means
-            {!Patterns_search.Search.Make.default_par_threshold}.
-            Any value yields the same report. *)
+        (** worker domains for the [Async] driver (default 1);
+            parallelism is intra-root — each vector's search is spread
+            across the pool — and any value yields the same report on
+            an exhaustive sweep.  [Layers] runs on one domain. *)
     par_mode : Patterns_search.Search.par_mode;
-        (** parallel driver: [Async] (default) is the work-stealing
-            driver, [Layers] the layer-synchronous barrier driver.
-            Violation witnesses are canonicalized — each report cell
-            keeps the violation observed at the smallest expanded-node
-            fingerprint key — so exhaustive sweeps produce identical
-            reports for both modes and every [jobs]; truncated sweeps
+        (** driver: [Async] (default) is the work-stealing driver,
+            [Layers] the serial canonical-order driver.  Violation
+            witnesses are canonicalized — each report cell keeps the
+            violation observed at the smallest expanded-node
+            fingerprint key — so both modes report the same witnesses;
+            counts can differ between the modes where distinct paths
+            converge on one behavioural node, and truncated sweeps
             visit a schedule-dependent subset under [Async], so
             truncation-sensitive comparisons should pin [Layers]. *)
     deadline : float option;
@@ -88,35 +84,23 @@ module Make (P : Protocol.S) : sig
     base : Patterns_db.Db.t option;
         (** incremental base: an execution database whose
             ["classify_vec"] facts persist each fully explored input
-            vector (observations, derivation counts, and the frozen
-            max-failure boundary).  With a base, every vector first
-            tries wholesale reuse (a fact at this [max_failures] that
-            fits the per-vector budget), then semi-naive widening (a
-            fact at [max_failures - 1]: only the crash successors of
-            its boundary are derived and closed with
-            {!Patterns_search.Search.Make.run_delta}), and only then
-            falls back to a fresh search — which stores a new fact on
-            untruncated completion.  Reused and widened answers are
-            bit-identical to from-scratch under the layer-synchronous
-            driver's visit order (the delta closure is a FIFO sweep,
-            which reproduces it); on protocols whose behavioural
-            spaces have no convergence points between pattern-distinct
-            paths — every protocol whose counts already agree between
-            the two parallel drivers — that is bit-identity to
-            from-scratch under any driver.  The metrics additionally
-            carry [delta_seeds] and [delta_reused_edges].  Ignored
+            vector (observations and derivation counts), keyed by
+            protocol, n, rule, [max_failures], [fifo_notices],
+            [par_mode] and the vector.  With a base, a vector whose
+            fact fits the per-vector budget is answered wholesale from
+            it — bit-identical to from-scratch under the same driver,
+            with the skipped derivations counted in the metrics'
+            [delta_reused_edges]; every other vector runs fresh and
+            stores a new fact on untruncated completion.  Ignored
             (with no facts stored) while [deadline] or [max_live] is
-            set — both make completeness run-dependent.  [edge_sink]
-            composes, with two caveats: wholesale-reused vectors emit
-            no edges (like checkpoint-replayed ones), and widened
-            vectors emit delta edges whose successor ordinals can
-            differ from a from-scratch recording. *)
+            set — both make completeness run-dependent.  Reused
+            vectors emit no edges to [edge_sink] (like
+            checkpoint-replayed ones). *)
   }
 
   val default_options : n:int -> options
   (** All [2^n] input vectors, one failure, 400_000 configurations,
-      unordered notices, one worker, automatic parallel threshold,
-      async driver, no deadline, no live-state limit, no edge sink,
+      unordered notices, one worker, async driver, no deadline, no live-state limit, no edge sink,
       no spilling, no checkpoint. *)
 
   type state_info = {
@@ -180,9 +164,9 @@ module Make (P : Protocol.S) : sig
     n:int ->
     unit ->
     report
-  (** One search per input vector, sequentially in vector order; each
-      vector's search fans out across [options.jobs] domains under the
-      driver selected by [options.par_mode].  The optional sink
+  (** One search per input vector, sequentially in vector order, under
+      the driver selected by [options.par_mode] ([Async] spreads each
+      vector's search across [options.jobs] domains).  The optional sink
       accumulates the kernel's counters
       ({!Patterns_search.Search.merge_into}). *)
 

@@ -30,24 +30,24 @@ module Make (P : Protocol.S) = struct
     let compare = E.compare_config
     let fingerprint = E.fingerprint
 
-    (* expansion without observation, shared by every driver below:
-       reversed, because the historical stack discipline explored the
-       last applicable action first, and truncated counts are pinned
-       to that order by the jobs-invariance tests *)
+    (* expansion without observation: reversed, because the
+       historical stack discipline explored the last applicable action
+       first, and truncated counts are pinned to that order by the
+       jobs-invariance tests *)
     let successors c actions = List.rev_map (fun a -> fst (E.apply_exn ~step:0 c a)) actions
-    let expand c = successors c (E.applicable c)
   end
 
   module K = Search.Make (Pr)
 
-  (* Per-task observation accumulator for the layer-synchronous
-     driver.  [seen_pats] is the terminal-pattern cache: distinct
+  (* Observation accumulator (one per search under the serial driver,
+     one per worker under the async one).  [seen_pats] is the
+     terminal-pattern cache: distinct
      terminal configurations mostly repeat a handful of patterns, and
      extraction ([Pattern.make]) is far more expensive than a
      fingerprint probe.  Keyed by [E.pattern_fp]; a hit is only
      trusted when [E.same_pattern_rep] confirms it on the interned
      representation, so a fingerprint collision merely costs one
-     redundant extraction.  The cache is task-local (dropped at
+     redundant extraction.  The cache is accumulator-local (dropped at
      merge), so it never leaks observations across accumulators —
      [Pattern.Set.union] dedups structurally either way. *)
   type obs = {
@@ -97,9 +97,7 @@ module Make (P : Protocol.S) = struct
 
   (* ----- per-vector base facts, kind ["scheme_vec"] -----
 
-     The failure-free pattern enumeration has no widening dimension —
-     no failures are injected — so the base database is a pure
-     memo: a fact stores the pattern set, the stats and the exact
+     The base database is a pure memo: a fact stores the pattern set, the stats and the exact
      derivation count of one fully enumerated vector, and a later run
      with the same (protocol, n, vector) and a budget at least as
      large reuses it wholesale.  Deadline- or live-limited runs
@@ -141,9 +139,8 @@ module Make (P : Protocol.S) = struct
 
   (* [obs] merging is union/sum — commutative as well as associative —
      so the async driver's worker-order fold collects the same pattern
-     set and terminal count as the layered driver's frontier-order
-     fold. *)
-  let patterns_for_inputs_m ?pool ?par_threshold ?(par_mode = Search.Async)
+     set and terminal count as the serial driver's single fold. *)
+  let patterns_for_inputs_m ?pool ?(par_mode = Search.Async)
       ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ?base ~n ~inputs () =
     let base =
       match base with
@@ -166,8 +163,7 @@ module Make (P : Protocol.S) = struct
       let outcome, o, m =
         match par_mode with
         | Search.Layers ->
-          K.run_par ?pool ?par_threshold ~budget:max_configs ?deadline ?max_live ?spill
-            ~expand:obs_expand ~root ()
+          K.run ~budget:max_configs ?deadline ?max_live ?spill ~expand:obs_expand ~root ()
         | Search.Async ->
           K.run_par_async ?pool ~budget:max_configs ?deadline ?max_live ?spill
             ~expand:obs_expand ~root ()
@@ -188,12 +184,12 @@ module Make (P : Protocol.S) = struct
           } ),
         m )
 
-  let patterns_for_inputs ?metrics ?(jobs = 1) ?par_threshold ?par_mode ?max_configs
+  let patterns_for_inputs ?metrics ?(jobs = 1) ?(par_mode = Search.Async) ?max_configs
       ?deadline ?max_live ?spill ?base ~n ~inputs () =
     let result, m =
-      Patterns_stdx.Domain_pool.with_pool ~jobs (fun pool ->
-          patterns_for_inputs_m ~pool ?par_threshold ?par_mode ?max_configs ?deadline
-            ?max_live ?spill ?base ~n ~inputs ())
+      Search.with_pool ~jobs par_mode (fun pool ->
+          patterns_for_inputs_m ~pool ~par_mode ?max_configs ?deadline ?max_live ?spill
+            ?base ~n ~inputs ())
     in
     Search.merge_into metrics m;
     result
@@ -223,12 +219,11 @@ module Make (P : Protocol.S) = struct
       spec
 
   (* [par_mode] defaults to [Layers], not [Async]: the documented
-     shortest-witness guarantee needs the layered driver's
-     deterministic frontier order, and realization is prune-heavy,
-     which the async driver pays for on every duplicate generation.
-     [Async] is still accepted for callers that only need *a*
-     witness. *)
-  let realize ?metrics ?(jobs = 1) ?par_threshold ?(par_mode = Search.Layers)
+     shortest-witness guarantee needs the serial driver's canonical
+     breadth-first order, and realization is prune-heavy, which the
+     async driver pays for on every duplicate generation.  [Async] is
+     still accepted for callers that only need *a* witness. *)
+  let realize ?metrics ?(jobs = 1) ?(par_mode = Search.Layers)
       ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ?checkpoint ~n ~inputs
       ~target () =
     (* the accumulated pattern must be a prefix of the target: its
@@ -239,17 +234,15 @@ module Make (P : Protocol.S) = struct
     in
     let module R = struct
       (* A configuration plus the reversed event path that reached it;
-         dedup ignores the path, exactly like the old recursive DFS.
-         [acts] memoizes [E.applicable]: the goal test needs it on the
-         owning domain (during the sequential layer scan) before the
-         expansion task does, so by the time a worker reads it the
-         lazy is already forced — no concurrent forcing. *)
+         dedup ignores the path.  [acts] memoizes [E.applicable], which
+         both the goal test and the expansion need; a state is
+         goal-tested and expanded by the same worker, so the lazy is
+         never forced concurrently. *)
       type state = { c : E.config; path : Action.t list; acts : Action.t list Lazy.t }
 
       let make c path = { c; path; acts = lazy (E.applicable c) }
       let compare a b = E.compare_config a.c b.c
       let fingerprint s = E.fingerprint s.c
-      let expand _ = assert false
     end in
     let module K = Search.Make (R) in
     let expand =
@@ -286,15 +279,15 @@ module Make (P : Protocol.S) = struct
       r
     | None ->
       let root_config = E.init ~n ~inputs in
+      let root = R.make root_config [] in
       let outcome, (), m =
-        Patterns_stdx.Domain_pool.with_pool ~jobs (fun pool ->
-            match par_mode with
-            | Search.Layers ->
-              K.run_par ~pool ?par_threshold ~budget:max_configs ?deadline ?max_live
-                ?spill ~is_goal ~prune ~expand ~root:(R.make root_config []) ()
-            | Search.Async ->
-              K.run_par_async ~pool ~budget:max_configs ?deadline ?max_live ?spill
-                ~is_goal ~prune ~expand ~root:(R.make root_config []) ())
+        match par_mode with
+        | Search.Layers ->
+          K.run ~budget:max_configs ?deadline ?max_live ?spill ~is_goal ~prune ~expand ~root ()
+        | Search.Async ->
+          Patterns_stdx.Domain_pool.with_pool ~jobs (fun pool ->
+              K.run_par_async ~pool ~budget:max_configs ?deadline ?max_live ?spill ~is_goal
+                ~prune ~expand ~root ())
       in
       let m = Metrics.with_intern_bindings (E.intern_bindings root_config) m in
       Search.merge_into metrics m;
@@ -317,14 +310,12 @@ module Make (P : Protocol.S) = struct
 
   (* Input vectors are part of every configuration, so no configuration
      is reachable from two different vectors: the roots partition the
-     state space.  Since PR 4 the parallelism is *intra*-root — the
-     layer-synchronous driver fans each root's frontier layers out
-     across the pool — so the outer loop over vectors stays on the
-     pool-owning domain (nested pool maps are not supported) and
-     merges payloads and metrics in vector order, bit-identical for
-     every [jobs]. *)
-  let scheme ?metrics ?max_configs ?deadline ?max_live ?(jobs = 1) ?par_threshold
-      ?par_mode ?spill ?checkpoint ~n () =
+     state space.  The parallelism is *intra*-root — the async driver
+     spreads each root's search across the pool — so the outer loop
+     over vectors stays on the pool-owning domain (nested pool maps are
+     not supported) and merges payloads and metrics in vector order. *)
+  let scheme ?metrics ?max_configs ?deadline ?max_live ?(jobs = 1) ?par_mode ?spill
+      ?checkpoint ~n () =
     (* [deadline] bounds the whole sweep, so each root receives the
        time remaining when its turn comes; a root starting past the
        deadline gets a zero allowance and truncates immediately *)
@@ -333,7 +324,7 @@ module Make (P : Protocol.S) = struct
     let header = checkpoint_header ~kind:"scheme" ?max_configs ?max_live ?par_mode ?spill ~n () in
     let ckpt = open_checkpoint checkpoint ~header in
     let result, m =
-      Patterns_stdx.Domain_pool.with_pool ~jobs (fun pool ->
+      Search.with_pool ~jobs (Option.value par_mode ~default:Search.Async) (fun pool ->
           List.fold_left
             (fun ((acc, st), ms) (i, inputs) ->
               let (pats, st'), m =
@@ -341,7 +332,7 @@ module Make (P : Protocol.S) = struct
                 | Some payload -> payload
                 | None ->
                   let ((_, _), m) as fresh =
-                    patterns_for_inputs_m ~pool ?par_threshold ?par_mode ?max_configs
+                    patterns_for_inputs_m ~pool ?par_mode ?max_configs
                       ?deadline:(remaining ()) ?max_live ?spill ~n ~inputs ()
                   in
                   (* deadline truncation is wall-clock-dependent;

@@ -34,7 +34,6 @@ module Make (P : Protocol.S) : sig
   val patterns_for_inputs :
     ?metrics:Patterns_search.Metrics.t ref ->
     ?jobs:int ->
-    ?par_threshold:int ->
     ?par_mode:Patterns_search.Search.par_mode ->
     ?max_configs:int ->
     ?deadline:float ->
@@ -46,14 +45,11 @@ module Make (P : Protocol.S) : sig
     unit ->
     Pattern.Set.t * stats
   (** All patterns of failure-free executions from the given initial
-      bits, enumerated across [jobs] domains by the parallel driver
-      selected by [par_mode] (default
-      {!Patterns_search.Search.Async}, the work-stealing driver;
-      [Layers] is the layer-synchronous barrier driver, for which
-      frontier layers must reach [par_threshold] states — default
-      {!Patterns_search.Search.Make.default_par_threshold} — to be
-      dispatched).  On a search that runs to exhaustion both modes
-      produce the identical pattern set, stats and deterministic
+      bits, enumerated by the driver selected by [par_mode] (default
+      {!Patterns_search.Search.Async}, the work-stealing driver across
+      [jobs] domains; [Layers] is the serial canonical-order driver,
+      which ignores [jobs]).  On a search that runs to exhaustion both
+      modes produce the identical pattern set, stats and deterministic
       counters for every [jobs]; a truncated async search keeps its
       counts but visits a schedule-dependent subset, so
       truncation-sensitive comparisons should pass
@@ -78,7 +74,6 @@ module Make (P : Protocol.S) : sig
     ?deadline:float ->
     ?max_live:int ->
     ?jobs:int ->
-    ?par_threshold:int ->
     ?par_mode:Patterns_search.Search.par_mode ->
     ?spill:Patterns_search.Search.spill ->
     ?checkpoint:Patterns_search.Checkpoint.spec ->
@@ -86,11 +81,10 @@ module Make (P : Protocol.S) : sig
     unit ->
     Pattern.Set.t * stats
   (** Union over all [2^n] input vectors: the scheme proper.  Stats
-      are summed in vector order.  Parallelism is intra-root: each
-      vector's search is fanned out across [jobs] domains by the
-      driver selected by [par_mode] (default async); an exhaustive
-      sweep is bit-identical to the sequential run for every [jobs],
-      [par_threshold] and [par_mode].  [deadline] bounds the whole
+      are summed in vector order.  Parallelism is intra-root: under
+      the default async driver each vector's search is spread across
+      [jobs] domains; an exhaustive sweep gives the same scheme and
+      stats for every [jobs] and [par_mode].  [deadline] bounds the whole
       sweep (each vector's search receives the time remaining);
       [max_live] bounds each vector's search separately.  [spill]
       swaps each root's visited store for the disk-backed spill store
@@ -108,7 +102,6 @@ module Make (P : Protocol.S) : sig
   val realize :
     ?metrics:Patterns_search.Metrics.t ref ->
     ?jobs:int ->
-    ?par_threshold:int ->
     ?par_mode:Patterns_search.Search.par_mode ->
     ?max_configs:int ->
     ?deadline:float ->
@@ -123,11 +116,11 @@ module Make (P : Protocol.S) : sig
   (** Synthesize a failure-free execution whose communication pattern
       is exactly [target]: a search over applicable events pruned to
       pattern prefixes of the target.  [par_mode] defaults to
-      [Layers], unlike the sweeps above: the layered driver's
-      deterministic frontier order is what makes the witness a
-      shortest realization, identical for every [jobs], and
-      realization is prune-heavy, which the async driver pays for on
-      every duplicate generation.  Under [~par_mode:Async] the answer
+      [Layers], unlike the sweeps above: the serial driver's canonical
+      breadth-first order is what makes the witness a shortest
+      realization, identical for every [jobs], and realization is
+      prune-heavy, which the async driver pays for on every duplicate
+      generation.  Under [~par_mode:Async] the answer
       ({!Realized} / {!Unrealizable}) is unchanged but the witness is
       schedule-dependent and need not be shortest.  {!Truncated} is
       distinct from {!Unrealizable}: an answer cut short by

@@ -39,7 +39,6 @@ type t = {
   roots : int;
   truncated_roots : int;
   layers : int;
-  par_layers : int;
   shard_bits : int;
   shard_occupancy_max : int;
   shard_occupancy_total : int;
@@ -65,7 +64,6 @@ type t = {
   spill_fd_reopens : int;
   prefix_hits : int;
   prefix_states_saved : int;
-  delta_seeds : int;
   delta_reused_edges : int;
   drops_injected : int;
   omission_plans : int;
@@ -87,7 +85,6 @@ let zero =
     roots = 0;
     truncated_roots = 0;
     layers = 0;
-    par_layers = 0;
     shard_bits = 0;
     shard_occupancy_max = 0;
     shard_occupancy_total = 0;
@@ -113,7 +110,6 @@ let zero =
     spill_fd_reopens = 0;
     prefix_hits = 0;
     prefix_states_saved = 0;
-    delta_seeds = 0;
     delta_reused_edges = 0;
     drops_injected = 0;
     omission_plans = 0;
@@ -139,21 +135,17 @@ let of_shard outcome (s : shard) =
     shards = [ s ];
   }
 
-(* Retag a single-root metrics record with the layer-synchronous
-   driver's statistics.  Every field except [lock_contention] and
-   [expand_seconds] is deterministic: layer structure and shard
-   occupancy are functions of the reachable graph (and the constant
-   [shard_bits]), not of the worker count. *)
-let with_par ~layers ~par_layers ~shard_bits ~occupancy_max ~occupancy_total
-    ~lock_contention ~expand_seconds m =
+(* Retag a single-root metrics record with the serial driver's layer
+   statistics.  Every field except [expand_seconds] is deterministic:
+   layer structure and per-group occupancy are functions of the
+   reachable graph (and the constant [shard_bits]). *)
+let with_par ~layers ~shard_bits ~occupancy_max ~occupancy_total ~expand_seconds m =
   {
     m with
     layers;
-    par_layers;
     shard_bits;
     shard_occupancy_max = occupancy_max;
     shard_occupancy_total = occupancy_total;
-    lock_contention;
     expand_seconds;
   }
 
@@ -163,8 +155,8 @@ let with_par ~layers ~par_layers ~shard_bits ~occupancy_max ~occupancy_total
    — both deterministic; the work-stealing and CAS counters plus the
    load factor and idle time are volatile, schedule-dependent
    quantities and live in the schema's /5 section.  The layered
-   fields (layers, par_layers, shard_occupancy_max) stay 0: there are
-   no layers and no shards to report. *)
+   fields (layers, shard_occupancy_max) stay 0: there are no layers
+   and no shards to report. *)
 let with_async ~shard_bits ~occupancy_total ~lock_contention ~expand_seconds ~steals
     ~steal_failures ~cas_retries ~table_occupancy ~idle_seconds m =
   {
@@ -195,8 +187,8 @@ let with_db ~edges ~index_scans ~cache_hits ~cache_misses m =
   }
 
 (* Retag a metrics record with a spill-store snapshot.  All six
-   counters are deterministic under the serial and layer-synchronous
-   drivers (eviction happens at schedule-independent points there) and
+   counters are deterministic under the serial driver (eviction
+   happens between layers there) and
    schedule-dependent under the asynchronous driver at jobs > 1 — the
    same caveat as [intern_bindings], and gated the same way by the
    bench --check harness.  All six are 0 unless a --spill-dir was
@@ -215,18 +207,17 @@ let with_spill ~runs ~evictions ~probes ~read_bytes ~write_bytes ~fd_reopens m =
   }
 
 (* Retag a metrics record with the incremental-derivation counters.
-   All four are deterministic: prefix hits/saved-steps are functions of
-   the evaluated plan-index set (each plan either shares a failure-free
-   prefix or does not, independent of which worker materialized the
-   memo), and the delta counters are functions of the base facts and
-   the change description, not of scheduling. *)
-let with_incremental ?(prefix_hits = 0) ?(prefix_states_saved = 0) ?(delta_seeds = 0)
+   All three are deterministic: prefix hits/saved-steps are functions
+   of the evaluated plan-index set (each plan either shares a
+   failure-free prefix or does not, independent of which worker
+   materialized the memo), and the reused-edge count is a function of
+   the base facts, not of scheduling. *)
+let with_incremental ?(prefix_hits = 0) ?(prefix_states_saved = 0)
     ?(delta_reused_edges = 0) m =
   {
     m with
     prefix_hits = m.prefix_hits + prefix_hits;
     prefix_states_saved = m.prefix_states_saved + prefix_states_saved;
-    delta_seeds = m.delta_seeds + delta_seeds;
     delta_reused_edges = m.delta_reused_edges + delta_reused_edges;
   }
 
@@ -269,7 +260,6 @@ let merge a b =
     roots = a.roots + b.roots;
     truncated_roots = a.truncated_roots + b.truncated_roots;
     layers = a.layers + b.layers;
-    par_layers = a.par_layers + b.par_layers;
     shard_bits = max a.shard_bits b.shard_bits;
     shard_occupancy_max = max a.shard_occupancy_max b.shard_occupancy_max;
     shard_occupancy_total = a.shard_occupancy_total + b.shard_occupancy_total;
@@ -295,7 +285,6 @@ let merge a b =
     spill_fd_reopens = a.spill_fd_reopens + b.spill_fd_reopens;
     prefix_hits = a.prefix_hits + b.prefix_hits;
     prefix_states_saved = a.prefix_states_saved + b.prefix_states_saved;
-    delta_seeds = a.delta_seeds + b.delta_seeds;
     delta_reused_edges = a.delta_reused_edges + b.delta_reused_edges;
     drops_injected = a.drops_injected + b.drops_injected;
     omission_plans = a.omission_plans + b.omission_plans;
@@ -325,18 +314,22 @@ let merge a b =
    after "spill_write_bytes", then the incremental-derivation counters
    "prefix_hits", "prefix_states_saved", "delta_seeds",
    "delta_reused_edges" (deterministic; all 0 unless a memoized
-   systematic hunt or a --base-db widening ran);
+   systematic hunt or a --base-db reuse ran);
    schema /9 appends the fault-injection counters "drops_injected",
    "omission_plans", "mobile_faults" (deterministic and jobs-invariant
    on full sweeps, overshooting with [jobs] on goal-found hunts like
    "prefix_hits"; all 0 unless a hunt widened the adversary past
    fail-stop) after "delta_reused_edges";
-   every earlier field is unchanged in name, meaning and order.
+   schema /10 removes "par_layers" and "delta_seeds", which had become
+   constant 0 on every path;
+   every other field is unchanged in name, meaning and order.
    "lock_contention", "expand_seconds", "parallel_efficiency" and the
    whole /5 section are the nondeterministic top-level fields
    (normalized away by the cram test, never compared by the bench
    --check gate); "deadline_hits" is deterministically 0 when no
    deadline was set, and wall-clock-dependent when one was. *)
+let schema = "patterns-search-metrics/10"
+
 let wall_seconds m = List.fold_left (fun acc (s : shard) -> acc +. s.seconds) 0. m.shards
 
 (* expand-time over wall-time: the fraction of the run spent inside
@@ -349,7 +342,7 @@ let parallel_efficiency m =
 let to_json ?(shards = true) m =
   let b = Buffer.create 512 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"patterns-search-metrics/9\",\n";
+  Buffer.add_string b (Printf.sprintf "  \"schema\": \"%s\",\n" schema);
   Buffer.add_string b (Printf.sprintf "  \"outcome\": \"%s\",\n" (outcome_string m.outcome));
   Buffer.add_string b (Printf.sprintf "  \"states_expanded\": %d,\n" m.states_expanded);
   Buffer.add_string b (Printf.sprintf "  \"dedup_hits\": %d,\n" m.dedup_hits);
@@ -364,7 +357,6 @@ let to_json ?(shards = true) m =
   Buffer.add_string b (Printf.sprintf "  \"roots\": %d,\n" m.roots);
   Buffer.add_string b (Printf.sprintf "  \"truncated_roots\": %d,\n" m.truncated_roots);
   Buffer.add_string b (Printf.sprintf "  \"layers\": %d,\n" m.layers);
-  Buffer.add_string b (Printf.sprintf "  \"par_layers\": %d,\n" m.par_layers);
   Buffer.add_string b (Printf.sprintf "  \"shard_bits\": %d,\n" m.shard_bits);
   Buffer.add_string b
     (Printf.sprintf "  \"shard_occupancy_max\": %d,\n" m.shard_occupancy_max);
@@ -395,7 +387,6 @@ let to_json ?(shards = true) m =
   Buffer.add_string b (Printf.sprintf "  \"prefix_hits\": %d,\n" m.prefix_hits);
   Buffer.add_string b
     (Printf.sprintf "  \"prefix_states_saved\": %d,\n" m.prefix_states_saved);
-  Buffer.add_string b (Printf.sprintf "  \"delta_seeds\": %d,\n" m.delta_seeds);
   Buffer.add_string b (Printf.sprintf "  \"delta_reused_edges\": %d,\n" m.delta_reused_edges);
   Buffer.add_string b (Printf.sprintf "  \"drops_injected\": %d,\n" m.drops_injected);
   Buffer.add_string b (Printf.sprintf "  \"omission_plans\": %d,\n" m.omission_plans);

@@ -46,19 +46,16 @@ type t = {
   budget_consumed : int;  (** total budget units spent = states expanded *)
   roots : int;
   truncated_roots : int;
-  layers : int;  (** BFS layers completed by the layer-synchronous driver *)
-  par_layers : int;
-      (** layers whose frontier met the parallel-dispatch threshold —
-          counted whether or not more than one worker existed, so the
-          value is identical for every [--jobs] *)
+  layers : int;  (** BFS layers charged by the serial driver *)
   shard_bits : int;
-      (** log2 of the visited-store shard count (0 for the serial
-          driver); maxed on merge *)
+      (** serial driver: log2 of the insertion-group count (4); async
+          driver: log2 of the visited table's presized capacity; maxed
+          on merge *)
   shard_occupancy_max : int;
-      (** largest per-shard binding count in any sharded store; maxed
+      (** largest per-group binding count of the serial driver; maxed
           on merge *)
   shard_occupancy_total : int;
-      (** total bindings across all shards of all sharded stores *)
+      (** total visited bindings *)
   frontier_peak_sum : int;
       (** sum of per-root frontier peaks — the aggregate companion to
           [frontier_peak], which reports the max-of-peaks (summing
@@ -72,7 +69,7 @@ type t = {
       (** searches stopped by the live-state budget
           ({!Search.Live_limit_exceeded}); deterministic *)
   lock_contention : int;
-      (** shard-mutex acquisitions that found the lock held —
+      (** visited-store mutex acquisitions that found the lock held —
           nondeterministic under [jobs > 1], never compared across
           runs *)
   expand_seconds : float;
@@ -80,7 +77,7 @@ type t = {
           (nondeterministic) *)
   steals : int;
       (** work items taken from another worker's deque by the
-          asynchronous driver — 0 under [--jobs 1] or the layered
+          asynchronous driver — 0 under [--jobs 1] or the serial
           driver, schedule-dependent otherwise (/5 volatile section) *)
   steal_failures : int;
       (** steal attempts that found a victim empty or lost the race —
@@ -133,9 +130,6 @@ type t = {
   prefix_states_saved : int;
       (** engine steps skipped by prefix resumption, summed over
           prefix hits (/8 section) *)
-  delta_seeds : int;
-      (** frontier states seeded into {!Search.Make.run_delta} from a
-          base exploration's boundary (/8 section) *)
   delta_reused_edges : int;
       (** successor derivations answered wholesale from base facts
           instead of being re-derived (/8 section) *)
@@ -169,17 +163,15 @@ val with_intern_bindings : int -> t -> t
 
 val with_par :
   layers:int ->
-  par_layers:int ->
   shard_bits:int ->
   occupancy_max:int ->
   occupancy_total:int ->
-  lock_contention:int ->
   expand_seconds:float ->
   t ->
   t
-(** Retag a single-root record with the layer-synchronous driver's
-    statistics.  All but [lock_contention] and [expand_seconds] are
-    deterministic functions of the reachable graph. *)
+(** Retag a single-root record with the serial driver's layer
+    statistics.  All but [expand_seconds] are deterministic functions
+    of the reachable graph. *)
 
 val with_async :
   shard_bits:int ->
@@ -197,8 +189,8 @@ val with_async :
     statistics.  [shard_bits] is the visited table's presized capacity
     log2 (a create-time constant) and [occupancy_total] its final
     binding count — deterministic; the rest is the /5 volatile
-    section.  [layers], [par_layers] and [shard_occupancy_max] stay 0:
-    the async driver has no layers and no mutex shards. *)
+    section.  [layers] and [shard_occupancy_max] stay 0: the async
+    driver has no layers and no insertion groups. *)
 
 val with_db :
   edges:int -> index_scans:int -> cache_hits:int -> cache_misses:int -> t -> t
@@ -216,23 +208,18 @@ val with_spill :
   t ->
   t
 (** Retag a record with a spill-store snapshot (the /7 section plus
-    /8's [spill_fd_reopens]).  Deterministic under the serial and
-    layer-synchronous drivers; schedule-dependent under the async
+    /8's [spill_fd_reopens]).  Deterministic under the serial
+    driver; schedule-dependent under the async
     driver at [jobs > 1] (like [intern_bindings]).  All 0 unless a
     [--spill-dir] was given. *)
 
 val with_incremental :
-  ?prefix_hits:int ->
-  ?prefix_states_saved:int ->
-  ?delta_seeds:int ->
-  ?delta_reused_edges:int ->
-  t ->
-  t
+  ?prefix_hits:int -> ?prefix_states_saved:int -> ?delta_reused_edges:int -> t -> t
 (** Add to the incremental-derivation counters (the /8 section;
     omitted arguments default to 0, so existing values are kept).
-    All four are deterministic: prefix hits and saved steps depend
-    only on which plan indices were evaluated, and the delta counters
-    only on the base facts and the change description. *)
+    All three are deterministic: prefix hits and saved steps depend
+    only on which plan indices were evaluated, and the reused-edge
+    count only on the base facts. *)
 
 val with_faults :
   ?drops_injected:int -> ?omission_plans:int -> ?mobile_faults:int -> t -> t
@@ -253,30 +240,35 @@ val merge : t -> t -> t
     concatenated.  Associative; merged left-to-right in root order by
     the sharding driver. *)
 
+val schema : string
+(** ["patterns-search-metrics/10"], the document version {!to_json}
+    writes. *)
+
 val to_json : ?shards:bool -> t -> string
-(** Schema ["patterns-search-metrics/9"]: every /1 … /8 key is
-    unchanged in name, meaning and order; /4 appended the
-    graceful-degradation counters ["deadline_hits"] and
-    ["live_limit_hits"] after ["frontier_peak_sum"]; /5 appended the
-    asynchronous driver's volatile section — ["steals"],
-    ["steal_failures"], ["cas_retries"], ["table_occupancy"],
-    ["idle_seconds"] — after ["parallel_efficiency"]; /6 appended the
-    deterministic execution-database counters — ["db_edges"],
-    ["db_index_scans"], ["db_cache_hits"], ["db_cache_misses"] — after
-    ["idle_seconds"] (all 0 unless a [--db] is attached); /7 appended
-    the spill-store counters — ["spill_runs"], ["spill_evictions"],
-    ["spill_probes"], ["spill_read_bytes"], ["spill_write_bytes"] —
-    after ["db_cache_misses"] (all 0 unless a [--spill-dir] is given);
-    /8 appends ["spill_fd_reopens"] after ["spill_write_bytes"] and
-    the deterministic incremental-derivation counters —
-    ["prefix_hits"], ["prefix_states_saved"], ["delta_seeds"],
-    ["delta_reused_edges"]; /9 appends the fault-injection counters —
-    ["drops_injected"], ["omission_plans"], ["mobile_faults"] — after
-    ["delta_reused_edges"] (all 0 unless a hunt widened the adversary
-    past fail-stop).
-    Key order is stable and pinned by the cram test; [?shards:false]
-    omits the per-shard array (whose [seconds] are
-    nondeterministic). *)
+(** Schema {!schema}.  /4 appended the graceful-degradation counters
+    ["deadline_hits"] and ["live_limit_hits"] after
+    ["frontier_peak_sum"]; /5 appended the asynchronous driver's
+    volatile section — ["steals"], ["steal_failures"],
+    ["cas_retries"], ["table_occupancy"], ["idle_seconds"] — after
+    ["parallel_efficiency"]; /6 appended the deterministic
+    execution-database counters — ["db_edges"], ["db_index_scans"],
+    ["db_cache_hits"], ["db_cache_misses"] — after ["idle_seconds"]
+    (all 0 unless a [--db] is attached); /7 appended the spill-store
+    counters — ["spill_runs"], ["spill_evictions"], ["spill_probes"],
+    ["spill_read_bytes"], ["spill_write_bytes"] — after
+    ["db_cache_misses"] (all 0 unless a [--spill-dir] is given); /8
+    appended ["spill_fd_reopens"] after ["spill_write_bytes"] and the
+    deterministic incremental-derivation counters — ["prefix_hits"],
+    ["prefix_states_saved"], ["delta_reused_edges"]; /9 appended the
+    fault-injection counters — ["drops_injected"], ["omission_plans"],
+    ["mobile_faults"] — after ["delta_reused_edges"] (all 0 unless a
+    hunt widened the adversary past fail-stop); /10 removed
+    ["par_layers"] (after ["layers"]) and ["delta_seeds"] (after
+    ["prefix_states_saved"]), both constant 0 once the kernel kept only
+    the serial and async drivers.  Every other key is unchanged in
+    name, meaning and order since it was added.  Key order is stable
+    and pinned by the cram test; [?shards:false] omits the per-shard
+    array (whose [seconds] are nondeterministic). *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary: [expanded=… dedup=… peak=… outcome=…]. *)

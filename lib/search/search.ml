@@ -37,25 +37,27 @@ let merge_into sink m = Option.iter (fun r -> r := Metrics.merge !r m) sink
 
 let now () = Unix.gettimeofday ()
 
-(* Which parallel driver a client sweep runs on.  [Layers] is the
-   layer-synchronous barrier driver — bit-identical to the serial
-   reference in every respect, including truncation points.  [Async]
-   is the work-stealing driver over the lock-free fingerprint table —
-   same outcomes, pattern sets and deterministic counters on searches
-   it runs to exhaustion, but truncation points and goal witnesses are
-   schedule-dependent.  The flag exists so a suspected async
-   regression is one [--par-mode layers] away from bisectable. *)
+(* Which driver a client sweep runs on.  [Layers] is the serial
+   canonical-order BFS ({!Make.run}): shortest goal witnesses and the
+   same truncation points for every [--jobs], because it runs on one
+   domain.  [Async] is the work-stealing driver over the lock-free
+   fingerprint table — same outcomes, pattern sets and deterministic
+   counters on searches it runs to exhaustion, but truncation points
+   and goal witnesses are schedule-dependent. *)
 type par_mode = Layers | Async
 
 let par_mode_string = function Layers -> "layers" | Async -> "async"
 
-(* Disk-backed visited storage: when set, every driver swaps its
+let with_pool ~jobs par_mode f =
+  Domain_pool.with_pool ~jobs:(match par_mode with Layers -> 1 | Async -> jobs) f
+
+(* Disk-backed visited storage: when set, both drivers swap their
    in-memory visited store for a {!Patterns_stdx.Spill_store} rooted
    at [dir] and bounded to [mem_budget] resident bindings.  Probe
    counting, cumulative binding counts and the insertion discipline
    are identical to the in-memory stores, and eviction happens only at
-   deterministic driver-chosen points, so outcomes, pattern sets and
-   the /1–/6 metrics are bit-identical with or without spilling.  The
+   driver-chosen points, so outcomes, pattern sets and the /1–/6
+   metrics are bit-identical with or without spilling.  The
    one semantic shift: the [max_live] guard counts {e resident}
    bindings plus frontier, not cumulative bindings — spilling exists
    precisely to take evicted states out of the live-memory budget. *)
@@ -105,12 +107,15 @@ module Store = struct
     | None -> false
     | Some bucket -> bucket_mem t x bucket
 
-  let add t x =
+  let add_if_absent t x =
+    t.probes <- t.probes + 1;
     let fp = t.fingerprint x in
     let bucket = match Fp_tbl.find_opt t.tbl fp with Some b -> b | None -> [] in
-    if not (List.exists (t.equal x) bucket) then begin
+    if bucket_mem t x bucket then false
+    else begin
       Fp_tbl.replace t.tbl fp (x :: bucket);
-      t.bindings <- t.bindings + 1
+      t.bindings <- t.bindings + 1;
+      true
     end
 
   let bindings t = t.bindings
@@ -123,19 +128,14 @@ module type Problem = sig
 
   val compare : state -> state -> int
   val fingerprint : state -> Fingerprint.t
-  val expand : state -> state list
 end
 
 module Make (P : Problem) = struct
-  type strategy = Bfs | Dfs | Priority of (P.state -> P.state -> int)
-
-  (* Observation interface for the layer-synchronous parallel driver.
-     Each expansion task works against a fresh accumulator from
-     [empty]; task accumulators are merged left-to-right in frontier
-     order, so for an associative [merge] the folded observation is
-     independent of how the layer was chunked — and the chunking
-     itself is a function of the layer size only, never of the worker
-     count. *)
+  (* Observation interface shared by both drivers: [expand] folds one
+     state's observations into an accumulator from [empty] and returns
+     its successors.  The serial driver threads one accumulator through
+     the whole search in visitation order; the async driver keeps one
+     per worker and folds them with [merge] in worker-index order. *)
   type 'obs par_expand = {
     empty : unit -> 'obs;
     merge : 'obs -> 'obs -> 'obs;
@@ -152,9 +152,9 @@ module Make (P : Problem) = struct
      driver and the schedule.  Sorting by the canonical fingerprint
      makes the emitted triples a function of the state alone, so the
      recorded edge set is identical across drivers and worker counts.
-     The callback is invoked from worker domains by the parallel
-     drivers; thread safety is the callee's obligation (the execution
-     database locks internally). *)
+     The callback is invoked from worker domains by the async driver;
+     thread safety is the callee's obligation (the execution database
+     locks internally). *)
   let emit_edges edges src succs =
     match edges with
     | None -> ()
@@ -164,18 +164,44 @@ module Make (P : Problem) = struct
         succs
       |> List.iteri (fun i dst -> f ~src ~event:i ~dst)
 
-  (* The serial driver's visited interface, spill-agnostic: [sv_add]
-     runs the spill store's eviction check after each insert (the
-     serial deterministic eviction point), [sv_live] is what the
-     [max_live] guard sees (cumulative bindings in memory, resident
-     bindings when spilling), and [sv_finish] retags the metrics with
-     the /7 section and disposes of the run files. *)
+  (* the /7 section of a spilling search, and the run files' disposal *)
+  let spill_finish visited m =
+    let m =
+      Metrics.with_spill
+        ~runs:(Spill_store.spill_runs visited)
+        ~evictions:(Spill_store.spill_evictions visited)
+        ~probes:(Spill_store.spill_probes visited)
+        ~read_bytes:(Spill_store.spill_read_bytes visited)
+        ~write_bytes:(Spill_store.spill_write_bytes visited)
+        ~fd_reopens:(Spill_store.spill_fd_reopens visited)
+        m
+    in
+    Spill_store.dispose visited;
+    m
+
+  (* ----- the serial driver: breadth-first in canonical layer order ----- *)
+
+  (* The canonical order groups each layer's fresh successors by the
+     top [shard_bits] bits of their fingerprint, frontier order within
+     a group.  The constant makes layer order — and with it every
+     truncation point and goal witness — a pure function of the
+     reachable graph. *)
+  let shard_bits = 4
+
+  let shard_of s = Fingerprint.to_int (P.fingerprint s) lsr (62 - shard_bits)
+
+  (* The serial driver's visited interface.  [sv_layer_end] is the
+     spill store's eviction point (between layers, so spilling cannot
+     move a truncation or change a count); [sv_live] feeds the
+     [max_live] guard: cumulative bindings in memory, resident
+     bindings when spilling. *)
   type serial_store = {
     sv_mem : P.state -> bool;
-    sv_add : P.state -> unit;
+    sv_add_if_absent : P.state -> bool;
     sv_live : unit -> int;
     sv_probes : unit -> int;
     sv_collision_fallbacks : unit -> int;
+    sv_layer_end : unit -> unit;
     sv_finish : Metrics.t -> Metrics.t;
   }
 
@@ -185,11 +211,12 @@ module Make (P : Problem) = struct
     | None ->
       let visited = Store.create ~equal ~fingerprint:P.fingerprint () in
       {
-        sv_mem = (fun s -> Store.mem visited s);
-        sv_add = (fun s -> Store.add visited s);
+        sv_mem = Store.mem visited;
+        sv_add_if_absent = Store.add_if_absent visited;
         sv_live = (fun () -> Store.bindings visited);
         sv_probes = (fun () -> Store.probes visited);
         sv_collision_fallbacks = (fun () -> Store.collision_fallbacks visited);
+        sv_layer_end = ignore;
         sv_finish = Fun.id;
       }
     | Some { dir; mem_budget } ->
@@ -197,67 +224,22 @@ module Make (P : Problem) = struct
         Spill_store.create ~equal ~fingerprint:P.fingerprint ~dir ~mem_budget ()
       in
       {
-        sv_mem = (fun s -> Spill_store.mem visited s);
-        sv_add =
-          (fun s ->
-            Spill_store.add visited s;
-            Spill_store.maybe_evict visited);
+        sv_mem = Spill_store.mem visited;
+        sv_add_if_absent = Spill_store.add_if_absent visited;
         sv_live = (fun () -> Spill_store.resident visited);
         sv_probes = (fun () -> Spill_store.probes visited);
         sv_collision_fallbacks = (fun () -> Spill_store.collision_fallbacks visited);
-        sv_finish =
-          (fun m ->
-            let m =
-              Metrics.with_spill
-                ~runs:(Spill_store.spill_runs visited)
-                ~evictions:(Spill_store.spill_evictions visited)
-                ~probes:(Spill_store.spill_probes visited)
-                ~read_bytes:(Spill_store.spill_read_bytes visited)
-                ~write_bytes:(Spill_store.spill_write_bytes visited)
-                ~fd_reopens:(Spill_store.spill_fd_reopens visited)
-                m
-            in
-            Spill_store.dispose visited;
-            m);
+        sv_layer_end = (fun () -> Spill_store.maybe_evict visited);
+        sv_finish = spill_finish visited;
       }
 
-  let run ?(strategy = Dfs) ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune
-      ?edges ~root () =
+  let run ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune ?edges
+      ~expand:obs_iface ~root () =
     let visited = serial_store spill in
+    let obs = obs_iface.empty () in
     let expanded = ref 0 and dedup = ref 0 and pruned = ref 0 in
-    let size = ref 0 and peak = ref 0 in
-    let push_batch, pop =
-      match strategy with
-      | Dfs ->
-        (* successors are explored in the order [expand] returns them:
-           the head of the batch sits on top of the stack *)
-        let stack = ref [] in
-        ( (fun succs -> stack := succs @ !stack),
-          fun () ->
-            match !stack with
-            | [] -> None
-            | s :: tl ->
-              stack := tl;
-              Some s )
-      | Bfs ->
-        let q = Queue.create () in
-        ( (fun succs -> List.iter (fun s -> Queue.add s q) succs),
-          fun () -> Queue.take_opt q )
-      | Priority cmp ->
-        let pq = ref (Pqueue.empty ~cmp) in
-        ( (fun succs -> List.iter (fun s -> pq := Pqueue.push !pq s) succs),
-          fun () ->
-            match Pqueue.pop !pq with
-            | None -> None
-            | Some (s, rest) ->
-              pq := rest;
-              Some s )
-    in
-    let push_batch succs =
-      push_batch succs;
-      size := !size + List.length succs;
-      if !size > !peak then peak := !size
-    in
+    let peak = ref 0 and layers = ref 0 and expand_seconds = ref 0. in
+    let occupancy = Array.make (1 lsl shard_bits) 0 in
     let goal = match is_goal with Some g -> g | None -> fun _ -> false in
     (* visited is checked before prune: pruning is usually the
        expensive predicate (pattern-prefix tests), membership the
@@ -274,439 +256,84 @@ module Make (P : Problem) = struct
           false
         | _ -> true
     in
-    let t0 = Unix.gettimeofday () in
-    (* overrun guards, checked at pop time like the budget: a deadline
-       or live-state limit turns an overrun into a Truncated outcome
-       instead of a hang or an OOM kill.  Live states = stored
-       bindings + frontier entries (counting the popped state), so the
-       total never exceeds the limit. *)
-    let over_deadline () =
-      match deadline with
-      | None -> None
-      | Some d ->
-        let elapsed = Unix.gettimeofday () -. t0 in
-        if elapsed >= d then Some (Truncated (Deadline_exceeded { deadline = d; elapsed }))
-        else None
+    let insert i s =
+      if visited.sv_add_if_absent s then begin
+        occupancy.(i) <- occupancy.(i) + 1;
+        true
+      end
+      else begin
+        incr dedup;
+        false
+      end
     in
-    let over_live live =
-      match max_live with
-      | Some limit when live > limit -> Some (Truncated (Live_limit_exceeded { limit; live }))
-      | _ -> None
-    in
-    let rec loop () =
-      match pop () with
-      | None -> Exhausted
-      | Some s ->
-        decr size;
-        if visited.sv_mem s then begin
-          incr dedup;
-          loop ()
-        end
-        else if !expanded >= budget then
-          Truncated (Budget_exhausted { budget; consumed = !expanded })
-        else begin
-          match over_live (visited.sv_live () + !size + 1) with
-          | Some t -> t
-          | None -> (
-            match over_deadline () with
-            | Some t -> t
-            | None ->
-              visited.sv_add s;
-              incr expanded;
-              if goal s then Goal_found s
-              else begin
-                let succs = P.expand s in
-                emit_edges edges s succs;
-                push_batch (List.filter keep succs);
-                loop ()
-              end)
-        end
-    in
-    push_batch [ root ];
-    let outcome = loop () in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let shard =
-      {
-        Metrics.root = 0;
-        states_expanded = !expanded;
-        dedup_hits = !dedup;
-        frontier_peak = !peak;
-        pruned = !pruned;
-        fingerprint_probes = visited.sv_probes ();
-        collision_fallbacks = visited.sv_collision_fallbacks ();
-        intern_bindings = 0;
-        seconds;
-      }
-    in
-    ( outcome,
-      visited.sv_finish
-        (with_degradation outcome (Metrics.of_shard (outcome_kind outcome) shard)) )
-
-  (* ----- level-synchronous parallel BFS ----- *)
-
-  let default_par_threshold = 128
-
-  (* Chunk size is a function of the layer size alone — never of the
-     worker count — so accumulator boundaries (and hence the merge
-     tree) are reproducible for every [--jobs].  ~64 chunks per large
-     layer keeps the pool's work units coarse. *)
-  let chunk_frontier states len =
-    let size = max 16 ((len + 63) / 64) in
-    let rec go acc cur n = function
-      | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-      | s :: tl ->
-        if n = size then go (List.rev cur :: acc) [ s ] 1 tl
-        else go acc (s :: cur) (n + 1) tl
-    in
-    go [] [] 0 states
-
-  (* The layered driver's visited interface.  [lv_layer_end] is the
-     spill store's deterministic eviction point (between layers, after
-     phase B — a function of the reachable graph's layer structure,
-     never of the worker count); [lv_live] feeds the [max_live] guard. *)
-  type layer_store = {
-    lv_mem : P.state -> bool;
-    lv_add_if_absent : P.state -> bool;
-    lv_shard_of_state : P.state -> int;
-    lv_nshards : int;
-    lv_shard_bits : int;
-    lv_live : unit -> int;
-    lv_bindings : unit -> int;
-    lv_probes : unit -> int;
-    lv_collision_fallbacks : unit -> int;
-    lv_lock_contention : unit -> int;
-    lv_occupancy_max : unit -> int;
-    lv_layer_end : unit -> unit;
-    lv_finish : Metrics.t -> Metrics.t;
-  }
-
-  let layer_store ?shard_bits spill =
-    let equal a b = P.compare a b = 0 in
-    match spill with
-    | None ->
-      let visited = Sharded_store.create ?shard_bits ~equal ~fingerprint:P.fingerprint () in
-      {
-        lv_mem = (fun s -> Sharded_store.mem visited s);
-        lv_add_if_absent = (fun s -> Sharded_store.add_if_absent visited s);
-        lv_shard_of_state = (fun s -> Sharded_store.shard_of_state visited s);
-        lv_nshards = Sharded_store.shards visited;
-        lv_shard_bits = Sharded_store.shard_bits visited;
-        lv_live = (fun () -> Sharded_store.bindings visited);
-        lv_bindings = (fun () -> Sharded_store.bindings visited);
-        lv_probes = (fun () -> Sharded_store.probes visited);
-        lv_collision_fallbacks = (fun () -> Sharded_store.collision_fallbacks visited);
-        lv_lock_contention = (fun () -> Sharded_store.lock_contention visited);
-        lv_occupancy_max = (fun () -> Sharded_store.occupancy_max visited);
-        lv_layer_end = ignore;
-        lv_finish = Fun.id;
-      }
-    | Some { dir; mem_budget } ->
-      let visited =
-        Spill_store.create ?shard_bits ~equal ~fingerprint:P.fingerprint ~dir ~mem_budget ()
-      in
-      {
-        lv_mem = (fun s -> Spill_store.mem visited s);
-        lv_add_if_absent = (fun s -> Spill_store.add_if_absent visited s);
-        lv_shard_of_state = (fun s -> Spill_store.shard_of_state visited s);
-        lv_nshards = Spill_store.shards visited;
-        lv_shard_bits = Spill_store.shard_bits visited;
-        lv_live = (fun () -> Spill_store.resident visited);
-        lv_bindings = (fun () -> Spill_store.bindings visited);
-        lv_probes = (fun () -> Spill_store.probes visited);
-        lv_collision_fallbacks = (fun () -> Spill_store.collision_fallbacks visited);
-        lv_lock_contention = (fun () -> Spill_store.lock_contention visited);
-        lv_occupancy_max = (fun () -> Spill_store.occupancy_max visited);
-        lv_layer_end = (fun () -> Spill_store.maybe_evict visited);
-        lv_finish =
-          (fun m ->
-            let m =
-              Metrics.with_spill
-                ~runs:(Spill_store.spill_runs visited)
-                ~evictions:(Spill_store.spill_evictions visited)
-                ~probes:(Spill_store.spill_probes visited)
-                ~read_bytes:(Spill_store.spill_read_bytes visited)
-                ~write_bytes:(Spill_store.spill_write_bytes visited)
-                ~fd_reopens:(Spill_store.spill_fd_reopens visited)
-                m
-            in
-            Spill_store.dispose visited;
-            m);
-      }
-
-  let run_par ?pool ?(par_threshold = default_par_threshold) ?shard_bits
-      ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune ?edges
-      ~expand:obs_iface ~root () =
-    let visited = layer_store ?shard_bits spill in
-    let expanded = ref 0 and dedup = ref 0 and pruned = ref 0 in
-    let peak = ref 0 and layers = ref 0 and par_layers = ref 0 in
-    let expand_seconds = ref 0. in
-    let goal = match is_goal with Some g -> g | None -> fun _ -> false in
-    let nshards = visited.lv_nshards in
-    (* Work is dispatched through the pool only for layers that met
-       the threshold; the tasks themselves are identical either way,
-       so the threshold (like the worker count) cannot change any
-       result — only where the work runs. *)
-    let map_tasks par f tasks =
-      match pool with
-      | Some p when par && Domain_pool.jobs p > 1 -> Domain_pool.map p f tasks
-      | _ -> List.map f tasks
-    in
-    let obs = ref (obs_iface.empty ()) in
-    let t0 = Unix.gettimeofday () in
+    let t0 = now () in
     (* overrun guards, checked once per layer before the layer is
        charged: overshoot is bounded by one layer, and the live-state
        check sees the store plus the whole pending frontier *)
     let over_run len =
-      match max_live with
-      | Some limit when visited.lv_live () + len > limit ->
-        Some (Truncated (Live_limit_exceeded { limit; live = visited.lv_live () + len }))
-      | _ -> (
-        match deadline with
-        | None -> None
-        | Some d ->
-          let elapsed = Unix.gettimeofday () -. t0 in
-          if elapsed >= d then
-            Some (Truncated (Deadline_exceeded { deadline = d; elapsed }))
-          else None)
-    in
-    ignore (visited.lv_add_if_absent root : bool);
-    let rec loop frontier =
-      match frontier with
-      | [] -> Exhausted
-      | _ ->
-        let len = List.length frontier in
-        match over_run len with
-        | Some t -> t
-        | None ->
-        incr layers;
-        if len > !peak then peak := len;
-        let par = len >= par_threshold in
-        if par then incr par_layers;
-        (* budget and goal are charged in frontier order before any
-           expansion, so a mid-layer stop is deterministic *)
-        let rec charge = function
-          | [] -> None
-          | s :: tl ->
-            if !expanded >= budget then
-              Some (Truncated (Budget_exhausted { budget; consumed = !expanded }))
-            else begin
-              incr expanded;
-              if goal s then Some (Goal_found s) else charge tl
-            end
-        in
-        (match charge frontier with
-        | Some outcome -> outcome
-        | None ->
-          (* phase A: expand chunks in parallel against the store,
-             which no task mutates — probes are read-only *)
-          let results =
-            map_tasks par
-              (fun chunk ->
-                let t0 = Unix.gettimeofday () in
-                let o = obs_iface.empty () in
-                let dd = ref 0 and pr = ref 0 in
-                let keep s =
-                  if visited.lv_mem s then begin
-                    incr dd;
-                    false
-                  end
-                  else
-                    match prune with
-                    | Some p when p s ->
-                      incr pr;
-                      false
-                    | _ -> true
-                in
-                let succs =
-                  List.concat_map
-                    (fun s ->
-                      let succs = obs_iface.expand o s in
-                      emit_edges edges s succs;
-                      List.filter keep succs)
-                    chunk
-                in
-                (o, succs, !dd, !pr, Unix.gettimeofday () -. t0))
-              (chunk_frontier frontier len)
-          in
-          (* merge in chunk order = frontier order *)
-          let candidates =
-            List.concat_map
-              (fun (o, succs, dd, pr, secs) ->
-                obs := obs_iface.merge !obs o;
-                dedup := !dedup + dd;
-                pruned := !pruned + pr;
-                expand_seconds := !expand_seconds +. secs;
-                succs)
-              results
-          in
-          (* phase B: partition candidates by shard, keeping frontier
-             order within each shard; one insertion task per shard, so
-             every shard sees a canonical insertion order and the
-             per-shard locks never collide with each other *)
-          let by_shard = Array.make nshards [] in
-          List.iter
-            (fun s ->
-              let i = visited.lv_shard_of_state s in
-              by_shard.(i) <- s :: by_shard.(i))
-            candidates;
-          let fresh =
-            map_tasks par
-              (fun cands ->
-                let dups = ref 0 in
-                let kept =
-                  List.filter
-                    (fun c ->
-                      if visited.lv_add_if_absent c then true
-                      else begin
-                        incr dups;
-                        false
-                      end)
-                    cands
-                in
-                (kept, !dups))
-              (List.init nshards (fun i -> List.rev by_shard.(i)))
-          in
-          (* next frontier: concatenation in (shard-index, insertion)
-             order — the canonical layer order *)
-          let next =
-            List.concat_map
-              (fun (kept, dups) ->
-                dedup := !dedup + dups;
-                kept)
-              fresh
-          in
-          (* the between-layer eviction point: schedule-independent,
-             so spilling cannot move a truncation or change a count *)
-          visited.lv_layer_end ();
-          loop next)
-    in
-    let outcome = loop [ root ] in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let shard =
-      {
-        Metrics.root = 0;
-        states_expanded = !expanded;
-        dedup_hits = !dedup;
-        frontier_peak = !peak;
-        pruned = !pruned;
-        fingerprint_probes = visited.lv_probes ();
-        collision_fallbacks = visited.lv_collision_fallbacks ();
-        intern_bindings = 0;
-        seconds;
-      }
-    in
-    let m =
-      Metrics.of_shard (outcome_kind outcome) shard
-      |> Metrics.with_par ~layers:!layers ~par_layers:!par_layers
-           ~shard_bits:visited.lv_shard_bits
-           ~occupancy_max:(visited.lv_occupancy_max ())
-           ~occupancy_total:(visited.lv_bindings ())
-           ~lock_contention:(visited.lv_lock_contention ())
-           ~expand_seconds:!expand_seconds
-    in
-    (outcome, !obs, visited.lv_finish (with_degradation outcome m))
-
-  (* ----- semi-naive delta re-exploration ----- *)
-
-  (* Multi-seed serial BFS over the same observation interface as the
-     parallel drivers — the incremental layer's workhorse.  A change
-     to a finished exploration (a wider failure budget, new inputs)
-     exposes a {e delta frontier}: boundary states whose successor
-     sets the change enlarges.  Re-deriving from those seeds alone
-     visits exactly the affected region, which semi-naive evaluation
-     says is the only part that can hold new facts.
-
-     Seeds are sorted by canonical fingerprint before exploration, so
-     the visit order — and with it every deterministic counter — is a
-     function of the seed {e set}, never of the caller's enumeration
-     order; duplicate seeds dedup against the shared visited store
-     like any other repeated state.  [known] marks states the base
-     exploration already covers: they are treated exactly like
-     visited-store hits (counted as dedup, never expanded), which
-     stops the delta closure at the base's edge without materializing
-     the base's visited set.
-
-     The driver is serial on purpose: delta regions are small by
-     construction (that is the point of seeding), so the parallel
-     machinery would add nondeterminism surface for no win — and the
-     answers stay jobs-invariant trivially. *)
-  let run_delta ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune ?edges
-      ?known ~expand:obs_iface ~seeds () =
-    let visited = serial_store spill in
-    let obs = ref (obs_iface.empty ()) in
-    let expanded = ref 0 and dedup = ref 0 and pruned = ref 0 in
-    let size = ref 0 and peak = ref 0 in
-    let q = Queue.create () in
-    let push_batch succs =
-      List.iter (fun s -> Queue.add s q) succs;
-      size := !size + List.length succs;
-      if !size > !peak then peak := !size
-    in
-    let goal = match is_goal with Some g -> g | None -> fun _ -> false in
-    let covered = match known with Some k -> k | None -> fun _ -> false in
-    let keep s =
-      if visited.sv_mem s || covered s then begin
-        incr dedup;
-        false
-      end
-      else
-        match prune with
-        | Some p when p s ->
-          incr pruned;
-          false
-        | _ -> true
-    in
-    let t0 = Unix.gettimeofday () in
-    let over_deadline () =
-      match deadline with
-      | None -> None
-      | Some d ->
-        let elapsed = Unix.gettimeofday () -. t0 in
-        if elapsed >= d then Some (Truncated (Deadline_exceeded { deadline = d; elapsed }))
-        else None
-    in
-    let over_live live =
-      match max_live with
-      | Some limit when live > limit -> Some (Truncated (Live_limit_exceeded { limit; live }))
+      let live = visited.sv_live () + len and elapsed = now () -. t0 in
+      match (max_live, deadline) with
+      | Some limit, _ when live > limit ->
+        Some (Truncated (Live_limit_exceeded { limit; live }))
+      | _, Some d when elapsed >= d ->
+        Some (Truncated (Deadline_exceeded { deadline = d; elapsed }))
       | _ -> None
     in
-    let rec loop () =
-      match Queue.take_opt q with
-      | None -> Exhausted
-      | Some s ->
-        decr size;
-        if visited.sv_mem s || covered s then begin
-          incr dedup;
-          loop ()
-        end
-        else if !expanded >= budget then
-          Truncated (Budget_exhausted { budget; consumed = !expanded })
+    (* budget and goal are charged in frontier order before any
+       expansion, so a mid-layer stop is deterministic *)
+    let rec charge = function
+      | [] -> None
+      | s :: tl ->
+        if !expanded >= budget then
+          Some (Truncated (Budget_exhausted { budget; consumed = !expanded }))
         else begin
-          match over_live (visited.sv_live () + !size + 1) with
-          | Some t -> t
-          | None -> (
-            match over_deadline () with
-            | Some t -> t
-            | None ->
-              visited.sv_add s;
-              incr expanded;
-              if goal s then Goal_found s
-              else begin
-                let succs = obs_iface.expand !obs s in
-                emit_edges edges s succs;
-                push_batch (List.filter keep succs);
-                loop ()
-              end)
+          incr expanded;
+          if goal s then Some (Goal_found s) else charge tl
         end
     in
-    let seeds =
-      List.stable_sort
-        (fun a b -> Fingerprint.compare (P.fingerprint a) (P.fingerprint b))
-        seeds
+    let rec loop frontier =
+      let len = List.length frontier in
+      if len = 0 then Exhausted
+      else
+        match over_run len with
+        | Some t -> t
+        | None -> (
+          incr layers;
+          if len > !peak then peak := len;
+          match charge frontier with
+          | Some outcome -> outcome
+          | None ->
+            (* expand in frontier order against the store as it stood
+               at the end of the previous layer *)
+            let ta = now () in
+            let candidates =
+              List.concat_map
+                (fun s ->
+                  let succs = obs_iface.expand obs s in
+                  emit_edges edges s succs;
+                  List.filter keep succs)
+                frontier
+            in
+            expand_seconds := !expand_seconds +. (now () -. ta);
+            (* insert grouped by shard, frontier order within a group;
+               the next layer is the shard-major concatenation *)
+            let by_shard = Array.make (1 lsl shard_bits) [] in
+            List.iter
+              (fun s ->
+                let i = shard_of s in
+                by_shard.(i) <- s :: by_shard.(i))
+              candidates;
+            let next =
+              List.concat
+                (List.mapi (fun i cands -> List.filter (insert i) (List.rev cands))
+                   (Array.to_list by_shard))
+            in
+            visited.sv_layer_end ();
+            loop next)
     in
-    push_batch seeds;
-    let outcome = loop () in
-    let seconds = Unix.gettimeofday () -. t0 in
+    ignore (insert (shard_of root) root : bool);
+    let outcome = loop [ root ] in
+    let seconds = now () -. t0 in
     let shard =
       {
         Metrics.root = 0;
@@ -722,9 +349,12 @@ module Make (P : Problem) = struct
     in
     let m =
       Metrics.of_shard (outcome_kind outcome) shard
-      |> Metrics.with_incremental ~delta_seeds:(List.length seeds)
+      |> Metrics.with_par ~layers:!layers ~shard_bits
+           ~occupancy_max:(Array.fold_left max 0 occupancy)
+           ~occupancy_total:(Array.fold_left ( + ) 0 occupancy)
+           ~expand_seconds:!expand_seconds
     in
-    (outcome, !obs, visited.sv_finish (with_degradation outcome m))
+    (outcome, obs, visited.sv_finish (with_degradation outcome m))
 
   (* ----- asynchronous work-stealing driver ----- *)
 
@@ -744,22 +374,23 @@ module Make (P : Problem) = struct
 
      Determinism contract (pinned by test_parallel): on a search that
      runs to exhaustion, the claimed set equals the serial visited
-     set, and states_expanded / dedup_hits / pruned /
-     fingerprint_probes all satisfy the same identities as the serial
-     driver (dedup = generated − pruned − fresh; probes = generated −
-     pruned + 1, one claim per non-pruned successor plus the root).
+     set, and states_expanded / dedup_hits / pruned satisfy the same
+     identities as the serial driver (dedup = generated − pruned −
+     fresh); fingerprint_probes = generated − pruned + 1, one claim
+     per non-pruned successor plus the root.
      One deliberate divergence: successors are prune-tested {e
      before} the visited test, where the serial keep tests membership
      first.  The counts still agree — a prunable state is never
      claimed, so its membership test is always false — but [prune]
      must be pure, and prune-heavy goal searches (realization) should
-     prefer the layered driver, which also keeps the serial driver's
-     shortest-witness guarantee.  Budget exhaustion is not a halt:
+     prefer the serial driver, which also keeps the shortest-witness
+     guarantee.  Budget exhaustion is not a halt:
      workers keep draining their deques, dropping every state whose
      budget ticket is out of range, so exactly [budget] tickets are
      consumed and [states_expanded] is deterministic even for a
-     truncated search (the *set* expanded is schedule-dependent). *)
-  (* The async driver's visited interface.  With a spill store the
+     truncated search (the *set* expanded is schedule-dependent).
+
+     The async driver's visited interface.  With a spill store the
      lock-free table is replaced by the mutex-sharded spill cache
      (add_if_absent ignores the worker hint); [av_tick] is the
      eviction check, run once per processed state — deterministic at
@@ -808,22 +439,9 @@ module Make (P : Problem) = struct
         av_lock_contention = (fun () -> Spill_store.lock_contention visited);
         av_cas_retries = (fun () -> 0);
         av_occupancy = (fun () -> 0.);
-        av_bits = Spill_store.shard_bits visited;
+        av_bits = Spill_store.shard_bits;
         av_tick = (fun () -> Spill_store.maybe_evict visited);
-        av_finish =
-          (fun m ->
-            let m =
-              Metrics.with_spill
-                ~runs:(Spill_store.spill_runs visited)
-                ~evictions:(Spill_store.spill_evictions visited)
-                ~probes:(Spill_store.spill_probes visited)
-                ~read_bytes:(Spill_store.spill_read_bytes visited)
-                ~write_bytes:(Spill_store.spill_write_bytes visited)
-                ~fd_reopens:(Spill_store.spill_fd_reopens visited)
-                m
-            in
-            Spill_store.dispose visited;
-            m);
+        av_finish = spill_finish visited;
       }
 
   let run_par_async ?pool ?capacity ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal
@@ -989,20 +607,6 @@ module Make (P : Problem) = struct
     in
     (outcome, obs, table.av_finish (with_degradation outcome m))
 end
-
-(* ----- deterministic sharding per root ----- *)
-
-let shard ~jobs ~f ~merge ~init roots =
-  Domain_pool.with_pool ~jobs (fun pool ->
-      let results = Domain_pool.map pool f roots in
-      let (acc, metrics), _ =
-        List.fold_left
-          (fun ((acc, ms), i) (a, m) ->
-            ((merge acc a, Metrics.merge ms (Metrics.with_root_index i m)), i + 1))
-          ((init, Metrics.zero), 0)
-          results
-      in
-      (acc, metrics))
 
 (* ----- strided goal search over an index space ----- *)
 

@@ -11,12 +11,12 @@
     a private reimplementation of how executions were enumerated or
     truncated.
 
-    Determinism: for a fixed strategy, problem and budget, the
-    visitation order — and hence every counter except the wall-clock
-    [seconds] — is a pure function of the root.  The sharding driver
-    {!shard} merges per-root results in root order on a
-    {!Patterns_stdx.Domain_pool}, so sharded sweeps are bit-identical
-    for every [jobs] value. *)
+    Two drivers share the {!Make.par_expand} observation interface:
+    {!Make.run}, a serial breadth-first search in a canonical layer
+    order, and {!Make.run_par_async}, a work-stealing search across a
+    {!Patterns_stdx.Domain_pool}.  Under {!Make.run} the visitation
+    order — and hence every counter except the wall-clock [seconds] —
+    is a pure function of the problem, root and budget. *)
 
 (** Why a search stopped short of exhausting its space.  All three are
     graceful: the search returns its metrics and a [Truncated] outcome
@@ -54,19 +54,26 @@ val now : unit -> float
 (** [Unix.gettimeofday], re-exported so deadline-aware callers can
     compute remaining time without their own [unix] dependency. *)
 
-(** Which parallel driver a client sweep runs on.  [Layers] is the
-    layer-synchronous barrier driver ({!Make.run_par}) — bit-identical
-    to the serial reference in every respect, including truncation
-    points and goal witnesses.  [Async] is the work-stealing driver
-    over the lock-free fingerprint table ({!Make.run_par_async}) —
-    same outcomes, observations and deterministic counters on searches
-    it runs to exhaustion, but truncation sets and goal witnesses are
-    schedule-dependent.  Clients default to [Async]; the flag exists
-    so a suspected async regression is one [--par-mode layers] away
-    from bisectable. *)
+(** Which driver a client sweep runs on.  [Layers] is the serial
+    canonical-order breadth-first search ({!Make.run}): it runs on one
+    domain, so its truncation points and goal witnesses (shortest
+    ones) are the same for every [--jobs].  [Async] is the
+    work-stealing driver over the lock-free fingerprint table
+    ({!Make.run_par_async}) — same outcomes, observations and
+    deterministic counters on searches it runs to exhaustion, but
+    truncation sets and goal witnesses are schedule-dependent.  The
+    two modes can also disagree on count statistics where distinct
+    paths converge on one behavioural state, because the
+    representative kept is visit-order dependent.  Clients default to
+    [Async], except realization. *)
 type par_mode = Layers | Async
 
 val par_mode_string : par_mode -> string
+
+val with_pool :
+  jobs:int -> par_mode -> (Patterns_stdx.Domain_pool.t -> 'a) -> 'a
+(** The worker pool a sweep under [par_mode] needs: [jobs] domains for
+    [Async], none beyond the caller's for [Layers]. *)
 
 (** Disk-backed visited storage.  When passed to a driver, the
     in-memory visited store is replaced by a
@@ -74,12 +81,11 @@ val par_mode_string : par_mode -> string
     visited bindings stay resident, the rest live in sorted on-disk
     runs probed by fingerprint.  Probe counting, cumulative binding
     counts and the insertion discipline are identical to the in-memory
-    stores, and eviction happens only at deterministic driver-chosen
-    points (serial: per insert; layers: between layers; async: per
-    processed state), so outcomes, observations and the /1–/6 metrics
-    fields are bit-identical with or without spilling — the /7 spill
-    counters themselves are deterministic except under the async
-    driver at [jobs > 1].  One semantic shift: the [max_live] guard
+    stores, and eviction happens only at driver-chosen points (serial:
+    between layers; async: per processed state), so outcomes,
+    observations and the /1–/6 metrics fields are bit-identical with
+    or without spilling — the /7 spill counters themselves are
+    deterministic except under the async driver at [jobs > 1].  One semantic shift: the [max_live] guard
     counts {e resident} bindings plus frontier rather than cumulative
     bindings — spilling exists precisely to move cold states out of
     the live-memory budget.  Run files are deleted when the driver
@@ -111,13 +117,16 @@ module Store : sig
       collision the store resolves structurally). *)
 
   val mem : 'a t -> 'a -> bool
-  val add : 'a t -> 'a -> unit
+  (** Counted probe. *)
+
+  val add_if_absent : 'a t -> 'a -> bool
+  (** Counted probe-and-insert; [true] iff the state was absent. *)
 
   val bindings : 'a t -> int
   (** Number of distinct states stored. *)
 
   val probes : 'a t -> int
-  (** Number of {!mem} lookups served. *)
+  (** Number of {!mem} and {!add_if_absent} lookups served. *)
 
   val collision_fallbacks : 'a t -> int
   (** Probes that met a fingerprint-equal but structurally distinct
@@ -137,82 +146,22 @@ module type Problem = sig
       fingerprints.  Called once per visited-store probe or insert, so
       it should be O(1) — engine configurations carry theirs
       incrementally. *)
-
-  val expand : state -> state list
-  (** Successors, called exactly once per visited state, in
-      visitation order — call-sites hang their observations
-      (pattern collection, violation recording) on this closure.
-      Successors are explored in the returned order under {!Make.Dfs}
-      and {!Make.Bfs}. *)
 end
 
 module Make (P : Problem) : sig
-  type strategy =
-    | Bfs  (** FIFO frontier *)
-    | Dfs  (** LIFO frontier; preorder in [expand]'s order (default) *)
-    | Priority of (P.state -> P.state -> int)
-        (** least state first, via {!Patterns_stdx.Pqueue} *)
-
-  val run :
-    ?strategy:strategy ->
-    ?budget:int ->
-    ?deadline:float ->
-    ?max_live:int ->
-    ?spill:spill ->
-    ?is_goal:(P.state -> bool) ->
-    ?prune:(P.state -> bool) ->
-    ?edges:(src:P.state -> event:int -> dst:P.state -> unit) ->
-    root:P.state ->
-    unit ->
-    P.state outcome * Metrics.t
-  (** Search from [root].  Each visited state consumes one unit of
-      [budget] (default unlimited); when a state is popped with the
-      budget spent, the search stops with {!Truncated}.  [deadline]
-      (wall-clock seconds from the start of this call) and [max_live]
-      (visited bindings + frontier size) are the graceful-degradation
-      guards, checked at the same pop point: exceeding either stops
-      the search with {!Truncated} ({!Deadline_exceeded} /
-      {!Live_limit_exceeded}) instead of hanging or exhausting memory.
-      [max_live] truncation is deterministic; [deadline] truncation
-      points are wall-clock-dependent by nature.  [is_goal] is tested
-      at visit time, before expansion.  Successors for which [prune]
-      returns [true] are discarded (counted in {!Metrics.t.pruned});
-      already-visited successors are discarded too (counted in
-      [dedup_hits]).  The root is neither pruned nor goal-exempt.  The
-      visited set is a {!Store} keyed on [P.fingerprint]; its probe
-      and collision counters are reported in the metrics.
-
-      [edges] is the optional execution-database sink, shared by all
-      three drivers: each expansion of [src] invokes it once per
-      successor — before visited/prune filtering, so the database
-      records the raw expansion relation — with [event] the
-      successor's ordinal in [expand]'s return list (deterministic for
-      a deterministic [expand]).  The parallel drivers invoke it from
-      worker domains concurrently; thread safety is the callee's
-      obligation. *)
-
-  (** Observation interface for {!run_par}.  Each expansion task works
-      against a fresh accumulator from [empty]; task accumulators are
-      merged left-to-right in frontier order.  [merge] must be
-      associative — then the folded observation equals the sequential
-      fold over the layer in frontier order, independent of how the
-      layer was chunked (and the chunking itself is a function of the
-      layer size only, never of the worker count). *)
+  (** Observation interface.  [expand acc s] is called exactly once
+      per visited state: it folds the state's observations (pattern
+      collection, violation recording) into [acc] and returns the
+      successors.  {!run} threads one accumulator from [empty] through
+      the whole search in visitation order; {!run_par_async} keeps one
+      per worker and folds them with [merge]. *)
   type 'obs par_expand = {
     empty : unit -> 'obs;
     merge : 'obs -> 'obs -> 'obs;
     expand : 'obs -> P.state -> P.state list;
   }
 
-  val default_par_threshold : int
-  (** 128 — layers smaller than this run inline on the calling domain;
-      at or above it, chunks are dispatched to the pool.  Either path
-      performs the identical work in the identical order. *)
-
-  val run_par :
-    ?pool:Patterns_stdx.Domain_pool.t ->
-    ?par_threshold:int ->
-    ?shard_bits:int ->
+  val run :
     ?budget:int ->
     ?deadline:float ->
     ?max_live:int ->
@@ -224,62 +173,43 @@ module Make (P : Problem) : sig
     root:P.state ->
     unit ->
     P.state outcome * 'obs * Metrics.t
-  (** Level-synchronous parallel BFS.  Each frontier layer is charged
-      against the budget and scanned for goals sequentially in frontier
-      order (so mid-layer stops are deterministic), then expanded in
-      chunks — in parallel across [pool] when the layer size reaches
-      [par_threshold] — against the {!Patterns_stdx.Sharded_store}
-      visited set, which no expansion task mutates.  Surviving
-      successors are partitioned by shard and inserted by one task per
-      shard, each in frontier order; the next frontier is their
-      concatenation in (shard-index, insertion) order.  Every result,
-      observation and deterministic counter is therefore bit-identical
-      for every pool size, threshold and dispatch path.  Calling from
-      the pool-owning domain is required (the pool forbids nested
-      [map]s).  Counter semantics match {!run}: [states_expanded]
-      counts budget-charged states, [dedup_hits] counts
-      visited/duplicate suppressions (probe-time and insert-time),
-      [pruned] counts prune rejections; [fingerprint_probes] counts
-      one probe per successor filter and one per insertion attempt.
-      [deadline] and [max_live] are checked once per layer before the
-      layer is charged, so overshoot past either guard is bounded by
-      one layer; [max_live] truncation is deterministic and
-      jobs-invariant. *)
+  (** Serial breadth-first search from [root] in the canonical layer
+      order, on the calling domain.  Each layer is charged against
+      [budget] (default unlimited) and goal-tested with [is_goal] in
+      frontier order, so a mid-layer stop is deterministic and the
+      first goal found is at the smallest depth.  The layer is then
+      expanded in frontier order against the visited {!Store} as it
+      stood after the previous layer: successors already visited are
+      discarded (counted in [dedup_hits]), then those for which
+      [prune] returns [true] (counted in [pruned]).  Survivors are
+      inserted grouped by the top 4 bits of their fingerprint,
+      frontier order within a group; a survivor already inserted this
+      layer also counts in [dedup_hits].  The next layer is the
+      group-major concatenation, so the visit order is a function of
+      the reachable graph alone.
 
-  val run_delta :
-    ?budget:int ->
-    ?deadline:float ->
-    ?max_live:int ->
-    ?spill:spill ->
-    ?is_goal:(P.state -> bool) ->
-    ?prune:(P.state -> bool) ->
-    ?edges:(src:P.state -> event:int -> dst:P.state -> unit) ->
-    ?known:(P.state -> bool) ->
-    expand:'obs par_expand ->
-    seeds:P.state list ->
-    unit ->
-    P.state outcome * 'obs * Metrics.t
-  (** Semi-naive delta re-exploration: a multi-seed serial BFS over
-      the {!par_expand} observation interface.  Where {!run} derives a
-      whole space from one root, [run_delta] re-derives only the
-      region a {e change} to a finished base exploration can affect —
-      the caller seeds it with the boundary states whose successor
-      sets the change enlarges (e.g. the freshly-enabled crash
-      successors when [--max-failures] is raised), and the forward
-      closure of those seeds is exactly the affected region.
+      [deadline] (wall-clock seconds from the start of this call) and
+      [max_live] (visited bindings plus the pending layer) are the
+      graceful-degradation guards, checked once per layer before it is
+      charged: exceeding either stops the search with {!Truncated}
+      ({!Deadline_exceeded} / {!Live_limit_exceeded}) instead of
+      hanging or exhausting memory, with overshoot bounded by one
+      layer.  [max_live] truncation is deterministic; [deadline]
+      truncation points are wall-clock-dependent by nature.  The root
+      is neither pruned nor goal-exempt.
 
-      Seeds are sorted by canonical fingerprint before exploration,
-      so the visitation order and every deterministic counter are a
-      function of the seed set, not of the caller's enumeration
-      order; duplicate seeds dedup against the shared visited store.
-      [known] marks states the base already covers: they are treated
-      exactly like visited-store hits (counted in [dedup_hits], never
-      expanded), which stops the delta closure at the base's edge
-      without materializing the base's visited set.  Budget, guard
-      and counter semantics match {!run} with [Bfs]; the metrics
-      carry [delta_seeds] (the /8 section).  The driver is serial by
-      design — delta regions are small by construction, so its
-      answers are jobs-invariant trivially. *)
+      [fingerprint_probes] counts one probe per generated successor
+      and one per insertion attempt (the root included); the metrics'
+      layered section ([layers], [shard_bits] = 4, per-group
+      occupancy) describes the layer structure.
+
+      [edges] is the optional execution-database sink, shared with
+      {!run_par_async}: each expansion of [src] invokes it once per
+      successor — before visited/prune filtering, so the database
+      records the raw expansion relation — with [event] the
+      successor's ordinal in fingerprint order (a function of the
+      state alone).  {!run_par_async} invokes it from worker domains
+      concurrently; thread safety is the callee's obligation. *)
 
   val run_par_async :
     ?pool:Patterns_stdx.Domain_pool.t ->
@@ -308,8 +238,9 @@ module Make (P : Problem) : sig
       by the registry-wide tests): on a search that runs to
       {!Exhausted}, the visited set, observations (for a commutative
       associative [merge]), and the deterministic counters
-      [states_expanded], [dedup_hits], [pruned], [fingerprint_probes]
-      (one claim per non-pruned successor plus the root) all match.
+      [states_expanded], [dedup_hits] and [pruned] all match;
+      [fingerprint_probes] is one claim per non-pruned successor plus
+      the root (the serial count adds its membership probes).
       [Truncated (Budget_exhausted _)] still consumes exactly [budget]
       states (workers drain their deques dropping out-of-budget
       tickets), but *which* states is schedule-dependent, as are
@@ -318,7 +249,7 @@ module Make (P : Problem) : sig
       high-water mark of claimed-but-unprocessed states across all
       deques — deterministic at one worker, a schedule-dependent lower
       bound on the true concurrent peak above that — truncation-sensitive or
-      shortest-witness callers should use {!run_par}.  Unlike the
+      shortest-witness callers should use {!run}.  Unlike the
       serial keep order, successors are prune-tested {e before} the
       visited test ([prune] must be a pure predicate; the counts are
       unaffected because a prunable state is never visited).  [merge]
@@ -327,19 +258,6 @@ module Make (P : Problem) : sig
       jobs-invariant.  Calling from the pool-owning domain is
       required. *)
 end
-
-val shard :
-  jobs:int ->
-  f:('root -> 'a * Metrics.t) ->
-  merge:('acc -> 'a -> 'acc) ->
-  init:'acc ->
-  'root list ->
-  'acc * Metrics.t
-(** Run one independent search per root on a
-    {!Patterns_stdx.Domain_pool} and merge both payloads and metrics
-    in root order — the deterministic sweep used by scheme
-    enumeration and exhaustive exploration, where roots (input
-    vectors) partition the state space. *)
 
 val find_first :
   ?metrics:Metrics.t ref ->

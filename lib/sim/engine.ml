@@ -21,9 +21,8 @@ module Make (P : Protocol.S) = struct
      structurally equal sets reached along different schedules are
      pointer-shared and their fingerprints are computed once.  The
      tables are shared by every configuration descended from one
-     [init]; under the layer-synchronous parallel driver several
-     domains expand such siblings at once, so every table access takes
-     [lock].  Which physical representative wins a concurrent intern
+     [init]; under the async driver several domains expand such
+     siblings at once, so every table access takes [lock].  Which physical representative wins a concurrent intern
      race is timing-dependent, but representatives are only ever used
      as a fast path for structural equality, so no observable result
      depends on the winner.
@@ -896,71 +895,6 @@ module Make (P : Protocol.S) = struct
       ( run_loop ~max_steps ~fifo_notices ~scheduler ~snap:None c min_k rev_trace failures
           omission_faults,
         min_k )
-
-  (* ----- frozen configurations -----
-
-     A [config] carries its per-root interning context, and the
-     context holds a [Mutex.t] — so configurations cannot be
-     marshalled as they are.  A [frozen] is the context-free part:
-     everything structural, nothing cached.  Thawing rebuilds a fresh
-     untracked context and leaves every fingerprint stale, to be
-     recomputed canonically on first demand — so a thawed
-     configuration fingerprints and compares exactly like the
-     original, at lazy-fold prices.  This is what lets a base
-     exploration persist its boundary configurations as facts and a
-     later widened sweep reseed from them. *)
-
-  type frozen = {
-    z_n : int;
-    z_inputs : bool array;
-    z_states : P.state array;
-    z_failed : bool array;
-    z_buffers : entry list array;
-    z_sent : int array;
-    z_knowledge : Triple.Fset.t array;
-    z_edges : Pair_set.t;
-    z_trips : Triple.Fset.t;
-  }
-
-  let freeze c =
-    {
-      z_n = c.n;
-      z_inputs = c.inputs;
-      z_states = c.states;
-      z_failed = c.failed;
-      z_buffers = c.buffers;
-      z_sent = c.sent_count;
-      z_knowledge = c.knowledge;
-      z_edges = c.edges;
-      z_trips = c.trips;
-    }
-
-  let thaw z =
-    {
-      n = z.z_n;
-      inputs = z.z_inputs;
-      states = z.z_states;
-      state_fps = Array.make z.z_n F.zero;
-      failed = z.z_failed;
-      buffers = z.z_buffers;
-      sent_count = z.z_sent;
-      knowledge = z.z_knowledge;
-      edges = z.z_edges;
-      efp = F.zero;
-      efp_valid = false;
-      trips = z.z_trips;
-      bfp = F.zero;
-      pfp = F.zero;
-      fps_valid = false;
-      ctx =
-        {
-          track = false;
-          lock = Mutex.create ();
-          sets = Intern.create ~equal:Triple.Fset.equal ();
-          states = Intern.create ~equal:(fun a b -> P.compare_state a b = 0) ();
-          edge_sets = Intern.create ~equal:Pair_set.equal ();
-        };
-    }
 
   (* ----- scripted replays ----- *)
 

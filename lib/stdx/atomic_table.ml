@@ -40,8 +40,8 @@
    A fingerprint hit is still never trusted on its own.  The slot
    match is confirmed structurally against the published state, and a
    true 63-bit collision — a different state with the same key — is
-   routed to a conventional sharded (mutex) store, exactly like the
-   serial kernel's bucket fallback.  Collisions are ~10^-6 per million
+   routed to one mutex-guarded bucket table, exactly like the serial
+   kernel's bucket fallback.  Collisions are ~10^-6 per million
    states, so the mutex path is cold by construction; the driver's
    [lock_contention] metric stays 0 unless a collision actually
    occurred. *)
@@ -54,6 +54,18 @@ type counters = {
 
 type 'a inner = { slots : int Atomic.t array; values : 'a option Atomic.t array }
 
+(* The collision fallback: fingerprint key -> bucket of structurally
+   distinct states, behind one mutex.  Only true key collisions reach
+   it, so it stays empty on every workload in this repository. *)
+type 'a fallback = {
+  lock : Mutex.t;
+  buckets : (int, 'a list) Hashtbl.t;
+  mutable f_bindings : int;
+  mutable f_probes : int;
+  mutable f_collisions : int;
+  mutable contention : int;
+}
+
 type 'a t = {
   equal : 'a -> 'a -> bool;
   fingerprint : 'a -> Fingerprint.t;
@@ -62,7 +74,7 @@ type 'a t = {
   resizing : bool Atomic.t;
   active : bool Atomic.t array;
   resize_lock : Mutex.t;
-  fallback : 'a Sharded_store.t;
+  fallback : 'a fallback;
   counters : counters array;
   initial_bits : int;
 }
@@ -87,11 +99,51 @@ let create ?(capacity = 4096) ~workers ~equal ~fingerprint () =
     resizing = Atomic.make false;
     active = Array.init workers (fun _ -> Atomic.make false);
     resize_lock = Mutex.create ();
-    fallback = Sharded_store.create ~equal ~fingerprint ();
+    fallback =
+      {
+        lock = Mutex.create ();
+        buckets = Hashtbl.create 1;
+        f_bindings = 0;
+        f_probes = 0;
+        f_collisions = 0;
+        contention = 0;
+      };
     counters =
       Array.init workers (fun _ -> { probes = 0; cas_retries = 0; collisions = 0 });
     initial_bits = bits_of cap;
   }
+
+let locked fb f =
+  if not (Mutex.try_lock fb.lock) then begin
+    fb.contention <- fb.contention + 1;
+    Mutex.lock fb.lock
+  end;
+  Fun.protect ~finally:(fun () -> Mutex.unlock fb.lock) f
+
+(* One counted probe of the fallback, under its lock.  Same discipline
+   as the serial store: a bucket member that fails the structural test
+   is a certified collision. *)
+let fallback_bucket t x =
+  let fb = t.fallback in
+  fb.f_probes <- fb.f_probes + 1;
+  let key = Fingerprint.to_int (t.fingerprint x) in
+  let bucket = Option.value (Hashtbl.find_opt fb.buckets key) ~default:[] in
+  if List.exists (fun y -> not (t.equal x y)) bucket then
+    fb.f_collisions <- fb.f_collisions + 1;
+  (key, bucket)
+
+let fallback_add t x =
+  locked t.fallback (fun () ->
+      let key, bucket = fallback_bucket t x in
+      if List.exists (t.equal x) bucket then false
+      else begin
+        Hashtbl.replace t.fallback.buckets key (x :: bucket);
+        t.fallback.f_bindings <- t.fallback.f_bindings + 1;
+        true
+      end)
+
+let fallback_mem t x =
+  locked t.fallback (fun () -> List.exists (t.equal x) (snd (fallback_bucket t x)))
 
 let capacity t = Array.length (Atomic.get t.inner).slots
 let initial_bits t = t.initial_bits
@@ -197,7 +249,7 @@ let add_if_absent t ~worker x =
               (* true fingerprint collision: the mutex fallback keeps
                  the structural-confirmation guarantee *)
               c.collisions <- c.collisions + 1;
-              Sharded_store.add_if_absent t.fallback x
+              fallback_add t x
             end
           end
           else probe ((i + 1) land mask)
@@ -225,21 +277,21 @@ let mem t ~worker x =
     if s = 0 then false
     else if s = stored then
       let v = value_of inner.values.(i) in
-      t.equal v x || Sharded_store.mem t.fallback x
+      t.equal v x || fallback_mem t x
     else probe ((i + 1) land mask)
   in
   probe (key land mask)
 
-let bindings t = Atomic.get t.count + Sharded_store.bindings t.fallback
+let bindings t = Atomic.get t.count + t.fallback.f_bindings
 
 let occupancy t =
   float_of_int (Atomic.get t.count) /. float_of_int (capacity t)
 
 let sum f t = Array.fold_left (fun acc c -> acc + f c) 0 t.counters
-let probes t = sum (fun c -> c.probes) t + Sharded_store.probes t.fallback
+let probes t = sum (fun c -> c.probes) t + t.fallback.f_probes
 let cas_retries t = sum (fun c -> c.cas_retries) t
 
 let collision_fallbacks t =
-  sum (fun c -> c.collisions) t + Sharded_store.collision_fallbacks t.fallback
+  sum (fun c -> c.collisions) t + t.fallback.f_collisions
 
-let lock_contention t = Sharded_store.lock_contention t.fallback
+let lock_contention t = t.fallback.contention

@@ -5,8 +5,8 @@
     compare-and-set per fresh insertion — no mutex anywhere on the hit
     path.  A fingerprint hit is confirmed structurally against the
     published state, and a true 63-bit collision (different state,
-    same key) is routed to an internal {!Sharded_store} exactly like
-    the serial kernel's bucket fallback, so the certainty contract of
+    same key) is routed to one internal mutex-guarded bucket table,
+    exactly like the serial kernel's bucket fallback, so the certainty contract of
     the other stores is preserved bit for bit.
 
     The table grows by cooperative migration: an insertion that finds

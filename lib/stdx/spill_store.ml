@@ -19,7 +19,6 @@ type 'a shard = {
 type 'a t = {
   equal : 'a -> 'a -> bool;
   fingerprint : 'a -> Fingerprint.t;
-  shard_bits : int;
   shards : 'a shard array;
   dir : string; (* this store's private subdirectory *)
   mem_budget : int;
@@ -43,7 +42,8 @@ let key_of_fingerprint fp =
   Bytes.set_int64_be buf 0 (Int64.logxor (Int64.of_int (fp : Fingerprint.t)) Int64.min_int);
   Bytes.unsafe_to_string buf
 
-let default_shard_bits = Sharded_store.default_shard_bits
+(* 16 shards: the unit of eviction *)
+let shard_bits = 4
 
 let store_seq = Atomic.make 0
 
@@ -51,9 +51,7 @@ let ensure_dir dir =
   if not (Sys.file_exists dir) then
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
 
-let create ?(shard_bits = default_shard_bits) ?(size = 256) ~equal ~fingerprint ~dir
-    ~mem_budget () =
-  let shard_bits = max 0 (min 10 shard_bits) in
+let create ~equal ~fingerprint ~dir ~mem_budget () =
   ensure_dir dir;
   (* a private subdirectory per store: concurrent per-root stores
      share [dir] without sharing file names, and [dispose] can remove
@@ -66,7 +64,7 @@ let create ?(shard_bits = default_shard_bits) ?(size = 256) ~equal ~fingerprint 
     Array.init (1 lsl shard_bits) (fun _ ->
         {
           lock = Mutex.create ();
-          tbl = Fp_tbl.create size;
+          tbl = Fp_tbl.create 256;
           resident = 0;
           total = 0;
           probes = 0;
@@ -78,7 +76,6 @@ let create ?(shard_bits = default_shard_bits) ?(size = 256) ~equal ~fingerprint 
   {
     equal;
     fingerprint;
-    shard_bits;
     shards;
     dir = sub;
     mem_budget = max 1 mem_budget;
@@ -90,14 +87,9 @@ let create ?(shard_bits = default_shard_bits) ?(size = 256) ~equal ~fingerprint 
     spilled_write_bytes = 0;
   }
 
-let shards t = Array.length t.shards
-let shard_bits t = t.shard_bits
-
-(* same routing as {!Sharded_store}: the high bits of the folded
-   projection pick the shard, independently of the low bits the
-   per-shard hashtable hashes on *)
-let shard_of t fp = Fingerprint.to_int fp lsr (62 - t.shard_bits)
-let shard_of_state t x = shard_of t (t.fingerprint x)
+(* the high bits of the folded projection pick the shard,
+   independently of the low bits the per-shard hashtable hashes on *)
+let shard_of fp = Fingerprint.to_int fp lsr (62 - shard_bits)
 
 let with_lock sh f =
   if Mutex.try_lock sh.lock then ()
@@ -130,7 +122,7 @@ let disk_mem t sh fp =
 
 let mem t x =
   let fp = t.fingerprint x in
-  let sh = t.shards.(shard_of t fp) in
+  let sh = t.shards.(shard_of fp) in
   with_lock sh (fun () ->
       sh.probes <- sh.probes + 1;
       let in_mem =
@@ -146,20 +138,9 @@ let insert t sh fp x bucket =
   sh.resident <- sh.resident + 1;
   sh.total <- sh.total + 1
 
-(* Uncounted insert for the serial driver, whose [add] follows a
-   counted [mem] that already established absence (including on
-   disk); only the in-memory bucket is re-checked, as in
-   [Search.Store.add]. *)
-let add t x =
-  let fp = t.fingerprint x in
-  let sh = t.shards.(shard_of t fp) in
-  with_lock sh (fun () ->
-      let bucket = match Fp_tbl.find_opt sh.tbl fp with Some b -> b | None -> [] in
-      if not (List.exists (fun (y, _) -> t.equal x y) bucket) then insert t sh fp x bucket)
-
 let add_if_absent t x =
   let fp = t.fingerprint x in
-  let sh = t.shards.(shard_of t fp) in
+  let sh = t.shards.(shard_of fp) in
   with_lock sh (fun () ->
       sh.probes <- sh.probes + 1;
       let bucket = match Fp_tbl.find_opt sh.tbl fp with Some b -> b | None -> [] in
@@ -178,7 +159,6 @@ let bindings t = sum (fun sh -> sh.total) t
 let probes t = sum (fun sh -> sh.probes) t
 let collision_fallbacks t = sum (fun sh -> sh.collision_fallbacks) t
 let lock_contention t = sum (fun sh -> sh.contention) t
-let occupancy_max t = Array.fold_left (fun acc sh -> max acc sh.total) 0 t.shards
 
 let spill_probes t = sum (fun sh -> sh.disk_probes) t
 let spill_runs t = t.runs_written

@@ -1,7 +1,8 @@
-(** Disk-backed spillable visited store: a {!Sharded_store}-shaped
-    in-memory cache bounded by a memory budget, evicting whole shards
-    to sorted {!Block_file} runs when the budget's high-water mark is
-    hit.
+(** Disk-backed spillable visited store: an in-memory cache split
+    into [2^]{!shard_bits} mutex-guarded shards (routed by the high bits
+    of the fingerprint) and bounded by a memory budget, evicting whole
+    shards to sorted {!Block_file} runs when the budget's high-water
+    mark is hit.
 
     States are dictionary-encoded on insertion to dense ids (the
     {!Dict} discipline); a spilled binding survives on disk only as
@@ -12,12 +13,10 @@
     repo).  Eviction points are chosen by the drivers, not by [add],
     so search outcomes are bit-identical with or without spilling.
 
-    Counting discipline matches {!Sharded_store}: {!mem} and
-    {!add_if_absent} each count one probe; {!add} is the serial
-    driver's uncounted insert after a counted {!mem}.  [bindings] and
-    [occupancy_max] report {e cumulative} distinct bindings (memory +
-    disk), so live-set accounting reads the same as the purely
-    in-memory stores. *)
+    Counting discipline matches the in-memory stores: {!mem} and
+    {!add_if_absent} each count one probe.  [bindings] reports
+    {e cumulative} distinct bindings (memory + disk), so live-set
+    accounting reads the same as the purely in-memory stores. *)
 
 type 'a t
 
@@ -26,11 +25,7 @@ val key_of_fingerprint : Fingerprint.t -> string
     fingerprint: byte order = numeric order ({!Block_file}'s probe
     contract). *)
 
-val default_shard_bits : int
-
 val create :
-  ?shard_bits:int ->
-  ?size:int ->
   equal:('a -> 'a -> bool) ->
   fingerprint:('a -> Fingerprint.t) ->
   dir:string ->
@@ -40,28 +35,22 @@ val create :
 (** A fresh store spilling into a private subdirectory of [dir]
     (created if missing).  [mem_budget] is the high-water resident
     binding count (clamped to ≥ 1); eviction drains residency to at
-    most half of it.  [shard_bits] is clamped to 0..10. *)
+    most half of it. *)
 
-val shards : 'a t -> int
-val shard_bits : 'a t -> int
-val shard_of : 'a t -> Fingerprint.t -> int
-val shard_of_state : 'a t -> 'a -> int
+val shard_bits : int
+(** log2 of the shard count (4). *)
 
 val mem : 'a t -> 'a -> bool
 (** Membership in memory or on disk; counts one probe (plus one
     spill probe if the disk is consulted). *)
-
-val add : 'a t -> 'a -> unit
-(** Uncounted insert; re-checks only the in-memory bucket (the
-    caller's preceding {!mem} covered the disk). *)
 
 val add_if_absent : 'a t -> 'a -> bool
 (** Atomic probe-and-insert; counts one probe; [true] iff inserted. *)
 
 val maybe_evict : 'a t -> unit
 (** Spill if resident bindings have reached the memory budget: the
-    drivers call this at deterministic points (serial: after each
-    insert; layers: between layers; async: per processed state).
+    drivers call this at deterministic points (serial: between
+    layers; async: per processed state).
     Takes every shard lock; callers must hold none. *)
 
 val bindings : 'a t -> int
@@ -73,9 +62,6 @@ val resident : 'a t -> int
 val probes : 'a t -> int
 val collision_fallbacks : 'a t -> int
 val lock_contention : 'a t -> int
-
-val occupancy_max : 'a t -> int
-(** Max per-shard cumulative bindings. *)
 
 val spill_runs : 'a t -> int
 val spill_evictions : 'a t -> int
@@ -89,8 +75,8 @@ val spill_fd_reopens : 'a t -> int
 (** Run-file opens beyond each run's first, summed over runs — probes
     that missed {!Block_file}'s bounded descriptor cache.  0 when
     every run's descriptor stayed cached.  Deterministic when this
-    store is the only one probing (the serial and layered drivers at
-    [jobs = 1]); the cache is process-global, so concurrent stores or
+    store is the only one probing (the serial driver, or the async
+    driver at [jobs = 1]); the cache is process-global, so concurrent stores or
     domains evict each other's descriptors schedule-dependently. *)
 
 val dispose : 'a t -> unit

@@ -1,11 +1,10 @@
 (* The incremental layer's single contract: answers computed through a
-   base database — wholesale per-vector reuse, semi-naive widening of
-   [max_failures], memoized failure-free prefixes in the systematic
-   hunt — are bit-identical to the from-scratch answers, across the
-   whole protocol registry, every jobs value and both parallel
-   drivers.  These tests pin that contract, plus the determinism of
-   the /8 counters and the inertness of [memo] on the random
-   adversary's PRNG stream. *)
+   base database — wholesale per-vector reuse, memoized failure-free
+   prefixes in the systematic hunt — are bit-identical to the
+   from-scratch answers under the same driver, across the whole
+   protocol registry, every jobs value and both drivers.  These tests
+   pin that contract, plus the determinism of the /8 counters and the
+   inertness of [memo] on the random adversary's PRNG stream. *)
 
 open Patterns_stdx
 open Patterns_core
@@ -34,26 +33,17 @@ let entry_exn name =
 let check_verdict name (a : Classify.verdict) (b : Classify.verdict) =
   Alcotest.(check bool) name true (a = b)
 
-(* ----- registry-wide widening oracle -----
+(* ----- registry-wide reuse oracle -----
 
-   For every protocol: classify at max_failures 0 storing per-vector
-   facts into a fresh base, then at max_failures 1 through the same
-   base (semi-naive widening wherever the 0-failure vector completed
-   untruncated, fresh fallback elsewhere), and compare both verdicts
-   against from-scratch runs.  The budget cap keeps the big fixed-n
-   protocols bounded; truncated vectors exercise the fallback path of
-   the same oracle.
+   For every protocol: classify at max_failures 0 and 1 storing
+   per-vector facts into a fresh base, then again through the same
+   base (wholesale reuse wherever the vector completed untruncated,
+   fresh runs elsewhere), and compare every verdict against the
+   from-scratch runs.  The budget cap keeps the big fixed-n protocols
+   bounded; truncated vectors exercise the fresh path of the same
+   oracle.  The serial driver pins the truncation points. *)
 
-   The comparisons pin [~par_mode:Layers]: on protocols whose
-   behavioural state space has convergence points between
-   pattern-distinct paths (coop-2pc at one crash, for instance), the
-   count statistics depend on which path's configuration becomes the
-   behavioural-dedup representative — a visit-order property the two
-   parallel drivers already disagreed on before the incremental layer
-   existed.  The delta driver's FIFO closure reproduces the layered
-   order, which is the deterministic, jobs-invariant one. *)
-
-let test_registry_widening () =
+let test_registry_reuse () =
   List.iter
     (fun entry ->
       let (module P : Patterns_sim.Protocol.S) =
@@ -67,25 +57,19 @@ let test_registry_widening () =
       let rule = rule_of_registry entry in
       let max_configs = 20_000 in
       let par_mode = Patterns_search.Search.Layers in
-      let scratch mf =
-        Classify.classify ~max_failures:mf ~max_configs ~par_mode ~rule ~n
+      let classify ?base mf =
+        Classify.classify ?base ~max_failures:mf ~max_configs ~par_mode ~rule ~n
           entry.Patterns_protocols.Registry.protocol
       in
-      let s0 = scratch 0 and s1 = scratch 1 in
       let base = Db.create () in
-      let incr mf =
-        Classify.classify ~base ~max_failures:mf ~max_configs ~par_mode ~rule ~n
-          entry.Patterns_protocols.Registry.protocol
-      in
-      check_verdict (P.name ^ " mf=0 through base") s0 (incr 0);
-      check_verdict (P.name ^ " mf=1 widened") s1 (incr 1);
-      (* a second query at mf=1 reuses the widened facts wholesale *)
-      let metrics = ref Patterns_search.Metrics.zero in
-      let v1' =
-        Classify.classify ~metrics ~base ~max_failures:1 ~max_configs ~par_mode ~rule ~n
-          entry.Patterns_protocols.Registry.protocol
-      in
-      check_verdict (P.name ^ " mf=1 wholesale") s1 v1')
+      List.iter
+        (fun mf ->
+          let scratch = classify mf in
+          check_verdict (Printf.sprintf "%s mf=%d through base" P.name mf) scratch
+            (classify ~base mf);
+          check_verdict (Printf.sprintf "%s mf=%d reused" P.name mf) scratch
+            (classify ~base mf))
+        [ 0; 1 ])
     Patterns_protocols.Registry.all
 
 (* ----- added input vectors -----
@@ -109,11 +93,11 @@ let test_added_inputs () =
       entry.Patterns_protocols.Registry.protocol
   in
   let metrics = ref Patterns_search.Metrics.zero in
-  let widened =
+  let grown =
     Classify.classify ~metrics ~base ~max_failures:1 ~inputs_choices:all ~rule ~n
       entry.Patterns_protocols.Registry.protocol
   in
-  check_verdict "half-then-all ≡ from-scratch" scratch widened;
+  check_verdict "half-then-all ≡ from-scratch" scratch grown;
   Alcotest.(check bool)
     "old vectors were reused" true
     (!metrics.Patterns_search.Metrics.delta_reused_edges > 0)
@@ -123,34 +107,35 @@ let test_added_inputs () =
    A stored fact larger than the current per-vector budget must not be
    reused: the incremental run falls back to a fresh (truncating)
    search and reproduces the from-scratch truncated verdict.  The
-   layered driver pins the truncation order. *)
+   serial driver pins the truncation order, and writes the base too,
+   so the facts are keyed for it. *)
 
 let test_budget_gate () =
   let entry = entry_exn "fig3-chain" in
   let rule = rule_of_registry entry in
   let n = 3 in
+  let par_mode = Patterns_search.Search.Layers in
   let base = Db.create () in
   let _big : Classify.verdict =
-    Classify.classify ~base ~max_failures:1 ~rule ~n
+    Classify.classify ~base ~max_failures:1 ~par_mode ~rule ~n
       entry.Patterns_protocols.Registry.protocol
   in
   let small mf_opts =
-    Classify.classify ?base:mf_opts ~max_failures:1 ~max_configs:8_000
-      ~par_mode:Patterns_search.Search.Layers ~rule ~n
+    Classify.classify ?base:mf_opts ~max_failures:1 ~max_configs:8_000 ~par_mode ~rule ~n
       entry.Patterns_protocols.Registry.protocol
   in
   let scratch = small None and through_base = small (Some base) in
   Alcotest.(check bool) "small budget truncates" true scratch.Classify.truncated;
   check_verdict "oversized facts are not reused" scratch through_base
 
-(* ----- jobs and par-mode invariance of the widened path ----- *)
+(* ----- jobs and par-mode invariance of the reuse path ----- *)
 
 let test_matrix_invariance () =
   let entry = entry_exn "fig3-chain" in
   let rule = rule_of_registry entry in
   let n = 3 in
   let scratch =
-    Classify.classify ~max_failures:2 ~rule ~n entry.Patterns_protocols.Registry.protocol
+    Classify.classify ~max_failures:1 ~rule ~n entry.Patterns_protocols.Registry.protocol
   in
   let combos =
     [
@@ -160,7 +145,7 @@ let test_matrix_invariance () =
       (4, Patterns_search.Search.Layers);
     ]
   in
-  let counters =
+  let reused_edges =
     List.map
       (fun (jobs, par_mode) ->
         let base = Db.create () in
@@ -169,27 +154,81 @@ let test_matrix_invariance () =
             entry.Patterns_protocols.Registry.protocol
         in
         let metrics = ref Patterns_search.Metrics.zero in
-        let widened =
-          Classify.classify ~metrics ~base ~max_failures:2 ~jobs ~par_mode ~rule ~n
+        let reused =
+          Classify.classify ~metrics ~base ~max_failures:1 ~jobs ~par_mode ~rule ~n
             entry.Patterns_protocols.Registry.protocol
         in
         check_verdict
-          (Printf.sprintf "widened ≡ scratch (jobs=%d mode=%s)" jobs
+          (Printf.sprintf "reused ≡ scratch (jobs=%d mode=%s)" jobs
              (Patterns_search.Search.par_mode_string par_mode))
-          scratch widened;
-        ( !metrics.Patterns_search.Metrics.delta_seeds,
-          !metrics.Patterns_search.Metrics.delta_reused_edges ))
+          scratch reused;
+        check Alcotest.int "no expansions on reuse" 0
+          !metrics.Patterns_search.Metrics.states_expanded;
+        !metrics.Patterns_search.Metrics.delta_reused_edges)
       combos
   in
-  match counters with
+  match reused_edges with
   | [] -> assert false
-  | c0 :: rest ->
-    let seeds, reused = c0 in
-    Alcotest.(check bool) "delta_seeds > 0" true (seeds > 0);
-    Alcotest.(check bool) "delta_reused_edges > 0" true (reused > 0);
-    List.iter
-      (fun c -> Alcotest.(check bool) "delta counters invariant" true (c = c0))
-      rest
+  | e0 :: rest ->
+    Alcotest.(check bool) "delta_reused_edges > 0" true (e0 > 0);
+    List.iter (fun e -> check Alcotest.int "delta_reused_edges invariant" e0 e) rest
+
+(* ----- facts are keyed by driver -----
+
+   On coop-2pc at one crash, distinct paths converge on one
+   behavioural node, and which path's configuration is kept depends on
+   visit order: the two drivers report different counts.  A base
+   written under the serial driver must therefore not answer an async
+   query — the async run through it gives the async from-scratch
+   answer. *)
+
+let test_base_keyed_by_driver () =
+  let entry = entry_exn "coop-2pc" in
+  let rule = rule_of_registry entry in
+  let classify ?base par_mode =
+    Classify.classify ?base ~max_failures:1 ~par_mode ~rule ~n:3
+      entry.Patterns_protocols.Registry.protocol
+  in
+  let layers = classify Patterns_search.Search.Layers in
+  let async = classify Patterns_search.Search.Async in
+  Alcotest.(check bool) "the drivers disagree here" true
+    (layers.Classify.configs <> async.Classify.configs);
+  let base = Db.create () in
+  check_verdict "layers through base" layers (classify ~base Patterns_search.Search.Layers);
+  check_verdict "async through a layers base" async
+    (classify ~base Patterns_search.Search.Async);
+  check_verdict "layers reused" layers (classify ~base Patterns_search.Search.Layers)
+
+(* ----- facts written with a frozen boundary -----
+
+   Earlier writers stored each vector's max-failure boundary in the
+   fact as an extra ["boundary"] field.  The reader ignores it, so
+   such a base is still reused wholesale. *)
+
+let test_legacy_boundary_field () =
+  let entry = entry_exn "fig3-chain" in
+  let rule = rule_of_registry entry in
+  let classify ?metrics ?base () =
+    Classify.classify ?metrics ?base ~max_failures:1 ~rule ~n:3
+      entry.Patterns_protocols.Registry.protocol
+  in
+  let scratch = classify () in
+  let base = Db.create () in
+  let _seed : Classify.verdict = classify ~base () in
+  let facts = Db.facts base ~kind:"classify_vec" in
+  Alcotest.(check bool) "one fact per vector" true (List.length facts = 8);
+  List.iter
+    (fun (key, fact) ->
+      match fact with
+      | Json.Obj fields ->
+        Db.put_fact base ~kind:"classify_vec" ~key
+          (Json.Obj (fields @ [ ("boundary", Json.String (Hex.encode "legacy")) ]))
+      | _ -> Alcotest.fail "fact is not an object")
+    facts;
+  let metrics = ref Patterns_search.Metrics.zero in
+  check_verdict "legacy facts reused ≡ scratch" scratch (classify ~metrics ~base ());
+  check Alcotest.int "no expansions on reuse" 0
+    !metrics.Patterns_search.Metrics.states_expanded
 
 (* ----- systematic hunt: memoized prefixes ≡ full replays ----- *)
 
@@ -314,10 +353,12 @@ let () =
     [
       ( "classify",
         [
-          Alcotest.test_case "registry widening oracle" `Slow test_registry_widening;
+          Alcotest.test_case "registry reuse oracle" `Slow test_registry_reuse;
           Alcotest.test_case "added input vectors" `Quick test_added_inputs;
           Alcotest.test_case "budget gate" `Quick test_budget_gate;
           Alcotest.test_case "jobs x par-mode matrix" `Slow test_matrix_invariance;
+          Alcotest.test_case "base keyed by driver" `Quick test_base_keyed_by_driver;
+          Alcotest.test_case "legacy boundary field" `Quick test_legacy_boundary_field;
         ] );
       ( "hunt",
         [

@@ -1,24 +1,32 @@
-(* Unit tests for the instrumented search kernel: strategies, budget
-   truncation, goals, pruning, dedup accounting, deterministic
-   sharding, batched goal search and the chain scan. *)
+(* Unit tests for the instrumented search kernel: the serial driver's
+   canonical layer order, budget truncation, goals, pruning, dedup
+   accounting, batched goal search and the chain scan. *)
 
 open Patterns_search
 
 let check = Alcotest.check
 
 (* A tiny synthetic graph on ints: successors of [x] are given by a
-   table, so tests control branching, sharing and depth exactly. *)
+   table, so tests control branching, sharing and depth exactly.
+   [run] is the serial driver with no observations. *)
 module Graph (G : sig
   val succs : int -> int list
 end) =
 struct
-  include Search.Make (struct
+  module K = Search.Make (struct
     type state = int
 
     let compare = Int.compare
     let fingerprint = Patterns_stdx.Fingerprint.of_int
-    let expand = G.succs
   end)
+
+  let run ?budget ?deadline ?max_live ?is_goal ?prune ~root () =
+    let outcome, (), m =
+      K.run ?budget ?deadline ?max_live ?is_goal ?prune
+        ~expand:{ K.empty = Fun.id; merge = (fun () () -> ()); expand = (fun () x -> G.succs x) }
+        ~root ()
+    in
+    (outcome, m)
 end
 
 (* a diamond with a tail: 0 -> {1, 2}, 1 -> 3, 2 -> 3, 3 -> 4 *)
@@ -31,40 +39,39 @@ module Diamond = Graph (struct
     | _ -> []
 end)
 
-let record_order strategy =
+(* the insertion group of a state: the top 4 bits of its fingerprint *)
+let group x = Patterns_stdx.Fingerprint.(to_int (of_int x)) lsr 58
+
+let test_bfs_order () =
   let seen = ref [] in
   let module G = Graph (struct
     let succs x =
       seen := x :: !seen;
       match x with 0 -> [ 1; 2 ] | 1 -> [ 3; 4 ] | 2 -> [ 5; 6 ] | _ -> []
   end) in
-  let outcome, _ = G.run ~strategy:(match strategy with `Bfs -> G.Bfs | `Dfs -> G.Dfs) ~root:0 () in
+  let outcome, m = G.run ~root:0 () in
   (match outcome with Search.Exhausted -> () | _ -> Alcotest.fail "expected exhausted");
-  List.rev !seen
-
-let test_dfs_order () =
-  (* DFS is preorder in expand's order *)
-  check (Alcotest.list Alcotest.int) "dfs preorder" [ 0; 1; 3; 4; 2; 5; 6 ] (record_order `Dfs)
-
-let test_bfs_order () =
-  check (Alcotest.list Alcotest.int) "bfs levels" [ 0; 1; 2; 3; 4; 5; 6 ] (record_order `Bfs)
-
-let test_priority_order () =
-  let seen = ref [] in
-  let module G = Graph (struct
-    let succs x =
-      seen := x :: !seen;
-      match x with 0 -> [ 9; 2; 7 ] | _ -> []
-  end) in
-  let _ = G.run ~strategy:(G.Priority Int.compare) ~root:0 () in
-  check (Alcotest.list Alcotest.int) "least state first" [ 0; 2; 7; 9 ] (List.rev !seen)
+  check Alcotest.int "three layers" 3 m.Metrics.layers;
+  (* layer by layer, each layer grouped by fingerprint bits *)
+  match List.rev !seen with
+  | [ a; b; c; d; e; f; g ] ->
+    let layer l want =
+      check (Alcotest.list Alcotest.int) "layer members" want (List.sort Int.compare l);
+      check (Alcotest.list Alcotest.int) "grouped by fingerprint bits"
+        (List.stable_sort Int.compare (List.map group l))
+        (List.map group l)
+    in
+    layer [ a ] [ 0 ];
+    layer [ b; c ] [ 1; 2 ];
+    layer [ d; e; f; g ] [ 3; 4; 5; 6 ]
+  | order -> Alcotest.failf "expanded %d states" (List.length order)
 
 let test_dedup_hits () =
   let outcome, m = Diamond.run ~root:0 () in
   (match outcome with Search.Exhausted -> () | _ -> Alcotest.fail "expected exhausted");
   check Alcotest.int "expanded each node once" 5 m.Metrics.states_expanded;
-  (* node 3 is reachable twice: one of the pushes is answered by the
-     visited set *)
+  (* node 3 is generated twice in one layer: the second insertion is
+     answered by the visited set *)
   check Alcotest.int "one dedup hit" 1 m.Metrics.dedup_hits;
   check Alcotest.int "budget consumed = expanded" m.Metrics.states_expanded
     m.Metrics.budget_consumed
@@ -98,8 +105,9 @@ let test_budget_truncates () =
   Alcotest.(check bool) "truncated predicate" true (Search.truncated outcome)
 
 let test_deadline_truncates () =
-  (* a zero deadline fires at the first pop: no hang on an infinite
-     graph, one metrics hit, the reason carries the elapsed time *)
+  (* a zero deadline fires before the first layer: no hang on an
+     infinite graph, one metrics hit, the reason carries the elapsed
+     time *)
   let module G = Graph (struct
     let succs x = [ (2 * x) + 1; (2 * x) + 2 ]
   end) in
@@ -151,34 +159,6 @@ let test_prune () =
   (* visits 0..4; the four reachable x+10 successors are pruned *)
   check Alcotest.int "expanded" 5 m.Metrics.states_expanded;
   check Alcotest.int "pruned" 4 m.Metrics.pruned
-
-let test_shard_deterministic () =
-  let search root =
-    let module G = Graph (struct
-      let succs x = if x >= root + 3 then [] else [ x + 1 ]
-    end) in
-    let outcome, m = G.run ~root () in
-    ignore outcome;
-    ([ (root, m.Metrics.states_expanded) ], m)
-  in
-  let run jobs =
-    Search.shard ~jobs ~f:search ~merge:(fun acc r -> acc @ r) ~init:[] [ 10; 20; 30 ]
-  in
-  let r1, m1 = run 1 and r4, m4 = run 4 in
-  check
-    Alcotest.(list (pair int int))
-    "payload merged in root order" [ (10, 4); (20, 4); (30, 4) ]
-    r1;
-  Alcotest.(check bool) "payload jobs-invariant" true (r1 = r4);
-  check Alcotest.int "roots" 3 m1.Metrics.roots;
-  check Alcotest.int "expanded summed" 12 m1.Metrics.states_expanded;
-  check Alcotest.int "expanded jobs-invariant" m1.Metrics.states_expanded
-    m4.Metrics.states_expanded;
-  (* shard entries are retagged with their root index, in order *)
-  check
-    (Alcotest.list Alcotest.int)
-    "shard tags" [ 0; 1; 2 ]
-    (List.map (fun s -> s.Metrics.root) m1.Metrics.shards)
 
 let test_find_first_smallest () =
   let f i = if i mod 7 = 0 then Some i else None in
@@ -242,13 +222,13 @@ let test_store_collisions () =
       ~fingerprint:(fun _ -> Patterns_stdx.Fingerprint.of_int 42)
       ()
   in
-  Search.Store.add store 1;
-  Search.Store.add store 2;
-  Search.Store.add store 1;
+  Alcotest.(check bool) "first insert" true (Search.Store.add_if_absent store 1);
+  Alcotest.(check bool) "colliding insert" true (Search.Store.add_if_absent store 2);
+  Alcotest.(check bool) "duplicate insert" false (Search.Store.add_if_absent store 1);
   check Alcotest.int "distinct states stored" 2 (Search.Store.bindings store);
   Alcotest.(check bool) "member" true (Search.Store.mem store 1);
   Alcotest.(check bool) "colliding non-member" false (Search.Store.mem store 3);
-  check Alcotest.int "probes counted" 2 (Search.Store.probes store);
+  check Alcotest.int "probes counted" 5 (Search.Store.probes store);
   Alcotest.(check bool) "collisions counted" true
     (Search.Store.collision_fallbacks store > 0)
 
@@ -257,7 +237,7 @@ let test_store_no_false_negatives () =
     Search.Store.create ~equal:Int.equal ~fingerprint:Patterns_stdx.Fingerprint.of_int ()
   in
   for i = 0 to 999 do
-    Search.Store.add store i
+    ignore (Search.Store.add_if_absent store i : bool)
   done;
   for i = 0 to 999 do
     if not (Search.Store.mem store i) then Alcotest.failf "lost %d" i
@@ -271,9 +251,7 @@ let () =
     [
       ( "kernel",
         [
-          Alcotest.test_case "dfs order" `Quick test_dfs_order;
           Alcotest.test_case "bfs order" `Quick test_bfs_order;
-          Alcotest.test_case "priority order" `Quick test_priority_order;
           Alcotest.test_case "dedup hits" `Quick test_dedup_hits;
           Alcotest.test_case "goal stops" `Quick test_goal_stops;
           Alcotest.test_case "budget truncates" `Quick test_budget_truncates;
@@ -284,7 +262,6 @@ let () =
         ] );
       ( "drivers",
         [
-          Alcotest.test_case "shard deterministic" `Quick test_shard_deterministic;
           Alcotest.test_case "find_first smallest" `Quick test_find_first_smallest;
           Alcotest.test_case "scan" `Quick test_scan;
           Alcotest.test_case "metrics merge and json" `Quick test_metrics_merge_and_json;

@@ -171,10 +171,12 @@ let reference_visited (module P : Protocol.S) ~n ~inputs =
   let visited = go (S.add root S.empty) [ root ] in
   (List.sort Int.compare (List.map E.fingerprint (S.elements visited)), S.cardinal visited)
 
-type driver = Serial | Layers | Async
+type driver = Serial | Async
 
-let driver_string = function Serial -> "serial" | Layers -> "layers" | Async -> "async"
+let driver_string = function Serial -> "serial" | Async -> "async"
 
+(* the expanded states' fingerprints, collected in the observation
+   accumulator: for an exhausted search, the visited set *)
 let kernel_visited_spill ~driver (module P : Protocol.S) ~n ~inputs ~jobs ~spill =
   let module E = Engine.Make (P) in
   let module Pr = struct
@@ -182,50 +184,34 @@ let kernel_visited_spill ~driver (module P : Protocol.S) ~n ~inputs ~jobs ~spill
 
     let compare = E.compare_config
     let fingerprint = E.fingerprint
-    let expand c = List.rev_map (fun a -> fst (E.apply_exn ~step:0 c a)) (E.applicable c)
   end in
   let module K = Patterns_search.Search.Make (Pr) in
-  match driver with
-  | Serial ->
-    (* the serial driver expands via [P.expand]: collect the visited
-       set by re-walking with the outcome's metrics as witness — here
-       we only need the expanded count and outcome, plus membership
-       through a parallel expand accumulator below for the others *)
-    let outcome, m = K.run ?spill ~root:(E.init ~n ~inputs) () in
-    ( (match outcome with
-      | Patterns_search.Search.Exhausted -> "exhausted"
-      | Patterns_search.Search.Truncated r ->
-        "truncated:" ^ Patterns_search.Search.reason_string r
-      | Patterns_search.Search.Goal_found _ -> "goal"),
-      None,
-      m )
-  | Layers | Async ->
-    let expand =
-      {
-        K.empty = (fun () -> ref []);
-        merge =
-          (fun a b ->
-            a := !b @ !a;
-            a);
-        expand =
-          (fun acc c ->
-            acc := E.fingerprint c :: !acc;
-            Pr.expand c);
-      }
-    in
-    Domain_pool.with_pool ~jobs (fun pool ->
-        let outcome, fps, m =
-          match driver with
-          | Layers -> K.run_par ~pool ?spill ~expand ~root:(E.init ~n ~inputs) ()
-          | _ -> K.run_par_async ~pool ?spill ~expand ~root:(E.init ~n ~inputs) ()
-        in
-        ( (match outcome with
-          | Patterns_search.Search.Exhausted -> "exhausted"
-          | Patterns_search.Search.Truncated r ->
-            "truncated:" ^ Patterns_search.Search.reason_string r
-          | Patterns_search.Search.Goal_found _ -> "goal"),
-          Some (List.sort Int.compare !fps),
-          m ))
+  let expand =
+    {
+      K.empty = (fun () -> ref []);
+      merge =
+        (fun a b ->
+          a := !b @ !a;
+          a);
+      expand =
+        (fun acc c ->
+          acc := E.fingerprint c :: !acc;
+          List.rev_map (fun a -> fst (E.apply_exn ~step:0 c a)) (E.applicable c));
+    }
+  in
+  let root = E.init ~n ~inputs in
+  let outcome, fps, m =
+    match driver with
+    | Serial -> K.run ?spill ~expand ~root ()
+    | Async ->
+      Domain_pool.with_pool ~jobs (fun pool -> K.run_par_async ~pool ?spill ~expand ~root ())
+  in
+  ( (match outcome with
+    | Patterns_search.Search.Exhausted -> "exhausted"
+    | Patterns_search.Search.Truncated r -> "truncated:" ^ Patterns_search.Search.reason_string r
+    | Patterns_search.Search.Goal_found _ -> "goal"),
+    List.sort Int.compare !fps,
+    m )
 
 let check_spill_case ~dir entry cases =
   let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
@@ -244,17 +230,15 @@ let check_spill_case ~dir entry cases =
       Alcotest.(check string) (label "outcome") "exhausted" outcome;
       Alcotest.(check int) (label "states_expanded") ref_card
         m.Patterns_search.Metrics.states_expanded;
-      Option.iter
-        (fun fps ->
-          Alcotest.(check int) (label "cardinality") ref_card (List.length fps);
-          Alcotest.(check (list int)) (label "fingerprint multiset") ref_fps fps)
-        fps;
+      Alcotest.(check int) (label "cardinality") ref_card (List.length fps);
+      Alcotest.(check (list int)) (label "fingerprint multiset") ref_fps fps;
       if mem_budget < ref_card then
         Alcotest.(check bool) (label "spilled") true
           (m.Patterns_search.Metrics.spill_runs > 0))
     cases
 
-(* Every registry protocol, every driver, a budget of a quarter of the
+(* Every registry protocol, both drivers (async at jobs 1 to 8), a
+   budget of a quarter of the
    visited set — small enough to force spilling everywhere, large
    enough that each store writes a handful of runs rather than one per
    state (a budget of 1 is roughly quadratic to probe; that regime is
@@ -269,7 +253,13 @@ let test_drivers_spill_oracle () =
       List.iter
         (fun entry ->
           check_spill_case ~dir:d entry
-            [ (Serial, 1, quarter); (Layers, 4, quarter); (Async, 4, quarter) ])
+            [
+              (Serial, 1, quarter);
+              (Async, 1, quarter);
+              (Async, 2, quarter);
+              (Async, 4, quarter);
+              (Async, 8, quarter);
+            ])
         (* the oracle's serial reference BFS must exhaust the reachable
            space; Ben-Or's is combinatorially explosive even at n = 3
            (see test_parallel), so it stays out of this uncapped sweep *)
@@ -288,9 +278,6 @@ let test_drivers_tiny_budget () =
         [
           (Serial, 1, tiny);
           (Serial, 1, small);
-          (Layers, 1, tiny);
-          (Layers, 4, tiny);
-          (Layers, 4, small);
           (Async, 1, tiny);
           (Async, 4, tiny);
           (Async, 4, small);
@@ -313,7 +300,7 @@ let test_scheme_spill_invariant () =
             pick_n (module P) ~default_n:entry.Patterns_protocols.Registry.default_n
           in
           let module S = Patterns_pattern.Scheme.Make (P) in
-          (* budget-truncated sweeps pin the layered driver, whose
+          (* budget-truncated sweeps pin the serial driver, whose
              truncation prefix is deterministic (test_parallel) *)
           let run spill =
             S.scheme ~max_configs:2_000 ~jobs:2 ~par_mode:Patterns_search.Search.Layers
