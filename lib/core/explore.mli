@@ -68,8 +68,8 @@ module Make (P : Protocol.S) : sig
             nothing and costs nothing. *)
     spill : Patterns_search.Search.spill option;
         (** disk-backed visited storage for every vector's search —
-            bit-identical reports and /1–/6 metrics, bounded resident
-            store ({!Patterns_search.Search.spill}) *)
+            identical reports and search counters ([shard_bits] aside),
+            bounded resident store ({!Patterns_search.Search.spill}) *)
     checkpoint : Patterns_search.Checkpoint.spec option;
         (** record each completed input vector's (report, metrics)
             payload; a resumed sweep replays recorded vectors and

@@ -42,7 +42,10 @@ end) : Commit_glue.BASE with type nmsg = nmsg = struct
   let name = Cfg.name
 
   let describe =
-    Printf.sprintf "Figure 3: WT-IC chain protocol (%s)" (Decision_rule.to_string Cfg.rule)
+    if Cfg.amnesic then
+      Printf.sprintf "Figure 3 chain protocol, amnesic ST attempt (%s)"
+        (Decision_rule.to_string Cfg.rule)
+    else Printf.sprintf "Figure 3: WT-IC chain protocol (%s)" (Decision_rule.to_string Cfg.rule)
 
   let amnesic_variant = Cfg.amnesic
   let valid_n n = n >= 2

@@ -36,7 +36,9 @@ end) : Commit_glue.BASE with type nmsg = nmsg = struct
   type nonrec nmsg = nmsg
 
   let name = Cfg.name
-  let describe = "tree-of-processes 2PC ([ML]): votes up, decision down, WT-IC"
+  let describe =
+    Printf.sprintf "tree-of-processes 2PC ([ML]) on a depth-%d tree: votes up, decision down, WT-IC"
+      (Tree.depth Cfg.tree)
   let amnesic_variant = false
   let valid_n n = n = Tree.size Cfg.tree
 

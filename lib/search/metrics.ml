@@ -190,9 +190,8 @@ let with_db ~edges ~index_scans ~cache_hits ~cache_misses m =
    counters are deterministic under the serial driver (eviction
    happens between layers there) and
    schedule-dependent under the asynchronous driver at jobs > 1 — the
-   same caveat as [intern_bindings], and gated the same way by the
-   bench --check harness.  All six are 0 unless a --spill-dir was
-   given.  [fd_reopens] additionally depends on the process-wide
+   same caveat as [intern_bindings].  All six are 0 unless a
+   --spill-dir was given.  [fd_reopens] additionally depends on the process-wide
    descriptor cache (see {!Patterns_stdx.Block_file}), so it is only
    deterministic when one spilling search runs at a time. *)
 let with_spill ~runs ~evictions ~probes ~read_bytes ~write_bytes ~fd_reopens m =
@@ -292,7 +291,7 @@ let merge a b =
     shards = a.shards @ b.shards;
   }
 
-(* Hand-rolled rendering, like the bench harness: no JSON dependency.
+(* Hand-rolled rendering: no JSON dependency.
    Key order is part of the schema and pinned by the cram test.
    Schema /2 appended the fingerprint-store counters after "pruned";
    schema /3 appended the layer-synchronous driver fields after
@@ -325,9 +324,9 @@ let merge a b =
    every other field is unchanged in name, meaning and order.
    "lock_contention", "expand_seconds", "parallel_efficiency" and the
    whole /5 section are the nondeterministic top-level fields
-   (normalized away by the cram test, never compared by the bench
-   --check gate); "deadline_hits" is deterministically 0 when no
-   deadline was set, and wall-clock-dependent when one was. *)
+   (normalized away by the cram test); "deadline_hits" is
+   deterministically 0 when no deadline was set, and
+   wall-clock-dependent when one was. *)
 let schema = "patterns-search-metrics/10"
 
 let wall_seconds m = List.fold_left (fun acc (s : shard) -> acc +. s.seconds) 0. m.shards

@@ -3,11 +3,14 @@
     Every search — scheme enumeration, exhaustive checking,
     realization, randomized hunting, trace scanning — returns one of
     these records alongside its answer, so the cost of an answer is a
-    machine-comparable quantity, not a wall-clock anecdote.  Counters
-    are deterministic for a fixed strategy and input (per-shard
-    [seconds] are the only wall-clock field); sums and maxima are
-    taken in root order, so merged metrics are identical for every
-    [--jobs] value. *)
+    machine-comparable quantity, not a wall-clock anecdote.  Sums and
+    maxima are taken in root order.  Each field's documentation states
+    its determinism class: most counters are deterministic for a fixed
+    driver and input, and on exhaustive searches identical for every
+    [--jobs] value; the timing fields ([seconds], [expand_seconds],
+    [lock_contention]) and the /5 section are volatile; and
+    [intern_bindings], the frontier gauges and the spill counters are
+    schedule-dependent under the async driver at [jobs > 1]. *)
 
 type outcome_kind = Exhausted | Goal_found | Truncated
 
@@ -29,7 +32,7 @@ type shard = {
   intern_bindings : int;
       (** distinct set values interned under this shard's root (0 for
           searches whose states carry no intern table) *)
-  seconds : float;  (** wall-clock for this shard (the only nondeterministic field) *)
+  seconds : float;  (** wall-clock for this shard (nondeterministic) *)
 }
 
 type t = {

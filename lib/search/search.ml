@@ -56,9 +56,11 @@ let with_pool ~jobs par_mode f =
    at [dir] and bounded to [mem_budget] resident bindings.  Probe
    counting, cumulative binding counts and the insertion discipline
    are identical to the in-memory stores, and eviction happens only at
-   driver-chosen points, so outcomes, pattern sets and the /1–/6
-   metrics are bit-identical with or without spilling.  The
-   one semantic shift: the [max_live] guard counts {e resident}
+   driver-chosen points, so outcomes, pattern sets and the search
+   counters are identical with or without spilling.  [shard_bits]
+   follows the store in use: the async driver reports its table's
+   capacity exponent in memory and the spill store's 4 with spilling.
+   The one semantic shift: the [max_live] guard counts {e resident}
    bindings plus frontier, not cumulative bindings — spilling exists
    precisely to take evicted states out of the live-memory budget. *)
 type spill = { dir : string; mem_budget : int }

@@ -83,9 +83,12 @@ val with_pool :
     counts and the insertion discipline are identical to the in-memory
     stores, and eviction happens only at driver-chosen points (serial:
     between layers; async: per processed state), so outcomes,
-    observations and the /1–/6 metrics fields are bit-identical with
-    or without spilling — the /7 spill counters themselves are
-    deterministic except under the async driver at [jobs > 1].  One semantic shift: the [max_live] guard
+    observations and the search counters are identical with or
+    without spilling.  [shard_bits] follows the store in use: under
+    the async driver it is the table's capacity exponent in memory and
+    {!Patterns_stdx.Spill_store.shard_bits} with spilling.  The /7
+    spill counters themselves are deterministic except under the async
+    driver at [jobs > 1].  One semantic shift: the [max_live] guard
     counts {e resident} bindings plus frontier rather than cumulative
     bindings — spilling exists precisely to move cold states out of
     the live-memory budget.  Run files are deleted when the driver

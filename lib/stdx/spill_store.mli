@@ -11,7 +11,8 @@
     collision-freeness assumption the in-memory stores certify with
     their [collision_fallbacks] counter (≈ 0 on every workload in this
     repo).  Eviction points are chosen by the drivers, not by [add],
-    so search outcomes are bit-identical with or without spilling.
+    so search outcomes are identical with or without spilling; only
+    the store-shape gauge [shard_bits] reports this store's value.
 
     Counting discipline matches the in-memory stores: {!mem} and
     {!add_if_absent} each count one probe.  [bindings] reports

@@ -655,6 +655,15 @@ let test_registry () =
         Alcotest.fail (e.Registry.name ^ ": default_n not supported"))
     Registry.all
 
+(* `patterns-cli list` tells the catalogue apart by these strings *)
+let test_registry_descriptions () =
+  let descriptions = List.map (fun e -> e.Registry.describe) Registry.all in
+  List.iter
+    (fun e ->
+      if List.length (List.filter (String.equal e.Registry.describe) descriptions) > 1 then
+        Alcotest.fail (e.Registry.name ^ ": description shared with another entry"))
+    Registry.all
+
 let () =
   Alcotest.run "protocols"
     [
@@ -741,6 +750,7 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "catalogue" `Quick test_registry;
+          Alcotest.test_case "distinct descriptions" `Quick test_registry_descriptions;
           Alcotest.test_case "all decide failure-free" `Quick test_every_protocol_decides_failure_free;
           Alcotest.test_case "seeded determinism" `Quick test_every_protocol_deterministic_per_seed;
           Alcotest.test_case "agreement under crashes" `Slow test_every_protocol_audit_agreement;
