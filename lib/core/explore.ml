@@ -601,30 +601,16 @@ module Make (P : Protocol.S) = struct
     (* even split of the total node budget, so the sharded sweep does
        roughly the work of the old single-visited-set loop *)
     let budget = (options.max_configs + nvec - 1) / nvec in
-    (* Input vectors are baked into every configuration, so the roots
-       partition the state space.  The parallelism is *intra*-root:
-       the async driver spreads each vector's search across the pool,
-       and the outer loop stays on the pool-owning domain (nested pool
-       maps are not supported), merging reports and metrics in vector
-       order. *)
-    (* the optional wall-clock deadline bounds the whole sweep: each
-       vector's search gets the time remaining at its turn *)
-    let t_end =
-      Option.map (fun d -> Patterns_search.Search.now () +. d) options.deadline
-    in
-    let remaining () =
-      Option.map (fun te -> Float.max 0. (te -. Patterns_search.Search.now ())) t_end
-    in
     (* Checkpoint granularity is the input vector, the sweep's natural
        unit of deterministic work.  The header pins everything a
        per-vector (report, metrics) payload depends on; [jobs] and
        [deadline] are absent because jobs never changes a payload and
        deadline-truncated vectors are never recorded. *)
-    let ckpt =
+    let checkpoint =
       Option.map
         (fun spec ->
           let opt = function None -> "-" | Some i -> string_of_int i in
-          let header =
+          ( spec,
             Printf.sprintf "explore/1|%s|rule=%s|n=%d|mf=%d|mc=%d|fifo=%b|ml=%s|mode=%s|spill=%s|iv=%s"
               P.name
               (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
@@ -635,41 +621,16 @@ module Make (P : Protocol.S) = struct
                  (Option.map
                     (fun s -> s.Patterns_search.Search.mem_budget)
                     options.spill))
-              (Digest.to_hex (Digest.string (Marshal.to_string options.inputs_choices [])))
-          in
-          match Patterns_search.Checkpoint.create spec ~header with
-          | Ok t -> t
-          | Error e -> failwith e)
+              (Digest.to_hex (Digest.string (Marshal.to_string options.inputs_choices []))) ))
         options.checkpoint
     in
-    let report, m =
-      Patterns_search.Search.with_pool ~jobs:options.jobs options.par_mode (fun pool ->
-          List.fold_left
-            (fun (acc, ms) (i, inputs) ->
-              let r, m =
-                match
-                  Option.bind ckpt (fun t -> Patterns_search.Checkpoint.find t i)
-                with
-                | Some payload -> payload
-                | None ->
-                  let (_, m) as fresh =
-                    vector_result ?deadline:(remaining ()) ~options ~pool ~budget
-                      ~rule ~n inputs
-                  in
-                  if m.Patterns_search.Metrics.deadline_hits = 0 then
-                    Option.iter
-                      (fun t -> Patterns_search.Checkpoint.record t i fresh)
-                      ckpt;
-                  fresh
-              in
-              ( merge_reports acc r,
-                Patterns_search.Metrics.merge ms
-                  (Patterns_search.Metrics.with_root_index i m) ))
-            (empty_report, Patterns_search.Metrics.zero)
-            (List.mapi (fun i v -> (i, v)) options.inputs_choices))
-    in
-    Patterns_search.Search.merge_into metrics m;
-    report
+    (* Input vectors are baked into every configuration, so the roots
+       partition the state space; reports merge in vector order. *)
+    Patterns_search.Search.sweep ?metrics ?deadline:options.deadline ?checkpoint
+      ~jobs:options.jobs options.par_mode
+      ~root:(fun pool ~deadline inputs ->
+        vector_result ?deadline ~options ~pool ~budget ~rule ~n inputs)
+      ~merge:merge_reports empty_report options.inputs_choices
 
   let pp_report ppf r =
     let opt name = function

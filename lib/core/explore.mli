@@ -164,9 +164,10 @@ module Make (P : Protocol.S) : sig
     n:int ->
     unit ->
     report
-  (** One search per input vector, sequentially in vector order, under
-      the driver selected by [options.par_mode] ([Async] spreads each
-      vector's search across [options.jobs] domains).  The optional sink
+  (** One search per input vector, sequentially in vector order
+      through {!Patterns_search.Search.sweep}, under the driver
+      selected by [options.par_mode] ([Async] spreads each vector's
+      search across [options.jobs] domains).  The optional sink
       accumulates the kernel's counters
       ({!Patterns_search.Search.merge_into}). *)
 

@@ -210,14 +210,6 @@ module Make (P : Protocol.S) = struct
       (opt (Option.map (fun s -> s.Search.mem_budget) spill))
       (if extra = "" then "" else "|" ^ extra)
 
-  let open_checkpoint spec ~header =
-    Option.map
-      (fun spec ->
-        match Checkpoint.create spec ~header with
-        | Ok t -> t
-        | Error e -> failwith e)
-      spec
-
   (* [par_mode] defaults to [Layers], not [Async]: the documented
      shortest-witness guarantee needs the serial driver's canonical
      breadth-first order, and realization is prune-heavy, which the
@@ -264,42 +256,38 @@ module Make (P : Protocol.S) = struct
     (* the target (and input vector) are part of what the recorded
        answer depends on; a structural digest keys them into the
        header *)
-    let header =
-      checkpoint_header ~kind:"realize" ~max_configs:max_configs ?max_live ~par_mode
-        ?spill
-        ~extra:
-          (Printf.sprintf "key=%s"
-             (Digest.to_hex (Digest.string (Marshal.to_string (inputs, target) []))))
-        ~n ()
+    let checkpoint =
+      Option.map
+        (fun spec ->
+          ( spec,
+            checkpoint_header ~kind:"realize" ~max_configs ?max_live ~par_mode ?spill
+              ~extra:
+                (Printf.sprintf "key=%s"
+                   (Digest.to_hex (Digest.string (Marshal.to_string (inputs, target) []))))
+              ~n () ))
+        checkpoint
     in
-    let ckpt = open_checkpoint checkpoint ~header in
-    match Option.bind ckpt (fun t -> Checkpoint.find t 0) with
-    | Some (r, m) ->
-      Search.merge_into metrics m;
-      r
-    | None ->
-      let root_config = E.init ~n ~inputs in
-      let root = R.make root_config [] in
-      let outcome, (), m =
-        match par_mode with
-        | Search.Layers ->
-          K.run ~budget:max_configs ?deadline ?max_live ?spill ~is_goal ~prune ~expand ~root ()
-        | Search.Async ->
-          Patterns_stdx.Domain_pool.with_pool ~jobs (fun pool ->
-              K.run_par_async ~pool ~budget:max_configs ?deadline ?max_live ?spill ~is_goal
-                ~prune ~expand ~root ())
-      in
-      let m = Metrics.with_intern_bindings (E.intern_bindings root_config) m in
-      Search.merge_into metrics m;
-      let r =
-        match outcome with
-        | Search.Goal_found s -> Realized (List.rev s.R.path)
-        | Search.Exhausted -> Unrealizable
-        | Search.Truncated _ -> Truncated
-      in
-      if m.Metrics.deadline_hits = 0 then
-        Option.iter (fun t -> Checkpoint.record t 0 (r, m)) ckpt;
-      r
+    (* a realization is a sweep of one root, recorded at index 0 *)
+    Search.sweep ?metrics ?deadline ?checkpoint ~jobs par_mode
+      ~root:(fun pool ~deadline () ->
+        let root_config = E.init ~n ~inputs in
+        let root = R.make root_config [] in
+        let outcome, (), m =
+          match par_mode with
+          | Search.Layers ->
+            K.run ~budget:max_configs ?deadline ?max_live ?spill ~is_goal ~prune ~expand ~root ()
+          | Search.Async ->
+            K.run_par_async ~pool ~budget:max_configs ?deadline ?max_live ?spill ~is_goal
+              ~prune ~expand ~root ()
+        in
+        let r =
+          match outcome with
+          | Search.Goal_found s -> Realized (List.rev s.R.path)
+          | Search.Exhausted -> Unrealizable
+          | Search.Truncated _ -> Truncated
+        in
+        (r, Metrics.with_intern_bindings (E.intern_bindings root_config) m))
+      ~merge:(fun _ r -> r) Truncated [ () ]
 
   let merge_stats a b =
     {
@@ -310,49 +298,23 @@ module Make (P : Protocol.S) = struct
 
   (* Input vectors are part of every configuration, so no configuration
      is reachable from two different vectors: the roots partition the
-     state space.  The parallelism is *intra*-root — the async driver
-     spreads each root's search across the pool — so the outer loop
-     over vectors stays on the pool-owning domain (nested pool maps are
-     not supported) and merges payloads and metrics in vector order. *)
+     state space, and payloads merge in vector order. *)
   let scheme ?metrics ?max_configs ?deadline ?max_live ?(jobs = 1) ?par_mode ?spill
       ?checkpoint ~n () =
-    (* [deadline] bounds the whole sweep, so each root receives the
-       time remaining when its turn comes; a root starting past the
-       deadline gets a zero allowance and truncates immediately *)
-    let t_end = Option.map (fun d -> Search.now () +. d) deadline in
-    let remaining () = Option.map (fun te -> Float.max 0. (te -. Search.now ())) t_end in
-    let header = checkpoint_header ~kind:"scheme" ?max_configs ?max_live ?par_mode ?spill ~n () in
-    let ckpt = open_checkpoint checkpoint ~header in
-    let result, m =
-      Search.with_pool ~jobs (Option.value par_mode ~default:Search.Async) (fun pool ->
-          List.fold_left
-            (fun ((acc, st), ms) (i, inputs) ->
-              let (pats, st'), m =
-                match Option.bind ckpt (fun t -> Checkpoint.find t i) with
-                | Some payload -> payload
-                | None ->
-                  let ((_, _), m) as fresh =
-                    patterns_for_inputs_m ~pool ?par_mode ?max_configs
-                      ?deadline:(remaining ()) ?max_live ?spill ~n ~inputs ()
-                  in
-                  (* deadline truncation is wall-clock-dependent;
-                     recording it would bake nondeterminism into a
-                     resumed sweep, so such roots re-run instead *)
-                  if m.Metrics.deadline_hits = 0 then
-                    Option.iter (fun t -> Checkpoint.record t i fresh) ckpt;
-                  fresh
-              in
-              ( (Pattern.Set.union acc pats, merge_stats st st'),
-                Metrics.merge ms (Metrics.with_root_index i m) ))
-            ( ( Pattern.Set.empty,
-                { configs_visited = 0; terminal_configs = 0; truncated = false } ),
-              Metrics.zero )
-            (List.mapi
-               (fun i v -> (i, v))
-               (Patterns_stdx.Listx.all_bool_vectors n)))
+    let checkpoint =
+      Option.map
+        (fun spec ->
+          (spec, checkpoint_header ~kind:"scheme" ?max_configs ?max_live ?par_mode ?spill ~n ()))
+        checkpoint
     in
-    Search.merge_into metrics m;
-    result
+    Search.sweep ?metrics ?deadline ?checkpoint ~jobs
+      (Option.value par_mode ~default:Search.Async)
+      ~root:(fun pool ~deadline inputs ->
+        patterns_for_inputs_m ~pool ?par_mode ?max_configs ?deadline ?max_live ?spill ~n
+          ~inputs ())
+      ~merge:(fun (acc, st) (pats, st') -> (Pattern.Set.union acc pats, merge_stats st st'))
+      (Pattern.Set.empty, { configs_visited = 0; terminal_configs = 0; truncated = false })
+      (Patterns_stdx.Listx.all_bool_vectors n)
 end
 
 let subscheme a b = Pattern.Set.subset a b

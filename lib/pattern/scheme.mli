@@ -80,8 +80,9 @@ module Make (P : Protocol.S) : sig
     n:int ->
     unit ->
     Pattern.Set.t * stats
-  (** Union over all [2^n] input vectors: the scheme proper.  Stats
-      are summed in vector order.  Parallelism is intra-root: under
+  (** Union over all [2^n] input vectors, one
+      {!Patterns_search.Search.sweep} root each: the scheme proper.
+      Stats are summed in vector order.  Parallelism is intra-root: under
       the default async driver each vector's search is spread across
       [jobs] domains; an exhaustive sweep gives the same scheme and
       stats for every [jobs] and [par_mode].  [deadline] bounds the whole

@@ -135,43 +135,6 @@ let of_shard outcome (s : shard) =
     shards = [ s ];
   }
 
-(* Retag a single-root metrics record with the serial driver's layer
-   statistics.  Every field except [expand_seconds] is deterministic:
-   layer structure and per-group occupancy are functions of the
-   reachable graph (and the constant [shard_bits]). *)
-let with_par ~layers ~shard_bits ~occupancy_max ~occupancy_total ~expand_seconds m =
-  {
-    m with
-    layers;
-    shard_bits;
-    shard_occupancy_max = occupancy_max;
-    shard_occupancy_total = occupancy_total;
-    expand_seconds;
-  }
-
-(* Retag a single-root metrics record with the asynchronous driver's
-   statistics.  [shard_bits] is the table's presized capacity log2 (a
-   create-time constant) and [occupancy_total] the final binding count
-   — both deterministic; the work-stealing and CAS counters plus the
-   load factor and idle time are volatile, schedule-dependent
-   quantities and live in the schema's /5 section.  The layered
-   fields (layers, shard_occupancy_max) stay 0: there are no layers
-   and no shards to report. *)
-let with_async ~shard_bits ~occupancy_total ~lock_contention ~expand_seconds ~steals
-    ~steal_failures ~cas_retries ~table_occupancy ~idle_seconds m =
-  {
-    m with
-    shard_bits;
-    shard_occupancy_total = occupancy_total;
-    lock_contention;
-    expand_seconds;
-    steals;
-    steal_failures;
-    cas_retries;
-    table_occupancy;
-    idle_seconds;
-  }
-
 (* Retag a metrics record with an execution-database snapshot.  All
    four counters are deterministic for a given recorded edge set and
    query sequence: the edge count is a set cardinality and the
@@ -184,25 +147,6 @@ let with_db ~edges ~index_scans ~cache_hits ~cache_misses m =
     db_index_scans = index_scans;
     db_cache_hits = cache_hits;
     db_cache_misses = cache_misses;
-  }
-
-(* Retag a metrics record with a spill-store snapshot.  All six
-   counters are deterministic under the serial driver (eviction
-   happens between layers there) and
-   schedule-dependent under the asynchronous driver at jobs > 1 — the
-   same caveat as [intern_bindings].  All six are 0 unless a
-   --spill-dir was given.  [fd_reopens] additionally depends on the process-wide
-   descriptor cache (see {!Patterns_stdx.Block_file}), so it is only
-   deterministic when one spilling search runs at a time. *)
-let with_spill ~runs ~evictions ~probes ~read_bytes ~write_bytes ~fd_reopens m =
-  {
-    m with
-    spill_runs = runs;
-    spill_evictions = evictions;
-    spill_probes = probes;
-    spill_read_bytes = read_bytes;
-    spill_write_bytes = write_bytes;
-    spill_fd_reopens = fd_reopens;
   }
 
 (* Retag a metrics record with the incremental-derivation counters.

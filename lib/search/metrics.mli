@@ -3,8 +3,11 @@
     Every search — scheme enumeration, exhaustive checking,
     realization, randomized hunting, trace scanning — returns one of
     these records alongside its answer, so the cost of an answer is a
-    machine-comparable quantity, not a wall-clock anecdote.  Sums and
-    maxima are taken in root order.  Each field's documentation states
+    machine-comparable quantity, not a wall-clock anecdote.  Both
+    kernel drivers build theirs in one shared step of
+    {!Search.Make} (driver tallies, store counters, guard hits), and
+    {!Search.sweep} merges the per-root records.  Sums and maxima are
+    taken in root order.  Each field's documentation states
     its determinism class: most counters are deterministic for a fixed
     driver and input, and on exhaustive searches identical for every
     [--jobs] value; the timing fields ([seconds], [expand_seconds],
@@ -52,8 +55,9 @@ type t = {
   layers : int;  (** BFS layers charged by the serial driver *)
   shard_bits : int;
       (** serial driver: log2 of the insertion-group count (4); async
-          driver: log2 of the visited table's presized capacity; maxed
-          on merge *)
+          driver: log2 of the visited table's starting capacity (6), or
+          of the spill store's shard count (4) with spilling; maxed on
+          merge *)
   shard_occupancy_max : int;
       (** largest per-group binding count of the serial driver; maxed
           on merge *)
@@ -164,57 +168,11 @@ val with_intern_bindings : int -> t -> t
     The kernel cannot see the client's intern tables, so per-root
     metrics are retagged with the root's table size after the run. *)
 
-val with_par :
-  layers:int ->
-  shard_bits:int ->
-  occupancy_max:int ->
-  occupancy_total:int ->
-  expand_seconds:float ->
-  t ->
-  t
-(** Retag a single-root record with the serial driver's layer
-    statistics.  All but [expand_seconds] are deterministic functions
-    of the reachable graph. *)
-
-val with_async :
-  shard_bits:int ->
-  occupancy_total:int ->
-  lock_contention:int ->
-  expand_seconds:float ->
-  steals:int ->
-  steal_failures:int ->
-  cas_retries:int ->
-  table_occupancy:float ->
-  idle_seconds:float ->
-  t ->
-  t
-(** Retag a single-root record with the asynchronous driver's
-    statistics.  [shard_bits] is the visited table's presized capacity
-    log2 (a create-time constant) and [occupancy_total] its final
-    binding count — deterministic; the rest is the /5 volatile
-    section.  [layers] and [shard_occupancy_max] stay 0: the async
-    driver has no layers and no insertion groups. *)
-
 val with_db :
   edges:int -> index_scans:int -> cache_hits:int -> cache_misses:int -> t -> t
 (** Retag a record with an execution-database snapshot (the /6
     section).  All four counters are deterministic for a given
     recorded edge set and query sequence. *)
-
-val with_spill :
-  runs:int ->
-  evictions:int ->
-  probes:int ->
-  read_bytes:int ->
-  write_bytes:int ->
-  fd_reopens:int ->
-  t ->
-  t
-(** Retag a record with a spill-store snapshot (the /7 section plus
-    /8's [spill_fd_reopens]).  Deterministic under the serial
-    driver; schedule-dependent under the async
-    driver at [jobs > 1] (like [intern_bindings]).  All 0 unless a
-    [--spill-dir] was given. *)
 
 val with_incremental :
   ?prefix_hits:int -> ?prefix_states_saved:int -> ?delta_reused_edges:int -> t -> t

@@ -20,17 +20,6 @@ let outcome_kind = function
   | Goal_found _ -> Metrics.Goal_found
   | Truncated _ -> Metrics.Truncated
 
-(* the graceful-degradation counters carried into the metrics record:
-   which of the overrun guards (if any) stopped this search *)
-let degradation_hits = function
-  | Truncated (Deadline_exceeded _) -> (1, 0)
-  | Truncated (Live_limit_exceeded _) -> (0, 1)
-  | _ -> (0, 0)
-
-let with_degradation outcome (m : Metrics.t) =
-  let deadline_hits, live_limit_hits = degradation_hits outcome in
-  { m with Metrics.deadline_hits; live_limit_hits }
-
 let truncated = function Truncated _ -> true | _ -> false
 
 let merge_into sink m = Option.iter (fun r -> r := Metrics.merge !r m) sink
@@ -51,79 +40,19 @@ let par_mode_string = function Layers -> "layers" | Async -> "async"
 let with_pool ~jobs par_mode f =
   Domain_pool.with_pool ~jobs:(match par_mode with Layers -> 1 | Async -> jobs) f
 
-(* Disk-backed visited storage: when set, both drivers swap their
-   in-memory visited store for a {!Patterns_stdx.Spill_store} rooted
-   at [dir] and bounded to [mem_budget] resident bindings.  Probe
-   counting, cumulative binding counts and the insertion discipline
-   are identical to the in-memory stores, and eviction happens only at
+(* Disk-backed visited storage: when set, both drivers swap the
+   in-memory table for a {!Patterns_stdx.Spill_store} rooted at [dir]
+   and bounded to [mem_budget] resident bindings.  Probe counting,
+   cumulative binding counts and the insertion discipline are
+   identical to the table's, and eviction happens only at
    driver-chosen points, so outcomes, pattern sets and the search
    counters are identical with or without spilling.  [shard_bits]
-   follows the store in use: the async driver reports its table's
-   capacity exponent in memory and the spill store's 4 with spilling.
+   follows the store in use: the async driver reports the table's
+   starting exponent in memory and the spill store's 4 with spilling.
    The one semantic shift: the [max_live] guard counts {e resident}
    bindings plus frontier, not cumulative bindings — spilling exists
    precisely to take evicted states out of the live-memory budget. *)
 type spill = { dir : string; mem_budget : int }
-
-(* ----- fingerprint-indexed visited store ----- *)
-
-module Store = struct
-  module Fp_tbl = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Int.equal
-    let hash = Fingerprint.to_int
-  end)
-
-  type 'a t = {
-    equal : 'a -> 'a -> bool;
-    fingerprint : 'a -> Fingerprint.t;
-    tbl : 'a list Fp_tbl.t;
-    mutable bindings : int;
-    mutable probes : int;
-    mutable collision_fallbacks : int;
-  }
-
-  let create ?(size = 1024) ~equal ~fingerprint () =
-    {
-      equal;
-      fingerprint;
-      tbl = Fp_tbl.create size;
-      bindings = 0;
-      probes = 0;
-      collision_fallbacks = 0;
-    }
-
-  (* A fingerprint match is never trusted on its own: a hit is
-     confirmed structurally, and a bucket member that fails the
-     structural test is a true fingerprint collision, counted so the
-     metrics can certify it (essentially) never happens. *)
-  let bucket_mem t x bucket =
-    if List.exists (fun y -> not (t.equal x y)) bucket then
-      t.collision_fallbacks <- t.collision_fallbacks + 1;
-    List.exists (t.equal x) bucket
-
-  let mem t x =
-    t.probes <- t.probes + 1;
-    match Fp_tbl.find_opt t.tbl (t.fingerprint x) with
-    | None -> false
-    | Some bucket -> bucket_mem t x bucket
-
-  let add_if_absent t x =
-    t.probes <- t.probes + 1;
-    let fp = t.fingerprint x in
-    let bucket = match Fp_tbl.find_opt t.tbl fp with Some b -> b | None -> [] in
-    if bucket_mem t x bucket then false
-    else begin
-      Fp_tbl.replace t.tbl fp (x :: bucket);
-      t.bindings <- t.bindings + 1;
-      true
-    end
-
-  let bindings t = t.bindings
-  let probes t = t.probes
-  let collision_fallbacks t = t.collision_fallbacks
-end
 
 module type Problem = sig
   type state
@@ -166,20 +95,154 @@ module Make (P : Problem) = struct
         succs
       |> List.iteri (fun i dst -> f ~src ~event:i ~dst)
 
-  (* the /7 section of a spilling search, and the run files' disposal *)
-  let spill_finish visited m =
-    let m =
-      Metrics.with_spill
-        ~runs:(Spill_store.spill_runs visited)
-        ~evictions:(Spill_store.spill_evictions visited)
-        ~probes:(Spill_store.spill_probes visited)
-        ~read_bytes:(Spill_store.spill_read_bytes visited)
-        ~write_bytes:(Spill_store.spill_write_bytes visited)
-        ~fd_reopens:(Spill_store.spill_fd_reopens visited)
-        m
+  (* ----- the visited store, the guards and the metrics step ----- *)
+
+  (* The one visited interface both drivers use, over either store:
+     the lock-free [Atomic_table] in memory (the serial driver is its
+     worker 0) or, with [spill], the [Spill_store], whose add ignores
+     the worker hint.  [live] feeds the [max_live] guard: every binding
+     in memory, the resident ones when spilling.  [evict] is the spill
+     store's eviction point, which each driver calls where it keeps
+     the counts deterministic (serial: between layers; async: once per
+     processed state, deterministic at --jobs 1 and schedule-dependent
+     above it — the /7 counters carry the same jobs>1 caveat as
+     [intern_bindings]).  [bits] is what the async driver reports as
+     [shard_bits]: the table's starting exponent, or the spill store's
+     shard count.  [finish] adds the /7 spill section and deletes the
+     run files. *)
+  type visited = {
+    add : worker:int -> P.state -> bool;
+    mem : P.state -> bool;
+    live : unit -> int;
+    bindings : unit -> int;
+    probes : unit -> int;
+    collision_fallbacks : unit -> int;
+    lock_contention : unit -> int;
+    cas_retries : unit -> int;
+    occupancy : unit -> float;
+    bits : int;
+    evict : unit -> unit;
+    finish : Metrics.t -> Metrics.t;
+  }
+
+  let visited ~workers spill =
+    let equal a b = P.compare a b = 0 in
+    match spill with
+    | None ->
+      let t = Atomic_table.create ~workers ~equal ~fingerprint:P.fingerprint () in
+      {
+        add = (fun ~worker s -> Atomic_table.add_if_absent t ~worker s);
+        mem = Atomic_table.mem t ~worker:0;
+        live = (fun () -> Atomic_table.bindings t);
+        bindings = (fun () -> Atomic_table.bindings t);
+        probes = (fun () -> Atomic_table.probes t);
+        collision_fallbacks = (fun () -> Atomic_table.collision_fallbacks t);
+        lock_contention = (fun () -> Atomic_table.lock_contention t);
+        cas_retries = (fun () -> Atomic_table.cas_retries t);
+        occupancy = (fun () -> Atomic_table.occupancy t);
+        bits = Atomic_table.initial_bits t;
+        evict = ignore;
+        finish = Fun.id;
+      }
+    | Some { dir; mem_budget } ->
+      let t = Spill_store.create ~equal ~fingerprint:P.fingerprint ~dir ~mem_budget () in
+      {
+        add = (fun ~worker:_ s -> Spill_store.add_if_absent t s);
+        mem = Spill_store.mem t;
+        live = (fun () -> Spill_store.resident t);
+        bindings = (fun () -> Spill_store.bindings t);
+        probes = (fun () -> Spill_store.probes t);
+        collision_fallbacks = (fun () -> Spill_store.collision_fallbacks t);
+        lock_contention = (fun () -> Spill_store.lock_contention t);
+        cas_retries = (fun () -> 0);
+        occupancy = (fun () -> 0.);
+        bits = Spill_store.shard_bits;
+        evict = (fun () -> Spill_store.maybe_evict t);
+        finish =
+          (fun m ->
+            let m =
+              {
+                m with
+                Metrics.spill_runs = Spill_store.spill_runs t;
+                spill_evictions = Spill_store.spill_evictions t;
+                spill_probes = Spill_store.spill_probes t;
+                spill_read_bytes = Spill_store.spill_read_bytes t;
+                spill_write_bytes = Spill_store.spill_write_bytes t;
+                spill_fd_reopens = Spill_store.spill_fd_reopens t;
+              }
+            in
+            Spill_store.dispose t;
+            m);
+      }
+
+  (* The graceful-degradation guards, shared by both drivers and
+     checked in a fixed order: the live-state limit, then the
+     wall-clock deadline.  [None] when neither is set, so an unguarded
+     search pays one branch per check.  The live count is the store's
+     plus [pending], the states a driver holds outside it: the serial
+     driver's whole next layer, nothing for the async driver, which
+     claims states into the store as it generates them. *)
+  let guard ?max_live ?deadline visited ~t0 =
+    if max_live = None && deadline = None then None
+    else
+      Some
+        (fun pending ->
+          let over_live =
+            Option.bind max_live (fun limit ->
+                let live = visited.live () + pending in
+                if live > limit then Some (Live_limit_exceeded { limit; live }) else None)
+          in
+          if Option.is_some over_live then over_live
+          else
+            Option.bind deadline (fun d ->
+                let elapsed = now () -. t0 in
+                if elapsed >= d then Some (Deadline_exceeded { deadline = d; elapsed })
+                else None))
+
+  (* The metrics step both drivers end with: their tallies, the
+     store's counters and which guard (if any) stopped the search,
+     straight into one single-root record.  The serial driver adds its
+     layer gauges, the async one its work-stealing section; a field a
+     driver does not pass stays 0. *)
+  let metrics visited outcome ~t0 ~expanded ~dedup ~pruned ~peak ~expand_seconds
+      ?(layers = 0) ?(shard_bits = visited.bits) ?(occupancy_max = 0) ?(steals = 0)
+      ?(steal_failures = 0) ?(idle_seconds = 0.) () =
+    let shard =
+      {
+        Metrics.root = 0;
+        states_expanded = expanded;
+        dedup_hits = dedup;
+        frontier_peak = peak;
+        pruned;
+        fingerprint_probes = visited.probes ();
+        collision_fallbacks = visited.collision_fallbacks ();
+        intern_bindings = 0;
+        seconds = now () -. t0;
+      }
     in
-    Spill_store.dispose visited;
-    m
+    let deadline_hits, live_limit_hits =
+      match outcome with
+      | Truncated (Deadline_exceeded _) -> (1, 0)
+      | Truncated (Live_limit_exceeded _) -> (0, 1)
+      | _ -> (0, 0)
+    in
+    visited.finish
+      {
+        (Metrics.of_shard (outcome_kind outcome) shard) with
+        layers;
+        shard_bits;
+        shard_occupancy_max = occupancy_max;
+        shard_occupancy_total = visited.bindings ();
+        deadline_hits;
+        live_limit_hits;
+        lock_contention = visited.lock_contention ();
+        expand_seconds;
+        steals;
+        steal_failures;
+        cas_retries = visited.cas_retries ();
+        table_occupancy = visited.occupancy ();
+        idle_seconds;
+      }
 
   (* ----- the serial driver: breadth-first in canonical layer order ----- *)
 
@@ -192,52 +255,9 @@ module Make (P : Problem) = struct
 
   let shard_of s = Fingerprint.to_int (P.fingerprint s) lsr (62 - shard_bits)
 
-  (* The serial driver's visited interface.  [sv_layer_end] is the
-     spill store's eviction point (between layers, so spilling cannot
-     move a truncation or change a count); [sv_live] feeds the
-     [max_live] guard: cumulative bindings in memory, resident
-     bindings when spilling. *)
-  type serial_store = {
-    sv_mem : P.state -> bool;
-    sv_add_if_absent : P.state -> bool;
-    sv_live : unit -> int;
-    sv_probes : unit -> int;
-    sv_collision_fallbacks : unit -> int;
-    sv_layer_end : unit -> unit;
-    sv_finish : Metrics.t -> Metrics.t;
-  }
-
-  let serial_store spill =
-    let equal a b = P.compare a b = 0 in
-    match spill with
-    | None ->
-      let visited = Store.create ~equal ~fingerprint:P.fingerprint () in
-      {
-        sv_mem = Store.mem visited;
-        sv_add_if_absent = Store.add_if_absent visited;
-        sv_live = (fun () -> Store.bindings visited);
-        sv_probes = (fun () -> Store.probes visited);
-        sv_collision_fallbacks = (fun () -> Store.collision_fallbacks visited);
-        sv_layer_end = ignore;
-        sv_finish = Fun.id;
-      }
-    | Some { dir; mem_budget } ->
-      let visited =
-        Spill_store.create ~equal ~fingerprint:P.fingerprint ~dir ~mem_budget ()
-      in
-      {
-        sv_mem = Spill_store.mem visited;
-        sv_add_if_absent = Spill_store.add_if_absent visited;
-        sv_live = (fun () -> Spill_store.resident visited);
-        sv_probes = (fun () -> Spill_store.probes visited);
-        sv_collision_fallbacks = (fun () -> Spill_store.collision_fallbacks visited);
-        sv_layer_end = (fun () -> Spill_store.maybe_evict visited);
-        sv_finish = spill_finish visited;
-      }
-
   let run ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune ?edges
       ~expand:obs_iface ~root () =
-    let visited = serial_store spill in
+    let visited = visited ~workers:1 spill in
     let obs = obs_iface.empty () in
     let expanded = ref 0 and dedup = ref 0 and pruned = ref 0 in
     let peak = ref 0 and layers = ref 0 and expand_seconds = ref 0. in
@@ -247,7 +267,7 @@ module Make (P : Problem) = struct
        expensive predicate (pattern-prefix tests), membership the
        cheap one *)
     let keep s =
-      if visited.sv_mem s then begin
+      if visited.mem s then begin
         incr dedup;
         false
       end
@@ -259,7 +279,7 @@ module Make (P : Problem) = struct
         | _ -> true
     in
     let insert i s =
-      if visited.sv_add_if_absent s then begin
+      if visited.add ~worker:0 s then begin
         occupancy.(i) <- occupancy.(i) + 1;
         true
       end
@@ -269,18 +289,10 @@ module Make (P : Problem) = struct
       end
     in
     let t0 = now () in
-    (* overrun guards, checked once per layer before the layer is
-       charged: overshoot is bounded by one layer, and the live-state
-       check sees the store plus the whole pending frontier *)
-    let over_run len =
-      let live = visited.sv_live () + len and elapsed = now () -. t0 in
-      match (max_live, deadline) with
-      | Some limit, _ when live > limit ->
-        Some (Truncated (Live_limit_exceeded { limit; live }))
-      | _, Some d when elapsed >= d ->
-        Some (Truncated (Deadline_exceeded { deadline = d; elapsed }))
-      | _ -> None
-    in
+    (* checked once per layer before the layer is charged: overshoot is
+       bounded by one layer, and the live-state check sees the store
+       plus the whole pending frontier *)
+    let guard = guard ?max_live ?deadline visited ~t0 in
     (* budget and goal are charged in frontier order before any
        expansion, so a mid-layer stop is deterministic *)
     let rec charge = function
@@ -297,8 +309,8 @@ module Make (P : Problem) = struct
       let len = List.length frontier in
       if len = 0 then Exhausted
       else
-        match over_run len with
-        | Some t -> t
+        match Option.bind guard (fun g -> g len) with
+        | Some reason -> Truncated reason
         | None -> (
           incr layers;
           if len > !peak then peak := len;
@@ -330,43 +342,25 @@ module Make (P : Problem) = struct
                 (List.mapi (fun i cands -> List.filter (insert i) (List.rev cands))
                    (Array.to_list by_shard))
             in
-            visited.sv_layer_end ();
+            visited.evict ();
             loop next)
     in
     ignore (insert (shard_of root) root : bool);
     let outcome = loop [ root ] in
-    let seconds = now () -. t0 in
-    let shard =
-      {
-        Metrics.root = 0;
-        states_expanded = !expanded;
-        dedup_hits = !dedup;
-        frontier_peak = !peak;
-        pruned = !pruned;
-        fingerprint_probes = visited.sv_probes ();
-        collision_fallbacks = visited.sv_collision_fallbacks ();
-        intern_bindings = 0;
-        seconds;
-      }
-    in
-    let m =
-      Metrics.of_shard (outcome_kind outcome) shard
-      |> Metrics.with_par ~layers:!layers ~shard_bits
-           ~occupancy_max:(Array.fold_left max 0 occupancy)
-           ~occupancy_total:(Array.fold_left ( + ) 0 occupancy)
-           ~expand_seconds:!expand_seconds
-    in
-    (outcome, obs, visited.sv_finish (with_degradation outcome m))
+    ( outcome,
+      obs,
+      metrics visited outcome ~t0 ~expanded:!expanded ~dedup:!dedup ~pruned:!pruned
+        ~peak:!peak ~expand_seconds:!expand_seconds ~layers:!layers ~shard_bits
+        ~occupancy_max:(Array.fold_left max 0 occupancy) () )
 
   (* ----- asynchronous work-stealing driver ----- *)
 
   (* No layers, no barrier: each worker owns a Chase–Lev deque and
      works depth-first on its own bottom end, hunting round-robin over
-     the other deques when its own runs dry.  The visited set is the
-     lock-free [Atomic_table]; a successor is claimed into it at
-     generation time (add_if_absent doubles as the membership test),
-     so a state enters exactly one deque and is processed exactly
-     once.
+     the other deques when its own runs dry.  A successor is claimed
+     into the visited store at generation time (add doubles as the
+     membership test), so a state enters exactly one deque and is
+     processed exactly once.
 
      Quiescence: [in_flight] counts the root plus every claimed,
      not-yet-retired state.  A worker increments it for each fresh
@@ -390,66 +384,11 @@ module Make (P : Problem) = struct
      workers keep draining their deques, dropping every state whose
      budget ticket is out of range, so exactly [budget] tickets are
      consumed and [states_expanded] is deterministic even for a
-     truncated search (the *set* expanded is schedule-dependent).
-
-     The async driver's visited interface.  With a spill store the
-     lock-free table is replaced by the mutex-sharded spill cache
-     (add_if_absent ignores the worker hint); [av_tick] is the
-     eviction check, run once per processed state — deterministic at
-     [--jobs 1], schedule-dependent above it, which is why the /7
-     counters carry the same jobs>1 caveat as [intern_bindings]. *)
-  type async_store = {
-    av_add_if_absent : worker:int -> P.state -> bool;
-    av_live : unit -> int;
-    av_bindings : unit -> int;
-    av_probes : unit -> int;
-    av_collision_fallbacks : unit -> int;
-    av_lock_contention : unit -> int;
-    av_cas_retries : unit -> int;
-    av_occupancy : unit -> float;
-    av_bits : int;
-    av_tick : unit -> unit;
-    av_finish : Metrics.t -> Metrics.t;
-  }
-
-  let async_store ?capacity ~workers spill =
-    let equal a b = P.compare a b = 0 in
-    match spill with
-    | None ->
-      let table = Atomic_table.create ?capacity ~workers ~equal ~fingerprint:P.fingerprint () in
-      {
-        av_add_if_absent = (fun ~worker s -> Atomic_table.add_if_absent table ~worker s);
-        av_live = (fun () -> Atomic_table.bindings table);
-        av_bindings = (fun () -> Atomic_table.bindings table);
-        av_probes = (fun () -> Atomic_table.probes table);
-        av_collision_fallbacks = (fun () -> Atomic_table.collision_fallbacks table);
-        av_lock_contention = (fun () -> Atomic_table.lock_contention table);
-        av_cas_retries = (fun () -> Atomic_table.cas_retries table);
-        av_occupancy = (fun () -> Atomic_table.occupancy table);
-        av_bits = Atomic_table.initial_bits table;
-        av_tick = ignore;
-        av_finish = Fun.id;
-      }
-    | Some { dir; mem_budget } ->
-      let visited = Spill_store.create ~equal ~fingerprint:P.fingerprint ~dir ~mem_budget () in
-      {
-        av_add_if_absent = (fun ~worker:_ s -> Spill_store.add_if_absent visited s);
-        av_live = (fun () -> Spill_store.resident visited);
-        av_bindings = (fun () -> Spill_store.bindings visited);
-        av_probes = (fun () -> Spill_store.probes visited);
-        av_collision_fallbacks = (fun () -> Spill_store.collision_fallbacks visited);
-        av_lock_contention = (fun () -> Spill_store.lock_contention visited);
-        av_cas_retries = (fun () -> 0);
-        av_occupancy = (fun () -> 0.);
-        av_bits = Spill_store.shard_bits;
-        av_tick = (fun () -> Spill_store.maybe_evict visited);
-        av_finish = spill_finish visited;
-      }
-
-  let run_par_async ?pool ?capacity ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal
-      ?prune ?edges ~expand:obs_iface ~root () =
+     truncated search (the *set* expanded is schedule-dependent). *)
+  let run_par_async ?pool ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune
+      ?edges ~expand:obs_iface ~root () =
     let workers = match pool with Some p -> Domain_pool.jobs p | None -> 1 in
-    let table = async_store ?capacity ~workers spill in
+    let visited = visited ~workers spill in
     let goal = match is_goal with Some g -> g | None -> fun _ -> false in
     let deques = Array.init workers (fun _ -> Ws_deque.create ()) in
     let in_flight = Atomic.make 1 in
@@ -479,26 +418,17 @@ module Make (P : Problem) = struct
       bump ()
     in
     let t0 = now () in
-    ignore (table.av_add_if_absent ~worker:0 root : bool);
+    (* checked once per charged state, before its goal test *)
+    let guard = guard ?max_live ?deadline visited ~t0 in
+    ignore (visited.add ~worker:0 root : bool);
     Ws_deque.push deques.(0) root;
     note_push ();
     let process wi s =
       let ticket = Atomic.fetch_and_add tickets 1 in
       if ticket >= budget then Atomic.set budget_hit true
       else begin
-        (* overrun guards in the serial driver's order: live states,
-           then the deadline, then the goal test on the charged state *)
-        (match max_live with
-        | Some limit ->
-          let live = table.av_live () in
-          if live > limit then
-            request_halt (Truncated (Live_limit_exceeded { limit; live }))
-        | None -> ());
-        (match deadline with
-        | Some d ->
-          let elapsed = now () -. t0 in
-          if elapsed >= d then
-            request_halt (Truncated (Deadline_exceeded { deadline = d; elapsed }))
+        (match guard with
+        | Some g -> Option.iter (fun reason -> request_halt (Truncated reason)) (g 0)
         | None -> ());
         if Atomic.get halt = None then begin
           expanded.(wi) <- expanded.(wi) + 1;
@@ -511,14 +441,14 @@ module Make (P : Problem) = struct
                 match prune with
                 | Some p when p c -> pruned.(wi) <- pruned.(wi) + 1
                 | _ ->
-                  if table.av_add_if_absent ~worker:wi c then begin
+                  if visited.add ~worker:wi c then begin
                     Atomic.incr in_flight;
                     Ws_deque.push deques.(wi) c;
                     note_push ()
                   end
                   else dedup.(wi) <- dedup.(wi) + 1)
               succs;
-            table.av_tick ()
+            visited.evict ()
           end
         end
       end;
@@ -584,31 +514,56 @@ module Make (P : Problem) = struct
         else Exhausted
     in
     let obs = Array.fold_left obs_iface.merge (obs_iface.empty ()) obss in
-    let seconds = now () -. t0 in
-    let shard =
-      {
-        Metrics.root = 0;
-        states_expanded = isum expanded;
-        dedup_hits = isum dedup;
-        frontier_peak = Atomic.get qpeak;
-        pruned = isum pruned;
-        fingerprint_probes = table.av_probes ();
-        collision_fallbacks = table.av_collision_fallbacks ();
-        intern_bindings = 0;
-        seconds;
-      }
-    in
-    let m =
-      Metrics.of_shard (outcome_kind outcome) shard
-      |> Metrics.with_async ~shard_bits:table.av_bits
-           ~occupancy_total:(table.av_bindings ())
-           ~lock_contention:(table.av_lock_contention ())
-           ~expand_seconds:(fsum busy) ~steals:(isum steals)
-           ~steal_failures:(isum steal_failures) ~cas_retries:(table.av_cas_retries ())
-           ~table_occupancy:(table.av_occupancy ()) ~idle_seconds:(fsum idle)
-    in
-    (outcome, obs, table.av_finish (with_degradation outcome m))
+    ( outcome,
+      obs,
+      metrics visited outcome ~t0 ~expanded:(isum expanded) ~dedup:(isum dedup)
+        ~pruned:(isum pruned) ~peak:(Atomic.get qpeak) ~expand_seconds:(fsum busy)
+        ~steals:(isum steals) ~steal_failures:(isum steal_failures)
+        ~idle_seconds:(fsum idle) () )
 end
+
+(* ----- the per-root sweep ----- *)
+
+(* Every answer is a fold over independent roots (input vectors)
+   merged in root order.  The parallelism is intra-root — the async
+   driver spreads each root's search across the pool — so the loop
+   over roots stays on the pool-owning domain (nested pool maps are
+   not supported).  [deadline] bounds the whole sweep: each root
+   receives the time remaining when its turn comes, and a root
+   starting past the deadline gets a zero allowance and truncates
+   immediately.  Checkpoint granularity is the root: a replayed root
+   costs nothing, a fresh one is recorded unless a deadline cut it
+   short — deadline truncation is wall-clock-dependent, and recording
+   it would bake that into a resumed sweep, so such roots re-run
+   instead. *)
+let sweep ?metrics ?deadline ?checkpoint ~jobs par_mode ~root ~merge init roots =
+  let t_end = Option.map (fun d -> now () +. d) deadline in
+  let remaining () = Option.map (fun te -> Float.max 0. (te -. now ())) t_end in
+  let ckpt =
+    Option.map
+      (fun (spec, header) ->
+        match Checkpoint.create spec ~header with Ok t -> t | Error e -> failwith e)
+      checkpoint
+  in
+  let acc, m =
+    with_pool ~jobs par_mode (fun pool ->
+        List.fold_left
+          (fun (acc, ms) (i, r) ->
+            let payload, m =
+              match Option.bind ckpt (fun t -> Checkpoint.find t i) with
+              | Some recorded -> recorded
+              | None ->
+                let ((_, m) as fresh) = root pool ~deadline:(remaining ()) r in
+                if m.Metrics.deadline_hits = 0 then
+                  Option.iter (fun t -> Checkpoint.record t i fresh) ckpt;
+                fresh
+            in
+            (merge acc payload, Metrics.merge ms (Metrics.with_root_index i m)))
+          (init, Metrics.zero)
+          (List.mapi (fun i r -> (i, r)) roots))
+  in
+  merge_into metrics m;
+  acc
 
 (* ----- strided goal search over an index space ----- *)
 

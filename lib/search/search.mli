@@ -14,9 +14,16 @@
     Two drivers share the {!Make.par_expand} observation interface:
     {!Make.run}, a serial breadth-first search in a canonical layer
     order, and {!Make.run_par_async}, a work-stealing search across a
-    {!Patterns_stdx.Domain_pool}.  Under {!Make.run} the visitation
-    order — and hence every counter except the wall-clock [seconds] —
-    is a pure function of the problem, root and budget. *)
+    {!Patterns_stdx.Domain_pool}.  They differ only in frontier and
+    store use: both run on one visited-store interface — the
+    lock-free {!Patterns_stdx.Atomic_table} in memory (the serial
+    driver is its only worker), or the {!Patterns_stdx.Spill_store}
+    with {!spill} — and share one overrun guard (live-state limit,
+    then deadline) and one metrics step.  Under {!Make.run} the
+    visitation order — and hence every counter except the wall-clock
+    [seconds] — is a pure function of the problem, root and budget.
+    {!sweep} is the one per-root loop the clients' sweeps run
+    through. *)
 
 (** Why a search stopped short of exhausting its space.  All three are
     graceful: the search returns its metrics and a [Truncated] outcome
@@ -43,12 +50,6 @@ type 'a outcome =
 
 val outcome_kind : 'a outcome -> Metrics.outcome_kind
 val truncated : 'a outcome -> bool
-
-val with_degradation : 'a outcome -> Metrics.t -> Metrics.t
-(** Set {!Metrics.t.deadline_hits} / [live_limit_hits] from the
-    outcome's truncation reason (both 0 unless the matching guard
-    fired).  Applied by every driver in this module; exposed for
-    clients that synthesize metrics records of their own. *)
 
 val now : unit -> float
 (** [Unix.gettimeofday], re-exported so deadline-aware callers can
@@ -85,8 +86,8 @@ val with_pool :
     between layers; async: per processed state), so outcomes,
     observations and the search counters are identical with or
     without spilling.  [shard_bits] follows the store in use: under
-    the async driver it is the table's capacity exponent in memory and
-    {!Patterns_stdx.Spill_store.shard_bits} with spilling.  The /7
+    the async driver it is the table's starting exponent (6) in memory
+    and {!Patterns_stdx.Spill_store.shard_bits} with spilling.  The /7
     spill counters themselves are deterministic except under the async
     driver at [jobs > 1].  One semantic shift: the [max_live] guard
     counts {e resident} bindings plus frontier rather than cumulative
@@ -99,45 +100,6 @@ val merge_into : Metrics.t ref option -> Metrics.t -> unit
 (** [merge_into sink m]: accumulate [m] into an optional metrics sink
     (the convention used by every [?metrics] parameter downstream). *)
 
-(** The visited store: membership keyed on a precomputed 64-bit
-    fingerprint, with structural comparison only as the
-    collision-resolution fallback.  States whose fingerprints are
-    maintained incrementally (engine configurations) therefore pay
-    O(1) to be hashed into the store instead of a structural fold, and
-    the store never trusts a 64-bit match alone — every fingerprint
-    hit is confirmed with [equal] before it counts as membership. *)
-module Store : sig
-  type 'a t
-
-  val create :
-    ?size:int ->
-    equal:('a -> 'a -> bool) ->
-    fingerprint:('a -> Patterns_stdx.Fingerprint.t) ->
-    unit ->
-    'a t
-  (** [equal] must agree with [fingerprint]: equal states must have
-      equal fingerprints (the converse may fail — that is the
-      collision the store resolves structurally). *)
-
-  val mem : 'a t -> 'a -> bool
-  (** Counted probe. *)
-
-  val add_if_absent : 'a t -> 'a -> bool
-  (** Counted probe-and-insert; [true] iff the state was absent. *)
-
-  val bindings : 'a t -> int
-  (** Number of distinct states stored. *)
-
-  val probes : 'a t -> int
-  (** Number of {!mem} and {!add_if_absent} lookups served. *)
-
-  val collision_fallbacks : 'a t -> int
-  (** Probes that met a fingerprint-equal but structurally distinct
-      state — true 64-bit collisions.  Expected to be 0 on every
-      workload in this repository; surfaced in {!Metrics} so the
-      expectation is checked, not assumed. *)
-end
-
 module type Problem = sig
   type state
 
@@ -146,9 +108,11 @@ module type Problem = sig
 
   val fingerprint : state -> Patterns_stdx.Fingerprint.t
   (** Must agree with [compare]: equal states have equal
-      fingerprints.  Called once per visited-store probe or insert, so
-      it should be O(1) — engine configurations carry theirs
-      incrementally. *)
+      fingerprints (the converse may fail — that is the collision the
+      store resolves structurally: a fingerprint hit is confirmed with
+      [compare] before it counts as membership).  Called once per
+      visited-store probe or insert, so it should be O(1) — engine
+      configurations carry theirs incrementally. *)
 end
 
 module Make (P : Problem) : sig
@@ -181,8 +145,9 @@ module Make (P : Problem) : sig
       [budget] (default unlimited) and goal-tested with [is_goal] in
       frontier order, so a mid-layer stop is deterministic and the
       first goal found is at the smallest depth.  The layer is then
-      expanded in frontier order against the visited {!Store} as it
-      stood after the previous layer: successors already visited are
+      expanded in frontier order against the visited store (an
+      {!Patterns_stdx.Atomic_table} at one worker, or the spill store)
+      as it stood after the previous layer: successors already visited are
       discarded (counted in [dedup_hits]), then those for which
       [prune] returns [true] (counted in [pruned]).  Survivors are
       inserted grouped by the top 4 bits of their fingerprint,
@@ -216,7 +181,6 @@ module Make (P : Problem) : sig
 
   val run_par_async :
     ?pool:Patterns_stdx.Domain_pool.t ->
-    ?capacity:int ->
     ?budget:int ->
     ?deadline:float ->
     ?max_live:int ->
@@ -231,8 +195,8 @@ module Make (P : Problem) : sig
   (** Asynchronous work-stealing search: one Chase–Lev deque per pool
       worker, depth-first on the owner's end with round-robin stealing,
       over a lock-free open-addressing visited table
-      ({!Patterns_stdx.Atomic_table}, presized to [capacity] slots)
-      whose insert doubles as the membership test — no barrier, no
+      ({!Patterns_stdx.Atomic_table}, starting at 64 slots) whose
+      insert doubles as the membership test — no barrier, no
       mutex on the hot path.  Quiescence is detected by an atomic
       in-flight counter; budget, deadline and live-state guards run
       inside each worker.
@@ -261,6 +225,32 @@ module Make (P : Problem) : sig
       jobs-invariant.  Calling from the pool-owning domain is
       required. *)
 end
+
+val sweep :
+  ?metrics:Metrics.t ref ->
+  ?deadline:float ->
+  ?checkpoint:Checkpoint.spec * string ->
+  jobs:int ->
+  par_mode ->
+  root:(Patterns_stdx.Domain_pool.t -> deadline:float option -> 'r -> 'p * Metrics.t) ->
+  merge:('acc -> 'p -> 'acc) ->
+  'acc ->
+  'r list ->
+  'acc
+(** [sweep ~jobs par_mode ~root ~merge init roots]: the per-root loop
+    every exhaustive answer runs through.  Each root is searched by
+    [root pool ~deadline r] on the pool {!with_pool} gives [par_mode],
+    one root at a time in list order on the calling domain, and its
+    payload folded into [init] with [merge]; the per-root metrics are
+    tagged with the root's index ({!Metrics.with_root_index}), merged
+    in root order and accumulated into [metrics].  [deadline] bounds
+    the whole sweep: each root receives the time remaining when its
+    turn comes.  [checkpoint] is a spec and the client's header
+    string ({!Checkpoint.create}; a refused file raises [Failure]): a
+    root recorded there is replayed, payload and metrics, without
+    calling [root], and a freshly searched root is recorded unless its
+    metrics carry a deadline hit — deadline truncation is
+    wall-clock-dependent, so such roots re-run on resume instead. *)
 
 val find_first :
   ?metrics:Metrics.t ref ->

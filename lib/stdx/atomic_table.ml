@@ -40,8 +40,7 @@
    A fingerprint hit is still never trusted on its own.  The slot
    match is confirmed structurally against the published state, and a
    true 63-bit collision — a different state with the same key — is
-   routed to one mutex-guarded bucket table, exactly like the serial
-   kernel's bucket fallback.  Collisions are ~10^-6 per million
+   routed to one mutex-guarded bucket table.  Collisions are ~10^-6 per million
    states, so the mutex path is cold by construction; the driver's
    [lock_contention] metric stays 0 unless a collision actually
    occurred. *)
@@ -76,11 +75,7 @@ type 'a t = {
   resize_lock : Mutex.t;
   fallback : 'a fallback;
   counters : counters array;
-  initial_bits : int;
 }
-
-let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
-let bits_of cap = int_of_float (Float.round (Float.log2 (float_of_int cap)))
 
 let make_inner cap =
   {
@@ -88,13 +83,15 @@ let make_inner cap =
     values = Array.init cap (fun _ -> Atomic.make None);
   }
 
-let create ?(capacity = 4096) ~workers ~equal ~fingerprint () =
+(* every table starts at the 64-slot floor and grows by doubling *)
+let floor_bits = 6
+
+let create ~workers ~equal ~fingerprint () =
   if workers < 1 then invalid_arg "Atomic_table.create: workers must be positive";
-  let cap = pow2 (max 64 capacity) 64 in
   {
     equal;
     fingerprint;
-    inner = Atomic.make (make_inner cap);
+    inner = Atomic.make (make_inner (1 lsl floor_bits));
     count = Atomic.make 0;
     resizing = Atomic.make false;
     active = Array.init workers (fun _ -> Atomic.make false);
@@ -110,7 +107,6 @@ let create ?(capacity = 4096) ~workers ~equal ~fingerprint () =
       };
     counters =
       Array.init workers (fun _ -> { probes = 0; cas_retries = 0; collisions = 0 });
-    initial_bits = bits_of cap;
   }
 
 let locked fb f =
@@ -120,9 +116,8 @@ let locked fb f =
   end;
   Fun.protect ~finally:(fun () -> Mutex.unlock fb.lock) f
 
-(* One counted probe of the fallback, under its lock.  Same discipline
-   as the serial store: a bucket member that fails the structural test
-   is a certified collision. *)
+(* One counted probe of the fallback, under its lock: a bucket member
+   that fails the structural test is a certified collision. *)
 let fallback_bucket t x =
   let fb = t.fallback in
   fb.f_probes <- fb.f_probes + 1;
@@ -146,7 +141,7 @@ let fallback_mem t x =
   locked t.fallback (fun () -> List.exists (t.equal x) (snd (fallback_bucket t x)))
 
 let capacity t = Array.length (Atomic.get t.inner).slots
-let initial_bits t = t.initial_bits
+let initial_bits _ = floor_bits
 let key_of t x = Fingerprint.to_int (t.fingerprint x)
 
 (* spin out the claim/publish window *)

@@ -1,13 +1,13 @@
 (** Lock-free open-addressing visited table.
 
-    The asynchronous search driver's visited set: a flat atomic slot
-    array keyed by state fingerprint, linear probing, one
-    compare-and-set per fresh insertion — no mutex anywhere on the hit
-    path.  A fingerprint hit is confirmed structurally against the
-    published state, and a true 63-bit collision (different state,
-    same key) is routed to one internal mutex-guarded bucket table,
-    exactly like the serial kernel's bucket fallback, so the certainty contract of
-    the other stores is preserved bit for bit.
+    The search kernel's in-memory visited set, under both drivers
+    (the serial one is its worker 0): a flat atomic slot array keyed
+    by state fingerprint, linear probing, one compare-and-set per
+    fresh insertion — no mutex anywhere on the hit path.  A
+    fingerprint hit is confirmed structurally against the published
+    state, and a true 63-bit collision (different state, same key) is
+    routed to one internal mutex-guarded bucket table, so a 64-bit
+    match alone never counts as membership.
 
     The table grows by cooperative migration: an insertion that finds
     the load factor at 1/2 stops the world for insertions only — a
@@ -23,16 +23,15 @@
 type 'a t
 
 val create :
-  ?capacity:int ->
   workers:int ->
   equal:('a -> 'a -> bool) ->
   fingerprint:('a -> Fingerprint.t) ->
   unit ->
   'a t
-(** [capacity] (default 4096, rounded up to a power of two, min 64) is
-    the initial slot count; the table holds [capacity / 2] states
-    before its first migration, so presizing from a known budget makes
-    resizes never happen.  Raises [Invalid_argument] if [workers < 1]. *)
+(** A table of 64 slots, the floor: it holds 32 states before its
+    first migration and doubles from there, so a search's many small
+    roots pay for small tables.  Raises [Invalid_argument] if
+    [workers < 1]. *)
 
 val add_if_absent : 'a t -> worker:int -> 'a -> bool
 (** [true] exactly once per distinct state, no matter how many workers
@@ -49,9 +48,9 @@ val capacity : 'a t -> int
 (** Current slot count (may have grown since [create]). *)
 
 val initial_bits : 'a t -> int
-(** log2 of the presized capacity — a create-time constant, reported
-    as the async driver's [shard_bits] so the deterministic metrics
-    never depend on racy resize timing. *)
+(** log2 of the starting capacity (6) — a constant, reported as the
+    async driver's [shard_bits] so the deterministic metrics never
+    depend on racy resize timing. *)
 
 val occupancy : 'a t -> float
 (** Load factor [bindings / capacity] of the open-addressed array —

@@ -1,6 +1,7 @@
 (* Unit tests for the instrumented search kernel: the serial driver's
    canonical layer order, budget truncation, goals, pruning, dedup
-   accounting, batched goal search and the chain scan. *)
+   accounting, the per-root sweep, batched goal search and the chain
+   scan. *)
 
 open Patterns_search
 
@@ -213,38 +214,46 @@ let test_metrics_merge_and_json () =
       "fingerprint_probes"; "collision_fallbacks"; "intern_bindings"; "budget_consumed";
       "roots"; "truncated_roots" ]
 
-(* The visited store never trusts a 64-bit match alone: with a
-   deliberately colliding fingerprint, membership is still resolved by
-   structural equality, and the collisions are counted. *)
-let test_store_collisions () =
-  let store =
-    Search.Store.create ~equal:Int.equal
-      ~fingerprint:(fun _ -> Patterns_stdx.Fingerprint.of_int 42)
-      ()
+(* The per-root sweep: payloads fold and metrics merge in root order,
+   tagged with the root index; a resumed sweep replays recorded roots
+   without searching them, and a root a deadline cut short is never
+   recorded, so it is searched again.  Under a spent deadline every
+   root receives a zero allowance. *)
+let test_sweep () =
+  let file = Filename.temp_file "sweep" ".ckpt" in
+  let searched = ref [] in
+  let root _pool ~deadline:_ r =
+    searched := r :: !searched;
+    let _, m = Diamond.run ~root:0 () in
+    (r, if r = 2 then { m with Metrics.deadline_hits = 1 } else m)
   in
-  Alcotest.(check bool) "first insert" true (Search.Store.add_if_absent store 1);
-  Alcotest.(check bool) "colliding insert" true (Search.Store.add_if_absent store 2);
-  Alcotest.(check bool) "duplicate insert" false (Search.Store.add_if_absent store 1);
-  check Alcotest.int "distinct states stored" 2 (Search.Store.bindings store);
-  Alcotest.(check bool) "member" true (Search.Store.mem store 1);
-  Alcotest.(check bool) "colliding non-member" false (Search.Store.mem store 3);
-  check Alcotest.int "probes counted" 5 (Search.Store.probes store);
-  Alcotest.(check bool) "collisions counted" true
-    (Search.Store.collision_fallbacks store > 0)
-
-let test_store_no_false_negatives () =
-  let store =
-    Search.Store.create ~equal:Int.equal ~fingerprint:Patterns_stdx.Fingerprint.of_int ()
+  let sweep resume =
+    let metrics = ref Metrics.zero in
+    let checkpoint = ({ Checkpoint.file; resume; kill_after = None }, "sweep-test") in
+    let acc =
+      Search.sweep ~metrics ~checkpoint ~jobs:1 Search.Layers ~root
+        ~merge:(fun acc r -> r :: acc) [] [ 0; 1; 2 ]
+    in
+    (List.rev acc, !metrics)
   in
-  for i = 0 to 999 do
-    ignore (Search.Store.add_if_absent store i : bool)
-  done;
-  for i = 0 to 999 do
-    if not (Search.Store.mem store i) then Alcotest.failf "lost %d" i
-  done;
-  check Alcotest.int "bindings" 1000 (Search.Store.bindings store);
-  check Alcotest.int "no collisions on distinct ints" 0
-    (Search.Store.collision_fallbacks store)
+  let ints = Alcotest.(list int) in
+  let fresh, m = sweep false in
+  check ints "payloads in root order" [ 0; 1; 2 ] fresh;
+  check ints "root indices" [ 0; 1; 2 ]
+    (List.map (fun (s : Metrics.shard) -> s.root) m.Metrics.shards);
+  check Alcotest.int "metrics merged" 15 m.Metrics.states_expanded;
+  searched := [];
+  let resumed, m' = sweep true in
+  check ints "resumed payloads" [ 0; 1; 2 ] resumed;
+  check ints "only the deadline-cut root searched again" [ 2 ] !searched;
+  check Alcotest.int "resumed metrics" m.Metrics.states_expanded m'.Metrics.states_expanded;
+  Sys.remove file;
+  let allowances =
+    Search.sweep ~deadline:0.0 ~jobs:1 Search.Async
+      ~root:(fun _ ~deadline () -> (deadline, Metrics.zero))
+      ~merge:(fun acc d -> d :: acc) [] [ (); () ]
+  in
+  Alcotest.(check (list (option (float 0.)))) "zero allowance" [ Some 0.; Some 0. ] allowances
 
 let () =
   Alcotest.run "search"
@@ -265,10 +274,6 @@ let () =
           Alcotest.test_case "find_first smallest" `Quick test_find_first_smallest;
           Alcotest.test_case "scan" `Quick test_scan;
           Alcotest.test_case "metrics merge and json" `Quick test_metrics_merge_and_json;
-        ] );
-      ( "store",
-        [
-          Alcotest.test_case "collision fallbacks" `Quick test_store_collisions;
-          Alcotest.test_case "no false negatives" `Quick test_store_no_false_negatives;
+          Alcotest.test_case "sweep" `Quick test_sweep;
         ] );
     ]

@@ -318,8 +318,8 @@ let deque_qcheck_tests =
 
 (* ----- Atomic_table ----- *)
 
-let int_table ?(capacity = 64) ~workers () =
-  Atomic_table.create ~capacity ~workers ~equal:Int.equal
+let int_table ~workers () =
+  Atomic_table.create ~workers ~equal:Int.equal
     ~fingerprint:(fun i -> Fingerprint.of_int (i * 0x9e3779b9))
     ()
 
@@ -355,7 +355,7 @@ let test_atomic_table_collisions () =
   (* a constant fingerprint forces every state onto one slot: the
      table must distinguish them structurally via the fallback *)
   let t =
-    Atomic_table.create ~capacity:64 ~workers:1 ~equal:Int.equal
+    Atomic_table.create ~workers:1 ~equal:Int.equal
       ~fingerprint:(fun _ -> Fingerprint.of_int 42)
       ()
   in
@@ -375,7 +375,7 @@ let test_atomic_table_insert_storm () =
   (* four domains insert overlapping ranges through a deliberately tiny
      initial table, forcing concurrent migrations: add_if_absent must
      return true exactly once per distinct value *)
-  let t = int_table ~capacity:64 ~workers:4 () in
+  let t = int_table ~workers:4 () in
   let range d = Listx.range (d * 500) ((d * 500) + 1000) in
   let domains =
     List.init 4 (fun d ->
@@ -403,7 +403,7 @@ let atomic_table_qcheck_tests =
     Test.make ~name:"atomic table matches Set model (sequential)" ~count:200
       Gen.(list (int_bound 200))
       (fun keys ->
-        let t = int_table ~capacity:64 ~workers:1 () in
+        let t = int_table ~workers:1 () in
         let model = ref IS.empty in
         List.for_all
           (fun k ->
@@ -416,7 +416,7 @@ let atomic_table_qcheck_tests =
     Test.make ~name:"concurrent insert storm loses nothing" ~count:20
       Gen.(int_bound 1000)
       (fun seed ->
-        let t = int_table ~capacity:64 ~workers:3 () in
+        let t = int_table ~workers:3 () in
         let range d = Listx.range (seed + (d * 100)) (seed + (d * 100) + 300) in
         let domains =
           List.init 3 (fun d ->
