@@ -174,11 +174,12 @@ let hunt ?metrics ?(max_failures = 2) ?(max_runs = 5_000) ?(fifo_notices = false
   in
   match mode with
   | Random ->
-    (* The sampling adversary of {!Patterns_core.Audit.hunt},
-       reproduced draw for draw (same per-run generator seeding, same
-       draw order, same report) so the two entry points are
-       interchangeable; this one additionally reads the schedule back
-       off the winning trace into a replayable certificate. *)
+    (* The sampling adversary: each run seeds a fresh generator from
+       (seed, run index) and draws inputs, crash plan and schedule
+       flavour from it, so runs are independent of execution order and
+       the winner is the smallest violating run index for every
+       [jobs]; the schedule is read back off the winning trace into a
+       replayable certificate. *)
     let one run_index =
       let prng = Prng.create ~seed:(seed + (run_index * 1_000_003)) in
       let inputs = List.init n (fun _ -> Prng.bool prng) in

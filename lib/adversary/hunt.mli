@@ -4,10 +4,10 @@
     ({!Patterns_search.Search.find_first}), both deterministic
     functions of their parameters for every [jobs] value:
 
-    - {!Random}: the sampling adversary of
-      {!Patterns_core.Audit.hunt}, draw-for-draw identical (same
-      per-run generator seeding, same violation report), extended to
-      read the winning schedule back into a replayable {!Cert};
+    - {!Random}: the sampling adversary — each run draws its inputs,
+      crash plan and schedule flavour from a generator seeded by
+      [(seed, run index)] — with the winning schedule read back into a
+      replayable {!Cert};
     - {!Systematic}: an exhaustive sweep of the canonical {!Plan}
       space — fault count ascending, so the first hit is a
       smallest-fault-count witness; within a fault count, schedule

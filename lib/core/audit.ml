@@ -94,56 +94,3 @@ let pp ppf r =
     (match r.sample_violation with None -> "" | Some s -> "\n first: " ^ s)
 
 type property = TC | IC | Agreement | WT | Rule
-
-let hunt ?metrics ?(max_failures = 2) ?(max_runs = 5_000) ?(fifo_notices = false) ?(jobs = 1)
-    ?deadline ~property ~rule ~n ~seed (module P : Protocol.S) =
-  let module E = Engine.Make (P) in
-  (* Each run draws from its own generator, seeded from (seed, run
-     index), so runs are independent of execution order and the hunt
-     can be sharded per run: the winner is the smallest violating run
-     index regardless of worker interleaving. *)
-  let one run_index =
-    let prng = Prng.create ~seed:(seed + (run_index * 1_000_003)) in
-    let inputs = List.init n (fun _ -> Prng.bool prng) in
-    let n_failures = Prng.int prng ~bound:(max_failures + 1) in
-    let failures =
-      List.init n_failures (fun _ -> (Prng.int prng ~bound:60, Prng.int prng ~bound:n))
-    in
-    let scheduler =
-      match Prng.int prng ~bound:3 with
-      | 0 -> E.random_scheduler (Prng.split prng)
-      | 1 -> E.notice_first_scheduler (Prng.split prng)
-      | _ -> E.lifo_scheduler
-    in
-    let r = E.run ~failures ~fifo_notices ~scheduler ~n ~inputs () in
-    let verdict =
-      match property with
-      | TC -> Check.total_consistency r.E.trace
-      | IC -> Check.interactive_consistency r.E.trace
-      | Agreement -> Check.nonfaulty_agreement r.E.trace
-      | Rule -> Check.decision_rule rule ~inputs r.E.trace
-      | WT ->
-        let failed = Array.make n false in
-        List.iter (fun p -> failed.(p) <- true) (Trace.failures r.E.trace);
-        Check.weak_termination ~quiescent:r.E.quiescent ~statuses:(E.statuses r.E.final)
-          ~ever_decided:(Check.ever_decided ~n r.E.trace) ~failed
-    in
-    match verdict with
-    | Ok () -> None
-    | Error msg ->
-      Some
-        (Format.asprintf
-           "@[<v>violation after %d run(s) (seed %d)@,inputs: %s@,crash plan: %s@,%s@,@,%s@]"
-           run_index seed
-           (String.concat "" (List.map (fun b -> if b then "1" else "0") inputs))
-           (String.concat ", "
-              (List.map (fun (k, p) -> Printf.sprintf "p%d@step%d" p k) failures))
-           msg
-           (Patterns_pattern.Render.lanes ~pp_msg:P.pp_msg ~n r.E.trace))
-  in
-  (* the kernel's batched goal search: a violation stops the search
-     without running all [max_runs] trials, batches are scanned in run
-     order, and exhausting the run budget (or the optional wall-clock
-     deadline) is a Truncated outcome — a hunt that finds nothing has
-     not proven absence *)
-  Patterns_search.Search.find_first ?metrics ~jobs ?deadline ~max_index:max_runs ~f:one ()

@@ -36,36 +36,9 @@ val random_audit :
     delivery discipline (see {!Patterns_sim.Engine}); the paper's
     unordered default is [false]. *)
 
+(** The properties a violation hunt ([Patterns_adversary.Hunt]) and
+    its certificates check. *)
 type property = TC | IC | Agreement | WT | Rule
-
-val hunt :
-  ?metrics:Patterns_search.Metrics.t ref ->
-  ?max_failures:int ->
-  ?max_runs:int ->
-  ?fifo_notices:bool ->
-  ?jobs:int ->
-  ?deadline:float ->
-  property:property ->
-  rule:Decision_rule.t ->
-  n:int ->
-  seed:int ->
-  (module Protocol.S) ->
-  (string, int) result
-(** Search seeded randomized executions for a violation of the given
-    property, on the kernel's batched goal search
-    ({!Patterns_search.Search.find_first}).  [Ok report] renders the
-    first violating run — inputs, crash plan, the violation, and a
-    space-time diagram of the trace; [Error k] means [k] runs were
-    tried without finding one — a {e truncated} search (the metrics
-    outcome says so): it does not prove absence.  [deadline]
-    (wall-clock seconds) stops the hunt between batches when set; the
-    metrics record the hit in [deadline_hits].  Each run draws from
-    a generator seeded by [(seed, run index)], so the result is a
-    deterministic function of [seed] for every [jobs] value
-    (default 1): the first violating run index wins.  The metrics
-    sink accumulates the kernel's counters; the expanded count may
-    overshoot the winning index by up to one batch (speculative
-    parallelism), and is the only jobs-dependent field. *)
 
 val clean : report -> bool
 (** No violations and every run quiesced with all nonfaulty decided. *)

@@ -218,24 +218,35 @@ let test_audit_ic_protocols_keep_agreement () =
 
 (* ----- hunting and state knowledge ----- *)
 
+(* the sampling adversary over a protocol outside the registry's
+   default sizes *)
+let random_hunt ~max_failures ~max_runs ~n ~seed (module P : Protocol.S) =
+  Patterns_adversary.Hunt.hunt ~max_failures ~max_runs ~mode:Patterns_adversary.Hunt.Random
+    ~property:Audit.TC ~rule:Patterns_protocols.Decision_rule.Unanimity ~n ~seed
+    {
+      Patterns_protocols.Registry.name = P.name;
+      describe = P.describe;
+      default_n = n;
+      fixed_n = true;
+      protocol = (module P);
+    }
+
 let test_hunt_finds_2pc_tc_violation () =
   match
-    Audit.hunt ~max_failures:2 ~max_runs:5_000 ~property:Audit.TC
-      ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:4 ~seed:1984
+    random_hunt ~max_failures:2 ~max_runs:5_000 ~n:4 ~seed:1984
       Patterns_protocols.Two_phase_commit.default
   with
-  | Ok report ->
+  | Ok cert ->
     Alcotest.(check bool) "report mentions the violation" true
-      (String.length report > 0)
+      (String.length cert.Patterns_adversary.Cert.message > 0)
   | Error tried -> Alcotest.fail (Printf.sprintf "no violation in %d runs" tried)
 
 let test_hunt_respects_tc_protocol () =
   match
-    Audit.hunt ~max_failures:1 ~max_runs:300 ~property:Audit.TC
-      ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed:7
+    random_hunt ~max_failures:1 ~max_runs:300 ~n:3 ~seed:7
       (Patterns_protocols.Tree_proto.three_phase_commit 3)
   with
-  | Ok report -> Alcotest.fail ("unexpected violation:\n" ^ report)
+  | Ok cert -> Alcotest.fail ("unexpected violation:\n" ^ cert.Patterns_adversary.Cert.message)
   | Error _ -> ()
 
 let test_state_implies () =

@@ -313,11 +313,13 @@ let test_truncation_invariant () =
 (* ----- hunt: the winner is the smallest violating run index ----- *)
 
 let test_hunt_jobs_invariant () =
-  let run jobs =
-    Audit.hunt ~max_failures:2 ~max_runs:2_000 ~jobs ~property:Audit.TC
-      ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed:1984
-      Patterns_protocols.Two_phase_commit.default
+  let two_pc = Option.get (Patterns_protocols.Registry.find "2pc") in
+  let hunt ~max_failures ~max_runs ~property ~seed jobs =
+    Patterns_adversary.Hunt.hunt ~max_failures ~max_runs ~jobs
+      ~mode:Patterns_adversary.Hunt.Random ~property
+      ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed two_pc
   in
+  let run = hunt ~max_failures:2 ~max_runs:2_000 ~property:Audit.TC ~seed:1984 in
   let r1 = run 1 in
   Alcotest.(check bool) "hunt finds the 2pc violation" true (Result.is_ok r1);
   List.iter
@@ -327,11 +329,7 @@ let test_hunt_jobs_invariant () =
         true (run jobs = r1))
     jobs_values;
   (* a clean hunt reports the same run budget for every jobs value *)
-  let clean jobs =
-    Audit.hunt ~max_failures:1 ~max_runs:200 ~jobs ~property:Audit.Agreement
-      ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed:7
-      Patterns_protocols.Two_phase_commit.default
-  in
+  let clean = hunt ~max_failures:1 ~max_runs:200 ~property:Audit.Agreement ~seed:7 in
   Alcotest.(check bool) "clean hunt jobs=4 identical" true (clean 1 = clean 4)
 
 (* ----- qcheck: hashed visited set vs the old balanced tree ----- *)
