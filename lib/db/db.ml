@@ -18,11 +18,9 @@ type t = {
   facts : (string * string, Json.t) Hashtbl.t;
 }
 
-(* /2 is the JSONL stream [save] writes; /1 is the original monolithic
-   JSON document, still read by [load] (and still what [to_json] /
-   [of_json] speak, for clients that want one value). *)
+(* /2 is the JSONL stream [save] writes and [load] reads; nothing
+   writes the monolithic /1 document any more, and [load] refuses it. *)
 let schema = "patterns-edge-db/2"
-let schema_v1 = "patterns-edge-db/1"
 
 let create ?(cache_capacity = 128) () =
   {
@@ -141,97 +139,6 @@ let facts t ~kind =
       Hashtbl.fold (fun (k, key) v acc -> if String.equal k kind then (key, v) :: acc else acc) t.facts []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
-(* ----- persistence ----- *)
-
-let to_json t =
-  locked t (fun () ->
-      let configs = ref [] in
-      Dict.iter (fun _ fp -> configs := Json.Int fp :: !configs) t.configs;
-      let events = ref [] in
-      Dict.iter (fun _ d -> events := Json.String d :: !events) t.events;
-      let edges =
-        Sset.fold
-          (fun k acc ->
-            let s, e, o = Index.decode Index.Seo k in
-            Json.List [ Json.Int s; Json.Int e; Json.Int o ] :: acc)
-          t.seo []
-        |> List.rev
-      in
-      let facts =
-        Hashtbl.fold (fun (kind, key) v acc -> (kind, key, v) :: acc) t.facts []
-        |> List.sort (fun (k1, key1, _) (k2, key2, _) ->
-               match String.compare k1 k2 with 0 -> String.compare key1 key2 | c -> c)
-        |> List.map (fun (kind, key, v) ->
-               Json.Obj [ ("kind", Json.String kind); ("key", Json.String key); ("value", v) ])
-      in
-      Json.Obj
-        [
-          ("schema", Json.String schema_v1);
-          ("configs", Json.List (List.rev !configs));
-          ("events", Json.List (List.rev !events));
-          ("edges", Json.List edges);
-          ("facts", Json.List facts);
-        ])
-
-let of_json j =
-  let ( let* ) = Result.bind in
-  let* s = Result.bind (Json.field "schema" j) Json.to_str in
-  if not (String.equal s schema_v1) then Error (Printf.sprintf "unsupported db schema %S" s)
-  else
-    let* configs = Result.bind (Json.field "configs" j) Json.to_list in
-    let* events = Result.bind (Json.field "events" j) Json.to_list in
-    let* edges = Result.bind (Json.field "edges" j) Json.to_list in
-    let* facts = Result.bind (Json.field "facts" j) Json.to_list in
-    let t = create () in
-    let* () =
-      List.fold_left
-        (fun acc c ->
-          let* () = acc in
-          let* fp = Json.to_int c in
-          ignore (Dict.intern t.configs fp);
-          Ok ())
-        (Ok ()) configs
-    in
-    let* () =
-      List.fold_left
-        (fun acc e ->
-          let* () = acc in
-          let* d = Json.to_str e in
-          ignore (Dict.intern t.events d);
-          Ok ())
-        (Ok ()) events
-    in
-    let* () =
-      List.fold_left
-        (fun acc e ->
-          let* () = acc in
-          let* triple = Json.to_list e in
-          match triple with
-          | [ s; ev; o ] ->
-            let* s = Json.to_int s in
-            let* ev = Json.to_int ev in
-            let* o = Json.to_int o in
-            (match (Dict.value t.configs s, Dict.value t.events ev, Dict.value t.configs o) with
-            | Some sfp, Some d, Some ofp ->
-              add_edge_unlocked t ~src:sfp ~event:d ~dst:ofp;
-              Ok ()
-            | _ -> Error "edge references an id outside the dictionaries")
-          | _ -> Error "edge is not a 3-element list")
-        (Ok ()) edges
-    in
-    let* () =
-      List.fold_left
-        (fun acc f ->
-          let* () = acc in
-          let* kind = Result.bind (Json.field "kind" f) Json.to_str in
-          let* key = Result.bind (Json.field "key" f) Json.to_str in
-          let* v = Json.field "value" f in
-          Hashtbl.replace t.facts (kind, key) v;
-          Ok ())
-        (Ok ()) facts
-    in
-    Ok t
-
 (* ----- streaming JSONL (/2) ----- *)
 
 (* One-line rendering for the /2 records: {!Json.to_string} breaks
@@ -290,8 +197,7 @@ let output_record oc j =
    id order, ["t"] edge id-triples in SEO key order, ["f"] facts
    sorted by (kind, key).  Each record is rendered and written
    individually, so saving never materialises the whole database as
-   one string (the /1 document did, doubling peak memory on large
-   edge logs). *)
+   one string. *)
 let save t path =
   let oc = open_out path in
   Fun.protect
@@ -358,9 +264,10 @@ let apply_record t j =
   | _ -> Error "unrecognised record"
 
 (* A /2 file is recognised by its first line (the schema marker
-   object) and streamed line by line; anything else — including a /1
-   document, whose first line is the opening brace — is read whole
-   and handed to the /1 parser, which reports unsupported schemas. *)
+   object) and streamed line by line.  Anything else is refused; the
+   error names the schema the file declares — a marker line's, or the
+   "schema" member of a whole JSON document such as the retired /1 —
+   so an outdated file is told apart from a corrupt one. *)
 let load path =
   if not (Sys.file_exists path) then Ok (create ())
   else
@@ -369,12 +276,9 @@ let load path =
       ~finally:(fun () -> close_in ic)
       (fun () ->
         let first = match input_line ic with exception End_of_file -> "" | l -> l in
-        let is_v2 =
-          match Json.of_string first with
-          | Ok (Json.Obj [ ("schema", Json.String s) ]) -> String.equal s schema
-          | _ -> false
-        in
-        if is_v2 then begin
+        let declared j = Result.bind (Json.field "schema" j) Json.to_str in
+        match Result.bind (Json.of_string first) declared with
+        | Ok s when String.equal s schema ->
           let t = create () in
           let rec go lineno =
             match input_line ic with
@@ -386,14 +290,12 @@ let load path =
               | Error e -> Error (Printf.sprintf "%s: line %d: %s" path lineno e))
           in
           go 2
-        end
-        else
-          let rest =
-            let n = in_channel_length ic - pos_in ic in
-            if n <= 0 then "" else really_input_string ic n
+        | marker ->
+          let found =
+            if Result.is_ok marker then marker
+            else Result.bind (Json.of_string (first ^ "\n" ^ In_channel.input_all ic)) declared
           in
-          match
-            Result.bind (Json.of_string (first ^ "\n" ^ rest)) of_json
-          with
-          | Error e -> Error (Printf.sprintf "%s: %s" path e)
-          | Ok t -> Ok t)
+          Error
+            (match found with
+            | Ok s -> Printf.sprintf "%s: unsupported db schema %S" path s
+            | Error _ -> Printf.sprintf "%s: not a %s file" path schema))

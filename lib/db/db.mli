@@ -39,8 +39,7 @@ val schema : string
     {!save}: a schema marker line, then one compact record per line
     (["c"] config fingerprints in id order, ["e"] event descriptors in
     id order, ["t"] edge id-triples in SEO key order, ["f"] facts
-    sorted by (kind, key)).  {!load} also reads the original
-    monolithic /1 JSON document. *)
+    sorted by (kind, key)). *)
 
 val create : ?cache_capacity:int -> unit -> t
 (** Fresh empty database; [cache_capacity] bounds the query-result
@@ -79,15 +78,6 @@ val facts : t -> kind:string -> (string * Patterns_stdx.Json.t) list
 
 (** {1 Persistence} *)
 
-val to_json : t -> Patterns_stdx.Json.t
-(** Stable /1 JSON document: dictionaries in id order, edges in SEO
-    key order, facts sorted by [(kind, key)] — one value, for clients
-    that want the whole database in memory. *)
-
-val of_json : Patterns_stdx.Json.t -> (t, string) result
-(** Rebuild a database from a /1 document (dictionaries re-interned
-    in id order, all three indexes reconstructed). *)
-
 val save : t -> string -> unit
 (** Stream the database to a file in the /2 JSONL form, one record
     rendered and written at a time — saving never materialises the
@@ -95,8 +85,8 @@ val save : t -> string -> unit
     on large edge logs. *)
 
 val load : string -> (t, string) result
-(** Read a database from a file: a /2 stream (recognised by its first
-    line) is applied record by record, anything else is parsed as a
-    /1 document.  A missing file is an empty database (so [--db FILE]
-    works on first use); a malformed one is [Error] naming the
-    offending line. *)
+(** Read a database from a /2 stream (recognised by its first line),
+    applied record by record.  A missing file is an empty database
+    (so [--db FILE] works on first use); a malformed stream is [Error]
+    naming the offending line, and any other file — the retired /1
+    document included — is [Error] naming the schema it declares. *)

@@ -252,14 +252,6 @@ let test_db_persistence_roundtrip () =
   Db.add_edge db ~src:20 ~event:"beta" ~dst:30;
   Db.put_fact db ~kind:"cert" ~key:"k1"
     (Json.Obj [ ("crashes", Json.List [ Json.Int 1 ]) ]);
-  (match Db.of_json (Db.to_json db) with
-  | Error e -> Alcotest.fail e
-  | Ok db' ->
-    check
-      Alcotest.(list (triple int string int))
-      "edges survive" (Db.edges db ()) (Db.edges db' ());
-    check Alcotest.bool "facts survive" true
-      (Db.get_fact db' ~kind:"cert" ~key:"k1" = Db.get_fact db ~kind:"cert" ~key:"k1"));
   let file = Filename.temp_file "patterns-db" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
@@ -272,7 +264,36 @@ let test_db_persistence_roundtrip () =
           Alcotest.(list (triple int string int))
           "edges survive the file" (Db.edges db ()) (Db.edges db' ());
         check Alcotest.int "edge count survives" (Db.stats db).Db.edges
-          (Db.stats db').Db.edges)
+          (Db.stats db').Db.edges;
+        check Alcotest.bool "facts survive the file" true
+          (Db.get_fact db' ~kind:"cert" ~key:"k1" = Db.get_fact db ~kind:"cert" ~key:"k1"))
+
+(* Nothing writes the monolithic /1 document any more: loading one is
+   refused with an error naming its schema, not read. *)
+let test_db_v1_refused () =
+  let file = Filename.temp_file "patterns-db" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let oc = open_out file in
+      output_string oc
+        "{\n\
+        \  \"schema\": \"patterns-edge-db/1\",\n\
+        \  \"configs\": [10, 20],\n\
+        \  \"events\": [\"alpha\"],\n\
+        \  \"edges\": [[0, 0, 1]],\n\
+        \  \"facts\": []\n\
+         }\n";
+      close_out oc;
+      match Db.load file with
+      | Ok _ -> Alcotest.fail "a /1 document was loaded"
+      | Error e ->
+        let needle = "patterns-edge-db/1" in
+        let rec has i =
+          i + String.length needle <= String.length e
+          && (String.sub e i (String.length needle) = needle || has (i + 1))
+        in
+        Alcotest.(check bool) ("error names the schema: " ^ e) true (has 0))
 
 let test_db_load_missing_and_malformed () =
   (match Db.load "/nonexistent/patterns-db.json" with
@@ -465,6 +486,7 @@ let () =
           Alcotest.test_case "stats and cache" `Quick test_db_stats_and_cache;
           Alcotest.test_case "unknown bound values" `Quick test_db_unknown_bound_values;
           Alcotest.test_case "persistence round-trip" `Quick test_db_persistence_roundtrip;
+          Alcotest.test_case "edge-db /1 refused" `Quick test_db_v1_refused;
           Alcotest.test_case "missing and malformed files" `Quick
             test_db_load_missing_and_malformed;
         ] );
