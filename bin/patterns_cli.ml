@@ -121,11 +121,10 @@ let metrics_json_arg =
 let db_arg =
   Arg.(value & opt (some string) None
        & info [ "db" ] ~docv:"FILE"
-         ~doc:"Execution database (schema $(b,patterns-edge-db/2), streamed JSONL; /1 \
-               documents are still read): consult the recorded \
-               edge log before searching, record every fresh expansion into it, and \
-               write it back to $(docv) on exit.  A missing file starts empty.  Inspect \
-               it with $(b,query).")
+         ~doc:"Execution database (schema $(b,patterns-edge-db/2), streamed JSONL): \
+               consult the recorded edge log before searching, record every fresh \
+               expansion into it, and write it back to $(docv) on exit.  A missing file \
+               starts empty.  Inspect it with $(b,query).")
 
 let base_db_arg =
   Arg.(value & opt (some string) None
@@ -160,8 +159,7 @@ let spill_dir_arg =
                files under $(docv) whenever the resident store reaches $(b,--mem-budget) \
                bindings.  Answers and deterministic counters are bit-identical with and \
                without spilling; the metrics /7 section records the disk traffic.  Run \
-               files are deleted when each search returns.  ($(b,hunt) keeps no visited \
-               store, so there the flag is accepted and inert.)")
+               files are deleted when each search returns.")
 
 let mem_budget_arg =
   Arg.(value & opt int 1_000_000
@@ -667,16 +665,12 @@ let hunt_cmd =
                  Random mode never uses the memo.")
   in
   let run name n property crashes space fault_budget runs seed fifo_notices jobs mode
-      horizon cert_out no_memo deadline spill_dir mem_budget checkpoint resume kill_after
-      db_file metrics_json =
+      horizon cert_out no_memo deadline checkpoint resume kill_after db_file metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let rule = rule_of_registry entry in
     let seed = Option.value seed ~default:1984 in
     let budget = Option.value fault_budget ~default:crashes in
-    (* a hunt keeps no visited store: --spill-dir is accepted for
-       interface uniformity but has nothing to spill *)
-    let (_ : Patterns_search.Search.spill option) = spill_of spill_dir mem_budget in
     let ckpt = or_die (checkpoint_spec checkpoint resume kill_after) in
     let db = load_db db_file in
     let metrics = ref Patterns_search.Metrics.zero in
@@ -727,8 +721,8 @@ let hunt_cmd =
       const run $ protocol_arg $ n_arg $ property_arg $ crashes_arg $ faults_arg
       $ fault_budget_arg $ runs_arg $ seed_arg
       $ fifo_notices_arg $ jobs_arg $ mode_arg $ horizon_arg $ cert_arg $ no_memo_arg
-      $ deadline_arg $ spill_dir_arg $ mem_budget_arg $ checkpoint_arg $ resume_arg
-      $ kill_after_arg $ db_arg $ metrics_json_arg)
+      $ deadline_arg $ checkpoint_arg $ resume_arg $ kill_after_arg $ db_arg
+      $ metrics_json_arg)
 
 (* ----- replay / shrink ----- *)
 
