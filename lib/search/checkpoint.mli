@@ -11,12 +11,13 @@
     rewrites the file (temporary + rename), so a kill at any moment
     leaves the previous complete checkpoint, never a torn one.
 
-    Recording policy (enforced by the clients, documented here): a
-    root is recorded only when its own metrics carry
-    [deadline_hits = 0] — deadline truncation is wall-clock-dependent,
-    so resuming over such a payload would bake a nondeterministic
-    result into a deterministic sweep.  Budget and live-limit
-    truncations are deterministic and recordable. *)
+    Recording policy (enforced by {!Search.sweep} for per-root sweeps
+    and by the hunt's chunk loop, documented here): a root is recorded
+    only when its own metrics carry [deadline_hits = 0] — deadline
+    truncation is wall-clock-dependent, so resuming over such a
+    payload would bake a nondeterministic result into a deterministic
+    sweep.  Budget and live-limit truncations are deterministic and
+    recordable. *)
 
 val schema : string
 (** ["patterns-checkpoint/1"]. *)

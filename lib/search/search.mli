@@ -15,7 +15,7 @@
     {!Make.run}, a serial breadth-first search in a canonical layer
     order, and {!Make.run_par_async}, a work-stealing search across a
     {!Patterns_stdx.Domain_pool}.  They differ only in frontier and
-    store use: both run on one visited-store interface — the
+    store discipline: both run on one visited-store interface — the
     lock-free {!Patterns_stdx.Atomic_table} in memory (the serial
     driver is its only worker), or the {!Patterns_stdx.Spill_store}
     with {!spill} — and share one overrun guard (live-state limit,
@@ -50,10 +50,6 @@ type 'a outcome =
 
 val outcome_kind : 'a outcome -> Metrics.outcome_kind
 val truncated : 'a outcome -> bool
-
-val now : unit -> float
-(** [Unix.gettimeofday], re-exported so deadline-aware callers can
-    compute remaining time without their own [unix] dependency. *)
 
 (** Which driver a client sweep runs on.  [Layers] is the serial
     canonical-order breadth-first search ({!Make.run}): it runs on one
