@@ -172,7 +172,7 @@ let checkpoint_arg =
   Arg.(value & opt (some string) None
        & info [ "checkpoint" ] ~docv:"FILE"
          ~doc:"Record each completed root (input vector, hunt index chunk) into $(docv) \
-               (schema $(b,patterns-checkpoint/1)), atomically rewritten on every record; \
+               (schema $(b,patterns-checkpoint/2)), atomically rewritten on every record; \
                a killed run picks up with $(b,--resume). Deadline-truncated roots are \
                never recorded.")
 

@@ -5,13 +5,6 @@ type mode = Random | Systematic
 
 let mode_string = function Random -> "random" | Systematic -> "systematic"
 
-let property_string : Patterns_core.Audit.property -> string = function
-  | Patterns_core.Audit.TC -> "tc"
-  | Patterns_core.Audit.IC -> "ic"
-  | Patterns_core.Audit.Agreement -> "agreement"
-  | Patterns_core.Audit.WT -> "wt"
-  | Patterns_core.Audit.Rule -> "rule"
-
 (* Checkpoint granularity for hunts: the run-index space is cut into
    fixed chunks, each fully swept chunk recorded under its upper bound
    with the cumulative kernel metrics as payload.  Both modes are
@@ -28,17 +21,8 @@ let hunt ?metrics ?(max_failures = 2) ?(max_runs = 5_000) ?(fifo_notices = false
   let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
   let module E = Engine.Make (P) in
   let verdict inputs (r : E.run_result) =
-    let open Patterns_core in
-    match (property : Audit.property) with
-    | Audit.TC -> Check.total_consistency r.E.trace
-    | Audit.IC -> Check.interactive_consistency r.E.trace
-    | Audit.Agreement -> Check.nonfaulty_agreement r.E.trace
-    | Audit.Rule -> Check.decision_rule rule ~inputs r.E.trace
-    | Audit.WT ->
-      let failed = Array.make n false in
-      List.iter (fun p -> failed.(p) <- true) (Trace.failures r.E.trace);
-      Check.weak_termination ~quiescent:r.E.quiescent ~statuses:(E.statuses r.E.final)
-        ~ever_decided:(Check.ever_decided ~n r.E.trace) ~failed
+    Patterns_core.Audit.check property ~rule ~inputs ~n ~quiescent:r.E.quiescent
+      ~statuses:(E.statuses r.E.final) r.E.trace
   in
   let cert inputs message (r : E.run_result) =
     {
@@ -122,7 +106,7 @@ let hunt ?metrics ?(max_failures = 2) ?(max_runs = 5_000) ?(fifo_notices = false
       let header =
         Printf.sprintf
           "hunt/2|%s|prop=%s|rule=%s|n=%d|seed=%d|mode=%s|faults=%s|mf=%d|mi=%d|h=%d|fifo=%b"
-          entry.Patterns_protocols.Registry.name (property_string property)
+          entry.Patterns_protocols.Registry.name (Cert.property_string property)
           (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
           n seed (mode_string mode) (Plan.space_string space) max_failures max_index horizon
           fifo_notices

@@ -1,6 +1,5 @@
 open Patterns_sim
 module Fingerprint = Patterns_stdx.Fingerprint
-module Json = Patterns_stdx.Json
 module Db = Patterns_db.Db
 module Metrics = Patterns_search.Metrics
 
@@ -15,22 +14,6 @@ let pp ppf = function
   | Reproduced msg -> Format.fprintf ppf "@[<v>reproduced:@,%s@]" msg
   | Not_reproduced -> Format.pp_print_string ppf "not reproduced: the property holds on this replay"
   | Inapplicable msg -> Format.fprintf ppf "inapplicable: %s" msg
-
-(* The property checkers are trace-polymorphic, so one function serves
-   every protocol once the engine has played the script. *)
-let check (type msg) property ~rule ~inputs ~n ~quiescent ~statuses
-    (trace : msg Trace.t) =
-  let open Patterns_core in
-  match (property : Audit.property) with
-  | Audit.TC -> Check.total_consistency trace
-  | Audit.IC -> Check.interactive_consistency trace
-  | Audit.Agreement -> Check.nonfaulty_agreement trace
-  | Audit.Rule -> Check.decision_rule rule ~inputs trace
-  | Audit.WT ->
-    let failed = Array.make n false in
-    List.iter (fun p -> failed.(p) <- true) (Trace.failures trace);
-    Check.weak_termination ~quiescent ~statuses
-      ~ever_decided:(Check.ever_decided ~n trace) ~failed
 
 (* ----- the execution-database side ----- *)
 
@@ -56,23 +39,6 @@ let verdict_key (cert : Cert.t) path_fp =
     (Cert.rule_string cert.Cert.rule)
     (Fingerprint.to_int path_fp)
 
-(* Inapplicable verdicts are never stored: they describe this replayer
-   (unknown protocol, changed code), not the recorded execution. *)
-let verdict_fact = function
-  | Reproduced msg ->
-    Json.Obj [ ("verdict", Json.String "reproduced"); ("message", Json.String msg) ]
-  | Not_reproduced -> Json.Obj [ ("verdict", Json.String "not_reproduced") ]
-  | Inapplicable _ -> invalid_arg "verdict_fact: Inapplicable is not storable"
-
-let verdict_of_fact j =
-  match Json.member "verdict" j with
-  | Some (Json.String "reproduced") -> (
-    match Json.member "message" j with
-    | Some (Json.String msg) -> Some (Reproduced msg)
-    | _ -> None)
-  | Some (Json.String "not_reproduced") -> Some Not_reproduced
-  | _ -> None
-
 let replay_metrics ?db (cert : Cert.t) =
   let live_applied = ref 0 in
   let stats0 = Option.map (fun db -> Db.stats db) db in
@@ -97,9 +63,9 @@ let replay_metrics ?db (cert : Cert.t) =
           | Ok (final, trace) ->
             live_applied := List.length cert.Cert.script;
             (match
-               check cert.Cert.property ~rule:cert.Cert.rule ~inputs:cert.Cert.inputs
-                 ~n:cert.Cert.n ~quiescent:(E.quiescent final) ~statuses:(E.statuses final)
-                 trace
+               Patterns_core.Audit.check cert.Cert.property ~rule:cert.Cert.rule
+                 ~inputs:cert.Cert.inputs ~n:cert.Cert.n ~quiescent:(E.quiescent final)
+                 ~statuses:(E.statuses final) trace
              with
             | Error msg -> Reproduced msg
             | Ok () -> Not_reproduced)
@@ -146,28 +112,26 @@ let replay_metrics ?db (cert : Cert.t) =
               in
               go root_fp (E.fingerprint r) cert.Cert.script
           in
+          (* Inapplicable verdicts are never stored: they describe this
+             replayer (unknown protocol, changed code), not the
+             recorded execution *)
           let live_and_store () =
             let v = live () in
             (match v with
-            | Reproduced _ | Not_reproduced -> (
-              match record () with
-              | Some path_fp ->
-                Db.put_fact db ~kind:"verdict" ~key:(verdict_key cert path_fp)
-                  (verdict_fact v)
-              | None -> ())
+            | Reproduced _ | Not_reproduced ->
+              Option.iter
+                (fun path_fp ->
+                  Db.put_sealed db ~kind:"verdict" ~key:(verdict_key cert path_fp) v)
+                (record ())
             | Inapplicable _ -> ());
             v
           in
-          (match walk () with
-          | Some path_fp -> (
-            match
-              Option.bind
-                (Db.get_fact db ~kind:"verdict" ~key:(verdict_key cert path_fp))
-                verdict_of_fact
-            with
-            | Some v -> v (* zero engine plays, zero kernel expansions *)
-            | None -> live_and_store ())
-          | None -> live_and_store ())
+          match
+            Option.bind (walk ()) (fun path_fp ->
+                Db.get_sealed db ~kind:"verdict" ~key:(verdict_key cert path_fp))
+          with
+          | Some (v : verdict) -> v (* zero engine plays, zero kernel expansions *)
+          | None -> live_and_store ()
       end
   in
   let m =

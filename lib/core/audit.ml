@@ -14,6 +14,22 @@ type report = {
   sample_violation : string option;
 }
 
+type property = TC | IC | Agreement | WT | Rule
+
+(* The property checkers are trace-polymorphic, so one function serves
+   every protocol once the engine has played the run. *)
+let check property ~rule ~inputs ~n ~quiescent ~statuses trace =
+  match property with
+  | TC -> Check.total_consistency trace
+  | IC -> Check.interactive_consistency trace
+  | Agreement -> Check.nonfaulty_agreement trace
+  | Rule -> Check.decision_rule rule ~inputs trace
+  | WT ->
+    let failed = Array.make n false in
+    List.iter (fun p -> failed.(p) <- true) (Trace.failures trace);
+    Check.weak_termination ~quiescent ~statuses ~ever_decided:(Check.ever_decided ~n trace)
+      ~failed
+
 let random_audit ?(max_failures = 2) ?(max_steps = 100_000) ?(fifo_notices = false) ~rule ~n
     ~runs ~seed (module P : Protocol.S) =
   let module E = Engine.Make (P) in
@@ -54,30 +70,25 @@ let random_audit ?(max_failures = 2) ?(max_steps = 100_000) ?(fifo_notices = fal
       | _ -> E.lifo_scheduler
     in
     let r = E.run ~max_steps ~failures ~fifo_notices ~scheduler ~n ~inputs () in
-    let failed_list = Trace.failures r.E.trace in
     acc :=
       {
         !acc with
-        failures_injected = !acc.failures_injected + List.length failed_list;
+        failures_injected = !acc.failures_injected + List.length (Trace.failures r.E.trace);
         messages_total = !acc.messages_total + Trace.message_count r.E.trace;
       };
     if not r.E.quiescent then acc := { !acc with non_quiescent = !acc.non_quiescent + 1 };
-    note (fun a -> { a with tc_violations = a.tc_violations + 1 }) (Check.total_consistency r.E.trace);
-    note
-      (fun a -> { a with ic_violations = a.ic_violations + 1 })
-      (Check.interactive_consistency r.E.trace);
-    note
-      (fun a -> { a with agreement_violations = a.agreement_violations + 1 })
-      (Check.nonfaulty_agreement r.E.trace);
-    note
-      (fun a -> { a with rule_violations = a.rule_violations + 1 })
-      (Check.decision_rule rule ~inputs r.E.trace);
-    let failed = Array.make n false in
-    List.iter (fun p -> failed.(p) <- true) failed_list;
-    note
-      (fun a -> { a with wt_incomplete = a.wt_incomplete + 1 })
-      (Check.weak_termination ~quiescent:r.E.quiescent ~statuses:(E.statuses r.E.final)
-         ~ever_decided:(Check.ever_decided ~n r.E.trace) ~failed)
+    let statuses = E.statuses r.E.final in
+    List.iter
+      (fun (property, bump) ->
+        note bump
+          (check property ~rule ~inputs ~n ~quiescent:r.E.quiescent ~statuses r.E.trace))
+      [
+        (TC, fun a -> { a with tc_violations = a.tc_violations + 1 });
+        (IC, fun a -> { a with ic_violations = a.ic_violations + 1 });
+        (Agreement, fun a -> { a with agreement_violations = a.agreement_violations + 1 });
+        (Rule, fun a -> { a with rule_violations = a.rule_violations + 1 });
+        (WT, fun a -> { a with wt_incomplete = a.wt_incomplete + 1 });
+      ]
   done;
   !acc
 
@@ -92,5 +103,3 @@ let pp ppf r =
     r.runs r.failures_injected r.messages_total r.tc_violations r.ic_violations
     r.agreement_violations r.wt_incomplete r.rule_violations r.non_quiescent
     (match r.sample_violation with None -> "" | Some s -> "\n first: " ^ s)
-
-type property = TC | IC | Agreement | WT | Rule

@@ -19,6 +19,24 @@ type report = {
   sample_violation : string option;
 }
 
+(** The properties {!random_audit}, a violation hunt
+    ([Patterns_adversary.Hunt]) and its certificates check. *)
+type property = TC | IC | Agreement | WT | Rule
+
+val check :
+  property ->
+  rule:Decision_rule.t ->
+  inputs:bool list ->
+  n:int ->
+  quiescent:bool ->
+  statuses:Status.t array ->
+  'msg Trace.t ->
+  Check.verdict
+(** Check one property on one finished run: its trace, whether it
+    quiesced and the final statuses.  [WT] counts the processors the
+    trace shows failing as faulty; the other properties read the
+    trace alone. *)
+
 val random_audit :
   ?max_failures:int ->
   ?max_steps:int ->
@@ -35,10 +53,6 @@ val random_audit :
     every trace-level checker.  [fifo_notices] selects the fail-stop
     delivery discipline (see {!Patterns_sim.Engine}); the paper's
     unordered default is [false]. *)
-
-(** The properties a violation hunt ([Patterns_adversary.Hunt]) and
-    its certificates check. *)
-type property = TC | IC | Agreement | WT | Rule
 
 val clean : report -> bool
 (** No violations and every run quiesced with all nonfaulty decided. *)

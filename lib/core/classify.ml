@@ -1,6 +1,5 @@
 open Patterns_sim
 module Db = Patterns_db.Db
-module Json = Patterns_stdx.Json
 
 type verdict = {
   name : string;
@@ -19,7 +18,11 @@ type verdict = {
   details : string list;
 }
 
-(* ----- execution-database facts for classification sweeps ----- *)
+(* ----- execution-database facts for classification sweeps -----
+
+   A stored verdict is the [verdict] record itself, sealed under the
+   fact kind ["classify"] ({!Db.put_sealed}); a fact that does not
+   unseal is a miss, recomputed and overwritten. *)
 
 (* The fact key names every parameter the verdict depends on, the
    driver included: the two drivers can disagree on count statistics
@@ -37,74 +40,6 @@ let fact_key ~name ~rule ~n ~max_failures ~max_configs ~fifo_notices ~max_live ~
     (match max_live with None -> "-" | Some l -> string_of_int l)
     (Patterns_search.Search.par_mode_string par_mode)
     (String.concat "," (List.map vec inputs_choices))
-
-let verdict_to_fact v =
-  Json.Obj
-    [
-      ("name", Json.String v.name);
-      ("n", Json.Int v.n);
-      ("ic", Json.Bool v.ic);
-      ("tc", Json.Bool v.tc);
-      ("wt", Json.Bool v.wt);
-      ("st", Json.Bool v.st);
-      ("ht", Json.Bool v.ht);
-      ("rule_ok", Json.Bool v.rule_ok);
-      ("validity_ok", Json.Bool v.validity_ok);
-      ("all_states_safe", Json.Bool v.all_states_safe);
-      ("corollary6", Json.Bool v.corollary6);
-      ("configs", Json.Int v.configs);
-      ("truncated", Json.Bool v.truncated);
-      ("details", Json.List (List.map (fun s -> Json.String s) v.details));
-    ]
-
-let verdict_of_fact j =
-  let ( let* ) = Option.bind in
-  let b k = Option.bind (Json.member k j) (fun v -> Result.to_option (Json.to_bool v)) in
-  let* name = Option.bind (Json.member "name" j) (fun v -> Result.to_option (Json.to_str v)) in
-  let* n = Option.bind (Json.member "n" j) (fun v -> Result.to_option (Json.to_int v)) in
-  let* ic = b "ic" in
-  let* tc = b "tc" in
-  let* wt = b "wt" in
-  let* st = b "st" in
-  let* ht = b "ht" in
-  let* rule_ok = b "rule_ok" in
-  let* validity_ok = b "validity_ok" in
-  let* all_states_safe = b "all_states_safe" in
-  let* corollary6 = b "corollary6" in
-  let* configs =
-    Option.bind (Json.member "configs" j) (fun v -> Result.to_option (Json.to_int v))
-  in
-  let* truncated = b "truncated" in
-  let* details =
-    Option.bind (Json.member "details" j) (fun v ->
-        match v with
-        | Json.List xs ->
-          List.fold_left
-            (fun acc x ->
-              match (acc, x) with
-              | Some acc, Json.String s -> Some (s :: acc)
-              | _ -> None)
-            (Some []) xs
-          |> Option.map List.rev
-        | _ -> None)
-  in
-  Some
-    {
-      name;
-      n;
-      ic;
-      tc;
-      wt;
-      st;
-      ht;
-      rule_ok;
-      validity_ok;
-      all_states_safe;
-      corollary6;
-      configs;
-      truncated;
-      details;
-    }
 
 let classify ?metrics ?db ?base ?max_failures ?max_configs ?inputs_choices
     ?(fifo_notices = false) ?(jobs = 1) ?par_mode ?deadline ?max_live ?spill
@@ -133,7 +68,7 @@ let classify ?metrics ?db ?base ?max_failures ?max_configs ?inputs_choices
     | None -> None
     | Some db ->
       let s0 = Db.stats db in
-      let v = Option.bind (Db.get_fact db ~kind:"classify" ~key) verdict_of_fact in
+      let v : verdict option = Db.get_sealed db ~kind:"classify" ~key in
       (* a hit answers the sweep with zero kernel expansions: only the
          database counters move *)
       if v <> None then merge_db_metrics db s0;
@@ -197,7 +132,7 @@ let classify ?metrics ?db ?base ?max_failures ?max_configs ?inputs_choices
       (* deadline-bounded sweeps are recorded (their edges are real)
          but their verdicts are not stored: the truncation point is
          wall-clock dependent *)
-      if deadline = None then Db.put_fact db ~kind:"classify" ~key (verdict_to_fact v);
+      if deadline = None then Db.put_sealed db ~kind:"classify" ~key v;
       merge_db_metrics db s0
     | _ -> ());
     v

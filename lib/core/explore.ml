@@ -435,17 +435,19 @@ module Make (P : Protocol.S) = struct
 
   (* ----- per-vector base facts -----
 
-     One fact per fully explored input vector, kind ["classify_vec"],
-     carrying everything a later sweep at the same [max_failures]
-     needs to reuse the vector wholesale: the observation accumulator
-     and the exact derivation count.  The key pins the answer-relevant
+     One fact per fully explored input vector, kind ["classify_vec"]:
+     the vector's size and its observation accumulator, sealed
+     ({!Db.put_sealed}) — everything a later sweep at the same
+     [max_failures] needs to reuse the vector wholesale, the exact
+     derivation count included.  The key pins the answer-relevant
      parameters (protocol, n, rule, max_failures, fifo, driver,
      vector) and deliberately excludes budgets, [jobs] and deadlines:
      reuse re-checks the budget against the stored size, and
      deadline-bounded runs never store or consume facts.  The driver
      is in the key because the two can disagree on count statistics
      where distinct paths converge on one behavioural node (the
-     representative kept is visit-order dependent). *)
+     representative kept is visit-order dependent).  A fact that does
+     not unseal is a miss: the vector runs fresh and overwrites it. *)
 
   let bits_of inputs =
     String.concat "" (List.map (fun b -> if b then "1" else "0") inputs)
@@ -456,65 +458,6 @@ module Make (P : Protocol.S) = struct
       max_failures fifo_notices
       (Patterns_search.Search.par_mode_string par_mode)
       (bits_of inputs)
-
-  (* the state infos travel as hex of [Marshal] — the db is
-     line-oriented JSON.  Marshal bytes are compared by nobody: facts
-     are decoded before use, so the insertion-order-dependent sharing
-     in the byte string is harmless. *)
-  let vec_fact_of ~configs o =
-    let cells =
-      List.filter_map
-        (fun i ->
-          Option.map
-            (fun (k, msg) ->
-              Json.Obj [ ("cell", Json.Int i); ("key", Json.Int k); ("msg", Json.String msg) ])
-            o.cells.(i))
-        [ 0; 1; 2; 3; 4; 5; 6 ]
-    in
-    let infos = Array.of_list (List.map snd (State_map.bindings o.smap)) in
-    Json.Obj
-      [
-        ("configs", Json.Int configs);
-        ("terminal", Json.Int o.terminal);
-        ("edges_gen", Json.Int o.edges_gen);
-        ("cells", Json.List cells);
-        ( "errors",
-          Json.List
-            (List.map
-               (fun e -> Json.String e)
-               (Listx.dedup_sorted ~cmp:String.compare o.errors)) );
-        ("smap", Json.String (Hex.encode (Marshal.to_string infos [])));
-      ]
-
-  (* Fields other than the ones read here are ignored, so facts that
-     still carry the frozen ["boundary"] of older writers decode the
-     same. *)
-  let vobs_of_fact j =
-    let exception Bad in
-    let get k = match Json.member k j with Some v -> v | None -> raise Bad in
-    let int k = match Json.to_int (get k) with Ok i -> i | Error _ -> raise Bad in
-    let str k = match Json.to_str (get k) with Ok s -> s | Error _ -> raise Bad in
-    let lst k = match Json.to_list (get k) with Ok l -> l | Error _ -> raise Bad in
-    try
-      let configs = int "configs" in
-      let o = vobs_empty () in
-      o.terminal <- int "terminal";
-      o.edges_gen <- int "edges_gen";
-      List.iter
-        (fun cj ->
-          let m k = match Json.member k cj with Some v -> v | None -> raise Bad in
-          match (Json.to_int (m "cell"), Json.to_int (m "key"), Json.to_str (m "msg")) with
-          | Ok cell, Ok key, Ok msg when cell >= 0 && cell < 7 ->
-            o.cells.(cell) <- Some (key, msg)
-          | _ -> raise Bad)
-        (lst "cells");
-      o.errors <-
-        List.map (fun e -> match Json.to_str e with Ok s -> s | Error _ -> raise Bad)
-          (lst "errors");
-      let infos : state_info array = Marshal.from_string (Hex.decode (str "smap")) 0 in
-      Array.iter (fun info -> o.smap <- State_map.add info.state info o.smap) infos;
-      Some (configs, o)
-    with Bad | Invalid_argument _ | Failure _ -> None
 
   (* One vector of the sweep, with the base database consulted when it
      is sound to do so: a fact for this vector whose size fits the
@@ -531,7 +474,7 @@ module Make (P : Protocol.S) = struct
       in
       let configs = m.Patterns_search.Metrics.states_expanded in
       if (not truncated) && m.Patterns_search.Metrics.deadline_hits = 0 then
-        store (vec_fact_of ~configs o);
+        store (configs, o);
       (report_of ~configs ~truncated o, m)
     in
     match options.base with
@@ -540,14 +483,14 @@ module Make (P : Protocol.S) = struct
         vec_fact_key ~rule ~n ~max_failures:options.max_failures
           ~fifo_notices:options.fifo_notices ~par_mode:options.par_mode inputs
       in
-      match Option.bind (Db.get_fact db ~kind:"classify_vec" ~key) vobs_of_fact with
+      match (Db.get_sealed db ~kind:"classify_vec" ~key : (int * vobs) option) with
       | Some (configs, o) when configs <= budget ->
         let m =
           Patterns_search.Metrics.with_incremental ~delta_reused_edges:o.edges_gen
             Patterns_search.Metrics.zero
         in
         (report_of ~configs ~truncated:false o, m)
-      | _ -> fresh ~store:(Db.put_fact db ~kind:"classify_vec" ~key))
+      | _ -> fresh ~store:(Db.put_sealed db ~kind:"classify_vec" ~key))
     | _ -> fresh ~store:ignore
 
   (* ----- deterministic merge of per-vector reports ----- *)

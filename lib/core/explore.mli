@@ -16,7 +16,13 @@
     and accumulates the data for Theorem 2: each operational local
     state's concurrency information — which decision values co-occur
     with it and whether it implies the all-ones input vector — from
-    which the safe-state conditions and Corollary 6 are decided. *)
+    which the safe-state conditions and Corollary 6 are decided.
+
+    What a sweep stores for later runs is sealed
+    ({!Patterns_stdx.Seal}): its checkpoint payloads and its
+    per-vector base facts.  A damaged checkpoint is refused; a damaged
+    or pre-seal base fact is a miss, and its vector is explored
+    afresh. *)
 
 open Patterns_sim
 
@@ -80,13 +86,16 @@ module Make (P : Protocol.S) : sig
             an execution database populated across a resume covers
             only the resumed vectors.  Raises [Failure] on a header
             mismatch (protocol, rule, n, budgets, driver family, spill
-            budget, input vectors). *)
+            budget, input vectors) or a payload that does not unseal
+            ({!Patterns_search.Checkpoint.create}). *)
     base : Patterns_db.Db.t option;
         (** incremental base: an execution database whose
             ["classify_vec"] facts persist each fully explored input
-            vector (observations and derivation counts), keyed by
-            protocol, n, rule, [max_failures], [fifo_notices],
-            [par_mode] and the vector.  With a base, a vector whose
+            vector (observations and derivation counts, sealed with
+            {!Patterns_db.Db.put_sealed}), keyed by protocol, n, rule,
+            [max_failures], [fifo_notices], [par_mode] and the vector.
+            A fact that does not unseal is a miss: the vector runs
+            fresh and overwrites it.  With a base, a vector whose
             fact fits the per-vector budget is answered wholesale from
             it — bit-identical to from-scratch under the same driver,
             with the skipped derivations counted in the metrics'

@@ -1,6 +1,8 @@
 module Dict = Patterns_stdx.Dict
 module Lru = Patterns_stdx.Lru
 module Json = Patterns_stdx.Json
+module Hex = Patterns_stdx.Hex
+module Seal = Patterns_stdx.Seal
 module Sset = Set.Make (String)
 
 type stats = { edges : int; index_scans : int; cache_hits : int; cache_misses : int }
@@ -134,6 +136,19 @@ let put_fact t ~kind ~key v =
 
 let get_fact t ~kind ~key = locked t (fun () -> Hashtbl.find_opt t.facts (kind, key))
 
+(* a sealed fact is one hex string; anything that does not decode and
+   unseal under its kind is a miss *)
+let put_sealed t ~kind ~key v =
+  put_fact t ~kind ~key (Json.String (Hex.encode (Seal.seal ~kind v)))
+
+let get_sealed t ~kind ~key =
+  match get_fact t ~kind ~key with
+  | Some (Json.String h) -> (
+    match Hex.decode h with
+    | s -> Result.to_option (Seal.unseal ~kind s)
+    | exception Invalid_argument _ -> None)
+  | _ -> None
+
 let facts t ~kind =
   locked t (fun () ->
       Hashtbl.fold (fun (k, key) v acc -> if String.equal k kind then (key, v) :: acc else acc) t.facts []
@@ -197,9 +212,11 @@ let output_record oc j =
    id order, ["t"] edge id-triples in SEO key order, ["f"] facts
    sorted by (kind, key).  Each record is rendered and written
    individually, so saving never materialises the whole database as
-   one string. *)
+   one string.  The stream goes to a temporary file renamed over
+   [path], so a kill mid-save leaves the previous database whole. *)
 let save t path =
-  let oc = open_out path in
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
@@ -229,7 +246,8 @@ let save t path =
                               ("key", Json.String key);
                               ("value", v);
                             ] );
-                      ]))))
+                      ]))));
+  Sys.rename tmp path
 
 let apply_record t j =
   let ( let* ) = Result.bind in

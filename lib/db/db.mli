@@ -15,11 +15,12 @@
 
     Alongside edges the database stores generic {e facts} — JSON
     values keyed by [(kind, key)] — used by the consumers for
-    violation certificates ([kind = "cert"]), replay verdicts
-    ([kind = "verdict"]) and classification sweeps
-    ([kind = "classify"]).  The database itself knows nothing about
-    those schemas, which keeps [Patterns_db] dependent on
-    [Patterns_stdx] only.
+    violation certificates ([kind = "cert"], plain JSON the [query]
+    command reads) and, sealed ({!put_sealed}), for replay verdicts
+    ([kind = "verdict"]), classification sweeps ([kind = "classify"])
+    and per-vector base facts ([kind = "classify_vec"]).  The
+    database itself knows nothing about those payloads, which keeps
+    [Patterns_db] dependent on [Patterns_stdx] only.
 
     All operations are thread-safe (one internal mutex): the
     asynchronous search driver's workers may record edges
@@ -76,13 +77,26 @@ val get_fact : t -> kind:string -> key:string -> Patterns_stdx.Json.t option
 val facts : t -> kind:string -> (string * Patterns_stdx.Json.t) list
 (** All facts of a kind, sorted by key. *)
 
+val put_sealed : t -> kind:string -> key:string -> 'a -> unit
+(** Store a value as the fact [(kind, key)]: one hex string of the
+    value sealed under [kind] ({!Patterns_stdx.Seal}), so a payload
+    type change takes a new kind. *)
+
+val get_sealed : t -> kind:string -> key:string -> 'a option
+(** The value {!put_sealed} stored, or [None] when the fact is absent
+    or does not decode and unseal under [kind] — damaged, foreign or
+    written by another build.  Sealed facts are a cache: a caller
+    treats [None] as a miss, recomputes and overwrites. *)
+
 (** {1 Persistence} *)
 
 val save : t -> string -> unit
 (** Stream the database to a file in the /2 JSONL form, one record
     rendered and written at a time — saving never materialises the
     whole database as a string, so [--db] does not double peak memory
-    on large edge logs. *)
+    on large edge logs.  The stream is written to [path ^ ".tmp"] and
+    renamed over [path], so a kill mid-save leaves the previous file
+    whole. *)
 
 val load : string -> (t, string) result
 (** Read a database from a /2 stream (recognised by its first line),

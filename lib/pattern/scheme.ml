@@ -53,10 +53,6 @@ module Make (P : Protocol.S) = struct
   type obs = {
     mutable pats : Pattern.Set.t;
     mutable terminal : int;
-    mutable edges : int;
-        (* successor derivations performed — exact and
-           driver-independent, recorded into the base fact so a reuse
-           can report how much work it skipped *)
     seen_pats : (int, E.config list) Hashtbl.t;
   }
 
@@ -64,17 +60,11 @@ module Make (P : Protocol.S) = struct
     {
       K.empty =
         (fun () ->
-          {
-            pats = Pattern.Set.empty;
-            terminal = 0;
-            edges = 0;
-            seen_pats = Hashtbl.create 16;
-          });
+          { pats = Pattern.Set.empty; terminal = 0; seen_pats = Hashtbl.create 16 });
       merge =
         (fun a b ->
           a.pats <- Pattern.Set.union a.pats b.pats;
           a.terminal <- a.terminal + b.terminal;
-          a.edges <- a.edges + b.edges;
           a);
       expand =
         (fun o c ->
@@ -89,107 +79,38 @@ module Make (P : Protocol.S) = struct
                 Pattern.Set.add (Pattern.make (E.triples_of c) (E.pattern_edges c)) o.pats
             end;
             []
-          | actions ->
-            let succs = Pr.successors c actions in
-            o.edges <- o.edges + List.length succs;
-            succs);
+          | actions -> Pr.successors c actions);
     }
-
-  (* ----- per-vector base facts, kind ["scheme_vec"] -----
-
-     The base database is a pure memo: a fact stores the pattern set, the stats and the exact
-     derivation count of one fully enumerated vector, and a later run
-     with the same (protocol, n, vector) and a budget at least as
-     large reuses it wholesale.  Deadline- or live-limited runs
-     neither store nor consume facts. *)
-
-  let scheme_vec_key ~n ~inputs =
-    Printf.sprintf "%s|%d|vec=%s" P.name n
-      (String.concat "" (List.map (fun b -> if b then "1" else "0") inputs))
-
-  let scheme_vec_fact ~configs ~terminal ~edges pats =
-    let module Json = Patterns_stdx.Json in
-    Json.Obj
-      [
-        ("configs", Json.Int configs);
-        ("terminal", Json.Int terminal);
-        ("edges_gen", Json.Int edges);
-        ( "pats",
-          Json.String
-            (Patterns_stdx.Hex.encode
-               (Marshal.to_string (Array.of_list (Pattern.Set.elements pats)) [])) );
-      ]
-
-  let scheme_vec_of_fact j =
-    let module Json = Patterns_stdx.Json in
-    let exception Bad in
-    let get k = match Json.member k j with Some v -> v | None -> raise Bad in
-    let int k = match Json.to_int (get k) with Ok i -> i | Error _ -> raise Bad in
-    let str k = match Json.to_str (get k) with Ok s -> s | Error _ -> raise Bad in
-    try
-      let pats : Pattern.t array =
-        Marshal.from_string (Patterns_stdx.Hex.decode (str "pats")) 0
-      in
-      Some
-        ( int "configs",
-          int "terminal",
-          int "edges_gen",
-          Array.fold_left (fun acc p -> Pattern.Set.add p acc) Pattern.Set.empty pats )
-    with Bad | Invalid_argument _ | Failure _ -> None
 
   (* [obs] merging is union/sum — commutative as well as associative —
      so the async driver's worker-order fold collects the same pattern
      set and terminal count as the serial driver's single fold. *)
   let patterns_for_inputs_m ?pool ?(par_mode = Search.Async)
-      ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ?base ~n ~inputs () =
-    let base =
-      match base with
-      | Some db when deadline = None && max_live = None -> Some db
-      | _ -> None
+      ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ~n ~inputs () =
+    let root = E.init ~n ~inputs in
+    let outcome, o, m =
+      match par_mode with
+      | Search.Layers ->
+        K.run ~budget:max_configs ?deadline ?max_live ?spill ~expand:obs_expand ~root ()
+      | Search.Async ->
+        K.run_par_async ?pool ~budget:max_configs ?deadline ?max_live ?spill
+          ~expand:obs_expand ~root ()
     in
-    let cached =
-      Option.bind base (fun db ->
-          Option.bind
-            (Patterns_db.Db.get_fact db ~kind:"scheme_vec" ~key:(scheme_vec_key ~n ~inputs))
-            scheme_vec_of_fact)
-    in
-    match cached with
-    | Some (configs, terminal, edges, pats) when configs <= max_configs ->
-      ( ( pats,
-          { configs_visited = configs; terminal_configs = terminal; truncated = false } ),
-        Metrics.with_incremental ~delta_reused_edges:edges Metrics.zero )
-    | _ ->
-      let root = E.init ~n ~inputs in
-      let outcome, o, m =
-        match par_mode with
-        | Search.Layers ->
-          K.run ~budget:max_configs ?deadline ?max_live ?spill ~expand:obs_expand ~root ()
-        | Search.Async ->
-          K.run_par_async ?pool ~budget:max_configs ?deadline ?max_live ?spill
-            ~expand:obs_expand ~root ()
-      in
-      let m = Metrics.with_intern_bindings (E.intern_bindings root) m in
-      let truncated = Search.truncated outcome in
-      (match base with
-      | Some db when (not truncated) && m.Metrics.deadline_hits = 0 ->
-        Patterns_db.Db.put_fact db ~kind:"scheme_vec" ~key:(scheme_vec_key ~n ~inputs)
-          (scheme_vec_fact ~configs:m.Metrics.states_expanded ~terminal:o.terminal
-             ~edges:o.edges o.pats)
-      | _ -> ());
-      ( ( o.pats,
-          {
-            configs_visited = m.Metrics.states_expanded;
-            terminal_configs = o.terminal;
-            truncated;
-          } ),
-        m )
+    let m = Metrics.with_intern_bindings (E.intern_bindings root) m in
+    ( ( o.pats,
+        {
+          configs_visited = m.Metrics.states_expanded;
+          terminal_configs = o.terminal;
+          truncated = Search.truncated outcome;
+        } ),
+      m )
 
   let patterns_for_inputs ?metrics ?(jobs = 1) ?(par_mode = Search.Async) ?max_configs
-      ?deadline ?max_live ?spill ?base ~n ~inputs () =
+      ?deadline ?max_live ?spill ~n ~inputs () =
     let result, m =
       Search.with_pool ~jobs par_mode (fun pool ->
-          patterns_for_inputs_m ~pool ~par_mode ?max_configs ?deadline ?max_live ?spill
-            ?base ~n ~inputs ())
+          patterns_for_inputs_m ~pool ~par_mode ?max_configs ?deadline ?max_live ?spill ~n
+            ~inputs ())
     in
     Search.merge_into metrics m;
     result

@@ -2,11 +2,13 @@
 
     The scheme of a protocol is the set of communication patterns of
     all its failure-free executions.  For the finite, quiescing
-    protocols studied here the scheme is computed exactly, by
-    depth-first search over every applicable event from every initial
-    configuration, memoizing on full configurations (which carry the
-    pattern-so-far, making the memoization sound for pattern
-    collection). *)
+    protocols studied here the scheme is computed exactly, by an
+    exhaustive kernel search over every applicable event from every
+    initial configuration, memoizing on full configurations (which
+    carry the pattern-so-far, making the memoization sound for
+    pattern collection).  Scheme sweeps keep no base database: the
+    only payloads they read back are their checkpoints, sealed by
+    {!Patterns_search.Checkpoint}. *)
 
 open Patterns_sim
 
@@ -39,7 +41,6 @@ module Make (P : Protocol.S) : sig
     ?deadline:float ->
     ?max_live:int ->
     ?spill:Patterns_search.Search.spill ->
-    ?base:Patterns_db.Db.t ->
     n:int ->
     inputs:bool list ->
     unit ->
@@ -58,15 +59,7 @@ module Make (P : Protocol.S) : sig
       degrade the search gracefully: exceeding either truncates
       instead of hanging or exhausting memory.  Every [?metrics] sink
       in this module accumulates the kernel's counters
-      ({!Patterns_search.Search.merge_into}).
-
-      [base] memoizes fully enumerated vectors as ["scheme_vec"] facts
-      keyed by (protocol, n, vector): a later call with a budget at
-      least as large reuses the stored pattern set and stats
-      wholesale — bit-identical to recomputing, with the skipped
-      derivation count reported in the metrics' [delta_reused_edges] —
-      and a fresh enumeration that completes untruncated stores a new
-      fact.  Ignored while [deadline] or [max_live] is set. *)
+      ({!Patterns_search.Search.merge_into}). *)
 
   val scheme :
     ?metrics:Patterns_search.Metrics.t ref ->

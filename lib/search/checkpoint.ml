@@ -7,21 +7,22 @@
    sets, reports, cumulative hunt metrics.  The file is one plain-text
    header line
 
-     patterns-checkpoint/1 <client header>
+     patterns-checkpoint/2 <client header>
 
-   followed by a [Marshal] blob of the sorted (index, payload) list.
-   The client header encodes everything the payloads depend on
-   (protocol, n, budgets, seeds, …); a resume against a file whose
-   header differs is refused rather than silently mixing
-   incompatible payloads.  Rewrites go through a temporary file and
-   [Sys.rename], so a kill mid-write leaves the previous complete
-   checkpoint, never a torn one.
+   followed by the sorted (index, payload) list, sealed
+   ({!Patterns_stdx.Seal}) under a kind naming that header line and
+   {!Metrics.schema}.  The client header encodes everything the
+   payloads depend on (protocol, n, budgets, seeds, …); a resume
+   against a file whose header differs is refused rather than
+   silently mixing incompatible payloads, and a payload that does not
+   unseal — truncated, flipped, or written by another build — is
+   refused before any byte of it is unmarshalled.  Rewrites go
+   through a temporary file and [Sys.rename], so a kill mid-write
+   leaves the previous complete checkpoint, never a torn one. *)
 
-   [Marshal] blobs are only ever read back from files this module
-   wrote (the header line is checked first), the usual trust boundary
-   for OCaml snapshots. *)
+module Seal = Patterns_stdx.Seal
 
-let schema = "patterns-checkpoint/1"
+let schema = "patterns-checkpoint/2"
 
 type spec = { file : string; resume : bool; kill_after : int option }
 
@@ -39,6 +40,10 @@ let with_lock t f =
 
 let header_line header = Printf.sprintf "%s %s" schema header
 
+(* the payload type is fixed by the client header and, through the
+   recorded metrics, by the metrics schema *)
+let payload_kind header = Printf.sprintf "%s|%s" (header_line header) Metrics.schema
+
 let load_entries ~file ~header =
   let ic = open_in_bin file in
   Fun.protect
@@ -46,19 +51,22 @@ let load_entries ~file ~header =
     (fun () ->
       match input_line ic with
       | exception End_of_file -> Error (Printf.sprintf "%s: empty checkpoint file" file)
-      | line ->
-        if not (String.length line >= String.length schema
-                && String.sub line 0 (String.length schema) = schema) then
-          Error (Printf.sprintf "%s: not a %s file" file schema)
+      | line -> (
+        let declared = List.hd (String.split_on_char ' ' line) in
+        if String.starts_with ~prefix:"patterns-checkpoint/" declared && declared <> schema
+        then
+          Error
+            (Printf.sprintf "%s: unsupported checkpoint schema %s (this build reads %s)" file
+               declared schema)
+        else if declared <> schema then Error (Printf.sprintf "%s: not a %s file" file schema)
         else if line <> header_line header then
           Error
             (Printf.sprintf "%s: checkpoint header mismatch\n  file:     %s\n  expected: %s"
                file line (header_line header))
         else
-          match (Marshal.from_channel ic : (int * 'a) list) with
-          | entries -> Ok entries
-          | exception (Failure _ | End_of_file) ->
-            Error (Printf.sprintf "%s: truncated or corrupt checkpoint payload" file))
+          match Seal.unseal ~kind:(payload_kind header) (In_channel.input_all ic) with
+          | Ok entries -> Ok entries
+          | Error e -> Error (Printf.sprintf "%s: corrupt checkpoint payload: %s" file e)))
 
 let create spec ~header =
   let fresh_t entries =
@@ -82,7 +90,7 @@ let write_locked t =
     (fun () ->
       output_string oc (header_line t.header);
       output_char oc '\n';
-      Marshal.to_channel oc t.entries []);
+      output_string oc (Seal.seal ~kind:(payload_kind t.header) t.entries));
   Sys.rename tmp t.spec.file
 
 let record t i v =

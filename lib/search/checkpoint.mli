@@ -4,12 +4,13 @@
     vectors, hunt index chunks) merged in root order, so the state
     that makes a killed run resumable is the map from completed root
     index to that root's finished payload.  A checkpoint file is one
-    plain-text header line — [patterns-checkpoint/1] followed by a
+    plain-text header line — [patterns-checkpoint/2] followed by a
     client header string encoding everything the payloads depend on
-    (protocol, n, budgets, seeds, …) — and a [Marshal] blob of the
-    sorted (index, payload) entries.  Every {!record} atomically
-    rewrites the file (temporary + rename), so a kill at any moment
-    leaves the previous complete checkpoint, never a torn one.
+    (protocol, n, budgets, seeds, …) — and the sorted (index, payload)
+    entries sealed ({!Patterns_stdx.Seal}) under a kind naming that
+    line and {!Metrics.schema}.  Every {!record} atomically rewrites
+    the file (temporary + rename), so a kill at any moment leaves the
+    previous complete checkpoint, never a torn one.
 
     Recording policy (enforced by {!Search.sweep} for per-root sweeps
     and by the hunt's chunk loop, documented here): a root is recorded
@@ -20,7 +21,8 @@
     recordable. *)
 
 val schema : string
-(** ["patterns-checkpoint/1"]. *)
+(** ["patterns-checkpoint/2"].  /1 stored an unchecked [Marshal]
+    blob; a /1 file is refused with an error naming its schema. *)
 
 type spec = {
   file : string;
@@ -37,10 +39,11 @@ type spec = {
 type 'a t
 
 val create : spec -> header:string -> ('a t, string) result
-(** [Error] when resuming against a file that is not a checkpoint or
-    whose header line differs from [header] — incompatible payloads
-    are refused, not mixed.  The [Marshal] payload is only ever read
-    from files this module wrote (header checked first). *)
+(** [Error] when resuming against a file that is not a /2 checkpoint,
+    whose header line differs from [header] (incompatible payloads
+    are refused, not mixed), or whose payload does not unseal
+    (["FILE: corrupt checkpoint payload: REASON"]: truncated,
+    corrupted, or written by another build). *)
 
 val find : 'a t -> int -> 'a option
 (** The recorded payload of root [i], if a previous process (or this

@@ -257,6 +257,7 @@ let test_db_persistence_roundtrip () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Db.save db file;
+      check Alcotest.bool "no temporary file left" false (Sys.file_exists (file ^ ".tmp"));
       match Db.load file with
       | Error e -> Alcotest.fail e
       | Ok db' ->
@@ -364,23 +365,27 @@ let test_query_certs_touching () =
 
 (* ----- zero-expansion replay over a recorded run ----- *)
 
-let test_replay_from_db_zero_expansions () =
+module Replay = Patterns_adversary.Replay
+module Metrics = Patterns_search.Metrics
+
+(* a violating certificate for the replay cases: fig3-chain-st breaks
+   nonfaulty agreement *)
+let agreement_cert () =
   let entry =
     match Patterns_protocols.Registry.find "fig3-chain-st" with
     | Some e -> e
     | None -> Alcotest.fail "registry lost fig3-chain-st"
   in
-  let cert =
-    match
-      Patterns_adversary.Hunt.hunt ~max_failures:2 ~max_runs:1_000
-        ~mode:Patterns_adversary.Hunt.Systematic ~property:Patterns_core.Audit.Agreement
-        ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:4 ~seed:0 entry
-    with
-    | Ok c -> c
-    | Error tried -> Alcotest.failf "no violation in %d runs" tried
-  in
-  let module Replay = Patterns_adversary.Replay in
-  let module Metrics = Patterns_search.Metrics in
+  match
+    Patterns_adversary.Hunt.hunt ~max_failures:2 ~max_runs:1_000
+      ~mode:Patterns_adversary.Hunt.Systematic ~property:Patterns_core.Audit.Agreement
+      ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:4 ~seed:0 entry
+  with
+  | Ok c -> c
+  | Error tried -> Alcotest.failf "no violation in %d runs" tried
+
+let test_replay_from_db_zero_expansions () =
+  let cert = agreement_cert () in
   let baseline = Replay.replay cert in
   let db = Db.create () in
   (* first replay records: it plays the engine live *)
@@ -411,6 +416,32 @@ let test_replay_from_db_zero_expansions () =
     (live.Patterns_adversary.Shrink.cert = cached.Patterns_adversary.Shrink.cert);
   check Alcotest.int "shrink replay count identical with db"
     live.Patterns_adversary.Shrink.replays cached.Patterns_adversary.Shrink.replays
+
+(* ----- a damaged verdict fact is a miss -----
+
+   Verdict facts are sealed: with one hex digit flipped the fact no
+   longer unseals, so the replay runs live, returns the same verdict
+   and overwrites the fact, which answers the next replay again. *)
+
+let test_replay_damaged_verdict_fact () =
+  let cert = agreement_cert () in
+  let baseline = Replay.replay cert in
+  let db = Db.create () in
+  ignore (Replay.replay_metrics ~db cert : Replay.verdict * Metrics.t);
+  (match Db.facts db ~kind:"verdict" with
+  | [ (key, Json.String h) ] ->
+    let i = String.length h / 2 in
+    Db.put_fact db ~kind:"verdict" ~key
+      (Json.String (String.mapi (fun j c -> if j <> i then c else if c = '0' then '1' else '0') h))
+  | _ -> Alcotest.fail "expected one sealed verdict fact");
+  let v, m = Replay.replay_metrics ~db cert in
+  check Alcotest.bool "damaged fact: same verdict" true (v = baseline);
+  check Alcotest.int "damaged fact: replay runs live"
+    (List.length cert.Patterns_adversary.Cert.script)
+    m.Metrics.states_expanded;
+  let v, m = Replay.replay_metrics ~db cert in
+  check Alcotest.bool "overwritten fact: same verdict" true (v = baseline);
+  check Alcotest.int "overwritten fact answers" 0 m.Metrics.states_expanded
 
 (* ----- classification verdicts from the fact store ----- *)
 
@@ -501,6 +532,8 @@ let () =
         [
           Alcotest.test_case "replay from db: zero expansions" `Slow
             test_replay_from_db_zero_expansions;
+          Alcotest.test_case "replay with a damaged verdict fact runs live" `Slow
+            test_replay_damaged_verdict_fact;
           Alcotest.test_case "classify verdict from the fact store" `Slow
             test_classify_cached_verdict;
           Alcotest.test_case "recorded edges driver-invariant" `Slow

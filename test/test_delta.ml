@@ -199,36 +199,57 @@ let test_base_keyed_by_driver () =
     (classify ~base Patterns_search.Search.Async);
   check_verdict "layers reused" layers (classify ~base Patterns_search.Search.Layers)
 
-(* ----- facts written with a frozen boundary -----
+(* ----- unsealable facts are recomputed -----
 
-   Earlier writers stored each vector's max-failure boundary in the
-   fact as an extra ["boundary"] field.  The reader ignores it, so
-   such a base is still reused wholesale. *)
+   Base facts are a cache.  A fact in the retired JSON form, or a
+   sealed fact with one hex digit flipped, does not unseal: its vector
+   is explored afresh, so the verdict is the from-scratch one with
+   every vector re-explored, and the fresh fact overwrites the damaged
+   one. *)
 
-let test_legacy_boundary_field () =
+let flip_hex_digit h =
+  let i = String.length h / 2 in
+  String.mapi (fun j c -> if j <> i then c else if c = '0' then '1' else '0') h
+
+let test_unsealable_facts_recomputed () =
   let entry = entry_exn "fig3-chain" in
   let rule = rule_of_registry entry in
   let classify ?metrics ?base () =
     Classify.classify ?metrics ?base ~max_failures:1 ~rule ~n:3
       entry.Patterns_protocols.Registry.protocol
   in
-  let scratch = classify () in
-  let base = Db.create () in
-  let _seed : Classify.verdict = classify ~base () in
-  let facts = Db.facts base ~kind:"classify_vec" in
-  Alcotest.(check bool) "one fact per vector" true (List.length facts = 8);
-  List.iter
-    (fun (key, fact) ->
-      match fact with
-      | Json.Obj fields ->
-        Db.put_fact base ~kind:"classify_vec" ~key
-          (Json.Obj (fields @ [ ("boundary", Json.String (Hex.encode "legacy")) ]))
-      | _ -> Alcotest.fail "fact is not an object")
-    facts;
-  let metrics = ref Patterns_search.Metrics.zero in
-  check_verdict "legacy facts reused ≡ scratch" scratch (classify ~metrics ~base ());
-  check Alcotest.int "no expansions on reuse" 0
-    !metrics.Patterns_search.Metrics.states_expanded
+  let scratch_m = ref Patterns_search.Metrics.zero in
+  let scratch = classify ~metrics:scratch_m () in
+  let expanded m = !m.Patterns_search.Metrics.states_expanded in
+  let recomputed name damage =
+    let base = Db.create () in
+    let _seed : Classify.verdict = classify ~base () in
+    let facts = Db.facts base ~kind:"classify_vec" in
+    check Alcotest.int "one fact per vector" 8 (List.length facts);
+    List.iter (fun (key, fact) -> Db.put_fact base ~kind:"classify_vec" ~key (damage fact)) facts;
+    let metrics = ref Patterns_search.Metrics.zero in
+    check_verdict (name ^ " ≡ scratch") scratch (classify ~metrics ~base ());
+    check Alcotest.int (name ^ ": every vector re-explored") (expanded scratch_m)
+      (expanded metrics);
+    check Alcotest.int (name ^ ": nothing reused") 0
+      !metrics.Patterns_search.Metrics.delta_reused_edges;
+    let metrics = ref Patterns_search.Metrics.zero in
+    check_verdict (name ^ ": overwritten facts reused") scratch (classify ~metrics ~base ());
+    check Alcotest.int (name ^ ": no expansions on reuse") 0 (expanded metrics)
+  in
+  recomputed "old-format JSON facts" (fun _ ->
+      Json.Obj
+        [
+          ("configs", Json.Int 1);
+          ("terminal", Json.Int 1);
+          ("edges_gen", Json.Int 0);
+          ("cells", Json.List []);
+          ("errors", Json.List []);
+          ("smap", Json.String (Hex.encode "pre-seal"));
+        ]);
+  recomputed "flipped hex digit" (function
+    | Json.String h -> Json.String (flip_hex_digit h)
+    | _ -> Alcotest.fail "sealed fact is not a string")
 
 (* ----- systematic hunt: memoized prefixes ≡ full replays ----- *)
 
@@ -288,31 +309,6 @@ let test_random_mode_stream_untouched () =
      certificate text *)
   Alcotest.(check bool) "random stream draw-for-draw" true (hunt true = hunt false)
 
-(* ----- scheme memoization ----- *)
-
-let test_scheme_base () =
-  let entry = entry_exn "fig3-chain" in
-  let (module P : Patterns_sim.Protocol.S) = entry.Patterns_protocols.Registry.protocol in
-  let module S = Patterns_pattern.Scheme.Make (P) in
-  let n = 3 in
-  let inputs = [ true; true; false ] in
-  let scratch = S.patterns_for_inputs ~n ~inputs () in
-  let base = Db.create () in
-  let first = S.patterns_for_inputs ~base ~n ~inputs () in
-  let metrics = ref Patterns_search.Metrics.zero in
-  let second = S.patterns_for_inputs ~metrics ~base ~n ~inputs () in
-  let eq (pa, sa) (pb, sb) = Patterns_pattern.Pattern.Set.equal pa pb && sa = sb in
-  Alcotest.(check bool) "first run through base ≡ scratch" true (eq scratch first);
-  Alcotest.(check bool) "memoized ≡ scratch" true (eq scratch second);
-  Alcotest.(check int) "no expansions on reuse" 0
-    !metrics.Patterns_search.Metrics.states_expanded;
-  Alcotest.(check bool) "reused derivations counted" true
-    (!metrics.Patterns_search.Metrics.delta_reused_edges > 0);
-  (* a smaller budget than the stored size must recompute *)
-  let tiny = S.patterns_for_inputs ~base ~max_configs:3 ~n ~inputs () in
-  Alcotest.(check bool) "undersized budget recomputes (truncated)" true
-    (snd tiny).Patterns_pattern.Scheme.truncated
-
 (* ----- descriptor cache: bounded fds, counted reopens ----- *)
 
 let test_fd_reopens () =
@@ -358,7 +354,8 @@ let () =
           Alcotest.test_case "budget gate" `Quick test_budget_gate;
           Alcotest.test_case "jobs x par-mode matrix" `Slow test_matrix_invariance;
           Alcotest.test_case "base keyed by driver" `Quick test_base_keyed_by_driver;
-          Alcotest.test_case "legacy boundary field" `Quick test_legacy_boundary_field;
+          Alcotest.test_case "unsealable facts recomputed" `Quick
+            test_unsealable_facts_recomputed;
         ] );
       ( "hunt",
         [
@@ -368,6 +365,5 @@ let () =
           Alcotest.test_case "random stream untouched" `Quick
             test_random_mode_stream_untouched;
         ] );
-      ( "scheme", [ Alcotest.test_case "base memo" `Quick test_scheme_base ] );
       ( "fd_cache", [ Alcotest.test_case "reopens counted" `Quick test_fd_reopens ] );
     ]

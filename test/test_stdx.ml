@@ -395,6 +395,36 @@ let test_atomic_table_insert_storm () =
   Alcotest.(check int) "no collisions for distinct fps" 0
     (Atomic_table.collision_fallbacks t)
 
+(* qcheck: a sealed value round-trips, and every kind of damage —
+   each strict prefix, any single-bit flip, another kind — is an
+   [Error], never an exception or a wrong value *)
+let seal_qcheck_tests =
+  let open QCheck2 in
+  let payload = Gen.(pair (list small_int) string_printable) in
+  let kind = Gen.(string_size ~gen:(char_range 'a' 'z') (int_range 1 12)) in
+  [
+    Test.make ~count:200 ~name:"round trip; prefixes, bit flips and other kinds refused"
+      Gen.(triple payload kind nat)
+      (fun (v, kind, bit) ->
+        let s = Seal.seal ~kind v in
+        let refused s' ~kind =
+          match (Seal.unseal ~kind s' : (int list * string, string) result) with
+          | Error _ -> true
+          | Ok _ | (exception _) -> false
+        in
+        let bit = bit mod (8 * String.length s) in
+        let flipped =
+          String.mapi
+            (fun i c -> if i = bit / 8 then Char.chr (Char.code c lxor (1 lsl (bit mod 8))) else c)
+            s
+        in
+        Seal.unseal ~kind s = Ok v
+        && List.for_all (fun len -> refused (String.sub s 0 len) ~kind)
+             (List.init (String.length s) Fun.id)
+        && refused flipped ~kind
+        && refused s ~kind:(kind ^ "'"));
+  ]
+
 (* qcheck: the table against a Set model, random operation sequences *)
 let atomic_table_qcheck_tests =
   let open QCheck2 in
@@ -605,6 +635,7 @@ let () =
         ] );
       ("deque properties", List.map QCheck_alcotest.to_alcotest deque_qcheck_tests);
       ("table properties", List.map QCheck_alcotest.to_alcotest atomic_table_qcheck_tests);
+      ("seal properties", List.map QCheck_alcotest.to_alcotest seal_qcheck_tests);
       ( "listx",
         [
           Alcotest.test_case "range" `Quick test_range;
