@@ -21,8 +21,8 @@
     recordable. *)
 
 val schema : string
-(** ["patterns-checkpoint/2"].  /1 stored an unchecked [Marshal]
-    blob; a /1 file is refused with an error naming its schema. *)
+(** ["patterns-checkpoint/2"].  A file of another checkpoint schema
+    (the unsealed /1) is refused with an error naming that schema. *)
 
 type spec = {
   file : string;
