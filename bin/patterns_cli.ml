@@ -89,9 +89,12 @@ let jobs_arg =
        & info [ "j"; "jobs" ] ~docv:"J"
          ~doc:"Worker domains for the $(b,async) driver (0 = all cores); $(b,--par-mode \
                layers) runs on one domain whatever the value. An exhaustive search gives \
-               the same answer and deterministic counters for every value. A truncated \
-               one does too under $(b,layers); under $(b,async) it keeps its counts but \
-               visits a schedule-dependent subset, so its verdict or witness may differ.")
+               the same verdict for every value, and the same counts under $(b,layers). \
+               Under $(b,async) with several workers, a protocol whose distinct paths \
+               reach one behavioural configuration counts a schedule-dependent number \
+               of configurations (coop-2pc). A truncated search gives the same answer \
+               under $(b,layers); under $(b,async) it keeps its counts but visits a \
+               schedule-dependent subset, so its verdict or witness may differ.")
 
 let resolve_jobs j = if j <= 0 then Patterns_stdx.Domain_pool.default_jobs () else j
 

@@ -9,7 +9,7 @@
 
     With an execution database attached ([?db]), replay consults the
     recorded edge log first: the script is walked as point queries
-    over the covering indexes (src and event bound at every step), and
+    (src and event bound at every step, so each is a key prefix scan), and
     if the walk covers the whole script and a verdict fact for the
     resulting path fingerprint is stored, the verdict is returned with
     {e zero} engine plays and zero kernel expansions

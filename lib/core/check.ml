@@ -6,21 +6,16 @@ type verdict = (unit, string) result
 let proc_count trace =
   List.fold_left (fun acc e -> max acc (Trace.proc_of e + 1)) 0 trace
 
-(* Every checker below is the search kernel's linear scan
-   (Patterns_search.Search.Scan) over the trace or over the
-   processors: positions are visited in order and the first [Error]
-   is the goal, so "which violation a checker reports" is defined by
-   the kernel's visitation order, not by a private recursion. *)
+(* Every checker below reports the first [Error] of a scan over the
+   trace or over the processors, in position order. *)
+let rec first_error xs check =
+  match xs with
+  | [] -> Ok ()
+  | x :: rest -> ( match check x with Ok () -> first_error rest check | e -> e)
 
-let scan_events ?metrics trace check =
-  let events = Array.of_list trace in
-  Patterns_search.Search.Scan.first_error ?metrics ~len:(Array.length events)
-    ~check:(fun i -> check events.(i))
-    ()
-
-let total_consistency ?metrics trace =
+let total_consistency trace =
   let first = ref None in
-  scan_events ?metrics trace (function
+  first_error trace (function
     | Trace.Decided { proc; decision; step } -> (
       match !first with
       | None ->
@@ -35,7 +30,7 @@ let total_consistency ?metrics trace =
                p0 Decision.pp d0 Proc_id.pp proc Decision.pp decision step))
     | _ -> Ok ())
 
-let interactive_consistency ?metrics trace =
+let interactive_consistency trace =
   let n = proc_count trace in
   let decisions = Array.make (max n 1) None in
   let failed = Array.make (max n 1) false in
@@ -56,7 +51,7 @@ let interactive_consistency ?metrics trace =
     done;
     !conflict
   in
-  scan_events ?metrics trace (fun e ->
+  first_error trace (fun e ->
       (match e with
       | Trace.Decided { proc; decision; _ } -> decisions.(proc) <- Some decision
       | Trace.Became_amnesic { proc; _ } -> decisions.(proc) <- None
@@ -65,30 +60,22 @@ let interactive_consistency ?metrics trace =
       | Trace.Dropped_msg _ | Trace.Halted _ -> ());
       check (Trace.step_of e))
 
-let nonfaulty_agreement ?metrics trace =
+let nonfaulty_agreement trace =
   let failed = Trace.failures trace in
-  let decisions =
-    Array.of_list
-      (List.filter (fun (p, _) -> not (List.mem p failed)) (Trace.decisions trace))
-  in
-  Patterns_search.Search.Scan.first_error ?metrics ~len:(Array.length decisions)
-    ~check:(fun i ->
-      if i = 0 then Ok ()
-      else begin
-        let p0, d0 = decisions.(0) in
-        let p, d = decisions.(i) in
+  match List.filter (fun (p, _) -> not (List.mem p failed)) (Trace.decisions trace) with
+  | [] -> Ok ()
+  | (p0, d0) :: rest ->
+    first_error rest (fun (p, d) ->
         if Decision.equal d d0 then Ok ()
         else
           Error
             (Format.asprintf "nonfaulty processors disagree: %a decided %a but %a decided %a"
-               Proc_id.pp p0 Decision.pp d0 Proc_id.pp p Decision.pp d)
-      end)
-    ()
+               Proc_id.pp p0 Decision.pp d0 Proc_id.pp p Decision.pp d))
 
-let decision_rule ?metrics rule ~inputs trace =
+let decision_rule rule ~inputs trace =
   let inputs = Array.of_list inputs in
   let failure_occurred = ref false in
-  scan_events ?metrics trace (function
+  first_error trace (function
     | Trace.Failed_proc _ ->
       failure_occurred := true;
       Ok ()
@@ -101,22 +88,18 @@ let decision_rule ?metrics rule ~inputs trace =
              Proc_id.pp proc Decision.pp decision step)
     | _ -> Ok ())
 
-let validity ?metrics rule ~inputs trace =
+let validity rule ~inputs trace =
   if Trace.failures trace <> [] then
     Error "validity check applies to failure-free runs only"
   else begin
     let expected = Decision_rule.natural_decision rule (Array.of_list inputs) in
-    let decisions = Array.of_list (Trace.decisions trace) in
-    Patterns_search.Search.Scan.first_error ?metrics ~len:(Array.length decisions)
-      ~check:(fun i ->
-        let p, d = decisions.(i) in
+    first_error (Trace.decisions trace) (fun (p, d) ->
         if Decision.equal d expected then Ok ()
         else
           Error
             (Format.asprintf
                "validity violated: failure-free run should decide %a but %a decided %a"
                Decision.pp expected Proc_id.pp p Decision.pp d))
-      ()
   end
 
 let ever_decided ~n trace =
@@ -130,9 +113,7 @@ let ever_decided ~n trace =
   first
 
 let for_each_nonfaulty ~failed f =
-  Patterns_search.Search.Scan.first_error ~len:(Array.length failed)
-    ~check:(fun p -> if failed.(p) then Ok () else f p)
-    ()
+  first_error (List.init (Array.length failed) Fun.id) (fun p -> if failed.(p) then Ok () else f p)
 
 let weak_termination ~quiescent ~statuses:_ ~ever_decided ~failed =
   if not quiescent then Error "run did not reach quiescence"

@@ -1,13 +1,10 @@
 (** Trace-level checkers for the taxonomy's safety and liveness
     properties.
 
-    Each checker is an instrumented linear scan from the search kernel
-    ({!Patterns_search.Search.Scan}) over a single execution trace
-    (plus the final statuses where liveness is concerned), reporting
-    the first violation in trace order.  The exhaustive,
-    all-schedules analogues live in {!Explore}.  Every [?metrics]
-    sink accumulates the kernel's counters
-    ({!Patterns_search.Search.merge_into}). *)
+    Each checker is a linear scan over a single execution trace (plus
+    the final statuses where liveness is concerned), reporting the
+    first violation in trace order.  The exhaustive, all-schedules
+    analogues live in {!Explore}. *)
 
 open Patterns_sim
 open Patterns_protocols
@@ -15,36 +12,26 @@ open Patterns_protocols
 type verdict = (unit, string) result
 (** [Error description] pinpoints the violation. *)
 
-val total_consistency : ?metrics:Patterns_search.Metrics.t ref -> 'msg Trace.t -> verdict
+val total_consistency : 'msg Trace.t -> verdict
 (** TC: no two decision events (by anybody, failed processors
     included) carry different values. *)
 
-val interactive_consistency : ?metrics:Patterns_search.Metrics.t ref -> 'msg Trace.t -> verdict
+val interactive_consistency : 'msg Trace.t -> verdict
 (** IC: replaying the trace, at no point do two processors that have
     not failed occupy different decision states.  (Amnesia vacates the
     decision state.) *)
 
-val nonfaulty_agreement : ?metrics:Patterns_search.Metrics.t ref -> 'msg Trace.t -> verdict
+val nonfaulty_agreement : 'msg Trace.t -> verdict
 (** No two processors that stay nonfaulty for the whole run decide
     differently — the consistency that the ST variants of Theorem 13
     are shown to violate (amnesia hides the conflict from
     [interactive_consistency] but not from the decision events). *)
 
-val decision_rule :
-  ?metrics:Patterns_search.Metrics.t ref ->
-  Decision_rule.t ->
-  inputs:bool list ->
-  'msg Trace.t ->
-  verdict
+val decision_rule : Decision_rule.t -> inputs:bool list -> 'msg Trace.t -> verdict
 (** Every decision event is permitted by the rule given the inputs and
     whether a failure had occurred by then. *)
 
-val validity :
-  ?metrics:Patterns_search.Metrics.t ref ->
-  Decision_rule.t ->
-  inputs:bool list ->
-  'msg Trace.t ->
-  verdict
+val validity : Decision_rule.t -> inputs:bool list -> 'msg Trace.t -> verdict
 (** For failure-free runs: every decision equals the rule's natural
     decision on these inputs. *)
 

@@ -1,8 +1,15 @@
 open Patterns_sim
 open Patterns_stdx
+module Search = Patterns_search.Search
 
 module Make (P : Protocol.S) = struct
   module E = Engine.Make (P)
+
+  module State_set = Set.Make (struct
+    type t = P.state
+
+    let compare = P.compare_state
+  end)
 
   module State_map = Map.Make (struct
     type t = P.state
@@ -10,120 +17,83 @@ module Make (P : Protocol.S) = struct
     let compare = P.compare_state
   end)
 
-  module Node_set = Set.Make (struct
-    type t = E.config
+  (* behavioural configurations, deduplicated as Explore does *)
+  module Config = struct
+    type state = E.config
 
     let compare = E.compare_behavioral
-  end)
+    let fingerprint = E.behavioral_fingerprint
+  end
 
-  module Pair_set = Set.Make (struct
-    type t = int * int
+  module K = Search.Make (Config)
 
-    let compare = Stdlib.compare
-  end)
+  (* C(s) of every operational local state reached *)
+  type t = { sets : State_set.t State_map.t; truncated : bool }
 
-  type t = {
-    by_state : int State_map.t;  (* state -> id *)
-    by_id : P.state array;
-    pairs : Pair_set.t;  (* co-occurring ids, (min, max) *)
-    truncated : bool;
-  }
+  let union = State_map.union (fun _ a b -> Some (State_set.union a b))
+
+  (* Folds the configuration's co-occurrences into [acc] and returns
+     its successors.  A processor's state co-occurs with the states of
+     the other operational processors — two processors sharing a
+     state legitimately put that state in its own C(s). *)
+  let expand ~n ~max_failures acc c =
+    let ops = List.filter (fun p -> not (E.is_failed c p)) (Proc_id.all ~n) in
+    List.iter
+      (fun p ->
+        let others =
+          List.filter_map (fun q -> if q = p then None else Some (E.state_of c q)) ops
+          |> State_set.of_list
+        in
+        acc :=
+          State_map.update (E.state_of c p)
+            (fun cs -> Some (Option.fold ~none:others ~some:(State_set.union others) cs))
+            !acc)
+      ops;
+    let fails = if n - List.length ops < max_failures then E.failure_actions c else [] in
+    List.filter_map
+      (fun a -> match E.apply ~step:0 c a with Ok (c', _) -> Some c' | Error _ -> None)
+      (E.applicable c @ fails)
 
   let build ?(max_failures = 1) ?(max_configs = 400_000) ?inputs_choices ~n () =
     let inputs_choices =
       match inputs_choices with Some v -> v | None -> Listx.all_bool_vectors n
     in
-    let intern = ref State_map.empty in
-    let rev = ref [] in
-    let next_id = ref 0 in
-    let id_of s =
-      match State_map.find_opt s !intern with
-      | Some i -> i
-      | None ->
-        let i = !next_id in
-        incr next_id;
-        intern := State_map.add s i !intern;
-        rev := s :: !rev;
-        i
+    (* Explore's even split of the total node budget over the vectors *)
+    let nvec = max 1 (List.length inputs_choices) in
+    let budget = (max_configs + nvec - 1) / nvec in
+    let expand =
+      {
+        K.empty = (fun () -> ref State_map.empty);
+        merge = (fun a b -> ref (union !a !b));
+        expand = expand ~n ~max_failures;
+      }
     in
-    let pairs = ref Pair_set.empty in
-    let visited = ref Node_set.empty in
-    let count = ref 0 in
-    let truncated = ref false in
-    let stack = ref (List.map (fun inputs -> E.init ~n ~inputs) inputs_choices) in
-    let rec loop () =
-      match !stack with
-      | [] -> ()
-      | c :: rest ->
-        stack := rest;
-        if Node_set.mem c !visited then loop ()
-        else if !count >= max_configs then truncated := true
-        else begin
-          visited := Node_set.add c !visited;
-          incr count;
-          let ops = List.filter (fun p -> not (E.is_failed c p)) (Proc_id.all ~n) in
-          let ids = List.map (fun p -> id_of (E.state_of c p)) ops in
-          (* pairs over distinct processors — two processors sharing a
-             state legitimately put that state in its own C(s) *)
-          List.iteri
-            (fun ai a ->
-              List.iteri
-                (fun bi b -> if ai < bi then pairs := Pair_set.add (min a b, max a b) !pairs)
-                ids)
-            ids;
-          let fails =
-            if List.length (List.filter (fun p -> E.is_failed c p) (Proc_id.all ~n)) < max_failures
-            then E.failure_actions c
-            else []
-          in
-          List.iter
-            (fun a ->
-              match E.apply ~step:0 c a with
-              | Ok (c', _) -> if not (Node_set.mem c' !visited) then stack := c' :: !stack
-              | Error _ -> ())
-            (E.applicable c @ fails);
-          loop ()
-        end
+    let metrics = ref Patterns_search.Metrics.zero in
+    let sets =
+      Search.sweep ~metrics ~jobs:1 Search.Layers
+        ~root:(fun _ ~deadline:_ inputs ->
+          let _, acc, m = K.run ~budget ~expand ~root:(E.init ~n ~inputs) () in
+          (!acc, m))
+        ~merge:union State_map.empty inputs_choices
     in
-    loop ();
-    {
-      by_state = !intern;
-      by_id = Array.of_list (List.rev !rev);
-      pairs = !pairs;
-      truncated = !truncated;
-    }
+    { sets; truncated = !metrics.Patterns_search.Metrics.truncated_roots > 0 }
 
-  let state_count t = Array.length t.by_id
-
-  let states t = Array.to_list t.by_id
+  let state_count t = State_map.cardinal t.sets
+  let states t = List.map fst (State_map.bindings t.sets)
 
   let concurrency_set t s =
-    match State_map.find_opt s t.by_state with
-    | None -> []
-    | Some i ->
-      Pair_set.fold
-        (fun (a, b) acc ->
-          if a = i && b = i then t.by_id.(a) :: acc
-          else if a = i then t.by_id.(b) :: acc
-          else if b = i then t.by_id.(a) :: acc
-          else acc)
-        t.pairs []
-      |> List.rev
+    match State_map.find_opt s t.sets with None -> [] | Some cs -> State_set.elements cs
 
   let co_occur t s1 s2 =
-    match (State_map.find_opt s1 t.by_state, State_map.find_opt s2 t.by_state) with
-    | Some a, Some b -> Pair_set.mem (min a b, max a b) t.pairs
-    | _ -> false
+    match State_map.find_opt s1 t.sets with None -> false | Some cs -> State_set.mem s2 cs
 
   let truncated t = t.truncated
 
   let pp_summary ppf t =
     let sizes =
-      Array.to_list (Array.mapi (fun i _ -> (i, 0)) t.by_id)
-      |> List.map (fun (i, _) ->
-             Pair_set.fold (fun (a, b) acc -> if a = i || b = i then acc + 1 else acc) t.pairs 0)
+      State_map.fold (fun _ cs acc -> float_of_int (State_set.cardinal cs) :: acc) t.sets []
     in
-    let stats = Stats.summarize (List.map float_of_int sizes) in
+    let stats = Stats.summarize sizes in
     Format.fprintf ppf "%d states%s; |C(s)|: mean %.1f, max %.0f" (state_count t)
       (if t.truncated then " (truncated)" else "")
       stats.Stats.mean stats.Stats.max

@@ -6,8 +6,9 @@
     [s] and [t] occur in the same configuration."  (Section 3.)
 
     [Make (P)] explores the reachable configurations (like
-    {!Explore}, over chosen input vectors and a failure budget) and
-    materializes [C(s)] for every reachable operational local state.
+    {!Explore}, over chosen input vectors and a failure budget, one
+    search-kernel run per vector) and materializes [C(s)] for every
+    reachable operational local state.
     This is the raw object behind the safe-state conditions; the
     {!Explore} module keeps only the decision-relevant projection,
     this one keeps everything — suitable for small instances. *)
@@ -26,16 +27,18 @@ module Make (P : Protocol.S) : sig
     n:int ->
     unit ->
     t
-  (** Defaults: all input vectors, one failure, 400_000 configs. *)
+  (** Defaults: all input vectors, one failure, 400_000 configs split
+      evenly over the vectors. *)
 
   val state_count : t -> int
   (** Number of distinct reachable operational local states. *)
 
   val states : t -> P.state list
-  (** All of them, in a stable order. *)
+  (** All of them, sorted by [P.compare_state]. *)
 
   val concurrency_set : t -> P.state -> P.state list
-  (** [C(s)] — empty for states never reached. *)
+  (** [C(s)], sorted by [P.compare_state] — empty for states never
+      reached. *)
 
   val co_occur : t -> P.state -> P.state -> bool
 

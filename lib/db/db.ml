@@ -11,9 +11,7 @@ type t = {
   mutex : Mutex.t;
   configs : int Dict.t; (* fingerprint -> dense id *)
   events : string Dict.t; (* descriptor -> dense id *)
-  mutable seo : Sset.t;
-  mutable eos : Sset.t;
-  mutable ose : Sset.t;
+  mutable keys : Sset.t; (* one 24-byte (src, event, dst) key per edge *)
   mutable n_edges : int;
   mutable index_scans : int;
   cache : (string, (int * string * int) list) Lru.t;
@@ -24,17 +22,15 @@ type t = {
    writes the monolithic /1 document any more, and [load] refuses it. *)
 let schema = "patterns-edge-db/2"
 
-let create ?(cache_capacity = 128) () =
+let create () =
   {
     mutex = Mutex.create ();
     configs = Dict.create ();
     events = Dict.create ();
-    seo = Sset.empty;
-    eos = Sset.empty;
-    ose = Sset.empty;
+    keys = Sset.empty;
     n_edges = 0;
     index_scans = 0;
-    cache = Lru.create ~capacity:cache_capacity ();
+    cache = Lru.create ~capacity:128 ();
     facts = Hashtbl.create 64;
   }
 
@@ -48,30 +44,30 @@ let add_edge_unlocked t ~src ~event ~dst =
   let s = Dict.intern t.configs src in
   let e = Dict.intern t.events event in
   let o = Dict.intern t.configs dst in
-  let k_seo = Index.key Index.Seo ~src:s ~event:e ~dst:o in
-  if not (Sset.mem k_seo t.seo) then begin
-    t.seo <- Sset.add k_seo t.seo;
-    t.eos <- Sset.add (Index.key Index.Eos ~src:s ~event:e ~dst:o) t.eos;
-    t.ose <- Sset.add (Index.key Index.Ose ~src:s ~event:e ~dst:o) t.ose;
+  (* [Set.add] returns its argument physically when the key is present *)
+  let keys = Sset.add (Index.key ~src:s ~event:e ~dst:o) t.keys in
+  if keys != t.keys then begin
+    t.keys <- keys;
     t.n_edges <- t.n_edges + 1;
     Lru.clear t.cache
   end
 
 let add_edge t ~src ~event ~dst = locked t (fun () -> add_edge_unlocked t ~src ~event ~dst)
 
-let index_of t = function
-  | Index.Seo -> t.seo
-  | Index.Eos -> t.eos
-  | Index.Ose -> t.ose
-
-(* prefix scan: every key extending [p] sorts at or after [p] itself *)
-let scan t ord p =
+(* The keys extending the bound components' prefix (every key extending
+   [p] sorts at or after [p] itself; [p] is empty when [src] is
+   unbound), filtered on the bound components the prefix leaves out. *)
+let scan t ?src ?event ?dst () =
   t.index_scans <- t.index_scans + 1;
-  let set = index_of t ord in
-  let seq = if p = "" then Sset.to_seq set else Sset.to_seq_from p set in
-  Seq.take_while (fun k -> String.starts_with ~prefix:p k) seq
-  |> Seq.fold_left (fun acc k -> Index.decode ord k :: acc) []
-  |> List.rev
+  let p = Index.prefix ?src ?event ?dst () in
+  let matches bound id = match bound with None -> true | Some b -> b = id in
+  Sset.to_seq_from p t.keys
+  |> Seq.take_while (String.starts_with ~prefix:p)
+  |> Seq.fold_left
+       (fun acc k ->
+         let ((s, e, o) as ids) = Index.decode k in
+         if matches src s && matches event e && matches dst o then ids :: acc else acc)
+       []
 
 let compare_triple (s1, e1, o1) (s2, e2, o2) =
   match compare (s1 : int) s2 with
@@ -101,11 +97,7 @@ let edges t ?src ?event ?dst () =
         let result =
           match (bound_config src, bound_event event, bound_config dst) with
           | Some s, Some e, Some o ->
-            let ord =
-              Index.select ~src:(s <> None) ~event:(e <> None) ~dst:(o <> None)
-            in
-            let p = Index.prefix ord ?src:s ?event:e ?dst:o () in
-            scan t ord p
+            scan t ?src:s ?event:e ?dst:o ()
             |> List.filter_map (fun (s, e, o) ->
                    match (Dict.value t.configs s, Dict.value t.events e, Dict.value t.configs o) with
                    | Some sfp, Some d, Some ofp -> Some (sfp, d, ofp)
@@ -209,7 +201,7 @@ let output_record oc j =
 
 (* The /2 stream: a schema marker line, then one record per line —
    ["c"] config fingerprints in id order, ["e"] event descriptors in
-   id order, ["t"] edge id-triples in SEO key order, ["f"] facts
+   id order, ["t"] edge id-triples in key order, ["f"] facts
    sorted by (kind, key).  Each record is rendered and written
    individually, so saving never materialises the whole database as
    one string.  The stream goes to a temporary file renamed over
@@ -228,10 +220,10 @@ let save t path =
             t.events;
           Sset.iter
             (fun k ->
-              let s, e, o = Index.decode Index.Seo k in
+              let s, e, o = Index.decode k in
               output_record oc
                 (Json.Obj [ ("t", Json.List [ Json.Int s; Json.Int e; Json.Int o ]) ]))
-            t.seo;
+            t.keys;
           Hashtbl.fold (fun (kind, key) v acc -> (kind, key, v) :: acc) t.facts []
           |> List.sort (fun (k1, key1, _) (k2, key2, _) ->
                  match String.compare k1 k2 with 0 -> String.compare key1 key2 | c -> c)

@@ -1,5 +1,5 @@
-(** The execution database: a triple-encoded edge log with covering
-    indexes, a fact store, and a query-result cache.
+(** The execution database: a triple-encoded edge log, a fact store,
+    and a query-result cache.
 
     Every recorded kernel expansion is one [(src, event, dst)] triple:
     [src]/[dst] are canonical config fingerprints
@@ -7,11 +7,12 @@
     string (a rendered {!Patterns_sim.Script.directive}, or a
     successor ordinal for anonymous kernel expansions).  Fingerprints
     and descriptors are interned into global dictionaries
-    ({!Patterns_stdx.Dict}); the dense ids form 24-byte big-endian
-    keys stored in the three covering indexes of {!Index}, so every
-    bound/variable access pattern is a prefix scan of exactly one
-    index.  Query results are memoised in an LRU cache invalidated
-    wholesale on every write.
+    ({!Patterns_stdx.Dict}); the dense ids form one 24-byte big-endian
+    (src, event, dst) key per edge ({!Index}), kept in one ordered
+    set.  A query that binds [src] is a prefix scan of that set; one
+    that leaves [src] unbound is a single filtered pass over it.
+    Query results are memoised in an LRU cache of 128 entries,
+    invalidated wholesale on every write.
 
     Alongside edges the database stores generic {e facts} — JSON
     values keyed by [(kind, key)] — used by the consumers for
@@ -30,7 +31,7 @@ type t
 
 type stats = {
   edges : int;  (** distinct triples stored *)
-  index_scans : int;  (** prefix scans actually performed *)
+  index_scans : int;  (** scans and filtered passes actually performed *)
   cache_hits : int;
   cache_misses : int;
 }
@@ -39,26 +40,27 @@ val schema : string
 (** ["patterns-edge-db/2"] — the persisted JSONL schema written by
     {!save}: a schema marker line, then one compact record per line
     (["c"] config fingerprints in id order, ["e"] event descriptors in
-    id order, ["t"] edge id-triples in SEO key order, ["f"] facts
-    sorted by (kind, key)). *)
+    id order, ["t"] edge id-triples in (src, event, dst) id order,
+    ["f"] facts sorted by (kind, key)). *)
 
-val create : ?cache_capacity:int -> unit -> t
-(** Fresh empty database; [cache_capacity] bounds the query-result
-    cache (default 128 entries). *)
+val create : unit -> t
+(** Fresh empty database. *)
 
 (** {1 Edges} *)
 
 val add_edge : t -> src:int -> event:string -> dst:int -> unit
-(** Record one triple (idempotent — the indexes are sets).  [src] and
+(** Record one triple (idempotent — the keys form a set).  [src] and
     [dst] are config fingerprints, [event] a descriptor string.
     Invalidates the query cache. *)
 
 val edges : t -> ?src:int -> ?event:string -> ?dst:int -> unit -> (int * string * int) list
-(** All stored triples matching the bound components, via a prefix
-    scan of the index chosen by {!Index.select} (memoised in the
-    cache).  Results are sorted by [(src, event, dst)] — fingerprint,
-    then descriptor, then fingerprint — so they are independent of
-    insertion order and hence of [--jobs]/[--par-mode]. *)
+(** All stored triples matching the bound components (memoised in the
+    cache): a prefix scan when [src] is bound, else one pass over every
+    edge, filtered on [event] and [dst].  A bound [dst] with an unbound
+    [event] filters the [src] scan.  Results are sorted by
+    [(src, event, dst)] — fingerprint, then descriptor, then
+    fingerprint — so they are independent of insertion order and
+    hence of [--jobs]/[--par-mode]. *)
 
 val mem_config : t -> int -> bool
 (** Whether a config fingerprint appears in the dictionary (i.e. some

@@ -1,53 +1,19 @@
 module Dict = Patterns_stdx.Dict
 
-type ordering = Seo | Eos | Ose
-
-let ordering_name = function Seo -> "seo" | Eos -> "eos" | Ose -> "ose"
 let width = 3 * Dict.encoded_width
 
-(* components of a triple in the order this ordering stores them *)
-let components ord ~src ~event ~dst =
-  match ord with
-  | Seo -> (src, event, dst)
-  | Eos -> (event, dst, src)
-  | Ose -> (dst, src, event)
-
-let key ord ~src ~event ~dst =
-  let a, b, c = components ord ~src ~event ~dst in
+let key ~src ~event ~dst =
   let buf = Bytes.create width in
-  Dict.encode_into buf 0 a;
-  Dict.encode_into buf Dict.encoded_width b;
-  Dict.encode_into buf (2 * Dict.encoded_width) c;
+  Dict.encode_into buf 0 src;
+  Dict.encode_into buf Dict.encoded_width event;
+  Dict.encode_into buf (2 * Dict.encoded_width) dst;
   Bytes.unsafe_to_string buf
 
-let decode ord k =
+let decode k =
   if String.length k <> width then invalid_arg "Index.decode: bad key width";
-  let a = Dict.decode k 0 in
-  let b = Dict.decode k Dict.encoded_width in
-  let c = Dict.decode k (2 * Dict.encoded_width) in
-  match ord with
-  | Seo -> (a, b, c)
-  | Eos -> (c, a, b)
-  | Ose -> (b, c, a)
+  (Dict.decode k 0, Dict.decode k Dict.encoded_width, Dict.decode k (2 * Dict.encoded_width))
 
-let select ~src ~event ~dst =
-  match (src, event, dst) with
-  | true, true, true -> Seo (* point lookup *)
-  | true, true, false -> Seo
-  | true, false, false -> Seo
-  | false, false, false -> Seo (* full scan *)
-  | false, true, true -> Eos
-  | false, true, false -> Eos
-  | true, false, true -> Ose
-  | false, false, true -> Ose
-
-let prefix ord ?src ?event ?dst () =
-  let comps =
-    match ord with
-    | Seo -> [ src; event; dst ]
-    | Eos -> [ event; dst; src ]
-    | Ose -> [ dst; src; event ]
-  in
+let prefix ?src ?event ?dst () =
   let b = Buffer.create width in
   let rec go = function
     | Some id :: rest ->
@@ -55,5 +21,5 @@ let prefix ord ?src ?event ?dst () =
       go rest
     | _ -> ()
   in
-  go comps;
+  go [ src; event; dst ];
   Buffer.contents b

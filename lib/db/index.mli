@@ -1,53 +1,28 @@
-(** Covering-index key layout and the 8-pattern index-selection table.
+(** The index key layout.
 
     Every recorded expansion is a [(src, event, dst)] triple of dense
-    dictionary ids.  A triple is stored under three orderings —
-    [Seo] = (src, event, dst), [Eos] = (event, dst, src) and
-    [Ose] = (dst, src, event), the SPO/POS/OSP discipline of triple
-    stores — as 24-byte keys of three big-endian 8-byte ids
+    dictionary ids, stored once as a 24-byte key of three big-endian
+    8-byte ids in (src, event, dst) order
     ({!Patterns_stdx.Dict.encode_into}), so lexicographic byte order
-    equals numeric id order and every query is a prefix scan.
+    equals numeric id order.
 
-    With these three orderings {e all 8} bound/variable access
-    patterns resolve to a pure prefix scan of exactly one index — no
-    post-filtering:
-
-    {v
-      pattern (s,e,o)   index   prefix
-      (B,B,B)           SEO     s,e,o   (point lookup)
-      (B,B,V)           SEO     s,e
-      (B,V,V)           SEO     s
-      (V,V,V)           SEO     -       (full scan)
-      (V,B,B)           EOS     e,o
-      (V,B,V)           EOS     e
-      (B,V,B)           OSE     o,s
-      (V,V,B)           OSE     o
-    v} *)
-
-type ordering =
-  | Seo  (** (src, event, dst) *)
-  | Eos  (** (event, dst, src) *)
-  | Ose  (** (dst, src, event) *)
-
-val ordering_name : ordering -> string
-(** ["seo"], ["eos"], ["ose"]. *)
+    A query whose bound components form a leading run — [src], then
+    [event], then [dst] — is a pure prefix scan.  Any other bound
+    component is checked on the scanned keys: a bound [dst] after an
+    unbound [event] filters the [src] prefix scan, and a query that
+    leaves [src] unbound is one filtered pass over every key. *)
 
 val width : int
 (** Bytes per index key: 24. *)
 
-val key : ordering -> src:int -> event:int -> dst:int -> string
-(** The 24-byte key of a triple under an ordering. *)
+val key : src:int -> event:int -> dst:int -> string
+(** The 24-byte key of a triple. *)
 
-val decode : ordering -> string -> int * int * int
-(** [decode ord k] recovers [(src, event, dst)] from a key of [ord].
-    Raises [Invalid_argument] if [k] is not {!width} bytes. *)
+val decode : string -> int * int * int
+(** [decode k] recovers [(src, event, dst)] from a key.  Raises
+    [Invalid_argument] if [k] is not {!width} bytes. *)
 
-val select : src:bool -> event:bool -> dst:bool -> ordering
-(** The unique index on which this bound([true])/variable([false])
-    pattern is a pure prefix scan — the table above. *)
-
-val prefix : ordering -> ?src:int -> ?event:int -> ?dst:int -> unit -> string
-(** The scan prefix for the bound components under an ordering: the
-    encodings of the ordering's components, in order, stopping at the
-    first unbound one.  For the ordering chosen by {!select} the bound
-    components always form such a prefix, so the scan is exact. *)
+val prefix : ?src:int -> ?event:int -> ?dst:int -> unit -> string
+(** The scan prefix for the bound components: the encodings of
+    [src], [event], [dst] in order, stopping at the first unbound
+    one. *)

@@ -1,8 +1,8 @@
 (** Query combinators over the execution database.
 
     Thin, deterministic combinators on {!Db}: edge patterns resolve
-    through the covering indexes, the graph helpers ([reachable],
-    [path]) run breadth-first over indexed successor scans with
+    through its key set, the graph helpers ([reachable], [path]) run
+    breadth-first over [src]-prefix successor scans with
     successors visited in canonical (sorted) order, and
     [certs_touching] filters stored certificate facts by crash
     schedule.  All results are insertion-order-independent, hence
@@ -23,7 +23,8 @@ val successors : Db.t -> int -> (string * int) list
 (** Outgoing [(event, dst)] pairs of a config, sorted. *)
 
 val predecessors : Db.t -> int -> (int * string) list
-(** Incoming [(src, event)] pairs of a config, sorted. *)
+(** Incoming [(src, event)] pairs of a config, sorted: one filtered
+    pass over every edge, since the source is unbound. *)
 
 val reachable : Db.t -> int -> int list
 (** Every config fingerprint reachable from the given one over

@@ -105,8 +105,9 @@ type t = {
           database after the run — deterministic for a given recorded
           edge set; 0 when no [--db] is attached (/6 section) *)
   db_index_scans : int;
-      (** covering-index prefix scans performed by database queries
-          (cache hits perform none); deterministic (/6 section) *)
+      (** key scans (prefix scans or filtered passes) performed by
+          database queries (cache hits perform none); deterministic
+          (/6 section) *)
   db_cache_hits : int;
       (** query-result cache hits (/6 section) *)
   db_cache_misses : int;

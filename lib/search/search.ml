@@ -663,43 +663,3 @@ let find_first ?metrics ~jobs ?deadline ?(start = 1) ~max_index ~f () =
       let m = if Atomic.get deadline_hit then { m with Metrics.deadline_hits = 1 } else m in
       merge_into metrics m;
       result)
-
-(* ----- instrumented linear scans ----- *)
-
-module Scan = struct
-  (* The kernel specialised to a chain: position [i] expands to
-     [i + 1] and nothing is ever revisited, so the visited table is
-     skipped — but the scan reports the same Metrics as any other
-     search, with the first error as the goal. *)
-  let first_error ?metrics ~len ~check () =
-    let t0 = Unix.gettimeofday () in
-    let checked = ref 0 in
-    let rec go i =
-      if i >= len then Ok ()
-      else begin
-        incr checked;
-        match check i with Ok () -> go (i + 1) | Error _ as e -> e
-      end
-    in
-    let result = go 0 in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let kind =
-      match result with Ok () -> Metrics.Exhausted | Error _ -> Metrics.Goal_found
-    in
-    let m =
-      Metrics.of_shard kind
-        {
-          Metrics.root = 0;
-          states_expanded = !checked;
-          dedup_hits = 0;
-          frontier_peak = (if len > 0 then 1 else 0);
-          pruned = 0;
-          fingerprint_probes = 0;
-          collision_fallbacks = 0;
-          intern_bindings = 0;
-          seconds;
-        }
-    in
-    merge_into metrics m;
-    result
-end

@@ -1,15 +1,17 @@
 (** The one instrumented search kernel.
 
     Every result in this repository is, operationally, a state-space
-    search: scheme enumeration, the consistency/termination checks,
-    realization, and the randomized hunts.  This module owns the
-    frontier, the visited store, the budget, and the counters, once —
-    the call-sites supply a {!Problem} (state type, fingerprinting,
-    expansion) and fold their observations into [expand] closures,
-    which the kernel invokes exactly once per visited state, in
-    visitation order.  What an answer means therefore never depends on
-    a private reimplementation of how executions were enumerated or
-    truncated.
+    search: scheme enumeration, the exhaustive consistency/termination
+    checks, the concurrency sets C(s), realization, and the randomized
+    hunts.  This module owns the frontier, the visited store, the
+    budget, and the counters, once — the call-sites supply a
+    {!Problem} (state type, fingerprinting, expansion) and fold their
+    observations into [expand] closures, which the kernel invokes
+    exactly once per visited state, in visitation order.  What an
+    answer means therefore never depends on a private
+    reimplementation of how executions were enumerated or truncated.
+    Only the trace checkers, which read one execution and revisit
+    nothing, are plain linear scans outside the kernel.
 
     Two drivers share the {!Make.par_expand} observation interface:
     {!Make.run}, a serial breadth-first search in a canonical layer
@@ -277,18 +279,3 @@ val find_first :
     includes speculative evaluations past the winner and therefore
     varies with [jobs]; all other fields and the result itself are
     jobs-invariant. *)
-
-module Scan : sig
-  val first_error :
-    ?metrics:Metrics.t ref ->
-    len:int ->
-    check:(int -> (unit, 'e) result) ->
-    unit ->
-    (unit, 'e) result
-  (** The kernel specialised to a chain: visit positions
-      [0 .. len - 1] in order until [check] reports an error (the
-      goal) or the chain is exhausted.  A chain revisits nothing, so
-      the visited table is skipped, but the same {!Metrics} are
-      reported — this is what the trace-level checkers are built
-      on. *)
-end

@@ -42,7 +42,7 @@ val iter : (int -> 'a -> unit) -> 'a t -> unit
 
     Ids encode as 8 big-endian bytes, so for nonnegative ids the
     lexicographic order of encodings equals the numeric order — the
-    property covering indexes rely on for prefix scans. *)
+    property the edge keys' prefix scans rely on. *)
 
 val encoded_width : int
 (** Bytes per encoded id: 8. *)

@@ -276,29 +276,43 @@ let test_state_implies () =
 (* ----- concurrency sets ----- *)
 
 let test_concurrency_sets () =
-  let (module P) = Patterns_protocols.Tree_proto.three_phase_commit 3 in
-  let module C = Concurrency.Make (P) in
-  let module X = Explore.Make (P) in
-  let t = C.build ~n:3 () in
-  Alcotest.(check bool) "not truncated" false (C.truncated t);
-  Alcotest.(check bool) "states found" true (C.state_count t > 100);
-  (* cross-check against the explorer's decision co-occurrence *)
-  let options = X.default_options ~n:3 in
-  let r = X.explore ~options ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 () in
+  let registry name =
+    match Patterns_protocols.Registry.find name with
+    | Some e -> e.Patterns_protocols.Registry.protocol
+    | None -> Alcotest.failf "registry lost %s" name
+  in
   List.iter
-    (fun (info : X.state_info) ->
-      let commit_in_cs =
+    (fun (name, (module P : Protocol.S)) ->
+      let module C = Concurrency.Make (P) in
+      let module X = Explore.Make (P) in
+      let t = C.build ~n:3 () in
+      Alcotest.(check bool) (name ^ ": not truncated") false (C.truncated t);
+      (* cross-check against the explorer's states and its decision
+         co-occurrence flags, on both sides *)
+      let options = X.default_options ~n:3 in
+      let r = X.explore ~options ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 () in
+      Alcotest.(check int) (name ^ ": state count") (List.length r.X.states) (C.state_count t);
+      let in_cs decision (info : X.state_info) =
         List.exists
-          (fun s ->
-            match (P.status s).Patterns_sim.Status.decision with
-            | Some Decision.Commit -> true
-            | _ -> false)
+          (fun s -> (P.status s).Status.decision = Some decision)
           (C.concurrency_set t info.X.state)
       in
-      if commit_in_cs <> info.X.commit_cooccurs then
-        Alcotest.fail
-          (Format.asprintf "concurrency/explorer disagree on %a" P.pp_state info.X.state))
-    r.X.states
+      List.iter
+        (fun (info : X.state_info) ->
+          if
+            in_cs Decision.Commit info <> info.X.commit_cooccurs
+            || in_cs Decision.Abort info <> info.X.abort_cooccurs
+          then
+            Alcotest.failf "%s: concurrency/explorer disagree on %a" name P.pp_state
+              info.X.state)
+        r.X.states)
+    [
+      ("3pc", Patterns_protocols.Tree_proto.three_phase_commit 3);
+      ("fig3-chain", registry "fig3-chain");
+      ("coop-2pc", registry "coop-2pc");
+      ("2pc", registry "2pc");
+      ("fig2-central", registry "fig2-central");
+    ]
 
 (* ----- scheme membership: random failure-free runs produce enumerated patterns ----- *)
 

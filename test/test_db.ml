@@ -1,8 +1,8 @@
-(* The execution database: dictionary encoding, the 8-pattern
-   index-selection table, the LRU query cache, persistence, query
-   combinators, and the end-to-end guarantee the subsystem exists
-   for — replaying a certificate against a recorded run performs
-   zero kernel expansions. *)
+(* The execution database: dictionary encoding, the index key
+   layout, the LRU query cache, persistence, query combinators, and
+   the end-to-end guarantee the subsystem exists for — replaying a
+   certificate against a recorded run performs zero kernel
+   expansions. *)
 
 open Patterns_stdx
 open Patterns_db
@@ -90,54 +90,39 @@ let test_lru_eviction_and_counters () =
     (Invalid_argument "Lru.create: capacity must be positive") (fun () ->
       ignore (Lru.create ~capacity:0 ()))
 
-(* ----- Index: the 8-pattern selection table ----- *)
-
-let test_index_selection_table () =
-  let t = Alcotest.testable (Fmt.of_to_string Index.ordering_name) ( = ) in
-  (* the table of index.mli, row by row *)
-  check t "(B,B,B) -> SEO" Index.Seo (Index.select ~src:true ~event:true ~dst:true);
-  check t "(B,B,V) -> SEO" Index.Seo (Index.select ~src:true ~event:true ~dst:false);
-  check t "(B,V,V) -> SEO" Index.Seo (Index.select ~src:true ~event:false ~dst:false);
-  check t "(V,V,V) -> SEO" Index.Seo (Index.select ~src:false ~event:false ~dst:false);
-  check t "(V,B,B) -> EOS" Index.Eos (Index.select ~src:false ~event:true ~dst:true);
-  check t "(V,B,V) -> EOS" Index.Eos (Index.select ~src:false ~event:true ~dst:false);
-  check t "(B,V,B) -> OSE" Index.Ose (Index.select ~src:true ~event:false ~dst:true);
-  check t "(V,V,B) -> OSE" Index.Ose (Index.select ~src:false ~event:false ~dst:true)
+(* ----- Index: the key layout ----- *)
 
 let test_index_key_decode () =
-  List.iter
-    (fun ord ->
-      let k = Index.key ord ~src:7 ~event:11 ~dst:13 in
-      check Alcotest.int "key width" Index.width (String.length k);
-      let s, e, d = Index.decode ord k in
-      check Alcotest.(triple int int int) (Index.ordering_name ord) (7, 11, 13) (s, e, d))
-    [ Index.Seo; Index.Eos; Index.Ose ]
+  let k = Index.key ~src:7 ~event:11 ~dst:13 in
+  check Alcotest.int "key width" Index.width (String.length k);
+  check Alcotest.(triple int int int) "decode" (7, 11, 13) (Index.decode k)
 
 let index_qcheck_tests =
   let open QCheck2 in
-  let ords = [| Index.Seo; Index.Eos; Index.Ose |] in
   [
     Test.make ~count:300 ~name:"key/decode round-trips under every ordering"
-      Gen.(quad (int_bound 2) big_nat big_nat big_nat)
-      (fun (o, src, event, dst) ->
-        let ord = ords.(o) in
-        Index.decode ord (Index.key ord ~src ~event ~dst) = (src, event, dst));
-    Test.make ~count:300
-      ~name:"selected index puts the bound components in a prefix"
+      Gen.(triple big_nat big_nat big_nat)
+      (fun (src, event, dst) -> Index.decode (Index.key ~src ~event ~dst) = (src, event, dst));
+    Test.make ~count:300 ~name:"prefix covers leading bound ids"
       Gen.(quad bool bool bool (triple (int_bound 50) (int_bound 50) (int_bound 50)))
       (fun (bs, be, bd, (src, event, dst)) ->
-        let ord = Index.select ~src:bs ~event:be ~dst:bd in
         let p =
-          Index.prefix ord ?src:(if bs then Some src else None)
+          Index.prefix ?src:(if bs then Some src else None)
             ?event:(if be then Some event else None)
             ?dst:(if bd then Some dst else None)
             ()
         in
-        let bound = List.length (List.filter Fun.id [ bs; be; bd ]) in
-        (* the prefix consumes every bound component: nothing is left
-           to post-filter *)
-        String.length p = bound * Dict.encoded_width
-        && String.starts_with ~prefix:p (Index.key ord ~src ~event ~dst));
+        (* the prefix stops at the first unbound component; the scan
+           filters on any bound component after it *)
+        let leading =
+          match (bs, be, bd) with
+          | true, true, true -> 3
+          | true, true, false -> 2
+          | true, false, _ -> 1
+          | false, _, _ -> 0
+        in
+        String.length p = leading * Dict.encoded_width
+        && String.starts_with ~prefix:p (Index.key ~src ~event ~dst));
   ]
 
 (* ----- Db: pattern queries against a full-scan oracle ----- *)
@@ -506,11 +491,7 @@ let () =
         ] );
       ("dict properties", List.map QCheck_alcotest.to_alcotest dict_qcheck_tests);
       ("lru", [ Alcotest.test_case "eviction and counters" `Quick test_lru_eviction_and_counters ]);
-      ( "index",
-        [
-          Alcotest.test_case "8-pattern selection table" `Quick test_index_selection_table;
-          Alcotest.test_case "key decode" `Quick test_index_key_decode;
-        ] );
+      ("index", [ Alcotest.test_case "key decode" `Quick test_index_key_decode ]);
       ("index properties", List.map QCheck_alcotest.to_alcotest index_qcheck_tests);
       ( "db",
         [

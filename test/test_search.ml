@@ -1,7 +1,6 @@
 (* Unit tests for the instrumented search kernel: the serial driver's
    canonical layer order, budget truncation, goals, pruning, dedup
-   accounting, the per-root sweep, batched goal search and the chain
-   scan. *)
+   accounting, the per-root sweep and batched goal search. *)
 
 open Patterns_search
 
@@ -178,23 +177,6 @@ let test_find_first_smallest () =
   Alcotest.(check string) "no goal is a truncated search" "truncated"
     (Metrics.outcome_string !metrics.Metrics.outcome)
 
-let test_scan () =
-  let metrics = ref Metrics.zero in
-  (match
-     Search.Scan.first_error ~metrics ~len:10
-       ~check:(fun i -> if i = 6 then Error i else Ok ())
-       ()
-   with
-  | Error 6 -> ()
-  | _ -> Alcotest.fail "expected Error 6");
-  check Alcotest.int "stops at the error" 7 !metrics.Metrics.states_expanded;
-  let m2 = ref Metrics.zero in
-  (match Search.Scan.first_error ~metrics:m2 ~len:5 ~check:(fun _ -> Ok ()) () with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "expected Ok");
-  Alcotest.(check string) "clean scan is exhausted" "exhausted"
-    (Metrics.outcome_string !m2.Metrics.outcome)
-
 let test_metrics_merge_and_json () =
   let _, m1 = Diamond.run ~root:0 () in
   let m = Metrics.merge (Metrics.merge Metrics.zero m1) m1 in
@@ -272,7 +254,6 @@ let () =
       ( "drivers",
         [
           Alcotest.test_case "find_first smallest" `Quick test_find_first_smallest;
-          Alcotest.test_case "scan" `Quick test_scan;
           Alcotest.test_case "metrics merge and json" `Quick test_metrics_merge_and_json;
           Alcotest.test_case "sweep" `Quick test_sweep;
         ] );
