@@ -273,6 +273,94 @@ let test_state_implies () =
   in
   Alcotest.(check bool) "some undecided state implies nothing" true somewhere_unconstrained
 
+(* ----- the whole Explore report, pinned -----
+
+   Every field of the report — counts, truncation, each violation
+   message, protocol errors, and each state's printed form, decision,
+   co-occurrence flags, [always_all_ones], sorted input vectors and
+   occurrence count — digested per protocol and driver at mf=1, jobs 1,
+   with the 20 000-configuration cap the registry oracles use (Ben-Or
+   is not exhaustible).  The pins guard rewrites of the observation
+   fold: any change to what a sweep reports moves a digest. *)
+
+let rule_of_registry entry =
+  let open Patterns_protocols in
+  if entry.Registry.name = "ben-or" then Decision_rule.Any_input
+  else if entry.Registry.name = "reliable-broadcast" then Decision_rule.Broadcast 0
+  else if entry.Registry.name = "termination" then Decision_rule.Threshold 1
+  else if entry.Registry.name = "voting-star-thr3-5" then Decision_rule.Threshold 3
+  else if entry.Registry.name = "voting-star-subset-5" then Decision_rule.Subset [ 0; 1 ]
+  else Decision_rule.Unanimity
+
+let report_digest entry par_mode =
+  let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
+  let module X = Explore.Make (P) in
+  let n = if P.valid_n 3 then 3 else entry.Patterns_protocols.Registry.default_n in
+  let options =
+    { (X.default_options ~n) with X.max_failures = 1; max_configs = 20_000; jobs = 1; par_mode }
+  in
+  let r = X.explore ~options ~rule:(rule_of_registry entry) ~n () in
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let opt name v = line "%s=%s" name (Option.value v ~default:"-") in
+  line "configs=%d terminal=%d truncated=%b" r.X.configs_visited r.X.terminal_configs
+    r.X.truncated;
+  opt "ic" r.X.ic_violation;
+  opt "tc" r.X.tc_violation;
+  opt "wt" r.X.wt_violation;
+  opt "st" r.X.st_violation;
+  opt "ht" r.X.ht_violation;
+  opt "rule" r.X.rule_violation;
+  opt "validity" r.X.validity_violation;
+  List.iter (line "error=%s") r.X.protocol_errors;
+  List.iter
+    (fun (i : X.state_info) ->
+      line "state=%s decision=%s commit=%b abort=%b ones=%b vectors=%s occurrences=%d"
+        (Format.asprintf "%a" P.pp_state i.X.state)
+        (match i.X.decision with None -> "-" | Some d -> Format.asprintf "%a" Decision.pp d)
+        i.X.commit_cooccurs i.X.abort_cooccurs i.X.always_all_ones
+        (String.concat "," (List.map string_of_int (List.sort Int.compare i.X.input_vectors)))
+        i.X.occurrences)
+    r.X.states;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (protocol, layers digest, async digest) *)
+let pinned_report_digests =
+  [
+    ("2pc", "c36a06b0818227043e4bdcc14c6cdacf", "c36a06b0818227043e4bdcc14c6cdacf");
+    ("3pc-5", "6d71e0df222fc8d31348bc988436a149", "7ee6b28b73ee1b1c320e149459842f34");
+    ("ben-or", "a0237b5fb74bb7b502c2b48930c2ba53", "30a53af11f424e2b40881c8782f2fa98");
+    ("coop-2pc", "484153f9307dc56b8029e6417473098e", "884bbdb39da5ee1792c38729a1154695");
+    ("d2pc", "bbf63b1f496609f0d87ec534186fff77", "e1193834fea7b1bbc7758e2017815815");
+    ("fig1-tree", "418591002194acc4b0de8e946b76bdef", "e711614dc5c7e13f3a889cf8d423e719");
+    ("fig1-tree-st", "ac2636b5933ae9c81bce4d19b34754a6", "9f341fbe8dd40728caea6b9c28e041e6");
+    ("fig2-central", "76dbec25a8770b318439bad756e2eee8", "76dbec25a8770b318439bad756e2eee8");
+    ("fig3-chain", "d29193ee3729e2c50ec2bc823a1eee5d", "9932c02df6a02648fa9a987ec0040edf");
+    ("fig3-chain-st", "617484a3ed406eccae005437439743a6", "617484a3ed406eccae005437439743a6");
+    ("fig4-perverse", "e216eb470ce34c0213135e40691dec38", "6d77a088d04b06e2dc7e1c322a360c1d");
+    ("fig4-perverse+totalcomm", "bb4bf3264c6da7448b29ddfc643f3eda", "8f53930dbe4a3a7d3180dad837452d0b");
+    ("fig4-perverse-st", "e216eb470ce34c0213135e40691dec38", "09c1db8b1cc2554ca14b5102e3809a7d");
+    ("reliable-broadcast", "0a69c3cd4acaa216d4e071033b73e36d", "0e161cd53226f158d7ad44fd0f2f40e2");
+    ("termination", "6d77965b8cb64f0d920d6f06b3cdf559", "59654ad2693ec31e5d21b7d9d23f48a4");
+    ("tree-2pc", "432eb7acded166043dc543814d048bab", "5d3eddadcc67d76454834a1fe1c36f3b");
+    ("tree-2pc-star-5", "21902633a159d8d20d36ac05d3e58da4", "b72d06e34c75e94779f44dbb9eee8960");
+    ("voting-star-subset-5", "3959dbefd22d8d319b3a7a82bfe57517", "fda5a1dc57d5ebe151a729b37fe91bc4");
+    ("voting-star-thr3-5", "e5c0f0e86c62890459ffb023a1491118", "2fc7b3f87124c8c70e527944d46b5e38");
+  ]
+
+let test_report_digests () =
+  List.iter
+    (fun entry ->
+      let name = entry.Patterns_protocols.Registry.name in
+      let layers = report_digest entry Patterns_search.Search.Layers
+      and async = report_digest entry Patterns_search.Search.Async in
+      match List.find_opt (fun (n, _, _) -> n = name) pinned_report_digests with
+      | None -> Alcotest.failf "no pinned digest for %s: (%S, %S, %S)" name name layers async
+      | Some (_, l, a) ->
+        Alcotest.(check string) (name ^ " layers") l layers;
+        Alcotest.(check string) (name ^ " async") a async)
+    Patterns_protocols.Registry.all
+
 (* ----- concurrency sets ----- *)
 
 let test_concurrency_sets () =
@@ -396,6 +484,7 @@ let () =
           Alcotest.test_case "hunt finds the 2pc violation" `Slow test_hunt_finds_2pc_tc_violation;
           Alcotest.test_case "hunt respects 3pc" `Quick test_hunt_respects_tc_protocol;
           Alcotest.test_case "state implies" `Quick test_state_implies;
+          Alcotest.test_case "explore report digests" `Slow test_report_digests;
           Alcotest.test_case "concurrency sets" `Slow test_concurrency_sets;
           Alcotest.test_case "random patterns in scheme" `Quick test_random_patterns_in_scheme;
         ] );
