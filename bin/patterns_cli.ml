@@ -133,7 +133,7 @@ let base_db_arg =
   Arg.(value & opt (some string) None
        & info [ "base-db" ] ~docv:"FILE"
          ~doc:"Incremental base for $(b,check)/$(b,classify): answer each input vector \
-               wholesale from the $(b,classify_vec) fact an earlier run recorded into \
+               wholesale from the $(b,classify_vec2) fact an earlier run recorded into \
                $(docv) under the same $(b,--max-failures) and $(b,--par-mode), run the \
                other vectors fresh, and record them back on exit.  Verdicts are \
                bit-identical to a from-scratch run under the same driver; the metrics \

@@ -52,7 +52,7 @@ val classify :
     affects the verdict or the fact key.
 
     [base] enables incremental re-classification
-    ({!Explore.Make.options}[.base]): per-vector ["classify_vec"]
+    ({!Explore.Make.options}[.base]): per-vector ["classify_vec2"]
     facts an earlier sweep stored under the same [max_failures] and
     driver are reused wholesale, with verdicts bit-identical to a
     from-scratch sweep under that driver; other vectors run fresh and

@@ -17,7 +17,8 @@ module Make (P : Protocol.S) = struct
     let compare = P.compare_state
   end)
 
-  (* behavioural configurations, deduplicated as Explore does *)
+  (* behaviour-only configurations ([E.init_behavioral]), deduplicated
+     as Explore does *)
   module Config = struct
     type state = E.config
 
@@ -72,7 +73,7 @@ module Make (P : Protocol.S) = struct
     let sets =
       Search.sweep ~metrics ~jobs:1 Search.Layers
         ~root:(fun _ ~deadline:_ inputs ->
-          let _, acc, m = K.run ~budget ~expand ~root:(E.init ~n ~inputs) () in
+          let _, acc, m = K.run ~budget ~expand ~root:(E.init_behavioral ~n ~inputs) () in
           (!acc, m))
         ~merge:union State_map.empty inputs_choices
     in

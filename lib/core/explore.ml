@@ -91,12 +91,6 @@ module Make (P : Protocol.S) = struct
         && ((not i.abort_cooccurs) || not (committable i)))
       report.states
 
-  module State_map = Map.Make (struct
-    type t = P.state
-
-    let compare = P.compare_state
-  end)
-
   let first_violation a b = match a with Some _ -> a | None -> b
 
   (* Two accumulators can observe the same state under different
@@ -135,23 +129,49 @@ module Make (P : Protocol.S) = struct
   and rule_cell = 5
   and validity_cell = 6
 
+  (* One operational local state's tally within a root: whether an
+     operational committed or aborted processor ever co-occurred with
+     it, and how many (node, operational processor) visits it had.
+     The rest of its [state_info] is read off the state or is a
+     constant of the root ([vobs.code], [vobs.all_ones]). *)
+  type tally = {
+    decision : Decision.t option;
+    mutable commit : bool;
+    mutable abort : bool;
+    mutable visits : int;
+  }
+
+  module State_tbl = Hashtbl.Make (struct
+    type t = P.state
+
+    (* states are interned per root, so most probes are physical *)
+    let equal a b = a == b || P.compare_state a b = 0
+    let hash = P.hash_state
+  end)
+
   type vobs = {
+    code : int;  (* the root's input vector ([encode_inputs]) *)
+    all_ones : bool;
+        (* the rule permits commit on the root's inputs: the
+           [always_all_ones] of every state reached under it *)
     mutable terminal : int;
     cells : (int * string) option array;
     mutable errors : string list;
-    mutable smap : state_info State_map.t;
+    tallies : tally State_tbl.t;
     mutable edges_gen : int;
         (* successor derivations performed (summed [List.length succs]
            over expansions) — an exact count, unlike the kernel's
            driver-dependent frontier statistics *)
   }
 
-  let vobs_empty () =
+  let vobs_empty ~code ~all_ones () =
     {
+      code;
+      all_ones;
       terminal = 0;
       cells = Array.make 7 None;
       errors = [];
-      smap = State_map.empty;
+      tallies = State_tbl.create 64;
       edges_gen = 0;
     }
 
@@ -160,11 +180,20 @@ module Make (P : Protocol.S) = struct
     | None, v | v, None -> v
     | Some (ka, _), Some (kb, _) -> if kb < ka then b else a
 
+  (* [b] is dead after the merge, so its tallies move into [a] *)
   let vobs_merge a b =
     a.terminal <- a.terminal + b.terminal;
     Array.iteri (fun i v -> a.cells.(i) <- min_violation a.cells.(i) v) b.cells;
     a.errors <- a.errors @ b.errors;
-    a.smap <- State_map.union (fun _ x y -> Some (merge_info x y)) a.smap b.smap;
+    State_tbl.iter
+      (fun s y ->
+        match State_tbl.find a.tallies s with
+        | x ->
+          x.commit <- x.commit || y.commit;
+          x.abort <- x.abort || y.abort;
+          x.visits <- x.visits + y.visits
+        | exception Not_found -> State_tbl.add a.tallies s y)
+      b.tallies;
     a.edges_gen <- a.edges_gen + b.edges_gen;
     a
 
@@ -176,151 +205,130 @@ module Make (P : Protocol.S) = struct
     | Some (k, _) when k <= key -> ()
     | _ -> o.cells.(cell) <- Some (key, msg)
 
-  let observe_config ~rule o key config decided =
-      (* "s implies the commit rule is satisfied": track whether every
-         configuration containing a state permits commit on its inputs *)
-      let commit_permitted =
-        Patterns_protocols.Decision_rule.permits rule ~inputs:(E.inputs_of config)
-          ~failure_occurred:false Decision.Commit
+  (* The first processor holding a decision in [ds], and the first
+     later one holding the other decision, if there is one. *)
+  let first_conflict (ds : Decision.t option array) =
+    let n = Array.length ds in
+    let rec first p =
+      if p = n then None else match ds.(p) with Some d -> Some (p, d) | None -> first (p + 1)
+    in
+    match first 0 with
+    | None -> None
+    | Some (p0, d0) ->
+      let rec other p =
+        if p = n then None
+        else
+          match ds.(p) with
+          | Some d when not (Decision.equal d d0) -> Some (p0, d0, p, d)
+          | Some _ | None -> other (p + 1)
       in
-      let statuses = E.statuses config in
-      let ops =
-        List.filter (fun p -> not (E.is_failed config p)) (Proc_id.all ~n:(E.n_of config))
-      in
-      (* interactive consistency at this configuration *)
-      let op_decisions =
-        List.filter_map (fun p -> Option.map (fun d -> (p, d)) statuses.(p).Status.decision) ops
-      in
-      (match op_decisions with
-      | (p0, d0) :: rest -> (
-        match List.find_opt (fun (_, d) -> not (Decision.equal d d0)) rest with
-        | Some (p1, d1) ->
-          record o key ic_cell
-            (Format.asprintf "operational %a in %a while %a in %a" Proc_id.pp p0 Decision.pp d0
-               Proc_id.pp p1 Decision.pp d1)
-        | None -> ())
-      | [] -> ());
-      (* total consistency over first decisions (includes the failed) *)
-      let all_decided =
-        List.filter_map
-          (fun p -> Option.map (fun d -> (p, d)) decided.(p))
-          (Proc_id.all ~n:(E.n_of config))
-      in
-      (match all_decided with
-      | (p0, d0) :: rest -> (
-        match List.find_opt (fun (_, d) -> not (Decision.equal d d0)) rest with
-        | Some (p1, d1) ->
-          record o key tc_cell
-            (Format.asprintf "%a decided %a but %a decided %a" Proc_id.pp p0 Decision.pp d0
-               Proc_id.pp p1 Decision.pp d1)
-        | None -> ())
-      | [] -> ());
-      (* concurrency-set accumulation over operational states *)
-      let commit_here p =
-        List.exists
-          (fun q ->
-            q <> p
-            && match statuses.(q).Status.decision with
-               | Some Decision.Commit -> true
-               | _ -> false)
-          ops
-      in
-      let abort_here p =
-        List.exists
-          (fun q ->
-            q <> p
-            && match statuses.(q).Status.decision with
-               | Some Decision.Abort -> true
-               | _ -> false)
-          ops
-      in
-      List.iter
-        (fun p ->
-          let s = E.state_of config p in
-          let prev =
-            match State_map.find_opt s o.smap with
-            | Some i -> i
-            | None ->
-              {
-                state = s;
-                decision = statuses.(p).Status.decision;
-                commit_cooccurs = false;
-                abort_cooccurs = false;
-                always_all_ones = true;
-                input_vectors = [];
-                occurrences = 0;
-              }
-          in
-          let code = encode_inputs (E.inputs_of config) in
-          let info =
-            {
-              prev with
-              commit_cooccurs = prev.commit_cooccurs || commit_here p;
-              abort_cooccurs = prev.abort_cooccurs || abort_here p;
-              always_all_ones = prev.always_all_ones && commit_permitted;
-              input_vectors =
-                (if List.mem code prev.input_vectors then prev.input_vectors
-                 else code :: prev.input_vectors);
-              occurrences = prev.occurrences + 1;
-            }
-          in
-          o.smap <- State_map.add s info o.smap)
-        ops
+      other (p0 + 1)
+
+  let observe_config o key config decided =
+    let n = E.n_of config in
+    (* operational processors' current decisions, [None] at the failed *)
+    let ops = Array.make n None in
+    let commits = ref 0 and aborts = ref 0 in
+    for p = 0 to n - 1 do
+      if not (E.is_failed config p) then begin
+        let d = (E.status_of config p).Status.decision in
+        ops.(p) <- d;
+        match d with
+        | Some Decision.Commit -> incr commits
+        | Some Decision.Abort -> incr aborts
+        | None -> ()
+      end
+    done;
+    (* interactive consistency at this configuration *)
+    if !commits > 0 && !aborts > 0 then begin
+      match first_conflict ops with
+      | Some (p0, d0, p1, d1) ->
+        record o key ic_cell
+          (Format.asprintf "operational %a in %a while %a in %a" Proc_id.pp p0 Decision.pp d0
+             Proc_id.pp p1 Decision.pp d1)
+      | None -> ()
+    end;
+    (* total consistency over first decisions (includes the failed) *)
+    (match first_conflict decided with
+    | Some (p0, d0, p1, d1) ->
+      record o key tc_cell
+        (Format.asprintf "%a decided %a but %a decided %a" Proc_id.pp p0 Decision.pp d0
+           Proc_id.pp p1 Decision.pp d1)
+    | None -> ());
+    (* concurrency-set accumulation over operational states: a
+       processor co-occurs with a commit (abort) when some other
+       operational processor holds one *)
+    for p = 0 to n - 1 do
+      if not (E.is_failed config p) then begin
+        let d = ops.(p) in
+        let commit = !commits > (match d with Some Decision.Commit -> 1 | _ -> 0) in
+        let abort = !aborts > (match d with Some Decision.Abort -> 1 | _ -> 0) in
+        let s = E.state_of config p in
+        match State_tbl.find o.tallies s with
+        | t ->
+          t.commit <- t.commit || commit;
+          t.abort <- t.abort || abort;
+          t.visits <- t.visits + 1
+        | exception Not_found ->
+          State_tbl.add o.tallies s { decision = d; commit; abort; visits = 1 }
+      end
+    done
 
   let observe_terminal o key config decided =
-      o.terminal <- o.terminal + 1;
-      let statuses = E.statuses config in
-      List.iter
-        (fun p ->
-          if not (E.is_failed config p) then begin
-            if decided.(p) = None then
-              record o key wt_cell
-                (Format.asprintf "terminal configuration with nonfaulty %a undecided:@,%a"
-                   Proc_id.pp p E.pp_config config);
-            (match decided.(p) with
-            | Some _ when not (statuses.(p).Status.amnesic || statuses.(p).Status.halted) ->
-              record o key st_cell
-                (Format.asprintf "nonfaulty %a decided but never forgot or halted" Proc_id.pp p)
-            | _ -> ());
-            if not statuses.(p).Status.halted then
-              record o key ht_cell
-                (Format.asprintf "nonfaulty %a never halted" Proc_id.pp p)
-          end)
-        (Proc_id.all ~n:(E.n_of config))
+    o.terminal <- o.terminal + 1;
+    for p = 0 to E.n_of config - 1 do
+      if not (E.is_failed config p) then begin
+        let status = E.status_of config p in
+        if decided.(p) = None then
+          record o key wt_cell
+            (Format.asprintf "terminal configuration with nonfaulty %a undecided:@,%a"
+               Proc_id.pp p E.pp_config config);
+        (match decided.(p) with
+        | Some _ when not (status.Status.amnesic || status.Status.halted) ->
+          record o key st_cell
+            (Format.asprintf "nonfaulty %a decided but never forgot or halted" Proc_id.pp p)
+        | _ -> ());
+        if not status.Status.halted then
+          record o key ht_cell (Format.asprintf "nonfaulty %a never halted" Proc_id.pp p)
+      end
+    done
 
-  (* decision-time checks carried on the trace events of one edge *)
-  let observe_events ~rule o key pre_config events decided =
-      let inputs = E.inputs_of pre_config in
-      let failure_before =
-        Array.exists Fun.id
-          (Array.init (E.n_of pre_config) (fun p -> E.is_failed pre_config p))
-      in
-      List.fold_left
-        (fun decided ev ->
-          match ev with
-          | Trace.Decided { proc; decision; _ } ->
-            if not (Patterns_protocols.Decision_rule.permits rule ~inputs ~failure_occurred:failure_before decision)
-            then
-              record o key rule_cell
-                (Format.asprintf "%a's %a not permitted by %a" Proc_id.pp proc Decision.pp
-                   decision Patterns_protocols.Decision_rule.pp rule);
-            if
-              (not failure_before)
-              && not
-                   (Decision.equal decision
-                      (Patterns_protocols.Decision_rule.natural_decision rule inputs))
-            then
-              record o key validity_cell
-                (Format.asprintf "failure-free path: %a decided %a, natural decision differs"
-                   Proc_id.pp proc Decision.pp decision);
-            let decided = Array.copy decided in
-            if decided.(proc) = None then decided.(proc) <- Some decision;
-            decided
-          | _ -> decided)
-        decided events
+  (* What the decision-time checks read of a root's input vector,
+     computed once per root: every configuration under it carries the
+     same inputs. *)
+  type vector = { inputs : bool array; natural : Decision.t }
+
+  (* decision-time checks carried on the trace events of one edge;
+     [failure_before] is whether the expanded node holds a failure *)
+  let observe_events ~rule ~vector ~failure_before o key events decided =
+    List.fold_left
+      (fun decided ev ->
+        match ev with
+        | Trace.Decided { proc; decision; _ } ->
+          if
+            not
+              (Patterns_protocols.Decision_rule.permits rule ~inputs:vector.inputs
+                 ~failure_occurred:failure_before decision)
+          then
+            record o key rule_cell
+              (Format.asprintf "%a's %a not permitted by %a" Proc_id.pp proc Decision.pp
+                 decision Patterns_protocols.Decision_rule.pp rule);
+          if (not failure_before) && not (Decision.equal decision vector.natural) then
+            record o key validity_cell
+              (Format.asprintf "failure-free path: %a decided %a, natural decision differs"
+                 Proc_id.pp proc Decision.pp decision);
+          let decided = Array.copy decided in
+          if decided.(proc) = None then decided.(proc) <- Some decision;
+          decided
+        | _ -> decided)
+      decided events
 
   let failures_in config =
-    List.length (List.filter (fun p -> E.is_failed config p) (Proc_id.all ~n:(E.n_of config)))
+    let k = ref 0 in
+    for p = 0 to E.n_of config - 1 do
+      if E.is_failed config p then incr k
+    done;
+    !k
 
   module Node = struct
       (* exploration node: behavioural configuration plus each
@@ -346,17 +354,17 @@ module Make (P : Protocol.S) = struct
 
   module K = Patterns_search.Search.Make (Node)
 
-  let node_expand ~fifo_notices ~max_failures ~rule o
+  let node_expand ~fifo_notices ~max_failures ~rule ~vector o
       ((config, decided) as node : Node.state) =
     (* every violation observed while expanding this node is tagged
        with the node's fingerprint key — the canonical-witness order *)
     let key = Fingerprint.to_int (Node.fingerprint node) in
-    observe_config ~rule o key config decided;
+    observe_config o key config decided;
     let actions = E.applicable ~fifo_notices config in
     if actions = [] then observe_terminal o key config decided;
-    let fail_actions =
-      if failures_in config < max_failures then E.failure_actions config else []
-    in
+    let failures = failures_in config in
+    let failure_before = failures > 0 in
+    let fail_actions = if failures < max_failures then E.failure_actions config else [] in
     let succs =
       List.filter_map
         (fun a ->
@@ -365,7 +373,7 @@ module Make (P : Protocol.S) = struct
             o.errors <- e :: o.errors;
             None
           | Ok (config', events) ->
-            Some (config', observe_events ~rule o key config events decided))
+            Some (config', observe_events ~rule ~vector ~failure_before o key events decided))
         (actions @ fail_actions)
     in
     o.edges_gen <- o.edges_gen + List.length succs;
@@ -390,18 +398,28 @@ module Make (P : Protocol.S) = struct
      nodes and the per-root visited sets partition the whole space
      exactly.  The frontier, visited store and budget live in the
      search kernel; this function only hangs the paper's observations
-     on the expansion closure. *)
+     on the expansion closure.  Nothing here reads a communication
+     pattern, so the root is a behaviour-only configuration. *)
   let explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n inputs =
-    let root_config = E.init ~n ~inputs in
+    let root_config = E.init_behavioral ~n ~inputs in
+    let vector =
+      let inputs = Array.of_list inputs in
+      { inputs; natural = Patterns_protocols.Decision_rule.natural_decision rule inputs }
+    in
+    let code = encode_inputs vector.inputs in
+    let all_ones =
+      Patterns_protocols.Decision_rule.permits rule ~inputs:vector.inputs ~failure_occurred:false
+        Decision.Commit
+    in
     let edges = Option.map edge_adapter options.edge_sink in
     let outcome, o, m =
       let expand =
         {
-          K.empty = vobs_empty;
+          K.empty = vobs_empty ~code ~all_ones;
           merge = vobs_merge;
           expand =
             node_expand ~fifo_notices:options.fifo_notices
-              ~max_failures:options.max_failures ~rule;
+              ~max_failures:options.max_failures ~rule ~vector;
         }
       in
       let root = (root_config, Array.make n None) in
@@ -418,6 +436,21 @@ module Make (P : Protocol.S) = struct
 
   let report_of ~configs ~truncated o =
     let cell i = Option.map snd o.cells.(i) in
+    let states =
+      State_tbl.fold
+        (fun state t acc ->
+          {
+            state;
+            decision = t.decision;
+            commit_cooccurs = t.commit;
+            abort_cooccurs = t.abort;
+            always_all_ones = o.all_ones;
+            input_vectors = [ o.code ];
+            occurrences = t.visits;
+          }
+          :: acc)
+        o.tallies []
+    in
     {
       configs_visited = configs;
       terminal_configs = o.terminal;
@@ -430,12 +463,12 @@ module Make (P : Protocol.S) = struct
       rule_violation = cell rule_cell;
       validity_violation = cell validity_cell;
       protocol_errors = Listx.dedup_sorted ~cmp:String.compare o.errors;
-      states = List.map snd (State_map.bindings o.smap);
+      states = List.sort (fun a b -> P.compare_state a.state b.state) states;
     }
 
   (* ----- per-vector base facts -----
 
-     One fact per fully explored input vector, kind ["classify_vec"]:
+     One fact per fully explored input vector, kind [vec_fact_kind]:
      the vector's size and its observation accumulator, sealed
      ({!Db.put_sealed}) — everything a later sweep at the same
      [max_failures] needs to reuse the vector wholesale, the exact
@@ -447,7 +480,14 @@ module Make (P : Protocol.S) = struct
      is in the key because the two can disagree on count statistics
      where distinct paths converge on one behavioural node (the
      representative kept is visit-order dependent).  A fact that does
-     not unseal is a miss: the vector runs fresh and overwrites it. *)
+     not unseal is a miss: the vector runs fresh and overwrites it.
+
+     The kind names the sealed type, [int * vobs]: a [vobs] with
+     per-state tallies replaced the persistent state map, which was
+     sealed as ["classify_vec"].  Facts of that kind are never read,
+     so their vectors are recomputed. *)
+
+  let vec_fact_kind = "classify_vec2"
 
   let bits_of inputs =
     String.concat "" (List.map (fun b -> if b then "1" else "0") inputs)
@@ -483,19 +523,19 @@ module Make (P : Protocol.S) = struct
         vec_fact_key ~rule ~n ~max_failures:options.max_failures
           ~fifo_notices:options.fifo_notices ~par_mode:options.par_mode inputs
       in
-      match (Db.get_sealed db ~kind:"classify_vec" ~key : (int * vobs) option) with
+      match (Db.get_sealed db ~kind:vec_fact_kind ~key : (int * vobs) option) with
       | Some (configs, o) when configs <= budget ->
         let m =
           Patterns_search.Metrics.with_incremental ~delta_reused_edges:o.edges_gen
             Patterns_search.Metrics.zero
         in
         (report_of ~configs ~truncated:false o, m)
-      | _ -> fresh ~store:(Db.put_sealed db ~kind:"classify_vec" ~key))
+      | _ -> fresh ~store:(Db.put_sealed db ~kind:vec_fact_kind ~key))
     | _ -> fresh ~store:ignore
 
   (* ----- deterministic merge of per-vector reports ----- *)
 
-  (* both lists sorted by [compare_state] (State_map binding order) *)
+  (* both lists sorted by [compare_state] ([report_of]'s order) *)
   let rec merge_states xs ys =
     match (xs, ys) with
     | [], l | l, [] -> l

@@ -18,6 +18,14 @@
     with it and whether it implies the all-ones input vector — from
     which the safe-state conditions and Corollary 6 are decided.
 
+    None of this reads a communication pattern, so every root is a
+    behaviour-only configuration ({!Engine.Make.init_behavioral}): the
+    sweep pays for no knowledge sets, happens-before edges or triples.
+    The accumulation is per root: input-vector constants are computed
+    once per root, and each worker folds its states into a mutable
+    table that becomes the report's [states], in
+    [P.compare_state] order.
+
     What a sweep stores for later runs is sealed
     ({!Patterns_stdx.Seal}): its checkpoint payloads and its
     per-vector base facts.  A damaged checkpoint is refused; a damaged
@@ -90,12 +98,14 @@ module Make (P : Protocol.S) : sig
             ({!Patterns_search.Checkpoint.create}). *)
     base : Patterns_db.Db.t option;
         (** incremental base: an execution database whose
-            ["classify_vec"] facts persist each fully explored input
+            ["classify_vec2"] facts persist each fully explored input
             vector (observations and derivation counts, sealed with
             {!Patterns_db.Db.put_sealed}), keyed by protocol, n, rule,
             [max_failures], [fifo_notices], [par_mode] and the vector.
             A fact that does not unseal is a miss: the vector runs
-            fresh and overwrites it.  With a base, a vector whose
+            fresh and overwrites it.  Facts of the retired kind
+            ["classify_vec"], which sealed another observation type,
+            are never read.  With a base, a vector whose
             fact fits the per-vector budget is answered wholesale from
             it — bit-identical to from-scratch under the same driver,
             with the skipped derivations counted in the metrics'
@@ -127,7 +137,13 @@ module Make (P : Protocol.S) : sig
         (** every input vector (bit i of the encoding = processor i's
             initial bit) of a reachable configuration containing this
             state — the raw material of "s implies X" *)
-    occurrences : int;  (** number of distinct configurations *)
+    occurrences : int;
+        (** (node, operational processor) visits: each expanded node
+            adds one per operational processor in this state.  Not a
+            count of distinct configurations — two processors sharing
+            the state in one node count twice, and one configuration
+            reached with different first decisions is several
+            nodes. *)
   }
 
   val implies : n:int -> state_info -> (bool array -> bool) -> bool

@@ -19,7 +19,7 @@
     violation certificates ([kind = "cert"], plain JSON the [query]
     command reads) and, sealed ({!put_sealed}), for replay verdicts
     ([kind = "verdict"]), classification sweeps ([kind = "classify"])
-    and per-vector base facts ([kind = "classify_vec"]).  The
+    and per-vector base facts ([kind = "classify_vec2"]).  The
     database itself knows nothing about those payloads, which keeps
     [Patterns_db] dependent on [Patterns_stdx] only.
 

@@ -9,8 +9,9 @@
     Configurations are persistent values, so exploration (branching
     over all applicable events) needs no undo machinery; the engine
     additionally threads the communication-pattern-so-far through each
-    configuration, which lets the scheme enumerator memoize on
-    configurations alone. *)
+    configuration that is not behaviour-only (see {!Make.config}),
+    which lets the scheme enumerator memoize on configurations
+    alone. *)
 
 module Make (P : Protocol.S) : sig
   (** {1 Configurations} *)
@@ -23,14 +24,42 @@ module Make (P : Protocol.S) : sig
   (** A configuration: all local states plus all buffer contents
       (paper Section 3), extended with the bookkeeping needed for
       patterns (per-pair send counts, per-processor knowledge sets,
-      accumulated pattern edges). *)
+      accumulated pattern edges).
+
+      Every configuration is of one of three kinds, fixed by the
+      initial configuration it descends from:
+
+      - {e full} ({!init}): both canonical fingerprints maintained
+        incrementally, the pattern bookkeeping, and per-root interning
+        of states, knowledge/trips sets and edge sets — for searches
+        over full configurations ({!compare_config}) with a visited
+        store, such as scheme enumeration;
+      - {e untracked} ({!init_untracked}, and {!run}'s default): the
+        pattern bookkeeping without fingerprint upkeep or interning;
+        the fingerprints are full folds on first demand, memoized —
+        for linear runs that never probe a visited store;
+      - {e behaviour-only} ({!init_behavioral}): the behavioural
+        fingerprint, state interning and the per-pair send counts
+        (which mint the buffer indices {!compare_behavioral} reads),
+        and no pattern bookkeeping at all — for searches over
+        behavioural configurations ({!compare_behavioral}), such as
+        the exhaustive classification sweep and the concurrency sets.
+        The pattern readers ({!fingerprint}, {!hash_config},
+        {!fingerprint_from_scratch}, {!compare_config},
+        {!pattern_fp}, {!same_pattern_rep}, {!triples_of},
+        {!pattern_edges}) raise [Invalid_argument] on them, and their
+        [Sent] events carry no causes.
+
+      Whatever the kind, {!apply} yields the same local states,
+      buffers (message indices included), failures and events, causes
+      aside. *)
 
   val init : n:int -> inputs:bool list -> config
   (** Initial configuration: processor [i] starts in
-      [P.initial ~input:(nth inputs i)]; buffers empty.  Every
-      configuration descended from this one carries incrementally
-      maintained fingerprints and per-root interning — what a search
-      with a visited store wants.
+      [P.initial ~input:(nth inputs i)]; buffers empty.  A full
+      configuration: every descendant carries incrementally maintained
+      fingerprints and per-root interning — what a search with a
+      visited store over full configurations wants.
       @raise Invalid_argument if [length inputs <> n] or [P.valid_n n]
       is false. *)
 
@@ -40,6 +69,14 @@ module Make (P : Protocol.S) : sig
       {!fingerprint}/{!behavioral_fingerprint} fall back to a full
       fold, computed on first demand and memoized — the right trade
       for linear runs that never probe a visited store. *)
+
+  val init_behavioral : n:int -> inputs:bool list -> config
+  (** Like {!init}, but every descendant keeps only what
+      {!compare_behavioral} and {!behavioral_fingerprint} read: the
+      behavioural fingerprint (incrementally maintained), interned
+      local states and the per-pair send counts.  Knowledge, edges
+      and triples are never built, so the pattern readers raise
+      [Invalid_argument] and [Sent] events carry [causes = []]. *)
 
   val n_of : config -> int
   val inputs_of : config -> bool array
@@ -55,58 +92,71 @@ module Make (P : Protocol.S) : sig
   (** Current decision states (amnesic processors excluded). *)
 
   val pattern_edges : config -> (Triple.t * Triple.t) list
-  (** Direct happens-before pairs accumulated so far, sorted. *)
+  (** Direct happens-before pairs accumulated so far, sorted.
+      @raise Invalid_argument on a behaviour-only configuration. *)
 
   val triples_of : config -> Triple.t list
-  (** All message triples sent so far, sorted. *)
+  (** All message triples sent so far, sorted.
+      @raise Invalid_argument on a behaviour-only configuration. *)
 
   val pattern_fp : config -> Patterns_stdx.Fingerprint.t
   (** Canonical fingerprint of the accumulated pattern alone — the
-      triples and the happens-before edges, nothing else. *)
+      triples and the happens-before edges, nothing else.
+      @raise Invalid_argument on a behaviour-only configuration. *)
 
   val same_pattern_rep : config -> config -> bool
   (** Physical equality of the interned pattern components.  Within
       one root this holds exactly when the accumulated patterns are
       structurally equal, so a terminal-pattern cache can use
       {!pattern_fp} as the key and this as the collision-proof
-      confirmation, skipping extraction for repeats. *)
+      confirmation, skipping extraction for repeats.
+      @raise Invalid_argument on a behaviour-only configuration. *)
 
   val compare_config : config -> config -> int
   (** Structural order including pattern bookkeeping; two configs are
-      equal iff their futures (and final patterns) coincide. *)
+      equal iff their futures (and final patterns) coincide.
+      @raise Invalid_argument on a behaviour-only configuration. *)
 
   val compare_behavioral : config -> config -> int
   (** Ignores pattern bookkeeping (send counts, knowledge, edges):
       equality of states, failure flags and buffer multisets only.
-      Suitable for local-state reachability analyses. *)
+      Suitable for local-state reachability analyses, and defined on
+      every kind of configuration — comparing a behaviour-only
+      configuration with a full one is meaningful. *)
 
   val fingerprint : config -> Patterns_stdx.Fingerprint.t
   (** Canonical 64-bit fingerprint, consistent with {!compare_config}:
       equal configurations have equal fingerprints however they were
-      reached.  Under a tracking root (see {!init}) it is carried in
+      reached.  On a full configuration (see {!init}) it is carried in
       the configuration and maintained incrementally by {!apply} —
-      reading it is O(1); under [~track_fingerprints:false] the first
-      read pays a full fold, memoized per configuration. *)
+      reading it is O(1); on an untracked one the first read pays a
+      full fold, memoized per configuration.
+      @raise Invalid_argument on a behaviour-only configuration. *)
 
   val behavioral_fingerprint : config -> Patterns_stdx.Fingerprint.t
   (** Canonical fingerprint of the behavioral projection, consistent
-      with {!compare_behavioral}; same laziness as {!fingerprint}. *)
+      with {!compare_behavioral}: O(1) on full and behaviour-only
+      configurations, a memoized full fold on untracked ones. *)
 
   val fingerprint_from_scratch : config -> Patterns_stdx.Fingerprint.t
   (** Recompute {!fingerprint} by full folds over every field, ignoring
       the incrementally maintained value.  For the consistency test
       suite: [fingerprint_from_scratch c = fingerprint c] is the
-      maintenance invariant. *)
+      maintenance invariant.
+      @raise Invalid_argument on a behaviour-only configuration. *)
 
   val intern_bindings : config -> int
-  (** Distinct knowledge/trips sets interned under this
-      configuration's root ([init] creates a fresh table); a
-      deterministic measure of set-sharing, surfaced in search
-      metrics. *)
+  (** Distinct values interned under this configuration's root (each
+      [init*] call creates fresh tables): local states, plus
+      knowledge/trips sets and edge sets on a full root.  A
+      behaviour-only root interns local states only, and an untracked
+      one nothing.  A deterministic measure of sharing, surfaced in
+      search metrics. *)
 
   val hash_config : config -> int
   (** Consistent with {!compare_config}: the {!fingerprint} folded to
-      an [int].  O(1). *)
+      an [int].  O(1).
+      @raise Invalid_argument on a behaviour-only configuration. *)
 
   val hash_behavioral : config -> int
   (** Consistent with {!compare_behavioral}: the

@@ -207,6 +207,9 @@ let test_base_keyed_by_driver () =
    every vector re-explored, and the fresh fact overwrites the damaged
    one. *)
 
+(* the kind Explore seals its per-vector facts under *)
+let vec_kind = "classify_vec2"
+
 let flip_hex_digit h =
   let i = String.length h / 2 in
   String.mapi (fun j c -> if j <> i then c else if c = '0' then '1' else '0') h
@@ -224,9 +227,9 @@ let test_unsealable_facts_recomputed () =
   let recomputed name damage =
     let base = Db.create () in
     let _seed : Classify.verdict = classify ~base () in
-    let facts = Db.facts base ~kind:"classify_vec" in
+    let facts = Db.facts base ~kind:vec_kind in
     check Alcotest.int "one fact per vector" 8 (List.length facts);
-    List.iter (fun (key, fact) -> Db.put_fact base ~kind:"classify_vec" ~key (damage fact)) facts;
+    List.iter (fun (key, fact) -> Db.put_fact base ~kind:vec_kind ~key (damage fact)) facts;
     let metrics = ref Patterns_search.Metrics.zero in
     check_verdict (name ^ " ≡ scratch") scratch (classify ~metrics ~base ());
     check Alcotest.int (name ^ ": every vector re-explored") (expanded scratch_m)
@@ -250,6 +253,65 @@ let test_unsealable_facts_recomputed () =
   recomputed "flipped hex digit" (function
     | Json.String h -> Json.String (flip_hex_digit h)
     | _ -> Alcotest.fail "sealed fact is not a string")
+
+(* ----- facts under the retired kind are recomputed -----
+
+   Per-vector facts were sealed as ["classify_vec"] while the
+   accumulator held a persistent state map; the kind changed with the
+   type.  A base holding a fact of the retired kind for one vector
+   (000 here) must not answer from it, even though it unseals under
+   its own kind: that vector alone is explored afresh, the other
+   seven are reused, the verdict is the from-scratch one, and the
+   fresh fact is stored under the current kind. *)
+
+(* the retired accumulator's layout, which the current reader would
+   misread *)
+type retired_vobs = {
+  terminal : int;
+  cells : (int * string) option array;
+  errors : string list;
+  smap : (string * int) list;
+  edges_gen : int;
+}
+
+let test_retired_kind_recomputed () =
+  let entry = entry_exn "fig3-chain" in
+  let rule = rule_of_registry entry in
+  let classify ?metrics ?base ?inputs_choices () =
+    Classify.classify ?metrics ?base ?inputs_choices ~max_failures:1 ~rule ~n:3
+      entry.Patterns_protocols.Registry.protocol
+  in
+  let expanded m = !m.Patterns_search.Metrics.states_expanded in
+  let scratch = classify () in
+  let zeros_m = ref Patterns_search.Metrics.zero in
+  let _zeros : Classify.verdict =
+    classify ~metrics:zeros_m ~inputs_choices:[ [ false; false; false ] ] ()
+  in
+  let seeded = Db.create () in
+  let _seed : Classify.verdict = classify ~base:seeded () in
+  let base = Db.create () in
+  let retired = ref 0 in
+  List.iter
+    (fun (key, fact) ->
+      if String.ends_with ~suffix:"vec=000" key then begin
+        incr retired;
+        Db.put_sealed base ~kind:"classify_vec" ~key
+          ( expanded zeros_m,
+            { terminal = 0; cells = Array.make 7 None; errors = []; smap = []; edges_gen = 0 } )
+      end
+      else Db.put_fact base ~kind:vec_kind ~key fact)
+    (Db.facts seeded ~kind:vec_kind);
+  check Alcotest.int "one retired fact" 1 !retired;
+  let metrics = ref Patterns_search.Metrics.zero in
+  check_verdict "retired kind ≡ scratch" scratch (classify ~metrics ~base ());
+  check Alcotest.int "only vector 000 re-explored" (expanded zeros_m) (expanded metrics);
+  Alcotest.(check bool)
+    "the other vectors reused" true
+    (!metrics.Patterns_search.Metrics.delta_reused_edges > 0);
+  check Alcotest.int "current-kind facts" 8 (List.length (Db.facts base ~kind:vec_kind));
+  let metrics = ref Patterns_search.Metrics.zero in
+  check_verdict "then reused ≡ scratch" scratch (classify ~metrics ~base ());
+  check Alcotest.int "no expansions on reuse" 0 (expanded metrics)
 
 (* ----- systematic hunt: memoized prefixes ≡ full replays ----- *)
 
@@ -356,6 +418,8 @@ let () =
           Alcotest.test_case "base keyed by driver" `Quick test_base_keyed_by_driver;
           Alcotest.test_case "unsealable facts recomputed" `Quick
             test_unsealable_facts_recomputed;
+          Alcotest.test_case "retired fact kind recomputed" `Quick
+            test_retired_kind_recomputed;
         ] );
       ( "hunt",
         [
