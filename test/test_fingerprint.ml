@@ -83,7 +83,9 @@ let tests_for entry =
            behaviour-only root: the untracked configuration's
            on-demand fingerprint must equal the incrementally
            maintained one, and reading it twice must agree
-           (memoization); the behaviour-only configuration must be
+           (memoization); its edges, triples and [compare_config]
+           must agree with the tracked configuration's; the
+           behaviour-only configuration must be
            behaviourally equal to the tracked one, fingerprint
            included, and decide exactly when it does *)
         let prng = Prng.create ~seed in
@@ -117,6 +119,13 @@ let tests_for entry =
                    second read must hit the memo *)
                 && E.pattern_fp untracked' = E.pattern_fp tracked'
                 && E.pattern_fp untracked' = E.pattern_fp untracked'
+                (* the untracked pattern itself, read back and compared
+                   against the tracked one, and its from-scratch fold *)
+                && E.pattern_edges untracked' = E.pattern_edges tracked'
+                && E.triples_of untracked' = E.triples_of tracked'
+                && E.compare_config untracked' tracked' = 0
+                && E.compare_config tracked' untracked' = 0
+                && E.fingerprint_from_scratch untracked' = E.fingerprint tracked'
                 && E.behavioral_fingerprint behavioral' = E.behavioral_fingerprint tracked'
                 && E.compare_behavioral behavioral' tracked' = 0
                 && decided bevs = decided evs
