@@ -395,6 +395,32 @@ let test_atomic_table_insert_storm () =
   Alcotest.(check int) "no collisions for distinct fps" 0
     (Atomic_table.collision_fallbacks t)
 
+let colliding_table ~workers ~keys () =
+  Atomic_table.create ~workers ~equal:Int.equal
+    ~fingerprint:(fun i -> Fingerprint.of_int (i land (keys - 1)))
+    ()
+
+let test_atomic_table_collision_storm () =
+  (* four domains insert overlapping ranges under four fingerprints, so
+     nearly every insertion races other domains on a colliding key:
+     structural confirmation must still let each value win once *)
+  let t = colliding_table ~workers:4 ~keys:4 () in
+  let range d = Listx.range (d * 500) ((d * 500) + 1000) in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            List.fold_left
+              (fun acc i -> if Atomic_table.add_if_absent t ~worker:d i then acc + 1 else acc)
+              0 (range d)))
+  in
+  let inserted = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  let distinct = List.sort_uniq Int.compare (List.concat_map range (Listx.range 0 4)) in
+  Alcotest.(check int) "each value wins once" (List.length distinct) inserted;
+  Alcotest.(check int) "bindings" (List.length distinct) (Atomic_table.bindings t);
+  Alcotest.(check bool) "every value present" true
+    (List.for_all (fun i -> Atomic_table.mem t ~worker:0 i) distinct);
+  Alcotest.(check bool) "collisions counted" true (Atomic_table.collision_fallbacks t > 0)
+
 (* qcheck: a sealed value round-trips, and every kind of damage —
    each strict prefix, any single-bit flip, another kind — is an
    [Error], never an exception or a wrong value *)
@@ -425,24 +451,34 @@ let seal_qcheck_tests =
         && refused s ~kind:(kind ^ "'"));
   ]
 
-(* qcheck: the table against a Set model, random operation sequences *)
+(* qcheck: the table against a Set model, random operation sequences
+   from one domain, on one- and three-worker tables with spread and
+   with colliding fingerprints *)
 let atomic_table_qcheck_tests =
   let open QCheck2 in
   let module IS = Set.Make (Int) in
+  let matches_model keys t =
+    let model = ref IS.empty in
+    List.for_all
+      (fun k ->
+        let fresh = not (IS.mem k !model) in
+        model := IS.add k !model;
+        Atomic_table.add_if_absent t ~worker:0 k = fresh)
+      keys
+    && Atomic_table.bindings t = IS.cardinal !model
+    && IS.for_all (fun k -> Atomic_table.mem t ~worker:0 k) !model
+  in
   [
     Test.make ~name:"atomic table matches Set model (sequential)" ~count:200
       Gen.(list (int_bound 200))
       (fun keys ->
-        let t = int_table ~workers:1 () in
-        let model = ref IS.empty in
-        List.for_all
-          (fun k ->
-            let fresh = not (IS.mem k !model) in
-            model := IS.add k !model;
-            Atomic_table.add_if_absent t ~worker:0 k = fresh)
-          keys
-        && Atomic_table.bindings t = IS.cardinal !model
-        && IS.for_all (fun k -> Atomic_table.mem t ~worker:0 k) !model);
+        List.for_all (matches_model keys)
+          [
+            int_table ~workers:1 ();
+            colliding_table ~workers:1 ~keys:8 ();
+            int_table ~workers:3 ();
+            colliding_table ~workers:3 ~keys:8 ();
+          ]);
     Test.make ~name:"concurrent insert storm loses nothing" ~count:20
       Gen.(int_bound 1000)
       (fun seed ->
@@ -632,6 +668,8 @@ let () =
           Alcotest.test_case "growth" `Quick test_atomic_table_growth;
           Alcotest.test_case "collisions confirmed" `Quick test_atomic_table_collisions;
           Alcotest.test_case "insert storm" `Quick test_atomic_table_insert_storm;
+          Alcotest.test_case "forced-collision storm" `Quick
+            test_atomic_table_collision_storm;
         ] );
       ("deque properties", List.map QCheck_alcotest.to_alcotest deque_qcheck_tests);
       ("table properties", List.map QCheck_alcotest.to_alcotest atomic_table_qcheck_tests);
