@@ -104,7 +104,7 @@ let par_mode_arg =
                            ("layers", Patterns_search.Search.Layers) ])) None
        & info [ "par-mode" ] ~docv:"MODE"
          ~doc:"Search driver: $(b,async) distributes work across $(b,--jobs) domains \
-               through per-worker stealing deques over a lock-free visited table; \
+               through per-worker stealing deques over a lock-striped visited table; \
                $(b,layers) is the serial breadth-first search in a canonical layer order, \
                on one domain. The default is $(b,async) everywhere except $(b,realize), \
                whose shortest-witness guarantee needs $(b,layers). The choice can change \

@@ -79,9 +79,10 @@ type t = {
       (** searches stopped by the live-state budget
           ({!Search.Live_limit_exceeded}); deterministic *)
   lock_contention : int;
-      (** visited-store mutex acquisitions that found the lock held —
-          nondeterministic under [jobs > 1], never compared across
-          runs *)
+      (** visited-store mutex acquisitions that found the lock held:
+          a stripe lock of the visited table under several workers, a
+          shard lock of the spill store — nondeterministic under
+          [jobs > 1], never compared across runs *)
   expand_seconds : float;
       (** wall-clock summed over expansion tasks across workers
           (nondeterministic) *)
@@ -93,12 +94,13 @@ type t = {
       (** steal attempts that found a victim empty or lost the race —
           schedule-dependent (/5 volatile section) *)
   cas_retries : int;
-      (** visited-table slot claims lost to a racing worker —
-          schedule-dependent (/5 volatile section) *)
+      (** always 0: the visited table claims no slot by
+          compare-and-set.  Kept so schema /10 and its readers (the
+          benchmark of record reads it) stay unchanged (/5 volatile
+          section) *)
   table_occupancy : float;
       (** final load factor of the open-addressed visited table; maxed
-          on merge; volatile near a migration boundary (/5 volatile
-          section) *)
+          on merge; volatile near a doubling (/5 volatile section) *)
   idle_seconds : float;
       (** wall-clock workers spent between exhausting their own deque
           and acquiring new work (or quiescence) — the async driver's

@@ -29,7 +29,7 @@ let now () = Unix.gettimeofday ()
 (* Which driver a client sweep runs on.  [Layers] is the serial
    canonical-order BFS ({!Make.run}): shortest goal witnesses and the
    same truncation points for every [--jobs], because it runs on one
-   domain.  [Async] is the work-stealing driver over the lock-free
+   domain.  [Async] is the work-stealing driver over the lock-striped
    fingerprint table — same outcomes, pattern sets and deterministic
    counters on searches it runs to exhaustion, but truncation points
    and goal witnesses are schedule-dependent. *)
@@ -98,9 +98,10 @@ module Make (P : Problem) = struct
   (* ----- the visited store, the guards and the metrics step ----- *)
 
   (* The one visited interface both drivers use, over either store:
-     the lock-free [Atomic_table] in memory (the serial driver is its
-     worker 0) or, with [spill], the [Spill_store], whose add ignores
-     the worker hint.  [live] feeds the [max_live] guard: every binding
+     the [Visited_table] in memory (a one-worker table, without locks,
+     for the serial driver and for the async one at one worker; a
+     lock-striped one for several workers) or, with [spill], the
+     [Spill_store].  [live] feeds the [max_live] guard: every binding
      in memory, the resident ones when spilling.  [evict] is the spill
      store's eviction point, which each driver calls where it keeps
      the counts deterministic (serial: between layers; async: once per
@@ -111,14 +112,13 @@ module Make (P : Problem) = struct
      shard count.  [finish] adds the /7 spill section and deletes the
      run files. *)
   type visited = {
-    add : worker:int -> P.state -> bool;
+    add : P.state -> bool;
     mem : P.state -> bool;
     live : unit -> int;
     bindings : unit -> int;
     probes : unit -> int;
     collision_fallbacks : unit -> int;
     lock_contention : unit -> int;
-    cas_retries : unit -> int;
     occupancy : unit -> float;
     bits : int;
     evict : unit -> unit;
@@ -129,32 +129,30 @@ module Make (P : Problem) = struct
     let equal a b = P.compare a b = 0 in
     match spill with
     | None ->
-      let t = Atomic_table.create ~workers ~equal ~fingerprint:P.fingerprint () in
+      let t = Visited_table.create ~workers ~equal ~fingerprint:P.fingerprint () in
       {
-        add = (fun ~worker s -> Atomic_table.add_if_absent t ~worker s);
-        mem = Atomic_table.mem t ~worker:0;
-        live = (fun () -> Atomic_table.bindings t);
-        bindings = (fun () -> Atomic_table.bindings t);
-        probes = (fun () -> Atomic_table.probes t);
-        collision_fallbacks = (fun () -> Atomic_table.collision_fallbacks t);
-        lock_contention = (fun () -> Atomic_table.lock_contention t);
-        cas_retries = (fun () -> Atomic_table.cas_retries t);
-        occupancy = (fun () -> Atomic_table.occupancy t);
-        bits = Atomic_table.initial_bits t;
+        add = Visited_table.add_if_absent t;
+        mem = Visited_table.mem t;
+        live = (fun () -> Visited_table.bindings t);
+        bindings = (fun () -> Visited_table.bindings t);
+        probes = (fun () -> Visited_table.probes t);
+        collision_fallbacks = (fun () -> Visited_table.collision_fallbacks t);
+        lock_contention = (fun () -> Visited_table.lock_contention t);
+        occupancy = (fun () -> Visited_table.occupancy t);
+        bits = Visited_table.initial_bits t;
         evict = ignore;
         finish = Fun.id;
       }
     | Some { dir; mem_budget } ->
       let t = Spill_store.create ~equal ~fingerprint:P.fingerprint ~dir ~mem_budget () in
       {
-        add = (fun ~worker:_ s -> Spill_store.add_if_absent t s);
+        add = Spill_store.add_if_absent t;
         mem = Spill_store.mem t;
         live = (fun () -> Spill_store.resident t);
         bindings = (fun () -> Spill_store.bindings t);
         probes = (fun () -> Spill_store.probes t);
         collision_fallbacks = (fun () -> Spill_store.collision_fallbacks t);
         lock_contention = (fun () -> Spill_store.lock_contention t);
-        cas_retries = (fun () -> 0);
         occupancy = (fun () -> 0.);
         bits = Spill_store.shard_bits;
         evict = (fun () -> Spill_store.maybe_evict t);
@@ -239,7 +237,6 @@ module Make (P : Problem) = struct
         expand_seconds;
         steals;
         steal_failures;
-        cas_retries = visited.cas_retries ();
         table_occupancy = visited.occupancy ();
         idle_seconds;
       }
@@ -279,7 +276,7 @@ module Make (P : Problem) = struct
         | _ -> true
     in
     let insert i s =
-      if visited.add ~worker:0 s then begin
+      if visited.add s then begin
         occupancy.(i) <- occupancy.(i) + 1;
         true
       end
@@ -420,7 +417,7 @@ module Make (P : Problem) = struct
     let t0 = now () in
     (* checked once per charged state, before its goal test *)
     let guard = guard ?max_live ?deadline visited ~t0 in
-    ignore (visited.add ~worker:0 root : bool);
+    ignore (visited.add root : bool);
     Ws_deque.push deques.(0) root;
     note_push ();
     let process wi s =
@@ -441,7 +438,7 @@ module Make (P : Problem) = struct
                 match prune with
                 | Some p when p c -> pruned.(wi) <- pruned.(wi) + 1
                 | _ ->
-                  if visited.add ~worker:wi c then begin
+                  if visited.add c then begin
                     Atomic.incr in_flight;
                     Ws_deque.push deques.(wi) c;
                     note_push ()

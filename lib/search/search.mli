@@ -18,14 +18,14 @@
     order, and {!Make.run_par_async}, a work-stealing search across a
     {!Patterns_stdx.Domain_pool}.  They differ only in frontier and
     store discipline: both run on one visited-store interface — the
-    lock-free {!Patterns_stdx.Atomic_table} in memory (the serial
-    driver is its only worker), or the {!Patterns_stdx.Spill_store}
-    with {!spill} — and share one overrun guard (live-state limit,
-    then deadline) and one metrics step.  Under {!Make.run} the
-    visitation order — and hence every counter except the wall-clock
-    [seconds] — is a pure function of the problem, root and budget.
-    {!sweep} is the one per-root loop the clients' sweeps run
-    through. *)
+    {!Patterns_stdx.Visited_table} in memory (one stripe without a
+    lock for the serial driver and for one worker, lock-striped for
+    several), or the {!Patterns_stdx.Spill_store} with {!spill} — and
+    share one overrun guard (live-state limit, then deadline) and one
+    metrics step.  Under {!Make.run} the visitation order — and hence
+    every counter except the wall-clock [seconds] — is a pure function
+    of the problem, root and budget.  {!sweep} is the one per-root
+    loop the clients' sweeps run through. *)
 
 (** Why a search stopped short of exhausting its space.  All three are
     graceful: the search returns its metrics and a [Truncated] outcome
@@ -57,7 +57,7 @@ val truncated : 'a outcome -> bool
     canonical-order breadth-first search ({!Make.run}): it runs on one
     domain, so its truncation points and goal witnesses (shortest
     ones) are the same for every [--jobs].  [Async] is the
-    work-stealing driver over the lock-free fingerprint table
+    work-stealing driver over the lock-striped fingerprint table
     ({!Make.run_par_async}) — same outcomes, observations and
     deterministic counters on searches it runs to exhaustion, but
     truncation sets and goal witnesses are schedule-dependent.  The
@@ -143,8 +143,8 @@ module Make (P : Problem) : sig
       [budget] (default unlimited) and goal-tested with [is_goal] in
       frontier order, so a mid-layer stop is deterministic and the
       first goal found is at the smallest depth.  The layer is then
-      expanded in frontier order against the visited store (an
-      {!Patterns_stdx.Atomic_table} at one worker, or the spill store)
+      expanded in frontier order against the visited store (a
+      one-worker {!Patterns_stdx.Visited_table}, or the spill store)
       as it stood after the previous layer: successors already visited are
       discarded (counted in [dedup_hits]), then those for which
       [prune] returns [true] (counted in [pruned]).  Survivors are
@@ -192,10 +192,11 @@ module Make (P : Problem) : sig
     P.state outcome * 'obs * Metrics.t
   (** Asynchronous work-stealing search: one Chase–Lev deque per pool
       worker, depth-first on the owner's end with round-robin stealing,
-      over a lock-free open-addressing visited table
-      ({!Patterns_stdx.Atomic_table}, starting at 64 slots) whose
-      insert doubles as the membership test — no barrier, no
-      mutex on the hot path.  Quiescence is detected by an atomic
+      over a flat open-addressing visited table
+      ({!Patterns_stdx.Visited_table}: one stripe without a lock at one
+      worker, 64 stripes each behind its own mutex above that, every
+      stripe starting at 64 slots) whose insert doubles as the
+      membership test — no barrier.  Quiescence is detected by an atomic
       in-flight counter; budget, deadline and live-state guards run
       inside each worker.
 

@@ -8,13 +8,13 @@
     {!Dict} discipline); a spilled binding survives on disk only as
     its 8-byte order-preserving fingerprint key plus that id, so disk
     membership is decided by fingerprint alone — the same
-    collision-freeness assumption the in-memory {!Atomic_table}
+    collision-freeness assumption the in-memory {!Visited_table}
     certifies with its [collision_fallbacks] counter (≈ 0 on every workload in this
     repo).  Eviction points are chosen by the drivers, not by [add],
     so search outcomes are identical with or without spilling; only
     the store-shape gauge [shard_bits] reports this store's value.
 
-    Counting discipline matches {!Atomic_table}: {!mem} and
+    Counting discipline matches {!Visited_table}: {!mem} and
     {!add_if_absent} each count one probe.  [bindings] reports
     {e cumulative} distinct bindings (memory + disk), so live-set
     accounting reads the same as the purely in-memory table. *)

@@ -316,91 +316,86 @@ let deque_qcheck_tests =
         && List.length !model = Ws_deque.size d);
   ]
 
-(* ----- Atomic_table ----- *)
+(* ----- Visited_table ----- *)
 
 let int_table ~workers () =
-  Atomic_table.create ~workers ~equal:Int.equal
+  Visited_table.create ~workers ~equal:Int.equal
     ~fingerprint:(fun i -> Fingerprint.of_int (i * 0x9e3779b9))
     ()
 
-let test_atomic_table_basics () =
+let test_visited_table_basics () =
   let t = int_table ~workers:1 () in
-  Alcotest.(check int) "initial capacity" 64 (Atomic_table.capacity t);
-  Alcotest.(check int) "initial_bits" 6 (Atomic_table.initial_bits t);
-  Alcotest.(check bool) "first insert" true (Atomic_table.add_if_absent t ~worker:0 42);
-  Alcotest.(check bool) "duplicate" false (Atomic_table.add_if_absent t ~worker:0 42);
-  Alcotest.(check bool) "mem present" true (Atomic_table.mem t ~worker:0 42);
-  Alcotest.(check bool) "mem absent" false (Atomic_table.mem t ~worker:0 43);
-  Alcotest.(check int) "bindings" 1 (Atomic_table.bindings t);
-  Alcotest.(check int) "probes = calls" 4 (Atomic_table.probes t);
-  Alcotest.(check int) "no collisions" 0 (Atomic_table.collision_fallbacks t);
-  Alcotest.(check int) "lock-free path" 0 (Atomic_table.lock_contention t)
+  Alcotest.(check int) "initial capacity" 64 (Visited_table.capacity t);
+  Alcotest.(check int) "initial_bits" 6 (Visited_table.initial_bits t);
+  Alcotest.(check bool) "first insert" true (Visited_table.add_if_absent t 42);
+  Alcotest.(check bool) "duplicate" false (Visited_table.add_if_absent t 42);
+  Alcotest.(check bool) "mem present" true (Visited_table.mem t 42);
+  Alcotest.(check bool) "mem absent" false (Visited_table.mem t 43);
+  Alcotest.(check int) "bindings" 1 (Visited_table.bindings t);
+  Alcotest.(check int) "probes = calls" 4 (Visited_table.probes t);
+  Alcotest.(check int) "no collisions" 0 (Visited_table.collision_fallbacks t);
+  Alcotest.(check int) "one worker takes no lock" 0 (Visited_table.lock_contention t)
 
-let test_atomic_table_growth () =
-  (* 1000 distinct keys through a 64-slot table: several migrations,
+let test_visited_table_growth () =
+  (* 1000 distinct keys through a 64-slot table: several doublings,
      nothing lost *)
   let t = int_table ~workers:1 () in
   List.iter
-    (fun i ->
-      Alcotest.(check bool) "insert wins" true (Atomic_table.add_if_absent t ~worker:0 i))
+    (fun i -> Alcotest.(check bool) "insert wins" true (Visited_table.add_if_absent t i))
     (Listx.range 0 1000);
-  Alcotest.(check int) "bindings" 1000 (Atomic_table.bindings t);
-  Alcotest.(check bool) "grew" true (Atomic_table.capacity t >= 2048);
-  Alcotest.(check int) "initial_bits unchanged" 6 (Atomic_table.initial_bits t);
-  Alcotest.(check bool) "low load factor" true (Atomic_table.occupancy t <= 0.5);
+  Alcotest.(check int) "bindings" 1000 (Visited_table.bindings t);
+  Alcotest.(check bool) "grew" true (Visited_table.capacity t >= 2048);
+  Alcotest.(check int) "initial_bits unchanged" 6 (Visited_table.initial_bits t);
+  Alcotest.(check bool) "low load factor" true (Visited_table.occupancy t <= 0.5);
   Alcotest.(check bool) "every key present" true
-    (List.for_all (fun i -> Atomic_table.mem t ~worker:0 i) (Listx.range 0 1000))
+    (List.for_all (Visited_table.mem t) (Listx.range 0 1000))
 
-let test_atomic_table_collisions () =
-  (* a constant fingerprint forces every state onto one slot: the
-     table must distinguish them structurally via the fallback *)
+let test_visited_table_collisions () =
+  (* a constant fingerprint sends every state down one probe walk:
+     the table must tell them apart structurally *)
   let t =
-    Atomic_table.create ~workers:1 ~equal:Int.equal
+    Visited_table.create ~workers:1 ~equal:Int.equal
       ~fingerprint:(fun _ -> Fingerprint.of_int 42)
       ()
   in
   List.iter
-    (fun i ->
-      Alcotest.(check bool) "all inserted" true (Atomic_table.add_if_absent t ~worker:0 i))
+    (fun i -> Alcotest.(check bool) "all inserted" true (Visited_table.add_if_absent t i))
     (Listx.range 0 10);
-  Alcotest.(check bool) "no duplicate wins" false
-    (Atomic_table.add_if_absent t ~worker:0 5);
-  Alcotest.(check int) "10 bindings despite equal fps" 10 (Atomic_table.bindings t);
+  Alcotest.(check bool) "no duplicate wins" false (Visited_table.add_if_absent t 5);
+  Alcotest.(check int) "10 bindings despite equal fps" 10 (Visited_table.bindings t);
   Alcotest.(check bool) "each member found" true
-    (List.for_all (fun i -> Atomic_table.mem t ~worker:0 i) (Listx.range 0 10));
-  Alcotest.(check bool) "collisions counted" true
-    (Atomic_table.collision_fallbacks t > 0)
+    (List.for_all (Visited_table.mem t) (Listx.range 0 10));
+  Alcotest.(check bool) "collisions counted" true (Visited_table.collision_fallbacks t > 0)
 
-let test_atomic_table_insert_storm () =
-  (* four domains insert overlapping ranges through a deliberately tiny
-     initial table, forcing concurrent migrations: add_if_absent must
-     return true exactly once per distinct value *)
+let test_visited_table_insert_storm () =
+  (* four domains insert overlapping ranges through deliberately tiny
+     initial stripes, which double while other domains insert:
+     add_if_absent must return true exactly once per distinct value *)
   let t = int_table ~workers:4 () in
   let range d = Listx.range (d * 500) ((d * 500) + 1000) in
   let domains =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
             List.fold_left
-              (fun acc i -> if Atomic_table.add_if_absent t ~worker:d i then acc + 1 else acc)
+              (fun acc i -> if Visited_table.add_if_absent t i then acc + 1 else acc)
               0 (range d)))
   in
   let inserted = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
   let distinct = List.sort_uniq Int.compare (List.concat_map range (Listx.range 0 4)) in
   Alcotest.(check int) "insert wins are the distinct values" (List.length distinct)
     inserted;
-  Alcotest.(check int) "bindings" (List.length distinct) (Atomic_table.bindings t);
-  Alcotest.(check int) "probes = calls" (4 * 1000) (Atomic_table.probes t);
-  Alcotest.(check bool) "every value present" true
-    (List.for_all (fun i -> Atomic_table.mem t ~worker:0 i) distinct);
+  Alcotest.(check int) "bindings" (List.length distinct) (Visited_table.bindings t);
+  Alcotest.(check int) "probes = calls" (4 * 1000) (Visited_table.probes t);
+  Alcotest.(check bool) "every value present" true (List.for_all (Visited_table.mem t) distinct);
   Alcotest.(check int) "no collisions for distinct fps" 0
-    (Atomic_table.collision_fallbacks t)
+    (Visited_table.collision_fallbacks t)
 
 let colliding_table ~workers ~keys () =
-  Atomic_table.create ~workers ~equal:Int.equal
+  Visited_table.create ~workers ~equal:Int.equal
     ~fingerprint:(fun i -> Fingerprint.of_int (i land (keys - 1)))
     ()
 
-let test_atomic_table_collision_storm () =
+let test_visited_table_collision_storm () =
   (* four domains insert overlapping ranges under four fingerprints, so
      nearly every insertion races other domains on a colliding key:
      structural confirmation must still let each value win once *)
@@ -410,16 +405,15 @@ let test_atomic_table_collision_storm () =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
             List.fold_left
-              (fun acc i -> if Atomic_table.add_if_absent t ~worker:d i then acc + 1 else acc)
+              (fun acc i -> if Visited_table.add_if_absent t i then acc + 1 else acc)
               0 (range d)))
   in
   let inserted = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
   let distinct = List.sort_uniq Int.compare (List.concat_map range (Listx.range 0 4)) in
   Alcotest.(check int) "each value wins once" (List.length distinct) inserted;
-  Alcotest.(check int) "bindings" (List.length distinct) (Atomic_table.bindings t);
-  Alcotest.(check bool) "every value present" true
-    (List.for_all (fun i -> Atomic_table.mem t ~worker:0 i) distinct);
-  Alcotest.(check bool) "collisions counted" true (Atomic_table.collision_fallbacks t > 0)
+  Alcotest.(check int) "bindings" (List.length distinct) (Visited_table.bindings t);
+  Alcotest.(check bool) "every value present" true (List.for_all (Visited_table.mem t) distinct);
+  Alcotest.(check bool) "collisions counted" true (Visited_table.collision_fallbacks t > 0)
 
 (* qcheck: a sealed value round-trips, and every kind of damage —
    each strict prefix, any single-bit flip, another kind — is an
@@ -454,7 +448,7 @@ let seal_qcheck_tests =
 (* qcheck: the table against a Set model, random operation sequences
    from one domain, on one- and three-worker tables with spread and
    with colliding fingerprints *)
-let atomic_table_qcheck_tests =
+let visited_table_qcheck_tests =
   let open QCheck2 in
   let module IS = Set.Make (Int) in
   let matches_model keys t =
@@ -463,13 +457,13 @@ let atomic_table_qcheck_tests =
       (fun k ->
         let fresh = not (IS.mem k !model) in
         model := IS.add k !model;
-        Atomic_table.add_if_absent t ~worker:0 k = fresh)
+        Visited_table.add_if_absent t k = fresh)
       keys
-    && Atomic_table.bindings t = IS.cardinal !model
-    && IS.for_all (fun k -> Atomic_table.mem t ~worker:0 k) !model
+    && Visited_table.bindings t = IS.cardinal !model
+    && IS.for_all (Visited_table.mem t) !model
   in
   [
-    Test.make ~name:"atomic table matches Set model (sequential)" ~count:200
+    Test.make ~name:"visited table matches Set model (sequential)" ~count:200
       Gen.(list (int_bound 200))
       (fun keys ->
         List.for_all (matches_model keys)
@@ -489,7 +483,7 @@ let atomic_table_qcheck_tests =
               Domain.spawn (fun () ->
                   List.fold_left
                     (fun acc i ->
-                      if Atomic_table.add_if_absent t ~worker:d i then acc + 1 else acc)
+                      if Visited_table.add_if_absent t i then acc + 1 else acc)
                     0 (range d)))
         in
         let wins = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
@@ -497,8 +491,8 @@ let atomic_table_qcheck_tests =
           List.sort_uniq Int.compare (List.concat_map range (Listx.range 0 3))
         in
         wins = List.length distinct
-        && Atomic_table.bindings t = List.length distinct
-        && List.for_all (fun i -> Atomic_table.mem t ~worker:0 i) distinct);
+        && Visited_table.bindings t = List.length distinct
+        && List.for_all (Visited_table.mem t) distinct);
   ]
 
 (* ----- Listx ----- *)
@@ -662,17 +656,17 @@ let () =
           Alcotest.test_case "owner order" `Quick test_deque_owner_order;
           Alcotest.test_case "steal storm" `Quick test_deque_steal_storm;
         ] );
-      ( "atomic_table",
+      ( "visited_table",
         [
-          Alcotest.test_case "basics" `Quick test_atomic_table_basics;
-          Alcotest.test_case "growth" `Quick test_atomic_table_growth;
-          Alcotest.test_case "collisions confirmed" `Quick test_atomic_table_collisions;
-          Alcotest.test_case "insert storm" `Quick test_atomic_table_insert_storm;
+          Alcotest.test_case "basics" `Quick test_visited_table_basics;
+          Alcotest.test_case "growth" `Quick test_visited_table_growth;
+          Alcotest.test_case "collisions confirmed" `Quick test_visited_table_collisions;
+          Alcotest.test_case "insert storm" `Quick test_visited_table_insert_storm;
           Alcotest.test_case "forced-collision storm" `Quick
-            test_atomic_table_collision_storm;
+            test_visited_table_collision_storm;
         ] );
       ("deque properties", List.map QCheck_alcotest.to_alcotest deque_qcheck_tests);
-      ("table properties", List.map QCheck_alcotest.to_alcotest atomic_table_qcheck_tests);
+      ("table properties", List.map QCheck_alcotest.to_alcotest visited_table_qcheck_tests);
       ("seal properties", List.map QCheck_alcotest.to_alcotest seal_qcheck_tests);
       ( "listx",
         [
