@@ -367,11 +367,9 @@ let test_visited_table_collisions () =
     (List.for_all (Visited_table.mem t) (Listx.range 0 10));
   Alcotest.(check bool) "collisions counted" true (Visited_table.collision_fallbacks t > 0)
 
-let test_visited_table_insert_storm () =
-  (* four domains insert overlapping ranges through deliberately tiny
-     initial stripes, which double while other domains insert:
-     add_if_absent must return true exactly once per distinct value *)
-  let t = int_table ~workers:4 () in
+(* Four domains insert overlapping ranges into [t]: the winning
+   insertions and the distinct values inserted. *)
+let storm t =
   let range d = Listx.range (d * 500) ((d * 500) + 1000) in
   let domains =
     List.init 4 (fun d ->
@@ -381,7 +379,14 @@ let test_visited_table_insert_storm () =
               0 (range d)))
   in
   let inserted = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
-  let distinct = List.sort_uniq Int.compare (List.concat_map range (Listx.range 0 4)) in
+  (inserted, List.sort_uniq Int.compare (List.concat_map range (Listx.range 0 4)))
+
+let test_visited_table_insert_storm () =
+  (* through deliberately tiny initial stripes, which double while
+     other domains insert: add_if_absent must return true exactly once
+     per distinct value *)
+  let t = int_table ~workers:4 () in
+  let inserted, distinct = storm t in
   Alcotest.(check int) "insert wins are the distinct values" (List.length distinct)
     inserted;
   Alcotest.(check int) "bindings" (List.length distinct) (Visited_table.bindings t);
@@ -396,20 +401,11 @@ let colliding_table ~workers ~keys () =
     ()
 
 let test_visited_table_collision_storm () =
-  (* four domains insert overlapping ranges under four fingerprints, so
-     nearly every insertion races other domains on a colliding key:
-     structural confirmation must still let each value win once *)
+  (* under four fingerprints, so nearly every insertion races other
+     domains on a colliding key: structural confirmation must still
+     let each value win once *)
   let t = colliding_table ~workers:4 ~keys:4 () in
-  let range d = Listx.range (d * 500) ((d * 500) + 1000) in
-  let domains =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            List.fold_left
-              (fun acc i -> if Visited_table.add_if_absent t i then acc + 1 else acc)
-              0 (range d)))
-  in
-  let inserted = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
-  let distinct = List.sort_uniq Int.compare (List.concat_map range (Listx.range 0 4)) in
+  let inserted, distinct = storm t in
   Alcotest.(check int) "each value wins once" (List.length distinct) inserted;
   Alcotest.(check int) "bindings" (List.length distinct) (Visited_table.bindings t);
   Alcotest.(check bool) "every value present" true (List.for_all (Visited_table.mem t) distinct);
