@@ -105,9 +105,9 @@ let par_mode_arg =
        & info [ "par-mode" ] ~docv:"MODE"
          ~doc:"Search driver: $(b,async) distributes work across $(b,--jobs) domains \
                through per-worker stealing deques over a lock-striped visited table; \
-               $(b,layers) is the serial breadth-first search in a canonical layer order, \
-               on one domain. The default is $(b,async) everywhere except $(b,realize), \
-               whose shortest-witness guarantee needs $(b,layers). The choice can change \
+               $(b,layers) is the serial breadth-first search, on one domain. The \
+               default is $(b,async) everywhere except $(b,realize), whose \
+               shortest-witness guarantee needs $(b,layers). The choice can change \
                answers: $(b,layers) gives the same truncation point for every \
                $(b,--jobs), while a truncated $(b,async) search visits a \
                schedule-dependent subset; and where distinct paths reach one \

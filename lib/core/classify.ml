@@ -147,7 +147,7 @@ let solves v (problem : Taxonomy.t) =
     | Taxonomy.ST -> v.st
     | Taxonomy.HT -> v.ht
   in
-  consistency_ok && termination_ok && v.rule_ok && v.validity_ok
+  (not v.truncated) && consistency_ok && termination_ok && v.rule_ok && v.validity_ok
 
 let best_problem v =
   let candidates =
@@ -157,8 +157,13 @@ let best_problem v =
   in
   List.find_opt (solves v) candidates
 
+(* Every property printed only goes from true to false as more states
+   are explored, so a truncated verdict prints [?] for each one without
+   a witnessed violation; a witnessed violation stays [NO]. *)
 let pp ppf v =
-  let b ppf x = Format.pp_print_string ppf (if x then "yes" else "NO") in
+  let b ppf x =
+    Format.pp_print_string ppf (if not x then "NO" else if v.truncated then "?" else "yes")
+  in
   Format.fprintf ppf
     "@[<v>%s (n=%d, %d configs%s)@,\
     \  IC=%a TC=%a  WT=%a ST=%a HT=%a  rule=%a validity=%a safe-states=%a cor6=%a@,\
@@ -167,4 +172,6 @@ let pp ppf v =
     (if v.truncated then ", truncated" else "")
     b v.ic b v.tc b v.wt b v.st b v.ht b v.rule_ok b v.validity_ok b v.all_states_safe
     b v.corollary6
-    (match best_problem v with None -> "none" | Some p -> Taxonomy.short_name p)
+    (match best_problem v with
+    | Some p -> Taxonomy.short_name p
+    | None -> if v.truncated then "?" else "none")

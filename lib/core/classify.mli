@@ -1,11 +1,11 @@
 (** Which problems of the taxonomy a protocol solves.
 
     Combines exhaustive exploration ({!Explore}) with the taxonomy:
-    a protocol solves T-C at size [n] iff exploration finds no
-    C-violation and no T-violation (and the decision rule and validity
-    hold).  The verdict powers the lattice table of the benchmark
-    harness: each implemented protocol lands exactly where the paper
-    places it. *)
+    a protocol solves T-C at size [n] iff an exploration that was not
+    truncated finds no C-violation and no T-violation (and the
+    decision rule and validity hold).  The verdict powers the lattice
+    table of the benchmark harness: each implemented protocol lands
+    exactly where the paper places it. *)
 
 open Patterns_sim
 open Patterns_protocols
@@ -61,7 +61,7 @@ val classify :
 
     [par_mode] selects the driver (default
     {!Patterns_search.Search.Async}; [Layers] is the serial
-    canonical-order driver).  Exhaustive sweeps give identical
+    breadth-first driver).  Exhaustive sweeps give identical
     verdicts for every [jobs]; the two modes can disagree on counts
     where distinct paths converge on one behavioural node, and
     truncated sweeps should pin [Layers] when comparing across
@@ -79,10 +79,16 @@ val classify :
 
 val solves : verdict -> Taxonomy.t -> bool
 (** Interpret the verdict against a taxonomy point (the rule is
-    assumed to be the one classified against). *)
+    assumed to be the one classified against).  Always [false] on a
+    truncated verdict: states beyond the budget may violate what the
+    explored ones did not. *)
 
 val best_problem : verdict -> Taxonomy.t option
 (** The strongest of the six problems the protocol solves: strongest
-    termination first, then total over interactive consistency. *)
+    termination first, then total over interactive consistency.
+    [None] on a truncated verdict, as for {!solves}. *)
 
 val pp : Format.formatter -> verdict -> unit
+(** Each property prints [yes] or [NO]; on a truncated verdict one
+    without a witnessed violation prints [?], and so does the
+    strongest problem solved. *)

@@ -55,7 +55,7 @@ module Make (P : Protocol.S) : sig
             an exhaustive sweep.  [Layers] runs on one domain. *)
     par_mode : Patterns_search.Search.par_mode;
         (** driver: [Async] (default) is the work-stealing driver,
-            [Layers] the serial canonical-order driver.  Violation
+            [Layers] the serial breadth-first driver.  Violation
             witnesses are canonicalized — each report cell keeps the
             violation observed at the smallest expanded-node
             fingerprint key — so both modes report the same witnesses;

@@ -132,10 +132,9 @@ module Make (P : Protocol.S) = struct
       (if extra = "" then "" else "|" ^ extra)
 
   (* [par_mode] defaults to [Layers], not [Async]: the documented
-     shortest-witness guarantee needs the serial driver's canonical
-     breadth-first order, and realization is prune-heavy, which the
-     async driver pays for on every duplicate generation.  [Async] is
-     still accepted for callers that only need *a* witness. *)
+     shortest-witness guarantee, identical for every [jobs], needs the
+     serial driver's breadth-first order.  [Async] is still accepted
+     for callers that only need *a* witness. *)
   let realize ?metrics ?(jobs = 1) ?(par_mode = Search.Layers)
       ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ?checkpoint ~n ~inputs
       ~target () =

@@ -48,7 +48,7 @@ module Make (P : Protocol.S) : sig
   (** All patterns of failure-free executions from the given initial
       bits, enumerated by the driver selected by [par_mode] (default
       {!Patterns_search.Search.Async}, the work-stealing driver across
-      [jobs] domains; [Layers] is the serial canonical-order driver,
+      [jobs] domains; [Layers] is the serial breadth-first driver,
       which ignores [jobs]).  On a search that runs to exhaustion both
       modes produce the identical pattern set, stats and deterministic
       counters for every [jobs]; a truncated async search keeps its
@@ -110,18 +110,16 @@ module Make (P : Protocol.S) : sig
   (** Synthesize a failure-free execution whose communication pattern
       is exactly [target]: a search over applicable events pruned to
       pattern prefixes of the target.  [par_mode] defaults to
-      [Layers], unlike the sweeps above: the serial driver's canonical
+      [Layers], unlike the sweeps above: the serial driver's
       breadth-first order is what makes the witness a shortest
-      realization, identical for every [jobs], and realization is
-      prune-heavy, which the async driver pays for on every duplicate
-      generation.  Under [~par_mode:Async] the answer
-      ({!Realized} / {!Unrealizable}) is unchanged but the witness is
-      schedule-dependent and need not be shortest.  {!Truncated} is
-      distinct from {!Unrealizable}: an answer cut short by
-      [max_configs] is not evidence of unrealizability.  [spill] and
-      [checkpoint] behave as in {!scheme} (a realization is a single
-      root, recorded at index 0; the target and inputs key the
-      checkpoint header). *)
+      realization, identical for every [jobs].  Under
+      [~par_mode:Async] the answer ({!Realized} / {!Unrealizable}) is
+      unchanged but the witness is schedule-dependent and need not be
+      shortest.  {!Truncated} is distinct from {!Unrealizable}: an
+      answer cut short by [max_configs] is not evidence of
+      unrealizability.  [spill] and [checkpoint] behave as in
+      {!scheme} (a realization is a single root, recorded at index 0;
+      the target and inputs key the checkpoint header). *)
 end
 
 val subscheme : Pattern.Set.t -> Pattern.Set.t -> bool

@@ -4,13 +4,14 @@
     realization, randomized hunting, trace scanning — returns one of
     these records alongside its answer, so the cost of an answer is a
     machine-comparable quantity, not a wall-clock anecdote.  Both
-    kernel drivers build theirs in one shared step of
-    {!Search.Make} (driver tallies, store counters, guard hits), and
-    {!Search.sweep} merges the per-root records.  Sums and maxima are
-    taken in root order.  Each field's documentation states
-    its determinism class: most counters are deterministic for a fixed
-    driver and input, and on exhaustive searches identical for every
-    [--jobs] value; the timing fields ([seconds], [expand_seconds],
+    kernel drivers follow one successor rule and build their records
+    in one shared step of {!Search.Make} (driver tallies, store
+    counters, guard hits), so a field both define means the same
+    under either; {!Search.sweep} merges the per-root records.  Sums
+    and maxima are taken in root order.  Each field's documentation
+    states its determinism class: most counters are deterministic for
+    a fixed driver and input, and on exhaustive searches identical for
+    every [--jobs] value; the timing fields ([seconds], [expand_seconds],
     [lock_contention]) and the /5 section are volatile; and
     [intern_bindings], the frontier gauges and the spill counters are
     schedule-dependent under the async driver at [jobs > 1]. *)
@@ -24,11 +25,13 @@ val outcome_string : outcome_kind -> string
 type shard = {
   root : int;  (** index of the shard's root in submission order *)
   states_expanded : int;  (** nodes visited (each consumes one budget unit) *)
-  dedup_hits : int;  (** frontier pops and pushes answered by the visited set *)
+  dedup_hits : int;  (** successor claims that found the state already visited *)
   frontier_peak : int;  (** largest frontier during this shard's search *)
   pruned : int;  (** successors discarded by the prune predicate *)
   fingerprint_probes : int;
-      (** visited-store lookups answered by the 64-bit fingerprint index *)
+      (** visited-store claims answered by the 64-bit fingerprint
+          index: the root's plus one per successor not pruned, so
+          [states_expanded + dedup_hits] on an exhausted search *)
   collision_fallbacks : int;
       (** probes where a bucket held a fingerprint-equal but
           structurally distinct state — true 64-bit collisions *)
@@ -57,13 +60,12 @@ type t = {
   truncated_roots : int;
   layers : int;  (** BFS layers charged by the serial driver *)
   shard_bits : int;
-      (** serial driver: log2 of the insertion-group count (4); async
-          driver: log2 of the visited table's starting capacity (6), or
-          of the spill store's shard count (4) with spilling; maxed on
-          merge *)
+      (** log2 of the visited table's starting capacity (6), or of the
+          spill store's shard count (4) with spilling, under either
+          driver; maxed on merge *)
   shard_occupancy_max : int;
-      (** largest per-group binding count of the serial driver; maxed
-          on merge *)
+      (** always 0: no driver groups its insertions any more.  Kept in
+          schema /10 until the metrics become one declared table *)
   shard_occupancy_total : int;
       (** total visited bindings *)
   frontier_peak_sum : int;

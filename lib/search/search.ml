@@ -27,7 +27,7 @@ let merge_into sink m = Option.iter (fun r -> r := Metrics.merge !r m) sink
 let now () = Unix.gettimeofday ()
 
 (* Which driver a client sweep runs on.  [Layers] is the serial
-   canonical-order BFS ({!Make.run}): shortest goal witnesses and the
+   breadth-first search ({!Make.run}): shortest goal witnesses and the
    same truncation points for every [--jobs], because it runs on one
    domain.  [Async] is the work-stealing driver over the lock-striped
    fingerprint table — same outcomes, pattern sets and deterministic
@@ -35,7 +35,7 @@ let now () = Unix.gettimeofday ()
    and goal witnesses are schedule-dependent. *)
 type par_mode = Layers | Async
 
-let par_mode_string = function Layers -> "layers" | Async -> "async"
+let par_mode_string = function Layers -> "layers2" | Async -> "async"
 
 let with_pool ~jobs par_mode f =
   Domain_pool.with_pool ~jobs:(match par_mode with Layers -> 1 | Async -> jobs) f
@@ -47,8 +47,8 @@ let with_pool ~jobs par_mode f =
    identical to the table's, and eviction happens only at
    driver-chosen points, so outcomes, pattern sets and the search
    counters are identical with or without spilling.  [shard_bits]
-   follows the store in use: the async driver reports the table's
-   starting exponent in memory and the spill store's 4 with spilling.
+   follows the store in use: both drivers report the table's starting
+   exponent in memory and the spill store's 4 with spilling.
    The one semantic shift: the [max_live] guard counts {e resident}
    bindings plus frontier, not cumulative bindings — spilling exists
    precisely to take evicted states out of the live-memory budget. *)
@@ -101,19 +101,19 @@ module Make (P : Problem) = struct
      the [Visited_table] in memory (a one-worker table, without locks,
      for the serial driver and for the async one at one worker; a
      lock-striped one for several workers) or, with [spill], the
-     [Spill_store].  [live] feeds the [max_live] guard: every binding
-     in memory, the resident ones when spilling.  [evict] is the spill
-     store's eviction point, which each driver calls where it keeps
-     the counts deterministic (serial: between layers; async: once per
-     processed state, deterministic at --jobs 1 and schedule-dependent
-     above it — the /7 counters carry the same jobs>1 caveat as
-     [intern_bindings]).  [bits] is what the async driver reports as
-     [shard_bits]: the table's starting exponent, or the spill store's
-     shard count.  [finish] adds the /7 spill section and deletes the
-     run files. *)
+     [Spill_store].  [add] is the only probe: it claims a state and
+     answers whether it was new.  [live] feeds the [max_live] guard:
+     every binding in memory, the resident ones when spilling.  [evict]
+     is the spill store's eviction point, which each driver calls where
+     it keeps the counts deterministic (serial: between layers; async:
+     once per processed state, deterministic at --jobs 1 and
+     schedule-dependent above it — the /7 counters carry the same
+     jobs>1 caveat as [intern_bindings]).  [bits] is what both drivers
+     report as [shard_bits]: the table's starting exponent, or the
+     spill store's shard count.  [finish] adds the /7 spill section and
+     deletes the run files. *)
   type visited = {
     add : P.state -> bool;
-    mem : P.state -> bool;
     live : unit -> int;
     bindings : unit -> int;
     probes : unit -> int;
@@ -132,7 +132,6 @@ module Make (P : Problem) = struct
       let t = Visited_table.create ~workers ~equal ~fingerprint:P.fingerprint () in
       {
         add = Visited_table.add_if_absent t;
-        mem = Visited_table.mem t;
         live = (fun () -> Visited_table.bindings t);
         bindings = (fun () -> Visited_table.bindings t);
         probes = (fun () -> Visited_table.probes t);
@@ -147,7 +146,6 @@ module Make (P : Problem) = struct
       let t = Spill_store.create ~equal ~fingerprint:P.fingerprint ~dir ~mem_budget () in
       {
         add = Spill_store.add_if_absent t;
-        mem = Spill_store.mem t;
         live = (fun () -> Spill_store.resident t);
         bindings = (fun () -> Spill_store.bindings t);
         probes = (fun () -> Spill_store.probes t);
@@ -173,13 +171,36 @@ module Make (P : Problem) = struct
             m);
       }
 
+  (* The deterministic tallies: one record for the serial driver, one
+     per worker for the async driver, summed at quiescence. *)
+  type tally = { mutable expanded : int; mutable dedup : int; mutable pruned : int }
+
+  let tally () = { expanded = 0; dedup = 0; pruned = 0 }
+
+  (* The successor rule both drivers follow: [prune] first — it must be
+     pure, since it also sees states already visited — then a claim
+     into the store that doubles as the membership test.  [true] means
+     [c] entered the store now, which happens once per state over the
+     whole search, and the caller queues it.  Every exhausted search
+     therefore probes [states_expanded + dedup_hits] times: the root's
+     claim plus one per successor not pruned. *)
+  let admit visited prune tally c =
+    match prune with
+    | Some p when p c ->
+      tally.pruned <- tally.pruned + 1;
+      false
+    | _ ->
+      let fresh = visited.add c in
+      if not fresh then tally.dedup <- tally.dedup + 1;
+      fresh
+
   (* The graceful-degradation guards, shared by both drivers and
      checked in a fixed order: the live-state limit, then the
      wall-clock deadline.  [None] when neither is set, so an unguarded
      search pays one branch per check.  The live count is the store's
-     plus [pending], the states a driver holds outside it: the serial
-     driver's whole next layer, nothing for the async driver, which
-     claims states into the store as it generates them. *)
+     plus [pending], the frontier a driver holds as a list: the serial
+     driver's whole next layer (already claimed, so counted twice),
+     nothing for the async driver, whose deques are not counted. *)
   let guard ?max_live ?deadline visited ~t0 =
     if max_live = None && deadline = None then None
     else
@@ -200,18 +221,17 @@ module Make (P : Problem) = struct
   (* The metrics step both drivers end with: their tallies, the
      store's counters and which guard (if any) stopped the search,
      straight into one single-root record.  The serial driver adds its
-     layer gauges, the async one its work-stealing section; a field a
-     driver does not pass stays 0. *)
-  let metrics visited outcome ~t0 ~expanded ~dedup ~pruned ~peak ~expand_seconds
-      ?(layers = 0) ?(shard_bits = visited.bits) ?(occupancy_max = 0) ?(steals = 0)
+     layer count, the async one its work-stealing section; a field a
+     driver does not pass stays 0, [shard_occupancy_max] always. *)
+  let metrics visited outcome ~t0 tally ~peak ~expand_seconds ?(layers = 0) ?(steals = 0)
       ?(steal_failures = 0) ?(idle_seconds = 0.) () =
     let shard =
       {
         Metrics.root = 0;
-        states_expanded = expanded;
-        dedup_hits = dedup;
+        states_expanded = tally.expanded;
+        dedup_hits = tally.dedup;
         frontier_peak = peak;
-        pruned;
+        pruned = tally.pruned;
         fingerprint_probes = visited.probes ();
         collision_fallbacks = visited.collision_fallbacks ();
         intern_bindings = 0;
@@ -228,8 +248,7 @@ module Make (P : Problem) = struct
       {
         (Metrics.of_shard (outcome_kind outcome) shard) with
         layers;
-        shard_bits;
-        shard_occupancy_max = occupancy_max;
+        shard_bits = visited.bits;
         shard_occupancy_total = visited.bindings ();
         deadline_hits;
         live_limit_hits;
@@ -241,50 +260,15 @@ module Make (P : Problem) = struct
         idle_seconds;
       }
 
-  (* ----- the serial driver: breadth-first in canonical layer order ----- *)
-
-  (* The canonical order groups each layer's fresh successors by the
-     top [shard_bits] bits of their fingerprint, frontier order within
-     a group.  The constant makes layer order — and with it every
-     truncation point and goal witness — a pure function of the
-     reachable graph. *)
-  let shard_bits = 4
-
-  let shard_of s = Fingerprint.to_int (P.fingerprint s) lsr (62 - shard_bits)
+  (* ----- the serial driver: breadth-first, one layer at a time ----- *)
 
   let run ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune ?edges
       ~expand:obs_iface ~root () =
     let visited = visited ~workers:1 spill in
     let obs = obs_iface.empty () in
-    let expanded = ref 0 and dedup = ref 0 and pruned = ref 0 in
+    let tally = tally () in
     let peak = ref 0 and layers = ref 0 and expand_seconds = ref 0. in
-    let occupancy = Array.make (1 lsl shard_bits) 0 in
     let goal = match is_goal with Some g -> g | None -> fun _ -> false in
-    (* visited is checked before prune: pruning is usually the
-       expensive predicate (pattern-prefix tests), membership the
-       cheap one *)
-    let keep s =
-      if visited.mem s then begin
-        incr dedup;
-        false
-      end
-      else
-        match prune with
-        | Some p when p s ->
-          incr pruned;
-          false
-        | _ -> true
-    in
-    let insert i s =
-      if visited.add s then begin
-        occupancy.(i) <- occupancy.(i) + 1;
-        true
-      end
-      else begin
-        incr dedup;
-        false
-      end
-    in
     let t0 = now () in
     (* checked once per layer before the layer is charged: overshoot is
        bounded by one layer, and the live-state check sees the store
@@ -295,10 +279,10 @@ module Make (P : Problem) = struct
     let rec charge = function
       | [] -> None
       | s :: tl ->
-        if !expanded >= budget then
-          Some (Truncated (Budget_exhausted { budget; consumed = !expanded }))
+        if tally.expanded >= budget then
+          Some (Truncated (Budget_exhausted { budget; consumed = tally.expanded }))
         else begin
-          incr expanded;
+          tally.expanded <- tally.expanded + 1;
           if goal s then Some (Goal_found s) else charge tl
         end
     in
@@ -314,41 +298,26 @@ module Make (P : Problem) = struct
           match charge frontier with
           | Some outcome -> outcome
           | None ->
-            (* expand in frontier order against the store as it stood
-               at the end of the previous layer *)
+            (* expand in frontier order, claiming each successor as it
+               is generated; the next layer is the generation order *)
             let ta = now () in
-            let candidates =
-              List.concat_map
-                (fun s ->
-                  let succs = obs_iface.expand obs s in
-                  emit_edges edges s succs;
-                  List.filter keep succs)
-                frontier
-            in
-            expand_seconds := !expand_seconds +. (now () -. ta);
-            (* insert grouped by shard, frontier order within a group;
-               the next layer is the shard-major concatenation *)
-            let by_shard = Array.make (1 lsl shard_bits) [] in
+            let next = ref [] in
             List.iter
               (fun s ->
-                let i = shard_of s in
-                by_shard.(i) <- s :: by_shard.(i))
-              candidates;
-            let next =
-              List.concat
-                (List.mapi (fun i cands -> List.filter (insert i) (List.rev cands))
-                   (Array.to_list by_shard))
-            in
+                let succs = obs_iface.expand obs s in
+                emit_edges edges s succs;
+                List.iter (fun c -> if admit visited prune tally c then next := c :: !next) succs)
+              frontier;
+            expand_seconds := !expand_seconds +. (now () -. ta);
             visited.evict ();
-            loop next)
+            loop (List.rev !next))
     in
-    ignore (insert (shard_of root) root : bool);
+    ignore (visited.add root : bool);
     let outcome = loop [ root ] in
     ( outcome,
       obs,
-      metrics visited outcome ~t0 ~expanded:!expanded ~dedup:!dedup ~pruned:!pruned
-        ~peak:!peak ~expand_seconds:!expand_seconds ~layers:!layers ~shard_bits
-        ~occupancy_max:(Array.fold_left max 0 occupancy) () )
+      metrics visited outcome ~t0 tally ~peak:!peak ~expand_seconds:!expand_seconds
+        ~layers:!layers () )
 
   (* ----- asynchronous work-stealing driver ----- *)
 
@@ -365,19 +334,11 @@ module Make (P : Problem) = struct
      state is queued or being expanded anywhere — the termination
      barrier is one atomic read.
 
-     Determinism contract (pinned by test_parallel): on a search that
-     runs to exhaustion, the claimed set equals the serial visited
-     set, and states_expanded / dedup_hits / pruned satisfy the same
-     identities as the serial driver (dedup = generated − pruned −
-     fresh); fingerprint_probes = generated − pruned + 1, one claim
-     per non-pruned successor plus the root.
-     One deliberate divergence: successors are prune-tested {e
-     before} the visited test, where the serial keep tests membership
-     first.  The counts still agree — a prunable state is never
-     claimed, so its membership test is always false — but [prune]
-     must be pure, and prune-heavy goal searches (realization) should
-     prefer the serial driver, which also keeps the shortest-witness
-     guarantee.  Budget exhaustion is not a halt:
+     Determinism contract (pinned by test_parallel): successors pass
+     the serial driver's rule ([admit]), so on a search that runs to
+     exhaustion the claimed set equals the serial visited set and
+     every deterministic counter agrees with the serial driver's.
+     Budget exhaustion is not a halt:
      workers keep draining their deques, dropping every state whose
      budget ticket is out of range, so exactly [budget] tickets are
      consumed and [states_expanded] is deterministic even for a
@@ -394,8 +355,7 @@ module Make (P : Problem) = struct
     let budget_hit = Atomic.make false in
     let request_halt o = ignore (Atomic.compare_and_set halt None (Some o) : bool) in
     (* per-worker tallies, merged in worker-index order at quiescence *)
-    let expanded = Array.make workers 0 and dedup = Array.make workers 0 in
-    let pruned = Array.make workers 0 in
+    let tallies = Array.init workers (fun _ -> tally ()) in
     let steals = Array.make workers 0 and steal_failures = Array.make workers 0 in
     let idle = Array.make workers 0. and busy = Array.make workers 0. in
     let obss = Array.init workers (fun _ -> obs_iface.empty ()) in
@@ -428,22 +388,19 @@ module Make (P : Problem) = struct
         | Some g -> Option.iter (fun reason -> request_halt (Truncated reason)) (g 0)
         | None -> ());
         if Atomic.get halt = None then begin
-          expanded.(wi) <- expanded.(wi) + 1;
+          let tally = tallies.(wi) in
+          tally.expanded <- tally.expanded + 1;
           if goal s then request_halt (Goal_found s)
           else begin
             let succs = obs_iface.expand obss.(wi) s in
             emit_edges edges s succs;
             List.iter
               (fun c ->
-                match prune with
-                | Some p when p c -> pruned.(wi) <- pruned.(wi) + 1
-                | _ ->
-                  if visited.add c then begin
-                    Atomic.incr in_flight;
-                    Ws_deque.push deques.(wi) c;
-                    note_push ()
-                  end
-                  else dedup.(wi) <- dedup.(wi) + 1)
+                if admit visited prune tally c then begin
+                  Atomic.incr in_flight;
+                  Ws_deque.push deques.(wi) c;
+                  note_push ()
+                end)
               succs;
             visited.evict ()
           end
@@ -502,19 +459,28 @@ module Make (P : Problem) = struct
     | _ -> worker 0);
     let isum a = Array.fold_left ( + ) 0 a in
     let fsum a = Array.fold_left ( +. ) 0. a in
+    let total =
+      Array.fold_left
+        (fun a t ->
+          {
+            expanded = a.expanded + t.expanded;
+            dedup = a.dedup + t.dedup;
+            pruned = a.pruned + t.pruned;
+          })
+        (tally ()) tallies
+    in
     let outcome =
       match Atomic.get halt with
       | Some o -> o
       | None ->
         if Atomic.get budget_hit then
-          Truncated (Budget_exhausted { budget; consumed = isum expanded })
+          Truncated (Budget_exhausted { budget; consumed = total.expanded })
         else Exhausted
     in
     let obs = Array.fold_left obs_iface.merge (obs_iface.empty ()) obss in
     ( outcome,
       obs,
-      metrics visited outcome ~t0 ~expanded:(isum expanded) ~dedup:(isum dedup)
-        ~pruned:(isum pruned) ~peak:(Atomic.get qpeak) ~expand_seconds:(fsum busy)
+      metrics visited outcome ~t0 total ~peak:(Atomic.get qpeak) ~expand_seconds:(fsum busy)
         ~steals:(isum steals) ~steal_failures:(isum steal_failures)
         ~idle_seconds:(fsum idle) () )
 end

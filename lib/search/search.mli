@@ -14,18 +14,20 @@
     nothing, are plain linear scans outside the kernel.
 
     Two drivers share the {!Make.par_expand} observation interface:
-    {!Make.run}, a serial breadth-first search in a canonical layer
-    order, and {!Make.run_par_async}, a work-stealing search across a
-    {!Patterns_stdx.Domain_pool}.  They differ only in frontier and
-    store discipline: both run on one visited-store interface — the
-    {!Patterns_stdx.Visited_table} in memory (one stripe without a
-    lock for the serial driver and for one worker, lock-striped for
-    several), or the {!Patterns_stdx.Spill_store} with {!spill} — and
-    share one overrun guard (live-state limit, then deadline) and one
-    metrics step.  Under {!Make.run} the visitation order — and hence
-    every counter except the wall-clock [seconds] — is a pure function
-    of the problem, root and budget.  {!sweep} is the one per-root
-    loop the clients' sweeps run through. *)
+    {!Make.run}, a serial breadth-first search, and
+    {!Make.run_par_async}, a work-stealing search across a
+    {!Patterns_stdx.Domain_pool}.  They differ only in their frontier.
+    Both follow one successor rule — [prune] first, then a claim into
+    the visited store that doubles as the membership test — on one
+    visited-store interface: the {!Patterns_stdx.Visited_table} in
+    memory (one stripe without a lock for the serial driver and for
+    one worker, lock-striped for several), or the
+    {!Patterns_stdx.Spill_store} with {!spill}.  They share one
+    overrun guard (live-state limit, then deadline) and one metrics
+    step.  Under {!Make.run} the visitation order — and hence every
+    counter except the wall-clock [seconds] — is a pure function of
+    the problem, root and budget.  {!sweep} is the one per-root loop
+    the clients' sweeps run through. *)
 
 (** Why a search stopped short of exhausting its space.  All three are
     graceful: the search returns its metrics and a [Truncated] outcome
@@ -54,7 +56,7 @@ val outcome_kind : 'a outcome -> Metrics.outcome_kind
 val truncated : 'a outcome -> bool
 
 (** Which driver a client sweep runs on.  [Layers] is the serial
-    canonical-order breadth-first search ({!Make.run}): it runs on one
+    breadth-first search ({!Make.run}): it runs on one
     domain, so its truncation points and goal witnesses (shortest
     ones) are the same for every [--jobs].  [Async] is the
     work-stealing driver over the lock-striped fingerprint table
@@ -68,6 +70,12 @@ val truncated : 'a outcome -> bool
 type par_mode = Layers | Async
 
 val par_mode_string : par_mode -> string
+(** The driver's token in the keys of stored results (checkpoint
+    headers, classification facts): ["layers2"] and ["async"].
+    [Layers] reads ["layers2"] since its order within a layer became
+    the generation order: a truncation set, realize witness or kept
+    representative stored under the older grouped order is refused or
+    recomputed, never reused. *)
 
 val with_pool :
   jobs:int -> par_mode -> (Patterns_stdx.Domain_pool.t -> 'a) -> 'a
@@ -83,9 +91,9 @@ val with_pool :
     stores, and eviction happens only at driver-chosen points (serial:
     between layers; async: per processed state), so outcomes,
     observations and the search counters are identical with or
-    without spilling.  [shard_bits] follows the store in use: under
-    the async driver it is the table's starting exponent (6) in memory
-    and {!Patterns_stdx.Spill_store.shard_bits} with spilling.  The /7
+    without spilling.  [shard_bits] follows the store in use, under
+    either driver: the table's starting exponent (6) in memory and
+    {!Patterns_stdx.Spill_store.shard_bits} (4) with spilling.  The /7
     spill counters themselves are deterministic except under the async
     driver at [jobs > 1].  One semantic shift: the [max_live] guard
     counts {e resident} bindings plus frontier rather than cumulative
@@ -138,21 +146,20 @@ module Make (P : Problem) : sig
     root:P.state ->
     unit ->
     P.state outcome * 'obs * Metrics.t
-  (** Serial breadth-first search from [root] in the canonical layer
-      order, on the calling domain.  Each layer is charged against
-      [budget] (default unlimited) and goal-tested with [is_goal] in
-      frontier order, so a mid-layer stop is deterministic and the
-      first goal found is at the smallest depth.  The layer is then
-      expanded in frontier order against the visited store (a
-      one-worker {!Patterns_stdx.Visited_table}, or the spill store)
-      as it stood after the previous layer: successors already visited are
-      discarded (counted in [dedup_hits]), then those for which
-      [prune] returns [true] (counted in [pruned]).  Survivors are
-      inserted grouped by the top 4 bits of their fingerprint,
-      frontier order within a group; a survivor already inserted this
-      layer also counts in [dedup_hits].  The next layer is the
-      group-major concatenation, so the visit order is a function of
-      the reachable graph alone.
+  (** Serial breadth-first search from [root], on the calling domain.
+      Each layer is charged against [budget] (default unlimited) and
+      goal-tested with [is_goal] in frontier order, so a mid-layer
+      stop is deterministic and the first goal found is at the
+      smallest depth.  The layer is then expanded in frontier order,
+      and each successor passes the one successor rule as it is
+      generated: those for which [prune] returns [true] are discarded
+      (counted in [pruned]; [prune] must be pure, since it also sees
+      states already visited), the rest are claimed into the visited
+      store (a one-worker {!Patterns_stdx.Visited_table}, or the spill
+      store), and a claim that finds the state already there counts in
+      [dedup_hits].  The next layer is the claimed successors in
+      generation order, so the visit order is a function of the
+      reachable graph alone.
 
       [deadline] (wall-clock seconds from the start of this call) and
       [max_live] (visited bindings plus the pending layer) are the
@@ -164,10 +171,10 @@ module Make (P : Problem) : sig
       truncation points are wall-clock-dependent by nature.  The root
       is neither pruned nor goal-exempt.
 
-      [fingerprint_probes] counts one probe per generated successor
-      and one per insertion attempt (the root included); the metrics'
-      layered section ([layers], [shard_bits] = 4, per-group
-      occupancy) describes the layer structure.
+      [fingerprint_probes] counts one claim per successor not pruned
+      plus the root's, so an exhausted search has [fingerprint_probes
+      = states_expanded + dedup_hits]; [layers] counts the layers
+      charged, and [shard_bits] is the store's.
 
       [edges] is the optional execution-database sink, shared with
       {!run_par_async}: each expansion of [src] invokes it once per
@@ -200,13 +207,13 @@ module Make (P : Problem) : sig
       in-flight counter; budget, deadline and live-state guards run
       inside each worker.
 
-      Determinism contract, relative to the serial {!run} (and pinned
-      by the registry-wide tests): on a search that runs to
-      {!Exhausted}, the visited set, observations (for a commutative
-      associative [merge]), and the deterministic counters
-      [states_expanded], [dedup_hits] and [pruned] all match;
-      [fingerprint_probes] is one claim per non-pruned successor plus
-      the root (the serial count adds its membership probes).
+      Successors pass the same rule as under {!run}: [prune] first
+      ([prune] must be pure), then the claim.  Determinism contract,
+      relative to the serial {!run} (and pinned by the registry-wide
+      tests): on a search that runs to {!Exhausted}, the visited set,
+      observations (for a commutative associative [merge]), and the
+      deterministic counters [states_expanded], [dedup_hits], [pruned]
+      and [fingerprint_probes] all match.
       [Truncated (Budget_exhausted _)] still consumes exactly [budget]
       states (workers drain their deques dropping out-of-budget
       tickets), but *which* states is schedule-dependent, as are
@@ -215,10 +222,7 @@ module Make (P : Problem) : sig
       high-water mark of claimed-but-unprocessed states across all
       deques — deterministic at one worker, a schedule-dependent lower
       bound on the true concurrent peak above that — truncation-sensitive or
-      shortest-witness callers should use {!run}.  Unlike the
-      serial keep order, successors are prune-tested {e before} the
-      visited test ([prune] must be a pure predicate; the counts are
-      unaffected because a prunable state is never visited).  [merge]
+      shortest-witness callers should use {!run}.  [merge]
       folds per-worker accumulators in worker-index order, so it must
       be commutative as well as associative for observations to be
       jobs-invariant.  Calling from the pool-owning domain is

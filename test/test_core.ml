@@ -134,6 +134,28 @@ let test_classify_chain_is_wt_ic () =
   Alcotest.(check bool) "wt" true v.Classify.wt;
   Alcotest.(check bool) "unsafe states exist (not TC)" false v.Classify.all_states_safe
 
+(* A truncated sweep claims only what it witnessed: no problem is
+   solved, and every property without a witnessed violation prints
+   "?" rather than "yes". *)
+let test_classify_truncated_solves_nothing () =
+  let v =
+    Classify.classify ~max_failures:1 ~max_configs:50
+      ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 Patterns_protocols.Chain_proto.fig3
+  in
+  Alcotest.(check bool) "truncated" true v.Classify.truncated;
+  Alcotest.(check (option string)) "no strongest problem" None
+    (Option.map Taxonomy.short_name (Classify.best_problem v));
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) ("solves " ^ Taxonomy.short_name p) false (Classify.solves v p))
+    Taxonomy.all_six;
+  match String.split_on_char '\n' (Format.asprintf "%a" Classify.pp v) with
+  | [ _; properties; best ] ->
+    Alcotest.(check string) "properties"
+      "  IC=? TC=?  WT=? ST=? HT=?  rule=? validity=? safe-states=NO cor6=NO" properties;
+    Alcotest.(check string) "strongest problem" "  strongest problem solved: ?" best
+  | lines -> Alcotest.failf "printed %d lines" (List.length lines)
+
 let test_classify_2pc_not_tc () =
   let v = classify_n3 Patterns_protocols.Two_phase_commit.default in
   Alcotest.(check bool) "ic" true v.Classify.ic;
@@ -470,6 +492,8 @@ let () =
           Alcotest.test_case "3pc is WT-TC" `Quick test_classify_3pc_is_wt_tc;
           Alcotest.test_case "chain is WT-IC" `Quick test_classify_chain_is_wt_ic;
           Alcotest.test_case "2pc is not TC" `Quick test_classify_2pc_not_tc;
+          Alcotest.test_case "truncated solves nothing" `Quick
+            test_classify_truncated_solves_nothing;
           Alcotest.test_case "termination is HT-TC" `Slow test_classify_termination_is_ht_tc;
           Alcotest.test_case "appendix anomaly" `Slow test_appendix_anomaly;
           Alcotest.test_case "fig4 failure-free clean" `Quick test_explore_failure_free_fig4;

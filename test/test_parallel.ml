@@ -277,7 +277,13 @@ let test_drivers_match_reference () =
           Alcotest.(check (list int)) (label "fingerprint multiset") ref_fps
             (List.sort Int.compare fps);
           Alcotest.(check int) (label "states_expanded") ref_card
-            m.Patterns_search.Metrics.states_expanded)
+            m.Patterns_search.Metrics.states_expanded;
+          (* one successor rule: the root's claim plus one claim per
+             successor, which is the membership test too *)
+          Alcotest.(check int)
+            (label "fingerprint_probes = states_expanded + dedup_hits")
+            (m.Patterns_search.Metrics.states_expanded + m.Patterns_search.Metrics.dedup_hits)
+            m.Patterns_search.Metrics.fingerprint_probes)
         drivers)
     exhaustable
 

@@ -1,5 +1,5 @@
 (* Unit tests for the instrumented search kernel: the serial driver's
-   canonical layer order, budget truncation, goals, pruning, dedup
+   layer order, budget truncation, goals, pruning, dedup
    accounting, the per-root sweep and batched goal search. *)
 
 open Patterns_search
@@ -39,9 +39,6 @@ module Diamond = Graph (struct
     | _ -> []
 end)
 
-(* the insertion group of a state: the top 4 bits of its fingerprint *)
-let group x = Patterns_stdx.Fingerprint.(to_int (of_int x)) lsr 58
-
 let test_bfs_order () =
   let seen = ref [] in
   let module G = Graph (struct
@@ -52,14 +49,14 @@ let test_bfs_order () =
   let outcome, m = G.run ~root:0 () in
   (match outcome with Search.Exhausted -> () | _ -> Alcotest.fail "expected exhausted");
   check Alcotest.int "three layers" 3 m.Metrics.layers;
-  (* layer by layer, each layer grouped by fingerprint bits *)
+  (* layer by layer, each layer in the order its states were
+     generated: 1 and 2 from 0, then 3 and 4 from 1 before 5 and 6
+     from 2 *)
   match List.rev !seen with
   | [ a; b; c; d; e; f; g ] ->
     let layer l want =
       check (Alcotest.list Alcotest.int) "layer members" want (List.sort Int.compare l);
-      check (Alcotest.list Alcotest.int) "grouped by fingerprint bits"
-        (List.stable_sort Int.compare (List.map group l))
-        (List.map group l)
+      check (Alcotest.list Alcotest.int) "generation order" want l
     in
     layer [ a ] [ 0 ];
     layer [ b; c ] [ 1; 2 ];
@@ -70,7 +67,7 @@ let test_dedup_hits () =
   let outcome, m = Diamond.run ~root:0 () in
   (match outcome with Search.Exhausted -> () | _ -> Alcotest.fail "expected exhausted");
   check Alcotest.int "expanded each node once" 5 m.Metrics.states_expanded;
-  (* node 3 is generated twice in one layer: the second insertion is
+  (* node 3 is generated twice in one layer: the second claim is
      answered by the visited set *)
   check Alcotest.int "one dedup hit" 1 m.Metrics.dedup_hits;
   check Alcotest.int "budget consumed = expanded" m.Metrics.states_expanded
@@ -158,7 +155,9 @@ let test_prune () =
   (match outcome with Search.Exhausted -> () | _ -> Alcotest.fail "expected exhausted");
   (* visits 0..4; the four reachable x+10 successors are pruned *)
   check Alcotest.int "expanded" 5 m.Metrics.states_expanded;
-  check Alcotest.int "pruned" 4 m.Metrics.pruned
+  check Alcotest.int "pruned" 4 m.Metrics.pruned;
+  (* prune runs before the claim: a pruned successor is never probed *)
+  check Alcotest.int "probes" 5 m.Metrics.fingerprint_probes
 
 let test_find_first_smallest () =
   let f i = if i mod 7 = 0 then Some i else None in
