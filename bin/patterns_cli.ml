@@ -124,22 +124,12 @@ let metrics_json_arg =
 let db_arg =
   Arg.(value & opt (some string) None
        & info [ "db" ] ~docv:"FILE"
-         ~doc:"Execution database (schema $(b,patterns-edge-db/2), streamed JSONL): \
-               consult the recorded edge log before searching, record every fresh \
-               expansion into it, and write it back to $(docv) on exit.  A missing file \
-               starts empty.  Inspect it with $(b,query).")
-
-let base_db_arg =
-  Arg.(value & opt (some string) None
-       & info [ "base-db" ] ~docv:"FILE"
-         ~doc:"Incremental base for $(b,check)/$(b,classify): answer each input vector \
-               wholesale from the $(b,classify_vec2) fact an earlier run recorded into \
-               $(docv) under the same $(b,--max-failures) and $(b,--par-mode), run the \
-               other vectors fresh, and record them back on exit.  Verdicts are \
-               bit-identical to a from-scratch run under the same driver; the metrics \
-               field $(b,delta_reused_edges) counts the derivations skipped.  Ignored \
-               while $(b,--deadline) or $(b,--max-states) is set.  May name the same file \
-               as $(b,--db).")
+         ~doc:"Execution database (schema $(b,patterns-edge-db/3), streamed JSONL ending in \
+               a record count and digest): consult the recorded edge log before searching, \
+               record every fresh expansion into it, and write it back to $(docv) on exit.  \
+               For $(b,check)/$(b,classify) without $(b,--resume) it is also the per-root \
+               memo.  A missing file starts empty; a damaged one is refused.  Inspect it \
+               with $(b,query).")
 
 let deadline_arg =
   Arg.(value & opt (some float) None
@@ -171,44 +161,30 @@ let mem_budget_arg =
                reaching it evicts whole shards, largest first, until half the budget is \
                free.")
 
-let checkpoint_arg =
-  Arg.(value & opt (some string) None
-       & info [ "checkpoint" ] ~docv:"FILE"
-         ~doc:"Record each completed root (input vector, hunt index chunk) into $(docv) \
-               (schema $(b,patterns-checkpoint/2)), atomically rewritten on every record; \
-               a killed run picks up with $(b,--resume). Deadline-truncated roots are \
-               never recorded.")
-
 let resume_arg =
   Arg.(value & opt (some string) None
        & info [ "resume" ] ~docv:"FILE"
-         ~doc:"Resume from a checkpoint written by $(b,--checkpoint): recorded roots are \
-               replayed from $(docv), only the rest are recomputed, and the outcome — \
-               answer, counters, exit code — is identical to an uninterrupted run.  A \
-               missing file is a fresh start; a checkpoint whose recorded parameters \
-               differ is refused.")
+         ~doc:"The per-root memo (an execution database, schema $(b,patterns-edge-db/3)): \
+               answer each root (input vector, hunt index chunk) recorded in $(docv) \
+               under the same parameters without searching it, search the rest, and \
+               record each one searched into $(docv), rewritten through a rename after \
+               every recorded root, so a killed run loses only the root in progress.  \
+               The output and exit code are those of a run without it; the metrics \
+               count only the roots searched, plus the derivations skipped in \
+               $(b,delta_reused_edges).  A missing file starts empty; a damaged one is \
+               refused.  Roots cut short by $(b,--deadline) are never recorded.")
 
 let kill_after_arg =
   Arg.(value & opt (some int) None
-       & info [ "checkpoint-kill-after" ] ~docv:"K"
-         ~doc:"Test hook: exit 99 after $(docv) fresh checkpoint records, leaving the \
-               file for $(b,--resume).")
+       & info [ "kill-after" ] ~docv:"K"
+         ~doc:"Test hook: exit 99 after $(docv) roots recorded into the $(b,--resume) \
+               file, leaving it for the next run.")
 
 let spill_of dir mem_budget =
   Option.map (fun dir -> { Patterns_search.Search.dir; mem_budget }) dir
 
-let checkpoint_spec checkpoint resume kill_after =
-  match (checkpoint, resume) with
-  | Some _, Some _ -> Error "at most one of --checkpoint and --resume"
-  | Some file, None ->
-    Ok (Some { Patterns_search.Checkpoint.file; resume = false; kill_after })
-  | None, Some file ->
-    Ok (Some { Patterns_search.Checkpoint.file; resume = true; kill_after })
-  | None, None -> Ok None
-
-(* Checkpoint header mismatches (and other refusals below the library
-   surface) raise [Failure]; surface them as CLI errors, not
-   backtraces. *)
+(* Refusals below the library surface raise [Failure]; surface them
+   as CLI errors, not backtraces. *)
 let catch_failures f =
   try f () with Failure msg ->
     prerr_endline ("error: " ^ msg);
@@ -247,6 +223,28 @@ let load_db = function
 
 let db_handle = Option.map fst
 let save_db = function None -> () | Some (db, path) -> Patterns_db.Db.save db path
+
+(* The --resume memo: loaded like --db (sharing its handle when both
+   name one file), and saved after every root recorded into it. *)
+let open_memo ?db resume kill_after =
+  let memo =
+    match (resume, db) with
+    | Some path, Some (db, path') when path = path' -> Some (db, path)
+    | _ -> load_db resume
+  in
+  Option.map
+    (fun (memo, path) ->
+      let recorded = ref 0 in
+      Patterns_db.Db.on_put memo (fun () ->
+          Patterns_db.Db.save memo path;
+          incr recorded;
+          match kill_after with
+          | Some k when !recorded >= k ->
+            Printf.eprintf "memo: killed after %d recorded roots (test hook)\n%!" k;
+            exit 99
+          | _ -> ());
+      memo)
+    memo
 
 (* ----- run ----- *)
 
@@ -298,19 +296,19 @@ let run_cmd =
 
 let scheme_cmd =
   let doc = "Enumerate a protocol's scheme (all failure-free communication patterns)." in
-  let run name n jobs par_mode deadline max_states spill_dir mem_budget checkpoint resume
-      kill_after metrics_json =
+  let run name n jobs par_mode deadline max_states spill_dir mem_budget resume kill_after
+      metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let spill = spill_of spill_dir mem_budget in
-    let ckpt = or_die (checkpoint_spec checkpoint resume kill_after) in
+    let base = open_memo resume kill_after in
     let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
     let module S = Patterns_pattern.Scheme.Make (P) in
     let metrics = ref Patterns_search.Metrics.zero in
     let pats, stats =
       catch_failures (fun () ->
           S.scheme ~metrics ~jobs:(resolve_jobs jobs) ?par_mode ?deadline
-            ?max_live:max_states ?spill ?checkpoint:ckpt ~n ())
+            ?max_live:max_states ?spill ?base ~n ())
     in
     Format.printf "%a@.%a@." Patterns_pattern.Scheme.pp_stats stats
       Patterns_pattern.Scheme.pp_scheme pats;
@@ -319,8 +317,9 @@ let scheme_cmd =
   in
   Cmd.v (Cmd.info "scheme" ~doc)
     Term.(
-      const run $ protocol_arg $ n_arg $ jobs_arg $ par_mode_arg $ deadline_arg $ max_states_arg $ spill_dir_arg $ mem_budget_arg $ checkpoint_arg
-      $ resume_arg $ kill_after_arg $ metrics_json_arg)
+      const run $ protocol_arg $ n_arg $ jobs_arg $ par_mode_arg $ deadline_arg
+      $ max_states_arg $ spill_dir_arg $ mem_budget_arg $ resume_arg $ kill_after_arg
+      $ metrics_json_arg)
 
 (* ----- realize ----- *)
 
@@ -346,12 +345,12 @@ let realize_cmd =
            ~doc:"Search budget; when hit, the answer is $(b,truncated), not unrealizable.")
   in
   let run name n inputs target_of k max_configs jobs par_mode spill_dir mem_budget
-      checkpoint resume kill_after metrics_json =
+      resume kill_after metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let inputs = or_die (parse_inputs n inputs) in
     let spill = spill_of spill_dir mem_budget in
-    let ckpt = or_die (checkpoint_spec checkpoint resume kill_after) in
+    let base = open_memo resume kill_after in
     let target_entry =
       match target_of with None -> entry | Some name2 -> or_die (find_protocol name2)
     in
@@ -378,7 +377,7 @@ let realize_cmd =
     let result =
       catch_failures (fun () ->
           S.realize ~metrics ~jobs:(resolve_jobs jobs) ?par_mode
-            ~max_configs ?spill ?checkpoint:ckpt ~n ~inputs ~target ())
+            ~max_configs ?spill ?base ~n ~inputs ~target ())
     in
     let code =
       match result with
@@ -404,7 +403,7 @@ let realize_cmd =
     Term.(
       const run $ protocol_arg $ n_arg $ inputs_arg $ target_of_arg $ pattern_arg
       $ max_configs_arg $ jobs_arg $ par_mode_arg $ spill_dir_arg
-      $ mem_budget_arg $ checkpoint_arg $ resume_arg $ kill_after_arg $ metrics_json_arg)
+      $ mem_budget_arg $ resume_arg $ kill_after_arg $ metrics_json_arg)
 
 (* ----- dot ----- *)
 
@@ -456,30 +455,22 @@ let classify_term =
            ~doc:"Exploration budget; when hit, the verdict is marked $(b,truncated) and the \
                  exit code is 2.")
   in
-  let run name n max_failures max_configs fifo_notices jobs par_mode deadline max_states spill_dir mem_budget checkpoint resume kill_after db_file
-      base_db_file metrics_json =
+  let run name n max_failures max_configs fifo_notices jobs par_mode deadline max_states
+      spill_dir mem_budget resume kill_after db_file metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let rule = rule_of_registry entry in
     let spill = spill_of spill_dir mem_budget in
-    let ckpt = or_die (checkpoint_spec checkpoint resume kill_after) in
     let db = load_db db_file in
-    (* --base-db may name the same file as --db: share the handle so
-       neither save clobbers the other's writes *)
-    let shared =
-      match (db_file, base_db_file) with Some a, Some b -> a = b | _ -> false
-    in
-    let base = if shared then db else load_db base_db_file in
+    let base = open_memo ?db resume kill_after in
     let metrics = ref Patterns_search.Metrics.zero in
     let v =
       catch_failures (fun () ->
-          Classify.classify ~metrics ?db:(db_handle db) ?base:(db_handle base)
-            ~max_failures ~max_configs ~fifo_notices ~jobs:(resolve_jobs jobs)
-            ?par_mode ?deadline ?max_live:max_states ?spill
-            ?checkpoint:ckpt ~rule ~n entry.Patterns_protocols.Registry.protocol)
+          Classify.classify ~metrics ?db:(db_handle db) ?base ~max_failures ~max_configs
+            ~fifo_notices ~jobs:(resolve_jobs jobs) ?par_mode ?deadline ?max_live:max_states
+            ?spill ~rule ~n entry.Patterns_protocols.Registry.protocol)
     in
     save_db db;
-    if not shared then save_db base;
     Format.printf "%a@." Classify.pp v;
     List.iter (fun d -> Format.printf "  %s@." d) v.Classify.details;
     emit_metrics metrics_json !metrics;
@@ -500,8 +491,8 @@ let classify_term =
   Term.(
     const run $ protocol_arg $ n_arg $ max_failures_arg $ max_configs_arg $ fifo_notices_arg
     $ jobs_arg $ par_mode_arg $ deadline_arg $ max_states_arg
-    $ spill_dir_arg $ mem_budget_arg $ checkpoint_arg $ resume_arg $ kill_after_arg
-    $ db_arg $ base_db_arg $ metrics_json_arg)
+    $ spill_dir_arg $ mem_budget_arg $ resume_arg $ kill_after_arg $ db_arg
+    $ metrics_json_arg)
 
 let check_cmd =
   let doc = "Classify a protocol against the taxonomy by exhaustive exploration." in
@@ -668,20 +659,20 @@ let hunt_cmd =
                  Random mode never uses the memo.")
   in
   let run name n property crashes space fault_budget runs seed fifo_notices jobs mode
-      horizon cert_out no_memo deadline checkpoint resume kill_after db_file metrics_json =
+      horizon cert_out no_memo deadline resume kill_after db_file metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let rule = rule_of_registry entry in
     let seed = Option.value seed ~default:1984 in
     let budget = Option.value fault_budget ~default:crashes in
-    let ckpt = or_die (checkpoint_spec checkpoint resume kill_after) in
     let db = load_db db_file in
+    let base = open_memo ?db resume kill_after in
     let metrics = ref Patterns_search.Metrics.zero in
     let result =
       catch_failures (fun () ->
           Patterns_adversary.Hunt.hunt ~metrics ~memo:(not no_memo)
             ~max_failures:budget ~max_runs:runs ~fifo_notices
-            ~jobs:(resolve_jobs jobs) ?deadline ?checkpoint:ckpt ~horizon ~mode
+            ~jobs:(resolve_jobs jobs) ?deadline ?base ~horizon ~mode
             ~space ~property ~rule ~n ~seed entry)
     in
     let code =
@@ -734,7 +725,7 @@ let hunt_cmd =
       const run $ protocol_arg $ n_arg $ property_arg $ crashes_arg $ faults_arg
       $ fault_budget_arg $ runs_arg $ seed_arg
       $ fifo_notices_arg $ jobs_arg $ mode_arg $ horizon_arg $ cert_arg $ no_memo_arg
-      $ deadline_arg $ checkpoint_arg $ resume_arg $ kill_after_arg $ db_arg
+      $ deadline_arg $ resume_arg $ kill_after_arg $ db_arg
       $ metrics_json_arg)
 
 (* ----- replay / shrink ----- *)

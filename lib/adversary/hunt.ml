@@ -5,17 +5,15 @@ type mode = Random | Systematic
 
 let mode_string = function Random -> "random" | Systematic -> "systematic"
 
-(* Checkpoint granularity for hunts: the run-index space is cut into
-   fixed chunks, each fully swept chunk recorded under its upper bound
-   with the cumulative kernel metrics as payload.  Both modes are
-   per-index deterministic — Random seeds a fresh generator from the
-   run index, Systematic decodes the plan from it — so a contiguous
-   cleared prefix plus its metrics is exactly the state a resume
-   needs. *)
+(* A hunt sweeps its run-index space in fixed chunks, the roots of its
+   memo.  Both modes are per-index deterministic — Random seeds a fresh
+   generator from the run index, Systematic decodes the plan from it —
+   so a chunk's answer (its winner, or how many runs it cleared) is a
+   function of the chunk and the hunt's parameters. *)
 let chunk_size = 4_096
 
 let hunt ?metrics ?(max_failures = 2) ?(max_runs = 5_000) ?(fifo_notices = false)
-    ?(jobs = 1) ?deadline ?checkpoint ?(horizon = 60) ?(mode = Random) ?(memo = true)
+    ?(jobs = 1) ?deadline ?base ?(horizon = 60) ?(mode = Random) ?(memo = true)
     ?(space = Plan.Crash_only) ~property ~rule ~n ~seed
     (entry : Patterns_protocols.Registry.entry) =
   let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
@@ -35,7 +33,7 @@ let hunt ?metrics ?(max_failures = 2) ?(max_runs = 5_000) ?(fifo_notices = false
       message;
     }
   in
-  let bits inputs = String.concat "" (List.map (fun b -> if b then "1" else "0") inputs) in
+  let bits = Listx.bits in
   let crash_plan failures =
     String.concat ", " (List.map (fun (k, p) -> Printf.sprintf "p%d@step%d" p k) failures)
   in
@@ -55,19 +53,9 @@ let hunt ?metrics ?(max_failures = 2) ?(max_runs = 5_000) ?(fifo_notices = false
   let drops_tally = Atomic.make 0 in
   let om_plans_tally = Atomic.make 0 in
   let mobile_tally = Atomic.make 0 in
-  let folded_drops = ref 0 and folded_om = ref 0 and folded_mobile = ref 0 in
   let fault_flush m =
-    let d = Atomic.get drops_tally in
-    let o = Atomic.get om_plans_tally in
-    let mb = Atomic.get mobile_tally in
-    let m =
-      Patterns_search.Metrics.with_faults ~drops_injected:(d - !folded_drops)
-        ~omission_plans:(o - !folded_om) ~mobile_faults:(mb - !folded_mobile) m
-    in
-    folded_drops := d;
-    folded_om := o;
-    folded_mobile := mb;
-    m
+    Patterns_search.Metrics.with_faults ~drops_injected:(Atomic.get drops_tally)
+      ~omission_plans:(Atomic.get om_plans_tally) ~mobile_faults:(Atomic.get mobile_tally) m
   in
   let tally faults (r : E.run_result) =
     let d = Trace.drop_count r.E.trace in
@@ -79,82 +67,64 @@ let hunt ?metrics ?(max_failures = 2) ?(max_runs = 5_000) ?(fifo_notices = false
       if mobile_faults fs then
         ignore (Atomic.fetch_and_add mobile_tally (List.length fs) : int)
   in
-  (* Single entry point for both modes: without a checkpoint the hunt
-     is the kernel's one-shot goal search, unchanged; with one, the
-     index space is swept chunk by chunk, each completed chunk
-     recorded, and a resume replays the recorded prefix from the file
-     (chunk upper bounds are deterministic, so the prefix is found by
-     walking them).  The chunked sweep tries the same indices in the
-     same order and returns the same winner and tried count as the
-     one-shot search; the metrics differ only in shape (one root per
-     chunk rather than one per hunt). *)
-  (* [flush] folds counters the runs accumulate outside the kernel
-     (the systematic mode's prefix-memoization tallies) into a metrics
-     record; it is applied to the cumulative record before every
-     checkpoint write — so a resumed hunt restores them — and once at
-     the end for the caller's sink.  Called only between [find_first]
-     rounds, after their workers have joined. *)
-  let drive ?(flush = Fun.id) one ~max_index =
-    match checkpoint with
-    | None ->
-      let result =
-        Patterns_search.Search.find_first ?metrics ~jobs ?deadline ~max_index ~f:one ()
-      in
-      Patterns_search.Search.merge_into metrics (flush Patterns_search.Metrics.zero);
-      result
-    | Some spec ->
-      let header =
-        Printf.sprintf
-          "hunt/2|%s|prop=%s|rule=%s|n=%d|seed=%d|mode=%s|faults=%s|mf=%d|mi=%d|h=%d|fifo=%b"
-          entry.Patterns_protocols.Registry.name (Cert.property_string property)
-          (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
-          n seed (mode_string mode) (Plan.space_string space) max_failures max_index horizon
-          fifo_notices
-      in
-      let t =
-        match Patterns_search.Checkpoint.create spec ~header with
-        | Ok t -> t
-        | Error msg -> failwith msg
-      in
-      let rec restore cleared m =
-        if cleared >= max_index then (cleared, m)
-        else
-          let hi = min max_index (cleared + chunk_size) in
-          match Patterns_search.Checkpoint.find t hi with
-          | Some m' -> restore hi m'
-          | None -> (cleared, m)
-      in
-      let cleared0, m0 = restore 0 Patterns_search.Metrics.zero in
-      let local = ref m0 in
-      let t0 = Unix.gettimeofday () in
-      let remaining () =
-        Option.map (fun d -> d -. (Unix.gettimeofday () -. t0)) deadline
-      in
-      let finish result =
-        local := flush !local;
-        Patterns_search.Search.merge_into metrics !local;
-        result
-      in
-      let rec go cleared tried_acc =
-        if cleared >= max_index then finish (Error tried_acc)
-        else
-          let hi = min max_index (cleared + chunk_size) in
-          match
-            Patterns_search.Search.find_first ~metrics:local ~jobs
-              ?deadline:(remaining ()) ~start:(cleared + 1) ~max_index:hi ~f:one ()
-          with
-          | Ok cert -> finish (Ok cert)
-          | Error tried when tried < hi - cleared ->
-            (* the wall clock fired mid-chunk: an incomplete chunk is
-               never recorded (its truncation point is wall-clock
-               dependent), and there is nothing left to try now *)
-            finish (Error (tried_acc + tried))
-          | Error tried ->
-            local := flush !local;
-            Patterns_search.Checkpoint.record t hi !local;
-            go hi (tried_acc + tried)
-      in
-      go cleared0 cleared0
+  (* One drive path for both modes: the index space is swept chunk by
+     chunk, each chunk by the kernel's goal search, and the first
+     chunk with a winner ends the hunt.  The chunks try the same
+     indices in the same order as one search over the whole space and
+     return the same winner and tried count; the metrics count one
+     root per chunk.  With a memo ([base]) a recorded chunk is not run
+     again and a chunk run is recorded unless the deadline cut it
+     short.  [flush] folds the counters the runs accumulate outside the
+     kernel into the caller's sink once at the end, after every
+     chunk's workers have joined. *)
+  let drive ~flush one ~max_index =
+    let chunks =
+      Option.map
+        (fun base ->
+          {
+            Patterns_search.Search.base;
+            kind = "hunt_chunk";
+            params =
+              Printf.sprintf "%s|prop=%s|rule=%s|n=%d|seed=%d|mode=%s|faults=%s|mf=%d|h=%d|fifo=%b"
+                entry.Patterns_protocols.Registry.name (Cert.property_string property)
+                (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
+                n seed (mode_string mode) (Plan.space_string space) max_failures horizon
+                fifo_notices;
+            key = (fun (lo, hi) -> Printf.sprintf "runs=%d-%d" lo hi);
+            budget = chunk_size;
+            max_live = None;
+          })
+        base
+    in
+    let t0 = Unix.gettimeofday () in
+    let remaining () = Option.map (fun d -> d -. (Unix.gettimeofday () -. t0)) deadline in
+    let rec go lo tried =
+      if lo > max_index then Error tried
+      else
+        let hi = min max_index (lo + chunk_size - 1) in
+        let chunk, m =
+          match Option.bind chunks (fun m -> Patterns_search.Search.memo_find m (lo, hi)) with
+          | Some reused -> reused
+          | None ->
+            let m = ref Patterns_search.Metrics.zero in
+            let r =
+              Patterns_search.Search.find_first ~metrics:m ~jobs ?deadline:(remaining ())
+                ~start:lo ~max_index:hi ~f:one ()
+            in
+            Option.iter (fun c -> Patterns_search.Search.memo_record c (lo, hi) (r, !m)) chunks;
+            (r, !m)
+        in
+        Patterns_search.Search.merge_into metrics m;
+        match chunk with
+        | Ok cert -> Ok cert
+        | Error t when t < hi - lo + 1 ->
+          (* the wall clock fired mid-chunk: nothing left to try now *)
+          Error (tried + t)
+        | Error t -> go (hi + 1) (tried + t)
+    in
+    let result = go 1 0 in
+    Patterns_search.Search.merge_into metrics (flush Patterns_search.Metrics.zero);
+    result
   in
   match mode with
   | Random ->
@@ -254,16 +224,10 @@ let hunt ?metrics ?(max_failures = 2) ?(max_runs = 5_000) ?(fifo_notices = false
       p
     in
     let hits = Atomic.make 0 and saved_steps = Atomic.make 0 in
-    let folded_hits = ref 0 and folded_saved = ref 0 in
     let flush m =
-      let h = Atomic.get hits and s = Atomic.get saved_steps in
-      let m =
-        Patterns_search.Metrics.with_incremental ~prefix_hits:(h - !folded_hits)
-          ~prefix_states_saved:(s - !folded_saved) m
-      in
-      folded_hits := h;
-      folded_saved := s;
-      fault_flush m
+      fault_flush
+        (Patterns_search.Metrics.with_incremental ~prefix_hits:(Atomic.get hits)
+           ~prefix_states_saved:(Atomic.get saved_steps) m)
     in
     let one run_index =
       let plan =

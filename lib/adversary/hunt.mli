@@ -38,7 +38,7 @@ val hunt :
   ?fifo_notices:bool ->
   ?jobs:int ->
   ?deadline:float ->
-  ?checkpoint:Patterns_search.Checkpoint.spec ->
+  ?base:Patterns_db.Db.t ->
   ?horizon:int ->
   ?mode:mode ->
   ?memo:bool ->
@@ -64,17 +64,19 @@ val hunt :
     overshoot the winning index by up to one batch and is the only
     jobs-dependent field.
 
-    [checkpoint] cuts the run-index space into fixed chunks (4096),
-    records every fully swept chunk — its upper bound plus the
-    cumulative kernel metrics — and resumes a killed hunt from the
-    recorded prefix, which is valid because both modes are per-index
-    deterministic (the random mode seeds a fresh generator from each
-    run index).  The chunked sweep tries the same indices in the same
-    order as the one-shot search and returns the same winner and tried
-    count; the metrics differ only in shape (one root per chunk).
-    Deadline-interrupted chunks are never recorded.  Raises [Failure]
-    when resuming against a file whose header (protocol, property,
-    rule, n, seed, mode, budgets) differs.
+    Both modes sweep the run-index space in chunks of 4096 indices,
+    one kernel goal search each; the first chunk with a violation ends
+    the hunt.  The winner and tried count are those of one search over
+    the whole space, and the metrics count one root per chunk.  [base]
+    is the per-root memo ({!Patterns_search.Search.memo}) with the
+    chunks as its roots: a chunk recorded there under the same
+    protocol, property, rule, n, seed, mode, fault space, fault
+    budget, horizon and notice discipline is answered from its
+    ["hunt_chunk"] fact — its certificate, or the runs it cleared —
+    without running, and every chunk run is recorded unless the
+    deadline cut it short.  This is sound because both modes are
+    per-index deterministic (the random mode seeds a fresh generator
+    from each run index).
 
     [memo] (default true, systematic mode only) shares failure-free
     prefixes across plans: the [3 * 2^n] failure-free runs of the plan

@@ -40,24 +40,26 @@ val classify :
   ?deadline:float ->
   ?max_live:int ->
   ?spill:Patterns_search.Search.spill ->
-  ?checkpoint:Patterns_search.Checkpoint.spec ->
   rule:Decision_rule.t ->
   n:int ->
   (module Protocol.S) ->
   verdict
 (** [spill] bounds the sweep's resident visited stores by spilling to
-    disk (bit-identical verdicts; {!Patterns_search.Search.spill});
-    [checkpoint] records each completed input vector so a killed sweep
-    resumes instead of restarting ({!Explore.Make.options}).  Neither
-    affects the verdict or the fact key.
+    disk (bit-identical verdicts; {!Patterns_search.Search.spill}).
 
-    [base] enables incremental re-classification
-    ({!Explore.Make.options}[.base]): per-vector ["classify_vec2"]
-    facts an earlier sweep stored under the same [max_failures] and
-    driver are reused wholesale, with verdicts bit-identical to a
-    from-scratch sweep under that driver; other vectors run fresh and
-    store new facts into it.  [base] may be the same database as
-    [db].  Ignored while [deadline] or [max_live] is set.
+    [base] is the sweep's per-root memo ({!Explore.Make.options}[.base]):
+    each input vector recorded there under the same [max_failures],
+    notice discipline and driver, with a size that fits the
+    per-vector budget, is answered from its ["classify_vec3"] fact
+    with zero kernel expansions, and every vector explored is
+    recorded into it (unless the deadline cut it short).  Verdicts
+    are bit-identical to a from-scratch sweep under that driver.
+
+    [db] attaches an execution database: every kernel expansion of a
+    vector explored is recorded in it as an edge, and its counters
+    move in [?metrics].  Without [base], [db] is the memo as well, so
+    a repeated sweep through the same [db] expands nothing.  [base]
+    may be the same database as [db].
 
     [par_mode] selects the driver (default
     {!Patterns_search.Search.Async}; [Layers] is the serial
@@ -65,17 +67,7 @@ val classify :
     verdicts for every [jobs]; the two modes can disagree on counts
     where distinct paths converge on one behavioural node, and
     truncated sweeps should pin [Layers] when comparing across
-    [jobs].
-
-    [db] attaches an execution database: if a verdict fact for the
-    same (protocol, n, rule, budget, fault-bound, driver, input-set) sweep is
-    stored, it is returned with {e zero} kernel expansions (only the
-    database counters move in [?metrics]); otherwise the sweep runs
-    live with every kernel expansion recorded as an edge, and — when
-    no wall-clock deadline bounds it — its verdict is stored as a
-    fact for the next call.  [jobs] is deliberately absent from the
-    fact key: an exhaustive verdict is jobs-invariant, which is what
-    makes it cacheable. *)
+    [jobs]. *)
 
 val solves : verdict -> Taxonomy.t -> bool
 (** Interpret the verdict against a taxonomy point (the rule is

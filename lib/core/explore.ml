@@ -16,7 +16,6 @@ module Make (P : Protocol.S) = struct
     max_live : int option;
     edge_sink : (src:int -> event:string -> dst:int -> unit) option;
     spill : Patterns_search.Search.spill option;
-    checkpoint : Patterns_search.Checkpoint.spec option;
     base : Db.t option;
   }
 
@@ -32,7 +31,6 @@ module Make (P : Protocol.S) = struct
       max_live = None;
       edge_sink = None;
       spill = None;
-      checkpoint = None;
       base = None;
     }
 
@@ -158,10 +156,6 @@ module Make (P : Protocol.S) = struct
     cells : (int * string) option array;
     mutable errors : string list;
     tallies : tally State_tbl.t;
-    mutable edges_gen : int;
-        (* successor derivations performed (summed [List.length succs]
-           over expansions) — an exact count, unlike the kernel's
-           driver-dependent frontier statistics *)
   }
 
   let vobs_empty ~code ~all_ones () =
@@ -172,7 +166,6 @@ module Make (P : Protocol.S) = struct
       cells = Array.make 7 None;
       errors = [];
       tallies = State_tbl.create 64;
-      edges_gen = 0;
     }
 
   let min_violation a b =
@@ -194,7 +187,6 @@ module Make (P : Protocol.S) = struct
           x.visits <- x.visits + y.visits
         | exception Not_found -> State_tbl.add a.tallies s y)
       b.tallies;
-    a.edges_gen <- a.edges_gen + b.edges_gen;
     a
 
   (* [key] is the expanded node's fingerprint key: keep the witness
@@ -376,7 +368,6 @@ module Make (P : Protocol.S) = struct
             Some (config', observe_events ~rule ~vector ~failure_before o key events decided))
         (actions @ fail_actions)
     in
-    o.edges_gen <- o.edges_gen + List.length succs;
     (* reversed: the historical stack discipline explored the last
        applicable action first; truncated counts are pinned to that
        order by the jobs-invariance tests *)
@@ -466,73 +457,6 @@ module Make (P : Protocol.S) = struct
       states = List.sort (fun a b -> P.compare_state a.state b.state) states;
     }
 
-  (* ----- per-vector base facts -----
-
-     One fact per fully explored input vector, kind [vec_fact_kind]:
-     the vector's size and its observation accumulator, sealed
-     ({!Db.put_sealed}) — everything a later sweep at the same
-     [max_failures] needs to reuse the vector wholesale, the exact
-     derivation count included.  The key pins the answer-relevant
-     parameters (protocol, n, rule, max_failures, fifo, driver,
-     vector) and deliberately excludes budgets, [jobs] and deadlines:
-     reuse re-checks the budget against the stored size, and
-     deadline-bounded runs never store or consume facts.  The driver
-     is in the key because the two can disagree on count statistics
-     where distinct paths converge on one behavioural node (the
-     representative kept is visit-order dependent).  A fact that does
-     not unseal is a miss: the vector runs fresh and overwrites it.
-
-     The kind names the sealed type, [int * vobs]: a [vobs] with
-     per-state tallies replaced the persistent state map, which was
-     sealed as ["classify_vec"].  Facts of that kind are never read,
-     so their vectors are recomputed. *)
-
-  let vec_fact_kind = "classify_vec2"
-
-  let bits_of inputs =
-    String.concat "" (List.map (fun b -> if b then "1" else "0") inputs)
-
-  let vec_fact_key ~rule ~n ~max_failures ~fifo_notices ~par_mode inputs =
-    Printf.sprintf "%s|%d|%s|mf=%d|fifo=%b|mode=%s|vec=%s" P.name n
-      (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
-      max_failures fifo_notices
-      (Patterns_search.Search.par_mode_string par_mode)
-      (bits_of inputs)
-
-  (* One vector of the sweep, with the base database consulted when it
-     is sound to do so: a fact for this vector whose size fits the
-     per-vector budget is the answer, with no search at all
-     ([delta_reused_edges] counts the derivations skipped); otherwise
-     the vector runs fresh and, when it completes untruncated, stores
-     a new fact.  Base consultation is disabled under a wall-clock
-     deadline or a live-state cap: both make completeness
-     run-dependent, and the facts only speak for completed regions. *)
-  let vector_result ?deadline ~options ~pool ~budget ~rule ~n inputs =
-    let fresh ~store =
-      let o, truncated, m =
-        explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n inputs
-      in
-      let configs = m.Patterns_search.Metrics.states_expanded in
-      if (not truncated) && m.Patterns_search.Metrics.deadline_hits = 0 then
-        store (configs, o);
-      (report_of ~configs ~truncated o, m)
-    in
-    match options.base with
-    | Some db when options.deadline = None && options.max_live = None -> (
-      let key =
-        vec_fact_key ~rule ~n ~max_failures:options.max_failures
-          ~fifo_notices:options.fifo_notices ~par_mode:options.par_mode inputs
-      in
-      match (Db.get_sealed db ~kind:vec_fact_kind ~key : (int * vobs) option) with
-      | Some (configs, o) when configs <= budget ->
-        let m =
-          Patterns_search.Metrics.with_incremental ~delta_reused_edges:o.edges_gen
-            Patterns_search.Metrics.zero
-        in
-        (report_of ~configs ~truncated:false o, m)
-      | _ -> fresh ~store:(Db.put_sealed db ~kind:vec_fact_kind ~key))
-    | _ -> fresh ~store:ignore
-
   (* ----- deterministic merge of per-vector reports ----- *)
 
   (* both lists sorted by [compare_state] ([report_of]'s order) *)
@@ -584,35 +508,41 @@ module Make (P : Protocol.S) = struct
     (* even split of the total node budget, so the sharded sweep does
        roughly the work of the old single-visited-set loop *)
     let budget = (options.max_configs + nvec - 1) / nvec in
-    (* Checkpoint granularity is the input vector, the sweep's natural
-       unit of deterministic work.  The header pins everything a
-       per-vector (report, metrics) payload depends on; [jobs] and
-       [deadline] are absent because jobs never changes a payload and
-       deadline-truncated vectors are never recorded. *)
-    let checkpoint =
+    (* The memo keys every parameter a vector's report depends on but
+       the budgets, which {!Patterns_search.Search.memo} adds where the
+       report depends on them.  The driver is in the key because the
+       two can disagree on count statistics where distinct paths
+       converge on one behavioural node (the representative kept is
+       visit-order dependent).  The kind names the sealed [report];
+       facts of the retired kinds ["classify_vec"] and
+       ["classify_vec2"], which sealed observation accumulators, are
+       never read. *)
+    let memo =
       Option.map
-        (fun spec ->
-          let opt = function None -> "-" | Some i -> string_of_int i in
-          ( spec,
-            Printf.sprintf "explore/1|%s|rule=%s|n=%d|mf=%d|mc=%d|fifo=%b|ml=%s|mode=%s|spill=%s|iv=%s"
-              P.name
-              (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
-              n options.max_failures options.max_configs options.fifo_notices
-              (opt options.max_live)
-              (Patterns_search.Search.par_mode_string options.par_mode)
-              (opt
-                 (Option.map
-                    (fun s -> s.Patterns_search.Search.mem_budget)
-                    options.spill))
-              (Digest.to_hex (Digest.string (Marshal.to_string options.inputs_choices []))) ))
-        options.checkpoint
+        (fun base ->
+          {
+            Patterns_search.Search.base;
+            kind = "classify_vec3";
+            params =
+              Printf.sprintf "%s|%d|%s|mf=%d|fifo=%b|mode=%s" P.name n
+                (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
+                options.max_failures options.fifo_notices
+                (Patterns_search.Search.par_mode_string options.par_mode);
+            key = (fun inputs -> "vec=" ^ Listx.bits inputs);
+            budget;
+            max_live = options.max_live;
+          })
+        options.base
     in
     (* Input vectors are baked into every configuration, so the roots
        partition the state space; reports merge in vector order. *)
-    Patterns_search.Search.sweep ?metrics ?deadline:options.deadline ?checkpoint
+    Patterns_search.Search.sweep ?metrics ?deadline:options.deadline ?memo
       ~jobs:options.jobs options.par_mode
       ~root:(fun pool ~deadline inputs ->
-        vector_result ?deadline ~options ~pool ~budget ~rule ~n inputs)
+        let o, truncated, m =
+          explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n inputs
+        in
+        (report_of ~configs:m.Patterns_search.Metrics.states_expanded ~truncated o, m))
       ~merge:merge_reports empty_report options.inputs_choices
 
   let pp_report ppf r =

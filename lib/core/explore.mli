@@ -26,11 +26,10 @@
     table that becomes the report's [states], in
     [P.compare_state] order.
 
-    What a sweep stores for later runs is sealed
-    ({!Patterns_stdx.Seal}): its checkpoint payloads and its
-    per-vector base facts.  A damaged checkpoint is refused; a damaged
-    or pre-seal base fact is a miss, and its vector is explored
-    afresh. *)
+    What a sweep stores for later runs is its per-root memo
+    ({!Patterns_search.Search.memo}): one sealed report per input
+    vector.  A damaged fact, or one of a retired kind, is a miss, and
+    its vector is explored afresh. *)
 
 open Patterns_sim
 
@@ -84,43 +83,26 @@ module Make (P : Protocol.S) : sig
         (** disk-backed visited storage for every vector's search —
             identical reports and search counters ([shard_bits] aside),
             bounded resident store ({!Patterns_search.Search.spill}) *)
-    checkpoint : Patterns_search.Checkpoint.spec option;
-        (** record each completed input vector's (report, metrics)
-            payload; a resumed sweep replays recorded vectors and
-            recomputes only the rest, yielding the identical report
-            and metrics as an uninterrupted run.  Deadline-truncated
-            vectors are never recorded.  Replayed vectors do not
-            re-invoke [edge_sink] (their payload carries no edges), so
-            an execution database populated across a resume covers
-            only the resumed vectors.  Raises [Failure] on a header
-            mismatch (protocol, rule, n, budgets, driver family, spill
-            budget, input vectors) or a payload that does not unseal
-            ({!Patterns_search.Checkpoint.create}). *)
     base : Patterns_db.Db.t option;
-        (** incremental base: an execution database whose
-            ["classify_vec2"] facts persist each fully explored input
-            vector (observations and derivation counts, sealed with
-            {!Patterns_db.Db.put_sealed}), keyed by protocol, n, rule,
-            [max_failures], [fifo_notices], [par_mode] and the vector.
-            A fact that does not unseal is a miss: the vector runs
-            fresh and overwrites it.  Facts of the retired kind
-            ["classify_vec"], which sealed another observation type,
-            are never read.  With a base, a vector whose
-            fact fits the per-vector budget is answered wholesale from
-            it — bit-identical to from-scratch under the same driver,
-            with the skipped derivations counted in the metrics'
-            [delta_reused_edges]; every other vector runs fresh and
-            stores a new fact on untruncated completion.  Ignored
-            (with no facts stored) while [deadline] or [max_live] is
-            set — both make completeness run-dependent.  Reused
-            vectors emit no edges to [edge_sink] (like
-            checkpoint-replayed ones). *)
+        (** the per-root memo ({!Patterns_search.Search.memo}): one
+            ["classify_vec3"] fact per input vector, its report sealed
+            with {!Patterns_db.Db.put_sealed}, keyed by protocol, n,
+            rule, [max_failures], [fifo_notices], [par_mode] and the
+            vector, and by the per-vector budget and [max_live] where
+            the report depends on them.  A vector recorded there is not
+            explored again — its report is bit-identical to a
+            from-scratch one under the same driver, and the skipped
+            derivations are counted in the metrics'
+            [delta_reused_edges] — and an explored vector is recorded
+            unless the deadline cut it short.  A fact that does not
+            unseal is a miss: the vector runs fresh and overwrites it.
+            Reused vectors emit no edges to [edge_sink]. *)
   }
 
   val default_options : n:int -> options
   (** All [2^n] input vectors, one failure, 400_000 configurations,
-      unordered notices, one worker, async driver, no deadline, no live-state limit, no edge sink,
-      no spilling, no checkpoint. *)
+      unordered notices, one worker, async driver, no deadline, no
+      live-state limit, no edge sink, no spilling, no memo. *)
 
   type state_info = {
     state : P.state;

@@ -16,11 +16,13 @@ type t = {
   mutable index_scans : int;
   cache : (string, (int * string * int) list) Lru.t;
   facts : (string * string, Json.t) Hashtbl.t;
+  mutable on_put : unit -> unit; (* runs after every fact write, unlocked *)
 }
 
-(* /2 is the JSONL stream [save] writes and [load] reads; nothing
-   writes the monolithic /1 document any more, and [load] refuses it. *)
-let schema = "patterns-edge-db/2"
+(* /3 is the JSONL stream [save] writes and [load] reads: /2 with an
+   end record.  Nothing writes /2 or the monolithic /1 document any
+   more, and [load] refuses both by name. *)
+let schema = "patterns-edge-db/3"
 
 let create () =
   {
@@ -32,6 +34,7 @@ let create () =
     index_scans = 0;
     cache = Lru.create ~capacity:128 ();
     facts = Hashtbl.create 64;
+    on_put = ignore;
   }
 
 let locked t f =
@@ -124,7 +127,10 @@ let stats t =
 let put_fact t ~kind ~key v =
   locked t (fun () ->
       Hashtbl.replace t.facts (kind, key) v;
-      Lru.clear t.cache)
+      Lru.clear t.cache);
+  t.on_put ()
+
+let on_put t f = t.on_put <- f
 
 let get_fact t ~kind ~key = locked t (fun () -> Hashtbl.find_opt t.facts (kind, key))
 
@@ -193,19 +199,48 @@ let rec compact_to b (j : Json.t) =
       kvs;
     Buffer.add_char b '}'
 
+(* ----- the end record -----
+
+   A /3 stream ends with [{"end":{"records":N,"md5":H}}]: N counts the
+   records between the schema marker and the end record, and H is the
+   MD5 of their lines (newlines included) taken [group] lines at a
+   time, then over the group digests.  Both sides compute it as the
+   stream passes, one group of lines at a time, so neither holds the
+   whole body; a file cut at a record boundary has no end record, and
+   one with a changed byte disagrees with its own. *)
+let group = 4096
+
+type tally = { lines : Buffer.t; mutable records : int; mutable groups : string list }
+
+let tally () = { lines = Buffer.create 65_536; records = 0; groups = [] }
+
+(* one more record line is in [t.lines]; a full group is digested,
+   handed to [flush] and dropped *)
+let counted t ~flush =
+  t.records <- t.records + 1;
+  if t.records mod group = 0 then begin
+    t.groups <- Digest.string (Buffer.contents t.lines) :: t.groups;
+    flush t.lines;
+    Buffer.clear t.lines
+  end
+
+let digest t =
+  Digest.string (Buffer.contents t.lines) :: t.groups
+  |> List.rev |> String.concat "" |> Digest.string |> Digest.to_hex
+
 let output_record oc j =
   let b = Buffer.create 64 in
   compact_to b j;
   Buffer.add_char b '\n';
   Buffer.output_buffer oc b
 
-(* The /2 stream: a schema marker line, then one record per line —
+(* The /3 stream: a schema marker line, then one record per line —
    ["c"] config fingerprints in id order, ["e"] event descriptors in
-   id order, ["t"] edge id-triples in key order, ["f"] facts
-   sorted by (kind, key).  Each record is rendered and written
-   individually, so saving never materialises the whole database as
-   one string.  The stream goes to a temporary file renamed over
-   [path], so a kill mid-save leaves the previous database whole. *)
+   id order, ["t"] edge id-triples in key order, ["f"] facts sorted by
+   (kind, key) — then the end record.  Records are written a group at
+   a time, so saving never materialises the whole database as one
+   string.  The stream goes to a temporary file renamed over [path],
+   so a kill mid-save leaves the previous database whole. *)
 let save t path =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
@@ -213,22 +248,26 @@ let save t path =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       locked t (fun () ->
+          let w = tally () in
+          let flush = Buffer.output_buffer oc in
+          let record j =
+            compact_to w.lines j;
+            Buffer.add_char w.lines '\n';
+            counted w ~flush
+          in
           output_record oc (Json.Obj [ ("schema", Json.String schema) ]);
-          Dict.iter (fun _ fp -> output_record oc (Json.Obj [ ("c", Json.Int fp) ])) t.configs;
-          Dict.iter
-            (fun _ d -> output_record oc (Json.Obj [ ("e", Json.String d) ]))
-            t.events;
+          Dict.iter (fun _ fp -> record (Json.Obj [ ("c", Json.Int fp) ])) t.configs;
+          Dict.iter (fun _ d -> record (Json.Obj [ ("e", Json.String d) ])) t.events;
           Sset.iter
             (fun k ->
               let s, e, o = Index.decode k in
-              output_record oc
-                (Json.Obj [ ("t", Json.List [ Json.Int s; Json.Int e; Json.Int o ]) ]))
+              record (Json.Obj [ ("t", Json.List [ Json.Int s; Json.Int e; Json.Int o ]) ]))
             t.keys;
           Hashtbl.fold (fun (kind, key) v acc -> (kind, key, v) :: acc) t.facts []
           |> List.sort (fun (k1, key1, _) (k2, key2, _) ->
                  match String.compare k1 k2 with 0 -> String.compare key1 key2 | c -> c)
           |> List.iter (fun (kind, key, v) ->
-                 output_record oc
+                 record
                    (Json.Obj
                       [
                         ( "f",
@@ -238,7 +277,15 @@ let save t path =
                               ("key", Json.String key);
                               ("value", v);
                             ] );
-                      ]))));
+                      ]));
+          flush w.lines;
+          output_record oc
+            (Json.Obj
+               [
+                 ( "end",
+                   Json.Obj [ ("records", Json.Int w.records); ("md5", Json.String (digest w)) ]
+                 );
+               ])));
   Sys.rename tmp path
 
 let apply_record t j =
@@ -273,11 +320,12 @@ let apply_record t j =
     Ok ()
   | _ -> Error "unrecognised record"
 
-(* A /2 file is recognised by its first line (the schema marker
-   object) and streamed line by line.  Anything else is refused; the
-   error names the schema the file declares — a marker line's, or the
-   "schema" member of a whole JSON document such as the retired /1 —
-   so an outdated file is told apart from a corrupt one. *)
+(* A /3 file is recognised by its first line (the schema marker
+   object) and streamed line by line up to its end record, which must
+   match the records read and be the last line.  Anything else is
+   refused; the error names the schema the file declares — a marker
+   line's, or the "schema" member of a whole JSON document such as the
+   retired /1 — so an outdated file is told apart from a corrupt one. *)
 let load path =
   if not (Sys.file_exists path) then Ok (create ())
   else
@@ -290,14 +338,31 @@ let load path =
         match Result.bind (Json.of_string first) declared with
         | Ok s when String.equal s schema ->
           let t = create () in
+          let r = tally () in
+          let fail fmt = Printf.ksprintf (fun e -> Error (path ^ ": " ^ e)) fmt in
+          let finish e =
+            let field name conv = Result.bind (Json.field name e) conv in
+            match (field "records" Json.to_int, field "md5" Json.to_str) with
+            | Ok n, Ok h when n = r.records && String.equal h (digest r) -> (
+              match input_line ic with
+              | exception End_of_file -> Ok t
+              | _ -> fail "data after the end record")
+            | _ -> fail "the end record disagrees with the %d records before it" r.records
+          in
           let rec go lineno =
             match input_line ic with
-            | exception End_of_file -> Ok t
-            | "" -> go (lineno + 1)
+            | exception End_of_file -> fail "no end record after %d records" r.records
             | line -> (
-              match Result.bind (Json.of_string line) (apply_record t) with
-              | Ok () -> go (lineno + 1)
-              | Error e -> Error (Printf.sprintf "%s: line %d: %s" path lineno e))
+              match Json.of_string line with
+              | Ok (Json.Obj [ ("end", e) ]) -> finish e
+              | parsed -> (
+                match Result.bind parsed (apply_record t) with
+                | Ok () ->
+                  Buffer.add_string r.lines line;
+                  Buffer.add_char r.lines '\n';
+                  counted r ~flush:ignore;
+                  go (lineno + 1)
+                | Error e -> fail "line %d: %s" lineno e))
           in
           go 2
         | marker ->

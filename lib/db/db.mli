@@ -18,10 +18,11 @@
     values keyed by [(kind, key)] — used by the consumers for
     violation certificates ([kind = "cert"], plain JSON the [query]
     command reads) and, sealed ({!put_sealed}), for replay verdicts
-    ([kind = "verdict"]), classification sweeps ([kind = "classify"])
-    and per-vector base facts ([kind = "classify_vec2"]).  The
-    database itself knows nothing about those payloads, which keeps
-    [Patterns_db] dependent on [Patterns_stdx] only.
+    ([kind = "verdict"]) and for the per-root memo of the search
+    sweeps (one fact per finished root, of kinds such as
+    ["classify_vec3"]).  The database itself knows nothing about those
+    payloads, which keeps [Patterns_db] dependent on [Patterns_stdx]
+    only.
 
     All operations are thread-safe (one internal mutex): the
     asynchronous search driver's workers may record edges
@@ -37,11 +38,12 @@ type stats = {
 }
 
 val schema : string
-(** ["patterns-edge-db/2"] — the persisted JSONL schema written by
+(** ["patterns-edge-db/3"] — the persisted JSONL schema written by
     {!save}: a schema marker line, then one compact record per line
     (["c"] config fingerprints in id order, ["e"] event descriptors in
     id order, ["t"] edge id-triples in (src, event, dst) id order,
-    ["f"] facts sorted by (kind, key)). *)
+    ["f"] facts sorted by (kind, key)), then an end record holding the
+    number of records before it and an MD5 digest of them. *)
 
 val create : unit -> t
 (** Fresh empty database. *)
@@ -90,19 +92,28 @@ val get_sealed : t -> kind:string -> key:string -> 'a option
     written by another build.  Sealed facts are a cache: a caller
     treats [None] as a miss, recomputes and overwrites. *)
 
+val on_put : t -> (unit -> unit) -> unit
+(** [on_put t f] runs [f] after every later {!put_fact} (so every
+    {!put_sealed}) on [t], outside the lock, replacing any earlier
+    hook.  The CLI persists its [--resume] memo this way, one rewrite
+    per recorded root; a library call never writes a file. *)
+
 (** {1 Persistence} *)
 
 val save : t -> string -> unit
-(** Stream the database to a file in the /2 JSONL form, one record
-    rendered and written at a time — saving never materialises the
-    whole database as a string, so [--db] does not double peak memory
-    on large edge logs.  The stream is written to [path ^ ".tmp"] and
-    renamed over [path], so a kill mid-save leaves the previous file
-    whole. *)
+(** Stream the database to a file in the /3 JSONL form, a group of
+    records at a time — saving never materialises the whole database
+    as a string, so [--db] does not double peak memory on large edge
+    logs.  The stream is written to [path ^ ".tmp"] and renamed over
+    [path], so a kill mid-save leaves the previous file whole. *)
 
 val load : string -> (t, string) result
-(** Read a database from a /2 stream (recognised by its first line),
+(** Read a database from a /3 stream (recognised by its first line),
     applied record by record.  A missing file is an empty database
-    (so [--db FILE] works on first use); a malformed stream is [Error]
-    naming the offending line, and any other file — the retired /1
-    document included — is [Error] naming the schema it declares. *)
+    (so [--db FILE] works on first use).  [Error] naming the file
+    when a line is malformed, when the end record is missing (a file
+    cut short, at a record boundary or not) or disagrees with the
+    records before it (a changed byte), or when data follows it; any
+    other file — the /2 stream without an end record and the retired
+    /1 document included — is [Error] naming the schema it
+    declares. *)

@@ -115,29 +115,29 @@ module Make (P : Protocol.S) = struct
     Search.merge_into metrics m;
     result
 
-  (* The checkpoint header encodes everything a per-root payload
-     depends on: protocol, n, the per-root budget knobs, the driver
-     family, the spill budget (which shifts the /7 counters inside
-     recorded metrics) and any extra client key (realization targets).
-     [jobs] and [deadline] are deliberately absent — jobs never
-     changes a payload, and deadline-truncated roots are never
-     recorded. *)
-  let checkpoint_header ~kind ?max_configs ?max_live ?par_mode ?spill ?(extra = "") ~n ()
-      =
-    let opt = function None -> "-" | Some i -> string_of_int i in
-    Printf.sprintf "%s/1|%s|n=%d|mc=%s|ml=%s|mode=%s|spill=%s%s" kind P.name n
-      (opt max_configs) (opt max_live)
-      (Search.par_mode_string (Option.value par_mode ~default:Search.Async))
-      (opt (Option.map (fun s -> s.Search.mem_budget) spill))
-      (if extra = "" then "" else "|" ^ extra)
+  (* The memo of a scheme sweep or realization: failure-free roots, so
+     the key names protocol, n and driver (and the target, for
+     realizations); [max_configs] is already each root's budget. *)
+  let memo ~kind ~max_configs ~max_live ~par_mode ~n ~key base =
+    Option.map
+      (fun base ->
+        {
+          Search.base;
+          kind;
+          params =
+            Printf.sprintf "%s|n=%d|mode=%s" P.name n (Search.par_mode_string par_mode);
+          key;
+          budget = max_configs;
+          max_live;
+        })
+      base
 
   (* [par_mode] defaults to [Layers], not [Async]: the documented
      shortest-witness guarantee, identical for every [jobs], needs the
      serial driver's breadth-first order.  [Async] is still accepted
      for callers that only need *a* witness. *)
   let realize ?metrics ?(jobs = 1) ?(par_mode = Search.Layers)
-      ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ?checkpoint ~n ~inputs
-      ~target () =
+      ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ?base ~n ~inputs ~target () =
     (* the accumulated pattern must be a prefix of the target: its
        triples a subset, and the orders in agreement *)
     let prefix_ok c =
@@ -173,22 +173,16 @@ module Make (P : Protocol.S) = struct
       && Pattern.equal (Pattern.make (E.triples_of s.R.c) (E.pattern_edges s.R.c)) target
     in
     let prune s = not (prefix_ok s.R.c) in
-    (* the target (and input vector) are part of what the recorded
-       answer depends on; a structural digest keys them into the
-       header *)
-    let checkpoint =
-      Option.map
-        (fun spec ->
-          ( spec,
-            checkpoint_header ~kind:"realize" ~max_configs ?max_live ~par_mode ?spill
-              ~extra:
-                (Printf.sprintf "key=%s"
-                   (Digest.to_hex (Digest.string (Marshal.to_string (inputs, target) []))))
-              ~n () ))
-        checkpoint
+    (* the target and input vector key the one root by a structural
+       digest *)
+    let memo =
+      memo ~kind:"realize" ~max_configs ~max_live ~par_mode ~n
+        ~key:(fun () ->
+          "key=" ^ Digest.to_hex (Digest.string (Marshal.to_string (inputs, target) [])))
+        base
     in
-    (* a realization is a sweep of one root, recorded at index 0 *)
-    Search.sweep ?metrics ?deadline ?checkpoint ~jobs par_mode
+    (* a realization is a sweep of one root *)
+    Search.sweep ?metrics ?deadline ?memo ~jobs par_mode
       ~root:(fun pool ~deadline () ->
         let root_config = E.init ~n ~inputs in
         let root = R.make root_config [] in
@@ -219,18 +213,16 @@ module Make (P : Protocol.S) = struct
   (* Input vectors are part of every configuration, so no configuration
      is reachable from two different vectors: the roots partition the
      state space, and payloads merge in vector order. *)
-  let scheme ?metrics ?max_configs ?deadline ?max_live ?(jobs = 1) ?par_mode ?spill
-      ?checkpoint ~n () =
-    let checkpoint =
-      Option.map
-        (fun spec ->
-          (spec, checkpoint_header ~kind:"scheme" ?max_configs ?max_live ?par_mode ?spill ~n ()))
-        checkpoint
+  let scheme ?metrics ?(max_configs = 1_000_000) ?deadline ?max_live ?(jobs = 1)
+      ?(par_mode = Search.Async) ?spill ?base ~n () =
+    let memo =
+      memo ~kind:"scheme_vec2" ~max_configs ~max_live ~par_mode ~n
+        ~key:(fun inputs -> "vec=" ^ Patterns_stdx.Listx.bits inputs)
+        base
     in
-    Search.sweep ?metrics ?deadline ?checkpoint ~jobs
-      (Option.value par_mode ~default:Search.Async)
+    Search.sweep ?metrics ?deadline ?memo ~jobs par_mode
       ~root:(fun pool ~deadline inputs ->
-        patterns_for_inputs_m ~pool ?par_mode ?max_configs ?deadline ?max_live ?spill ~n
+        patterns_for_inputs_m ~pool ~par_mode ~max_configs ?deadline ?max_live ?spill ~n
           ~inputs ())
       ~merge:(fun (acc, st) (pats, st') -> (Pattern.Set.union acc pats, merge_stats st st'))
       (Pattern.Set.empty, { configs_visited = 0; terminal_configs = 0; truncated = false })

@@ -6,9 +6,10 @@
     exhaustive kernel search over every applicable event from every
     initial configuration, memoizing on full configurations (which
     carry the pattern-so-far, making the memoization sound for
-    pattern collection).  Scheme sweeps keep no base database: the
-    only payloads they read back are their checkpoints, sealed by
-    {!Patterns_search.Checkpoint}. *)
+    pattern collection).  What a sweep or realization stores for a
+    later run is its per-root memo ({!Patterns_search.Search.memo}):
+    one sealed fact per input vector (["scheme_vec2"]) or per
+    realization (["realize"]). *)
 
 open Patterns_sim
 
@@ -69,7 +70,7 @@ module Make (P : Protocol.S) : sig
     ?jobs:int ->
     ?par_mode:Patterns_search.Search.par_mode ->
     ?spill:Patterns_search.Search.spill ->
-    ?checkpoint:Patterns_search.Checkpoint.spec ->
+    ?base:Patterns_db.Db.t ->
     n:int ->
     unit ->
     Pattern.Set.t * stats
@@ -78,20 +79,17 @@ module Make (P : Protocol.S) : sig
       Stats are summed in vector order.  Parallelism is intra-root: under
       the default async driver each vector's search is spread across
       [jobs] domains; an exhaustive sweep gives the same scheme and
-      stats for every [jobs] and [par_mode].  [deadline] bounds the whole
+      stats for every [jobs] and [par_mode].  [max_configs] (default
+      1_000_000) is each vector's budget; [deadline] bounds the whole
       sweep (each vector's search receives the time remaining);
       [max_live] bounds each vector's search separately.  [spill]
       swaps each root's visited store for the disk-backed spill store
       (bit-identical results; see {!Patterns_search.Search.spill}).
-      [checkpoint] records each completed input vector's payload at
-      vector-index granularity; a resumed sweep replays recorded
-      vectors from the file and recomputes only the rest, yielding
-      the identical scheme, stats and metrics as an uninterrupted run
-      (deadline-truncated vectors are never recorded — resuming them
-      would bake a wall-clock-dependent result into a deterministic
-      sweep).  Raises [Failure] when resuming against a file whose
-      header (protocol, n, budgets, driver family, spill budget)
-      differs. *)
+      [base] is the per-root memo ({!Patterns_search.Search.memo},
+      kind ["scheme_vec2"], keyed by protocol, n, driver and vector):
+      a vector recorded there is not searched again, and one searched
+      is recorded, so the scheme and stats are those of a run without
+      it; only the metrics differ. *)
 
   val realize :
     ?metrics:Patterns_search.Metrics.t ref ->
@@ -101,7 +99,7 @@ module Make (P : Protocol.S) : sig
     ?deadline:float ->
     ?max_live:int ->
     ?spill:Patterns_search.Search.spill ->
-    ?checkpoint:Patterns_search.Checkpoint.spec ->
+    ?base:Patterns_db.Db.t ->
     n:int ->
     inputs:bool list ->
     target:Pattern.t ->
@@ -117,9 +115,9 @@ module Make (P : Protocol.S) : sig
       unchanged but the witness is schedule-dependent and need not be
       shortest.  {!Truncated} is distinct from {!Unrealizable}: an
       answer cut short by [max_configs] is not evidence of
-      unrealizability.  [spill] and [checkpoint] behave as in
-      {!scheme} (a realization is a single root, recorded at index 0;
-      the target and inputs key the checkpoint header). *)
+      unrealizability.  [spill] and [base] behave as in {!scheme}: a
+      realization is a single root, recorded under the kind
+      ["realize"] and keyed by a digest of the inputs and target. *)
 end
 
 val subscheme : Pattern.Set.t -> Pattern.Set.t -> bool

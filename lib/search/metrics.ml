@@ -257,7 +257,7 @@ let merge a b =
    after "spill_write_bytes", then the incremental-derivation counters
    "prefix_hits", "prefix_states_saved", "delta_seeds",
    "delta_reused_edges" (deterministic; all 0 unless a memoized
-   systematic hunt or a --base-db reuse ran);
+   systematic hunt ran or a root was answered from the memo);
    schema /9 appends the fault-injection counters "drops_injected",
    "omission_plans", "mobile_faults" (deterministic and jobs-invariant
    on full sweeps, overshooting with [jobs] on goal-found hunts like

@@ -146,8 +146,9 @@ type t = {
       (** engine steps skipped by prefix resumption, summed over
           prefix hits (/8 section) *)
   delta_reused_edges : int;
-      (** successor derivations answered wholesale from base facts
-          instead of being re-derived (/8 section) *)
+      (** successor derivations of the roots answered from the
+          per-root memo ({!Search.memo}) instead of being re-derived
+          (/8 section) *)
   drops_injected : int;
       (** messages silently discarded by injected omission faults
           (receive drops and send omissions), summed over evaluated

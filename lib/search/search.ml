@@ -485,6 +485,82 @@ module Make (P : Problem) = struct
         ~idle_seconds:(fsum idle) () )
 end
 
+(* ----- the per-root memo ----- *)
+
+(* One sealed fact per finished root in an execution database.  The
+   key names the answer-relevant parameters and the root; a root
+   whose answer does not depend on its budget — it ran to completion
+   with no live-state limit set — is keyed without budgets and reused
+   whenever its recorded size fits the budget asked for, since a
+   search given at least that many states takes the same course.
+   Every other root is keyed with its budget and live-state limit.  A
+   root cut short by the deadline is never recorded: where the wall
+   clock stopped it is not a property of the root.  A fact that does
+   not unseal is a miss, so its root is recomputed and the fact
+   overwritten. *)
+type 'r memo = {
+  base : Patterns_db.Db.t;
+  kind : string;
+  params : string;
+  key : 'r -> string;
+  budget : int;
+  max_live : int option;
+}
+
+(* What a fact holds: the root's payload and what a reuse reports in
+   its place — the states the root expanded (its budget), the
+   successors it derived, and the guard that stopped it, if any. *)
+type 'p entry = {
+  size : int;
+  derivations : int;
+  outcome : Metrics.outcome_kind;
+  live_limit_hits : int;
+  payload : 'p;
+}
+
+let budget_free memo r = Printf.sprintf "%s|%s" memo.params (memo.key r)
+
+let budgeted memo r =
+  Printf.sprintf "%s|budget=%d|ml=%s|%s" memo.params memo.budget
+    (match memo.max_live with None -> "-" | Some l -> string_of_int l)
+    (memo.key r)
+
+let memo_find memo r =
+  let get key = (Patterns_db.Db.get_sealed memo.base ~kind:memo.kind ~key : _ entry option) in
+  let hit =
+    match if memo.max_live = None then get (budget_free memo r) else None with
+    | Some e when e.size <= memo.budget -> Some e
+    | _ -> get (budgeted memo r)
+  in
+  Option.map
+    (fun e ->
+      ( e.payload,
+        Metrics.with_incremental ~delta_reused_edges:e.derivations
+          {
+            Metrics.zero with
+            outcome = e.outcome;
+            truncated_roots = (if e.outcome = Metrics.Truncated then 1 else 0);
+            live_limit_hits = e.live_limit_hits;
+          } ))
+    hit
+
+(* A kernel search derives one successor per claim but the root's,
+   and one per pruned successor; an index scan claims nothing. *)
+let memo_record memo r (payload, (m : Metrics.t)) =
+  if m.deadline_hits = 0 then
+    let key =
+      if memo.max_live = None && m.outcome <> Metrics.Truncated then budget_free memo r
+      else budgeted memo r
+    in
+    Patterns_db.Db.put_sealed memo.base ~kind:memo.kind ~key
+      {
+        size = m.states_expanded;
+        derivations = max 0 (m.fingerprint_probes - 1) + m.pruned;
+        outcome = m.outcome;
+        live_limit_hits = m.live_limit_hits;
+        payload;
+      }
+
 (* ----- the per-root sweep ----- *)
 
 (* Every answer is a fold over independent roots (input vectors)
@@ -494,31 +570,21 @@ end
    not supported).  [deadline] bounds the whole sweep: each root
    receives the time remaining when its turn comes, and a root
    starting past the deadline gets a zero allowance and truncates
-   immediately.  Checkpoint granularity is the root: a replayed root
-   costs nothing, a fresh one is recorded unless a deadline cut it
-   short — deadline truncation is wall-clock-dependent, and recording
-   it would bake that into a resumed sweep, so such roots re-run
-   instead. *)
-let sweep ?metrics ?deadline ?checkpoint ~jobs par_mode ~root ~merge init roots =
+   immediately.  With a memo, each root is looked up before it is
+   searched and recorded after. *)
+let sweep ?metrics ?deadline ?memo ~jobs par_mode ~root ~merge init roots =
   let t_end = Option.map (fun d -> now () +. d) deadline in
   let remaining () = Option.map (fun te -> Float.max 0. (te -. now ())) t_end in
-  let ckpt =
-    Option.map
-      (fun (spec, header) ->
-        match Checkpoint.create spec ~header with Ok t -> t | Error e -> failwith e)
-      checkpoint
-  in
   let acc, m =
     with_pool ~jobs par_mode (fun pool ->
         List.fold_left
           (fun (acc, ms) (i, r) ->
             let payload, m =
-              match Option.bind ckpt (fun t -> Checkpoint.find t i) with
-              | Some recorded -> recorded
+              match Option.bind memo (fun memo -> memo_find memo r) with
+              | Some reused -> reused
               | None ->
-                let ((_, m) as fresh) = root pool ~deadline:(remaining ()) r in
-                if m.Metrics.deadline_hits = 0 then
-                  Option.iter (fun t -> Checkpoint.record t i fresh) ckpt;
+                let fresh = root pool ~deadline:(remaining ()) r in
+                Option.iter (fun memo -> memo_record memo r fresh) memo;
                 fresh
             in
             (merge acc payload, Metrics.merge ms (Metrics.with_root_index i m)))
@@ -546,11 +612,10 @@ let sweep ?metrics ?deadline ?checkpoint ~jobs par_mode ~root ~merge init roots 
    exactly once ([Error max_index]); a deadline truncation stops
    mid-stride and reports the wall-clock-dependent count tried.
 
-   [?start] (default 1) begins the scan at a later index — the hook
-   checkpoint resume uses to skip indices a previous process already
-   cleared; [start..max_index] is scanned with the same stride
-   discipline, so (winner, tried count) over a window is identical to
-   the same window of a full scan. *)
+   [?start] (default 1) begins the scan at a later index, so a hunt
+   can sweep its index space chunk by chunk; [start..max_index] is
+   scanned with the same stride discipline, so (winner, tried count)
+   over a window is identical to the same window of a full scan. *)
 let find_first ?metrics ~jobs ?deadline ?(start = 1) ~max_index ~f () =
   Domain_pool.with_pool ~jobs (fun pool ->
       let workers = Domain_pool.jobs pool in

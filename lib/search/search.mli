@@ -70,12 +70,11 @@ val truncated : 'a outcome -> bool
 type par_mode = Layers | Async
 
 val par_mode_string : par_mode -> string
-(** The driver's token in the keys of stored results (checkpoint
-    headers, classification facts): ["layers2"] and ["async"].
-    [Layers] reads ["layers2"] since its order within a layer became
-    the generation order: a truncation set, realize witness or kept
-    representative stored under the older grouped order is refused or
-    recomputed, never reused. *)
+(** The driver's token in the keys of the per-root memo ({!memo}):
+    ["layers2"] and ["async"].  [Layers] reads ["layers2"] since its
+    order within a layer became the generation order: a truncation
+    set, realize witness or kept representative stored under the
+    older grouped order is recomputed, never reused. *)
 
 val with_pool :
   jobs:int -> par_mode -> (Patterns_stdx.Domain_pool.t -> 'a) -> 'a
@@ -229,10 +228,48 @@ module Make (P : Problem) : sig
       required. *)
 end
 
+(** The per-root memo: sealed facts in an execution database, one per
+    finished root, which {!sweep} consults before searching a root and
+    records after.  A fact seals the root's payload with its size
+    (states expanded), its successor derivations, its outcome and its
+    live-limit hit; [kind] names the payload type, so a payload change
+    takes a new kind.  [params] names every parameter the answer
+    depends on — protocol, n, rule, fault bound, notice discipline,
+    driver — and [key] the root; [budget] is the per-root state budget
+    and [max_live] the live-state limit.
+
+    - A root that ran to completion (exhausted, or a goal found) in a
+      run without a live-state limit is keyed without budgets, and
+      reused whenever its recorded size fits [budget].
+    - Every other root is keyed with [budget] and [max_live].
+    - A root cut short by the deadline is never recorded.
+
+    A reused root reports no kernel work: its metrics are zero but for
+    the successor derivations it skips, in [delta_reused_edges], and
+    its outcome and live-limit hit.  A fact that does not unseal is a
+    miss: the root is searched again and the fact overwritten.  The
+    spill budget and [--jobs] are not in the key: neither changes a
+    payload. *)
+type 'r memo = {
+  base : Patterns_db.Db.t;
+  kind : string;
+  params : string;
+  key : 'r -> string;
+  budget : int;
+  max_live : int option;
+}
+
+val memo_find : 'r memo -> 'r -> ('p * Metrics.t) option
+(** A recorded root's payload and the metrics a reuse reports. *)
+
+val memo_record : 'r memo -> 'r -> 'p * Metrics.t -> unit
+(** Record a freshly searched root's payload under the key its metrics
+    call for; nothing when they carry a deadline hit. *)
+
 val sweep :
   ?metrics:Metrics.t ref ->
   ?deadline:float ->
-  ?checkpoint:Checkpoint.spec * string ->
+  ?memo:'r memo ->
   jobs:int ->
   par_mode ->
   root:(Patterns_stdx.Domain_pool.t -> deadline:float option -> 'r -> 'p * Metrics.t) ->
@@ -248,12 +285,10 @@ val sweep :
     tagged with the root's index ({!Metrics.with_root_index}), merged
     in root order and accumulated into [metrics].  [deadline] bounds
     the whole sweep: each root receives the time remaining when its
-    turn comes.  [checkpoint] is a spec and the client's header
-    string ({!Checkpoint.create}; a refused file raises [Failure]): a
-    root recorded there is replayed, payload and metrics, without
-    calling [root], and a freshly searched root is recorded unless its
-    metrics carry a deadline hit — deadline truncation is
-    wall-clock-dependent, so such roots re-run on resume instead. *)
+    turn comes.  With [memo], a root found there is not searched
+    ({!memo_find}) and a searched one is recorded ({!memo_record}), so
+    the answer is the same as without it and only the metrics
+    differ. *)
 
 val find_first :
   ?metrics:Metrics.t ref ->
@@ -265,9 +300,9 @@ val find_first :
   unit ->
   ('a, int) result
 (** Strided goal search over the index space [start..max_index]
-    ([start] defaults to 1; checkpoint resume uses it to skip indices
-    a previous process already cleared — the (winner, tried) result
-    over a window is identical to the same window of a full scan):
+    ([start] defaults to 1; a hunt scans its index space chunk by
+    chunk with it — the (winner, tried) result over a window is
+    identical to the same window of a full scan):
     worker [w] of [jobs] owns the stride [start+w, start+w+jobs, …]
     and scans it as one long-lived task — zero shared mutable state beyond a CAS-min
     cell holding the smallest goal index found, so independent

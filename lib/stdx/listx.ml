@@ -79,3 +79,5 @@ let rec permutations = function
            let rest = List.filteri (fun j _ -> j <> i) l in
            List.map (fun p -> x :: p) (permutations rest))
          l)
+
+let bits v = String.concat "" (List.map (fun b -> if b then "1" else "0") v)

@@ -36,3 +36,6 @@ val interleavings : 'a list list -> 'a list list
 
 val permutations : 'a list -> 'a list list
 (** All permutations.  Factorial; for tests. *)
+
+val bits : bool list -> string
+(** A bit vector as ["0"]/["1"] characters, first element first. *)

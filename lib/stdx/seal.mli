@@ -3,8 +3,8 @@
     Unmarshalling bytes that were truncated, flipped, written for
     another type or by another compiler is undefined behaviour — it
     may crash the process or return garbage.  Every [Marshal] payload
-    this repository stores on disk (checkpoints, base-db facts)
-    therefore travels sealed: four text lines — the marker
+    this repository stores on disk (the per-root memo's facts, replay
+    verdicts) therefore travels sealed: four text lines — the marker
     [patterns-seal/1], the payload kind, [Sys.ocaml_version] and the
     hex MD5 of the body — then the [Marshal] body.  {!unseal} checks
     all four before unmarshalling, so damage comes back as an

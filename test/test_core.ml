@@ -470,6 +470,77 @@ let test_lattice () =
              (Taxonomy.short_name v.Lattice.link.Lattice.b)))
     verified
 
+(* ----- termination checked as liveness -----
+
+   "No undecided terminal configuration" speaks for every execution
+   only if every maximal execution ends in a terminal configuration:
+   only if the explored graph has no cycle.  Each protocol's check
+   graph is recorded through [Classify.classify ~db] and tested with
+   Kahn's algorithm — remove nodes of in-degree zero until none is
+   left; a cycle is whatever remains.  Exhaustive at n=3 where that is
+   cheap (d2pc's 637 507 edges the largest), truncated at 5 000
+   configurations for every other protocol, and the termination
+   protocol's 1.02 M-edge graph is the slow case. *)
+
+let acyclic edges =
+  let succs = Hashtbl.create 4096 and indegree = Hashtbl.create 4096 in
+  let bump node k =
+    Hashtbl.replace indegree node (k + Option.value (Hashtbl.find_opt indegree node) ~default:0)
+  in
+  List.iter
+    (fun (src, _, dst) ->
+      Hashtbl.add succs src dst;
+      bump src 0;
+      bump dst 1)
+    edges;
+  let ready = Queue.create () in
+  Hashtbl.iter (fun node k -> if k = 0 then Queue.add node ready) indegree;
+  let removed = ref 0 in
+  while not (Queue.is_empty ready) do
+    let node = Queue.pop ready in
+    incr removed;
+    List.iter
+      (fun dst ->
+        bump dst (-1);
+        if Hashtbl.find indegree dst = 0 then Queue.add dst ready)
+      (Hashtbl.find_all succs node)
+  done;
+  !removed = Hashtbl.length indegree
+
+let graph_acyclic ?max_configs name =
+  let entry = Option.get (Patterns_protocols.Registry.find name) in
+  let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
+  let n = if P.valid_n 3 then 3 else entry.Patterns_protocols.Registry.default_n in
+  let db = Patterns_db.Db.create () in
+  let v =
+    Classify.classify ~db ?max_configs ~rule:(rule_of_registry entry) ~n
+      entry.Patterns_protocols.Registry.protocol
+  in
+  let edges = Patterns_db.Db.edges db () in
+  if max_configs = None then
+    Alcotest.(check bool) (name ^ ": exhaustive") false v.Classify.truncated;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s n=%d: %d edges, no cycle" name n (List.length edges))
+    true
+    (edges <> [] && acyclic edges)
+
+let exhaustive_n3 =
+  [ "fig3-chain"; "fig3-chain-st"; "fig2-central"; "coop-2pc"; "2pc"; "d2pc"; "reliable-broadcast" ]
+
+let test_graphs_acyclic () =
+  Alcotest.(check bool) "a self-loop is a cycle" false (acyclic [ (1, "#0", 1) ]);
+  Alcotest.(check bool) "so is a detour back" false
+    (acyclic [ (1, "#0", 2); (2, "#0", 3); (3, "#1", 2) ]);
+  List.iter (fun name -> graph_acyclic name) exhaustive_n3;
+  List.iter
+    (fun entry ->
+      let name = entry.Patterns_protocols.Registry.name in
+      if not (List.mem name ("termination" :: exhaustive_n3)) then
+        graph_acyclic ~max_configs:5_000 name)
+    Patterns_protocols.Registry.all
+
+let test_termination_graph_acyclic () = graph_acyclic "termination"
+
 let () =
   Alcotest.run "core"
     [
@@ -521,5 +592,10 @@ let () =
           Alcotest.test_case "corollary 11" `Slow test_corollary11;
           Alcotest.test_case "theorem 7" `Quick test_theorem7;
           Alcotest.test_case "lattice" `Slow test_lattice;
+        ] );
+      ( "liveness",
+        [
+          Alcotest.test_case "check graphs acyclic" `Quick test_graphs_acyclic;
+          Alcotest.test_case "termination graph acyclic" `Slow test_termination_graph_acyclic;
         ] );
     ]

@@ -281,6 +281,63 @@ let test_db_v1_refused () =
         in
         Alcotest.(check bool) ("error names the schema: " ^ e) true (has 0))
 
+(* A /3 stream ends with the number of records before it and their
+   digest.  A copy cut at a record boundary, or with one digit changed
+   inside a record, still parses line by line, so without the end
+   record it would load silently short or wrong; with it, it is
+   refused with an error naming the file. *)
+let saved_db_lines () =
+  let db = Db.create () in
+  Db.add_edge db ~src:10 ~event:"alpha" ~dst:20;
+  Db.add_edge db ~src:20 ~event:"beta" ~dst:30;
+  Db.put_fact db ~kind:"cert" ~key:"k1" (Json.Obj [ ("crashes", Json.List [ Json.Int 1 ]) ]);
+  let file = Filename.temp_file "patterns-db" ".json" in
+  Db.save db file;
+  let lines =
+    In_channel.with_open_bin file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  (file, lines)
+
+let write_lines file lines =
+  Out_channel.with_open_bin file (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+
+let refused_naming file = function
+  | Ok _ -> Alcotest.fail "a damaged database was loaded"
+  | Error e ->
+    Alcotest.(check bool) ("error names the file: " ^ e) true (String.starts_with ~prefix:file e)
+
+let test_db_cut_at_record_boundary () =
+  let file, lines = saved_db_lines () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      (* every cut after the schema marker and before the end record's
+         line ends, down to the file without its end record alone *)
+      List.iteri
+        (fun k _ ->
+          if k >= 1 then begin
+            write_lines file (List.filteri (fun i _ -> i < k) lines);
+            refused_naming file (Db.load file)
+          end)
+        lines)
+
+let test_db_flipped_digit () =
+  let file, lines = saved_db_lines () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      (* the first config fingerprint, 10, read back as 11: a well-formed
+         record for an edge that was never recorded *)
+      let flipped =
+        List.map (fun l -> if l = {|{"c":10}|} then {|{"c":11}|} else l) lines
+      in
+      Alcotest.(check bool) "one record changed" true (flipped <> lines);
+      write_lines file flipped;
+      refused_naming file (Db.load file))
+
 let test_db_load_missing_and_malformed () =
   (match Db.load "/nonexistent/patterns-db.json" with
   | Ok db -> check Alcotest.int "missing file is empty" 0 (Db.stats db).Db.edges
@@ -501,6 +558,9 @@ let () =
           Alcotest.test_case "edge-db /1 refused" `Quick test_db_v1_refused;
           Alcotest.test_case "missing and malformed files" `Quick
             test_db_load_missing_and_malformed;
+          Alcotest.test_case "cut at a record boundary" `Quick
+            test_db_cut_at_record_boundary;
+          Alcotest.test_case "flipped digit refused" `Quick test_db_flipped_digit;
         ] );
       ("db properties", List.map QCheck_alcotest.to_alcotest db_oracle_qcheck_tests);
       ("registry oracle", [ QCheck_alcotest.to_alcotest registry_oracle_test ]);

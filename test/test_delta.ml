@@ -1,7 +1,7 @@
-(* The incremental layer's single contract: answers computed through a
-   base database — wholesale per-vector reuse, memoized failure-free
-   prefixes in the systematic hunt — are bit-identical to the
-   from-scratch answers under the same driver, across the whole
+(* The incremental layer's single contract: answers computed through
+   the per-root memo — wholesale per-root reuse — or through memoized
+   failure-free prefixes in the systematic hunt are bit-identical to
+   the from-scratch answers under the same driver, across the whole
    protocol registry, every jobs value and both drivers.  These tests
    pin that contract, plus the determinism of the /8 counters and the
    inertness of [memo] on the random adversary's PRNG stream. *)
@@ -35,13 +35,14 @@ let check_verdict name (a : Classify.verdict) (b : Classify.verdict) =
 
 (* ----- registry-wide reuse oracle -----
 
-   For every protocol: classify at max_failures 0 and 1 storing
-   per-vector facts into a fresh base, then again through the same
-   base (wholesale reuse wherever the vector completed untruncated,
-   fresh runs elsewhere), and compare every verdict against the
-   from-scratch runs.  The budget cap keeps the big fixed-n protocols
-   bounded; truncated vectors exercise the fresh path of the same
-   oracle.  The serial driver pins the truncation points. *)
+   For every protocol: classify at max_failures 0 and 1 recording
+   per-vector facts into a fresh memo, then again through the same
+   memo (every vector reused: untruncated ones by the budget-free key,
+   truncated ones by the budgeted one), and compare every verdict
+   against the from-scratch runs.  A memo holding only the first half
+   of the vectors, as a run killed halfway leaves it, must answer the
+   same.  The budget cap keeps the big fixed-n protocols bounded.  The
+   serial driver pins the truncation points. *)
 
 let test_registry_reuse () =
   List.iter
@@ -57,10 +58,12 @@ let test_registry_reuse () =
       let rule = rule_of_registry entry in
       let max_configs = 20_000 in
       let par_mode = Patterns_search.Search.Layers in
-      let classify ?base mf =
-        Classify.classify ?base ~max_failures:mf ~max_configs ~par_mode ~rule ~n
-          entry.Patterns_protocols.Registry.protocol
+      let classify ?base ?inputs_choices mf =
+        Classify.classify ?base ?inputs_choices ~max_failures:mf ~max_configs ~par_mode ~rule
+          ~n entry.Patterns_protocols.Registry.protocol
       in
+      let all = Listx.all_bool_vectors n in
+      let half = List.filteri (fun i _ -> i < List.length all / 2) all in
       let base = Db.create () in
       List.iter
         (fun mf ->
@@ -68,8 +71,48 @@ let test_registry_reuse () =
           check_verdict (Printf.sprintf "%s mf=%d through base" P.name mf) scratch
             (classify ~base mf);
           check_verdict (Printf.sprintf "%s mf=%d reused" P.name mf) scratch
-            (classify ~base mf))
+            (classify ~base mf);
+          let killed = Db.create () in
+          ignore (classify ~base:killed ~inputs_choices:half mf : Classify.verdict);
+          check_verdict (Printf.sprintf "%s mf=%d resumed" P.name mf) scratch
+            (classify ~base:killed mf))
         [ 0; 1 ])
+    Patterns_protocols.Registry.all
+
+(* The same oracle for pattern schemes: a scheme through a fresh memo,
+   a fully reused one and a half-filled one is the from-scratch
+   scheme, with the same stats. *)
+let test_scheme_registry_reuse () =
+  List.iter
+    (fun entry ->
+      let (module P : Patterns_sim.Protocol.S) =
+        entry.Patterns_protocols.Registry.protocol
+      in
+      let module S = Patterns_pattern.Scheme.Make (P) in
+      let n =
+        if entry.Patterns_protocols.Registry.fixed_n then
+          entry.Patterns_protocols.Registry.default_n
+        else min entry.Patterns_protocols.Registry.default_n 3
+      in
+      let scheme ?base () =
+        S.scheme ?base ~max_configs:2_000 ~par_mode:Patterns_search.Search.Layers ~n ()
+      in
+      let pats, stats = scheme () in
+      let same name (pats', stats') =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s" P.name name)
+          true
+          (Patterns_pattern.Pattern.Set.equal pats pats' && stats = stats')
+      in
+      let base = Db.create () in
+      same "through a fresh memo" (scheme ~base ());
+      same "reused" (scheme ~base ());
+      (* half the vectors' facts damaged: a run killed halfway *)
+      List.iteri
+        (fun i (key, _) ->
+          if i mod 2 = 1 then Db.put_fact base ~kind:"scheme_vec2" ~key Json.Null)
+        (Db.facts base ~kind:"scheme_vec2");
+      same "resumed" (scheme ~base ()))
     Patterns_protocols.Registry.all
 
 (* ----- added input vectors -----
@@ -107,8 +150,10 @@ let test_added_inputs () =
    A stored fact larger than the current per-vector budget must not be
    reused: the incremental run falls back to a fresh (truncating)
    search and reproduces the from-scratch truncated verdict.  The
-   serial driver pins the truncation order, and writes the base too,
-   so the facts are keyed for it. *)
+   other way round, a vector truncated under a small budget is keyed
+   by that budget, so it answers the same budget again but not a
+   larger one.  The serial driver pins the truncation order, and
+   writes the base too, so the facts are keyed for it. *)
 
 let test_budget_gate () =
   let entry = entry_exn "fig3-chain" in
@@ -126,7 +171,40 @@ let test_budget_gate () =
   in
   let scratch = small None and through_base = small (Some base) in
   Alcotest.(check bool) "small budget truncates" true scratch.Classify.truncated;
-  check_verdict "oversized facts are not reused" scratch through_base
+  check_verdict "oversized facts are not reused" scratch through_base;
+  let truncated = Db.create () in
+  let _small : Classify.verdict = small (Some truncated) in
+  check_verdict "a truncated vector answers its own budget" scratch (small (Some truncated));
+  let full ?base () =
+    Classify.classify ?base ~max_failures:1 ~par_mode ~rule ~n
+      entry.Patterns_protocols.Registry.protocol
+  in
+  check_verdict "but not a larger one" (full ()) (full ~base:truncated ())
+
+(* ----- live-state limit gate -----
+
+   A live-state limit can stop a vector that ran to completion without
+   one, so a run under a limit never answers from the budget-free
+   facts: it gives the from-scratch verdict under the same limit, and
+   records what it sees under keys that name the limit. *)
+
+let test_live_limit_gate () =
+  let entry = entry_exn "fig3-chain" in
+  let rule = rule_of_registry entry in
+  let classify ?base ?max_live () =
+    Classify.classify ?base ?max_live ~max_failures:1
+      ~par_mode:Patterns_search.Search.Layers ~rule ~n:3
+      entry.Patterns_protocols.Registry.protocol
+  in
+  let base = Db.create () in
+  let full = classify ~base () in
+  let limited = classify ~max_live:40 () in
+  Alcotest.(check bool) "the limit truncates" true limited.Classify.truncated;
+  check_verdict "complete facts do not answer a limited run" limited
+    (classify ~base ~max_live:40 ());
+  check_verdict "and the limited run's facts do not answer an unlimited one" full
+    (classify ~base ());
+  check_verdict "but answer the same limit again" limited (classify ~base ~max_live:40 ())
 
 (* ----- jobs and par-mode invariance of the reuse path ----- *)
 
@@ -207,8 +285,8 @@ let test_base_keyed_by_driver () =
    every vector re-explored, and the fresh fact overwrites the damaged
    one. *)
 
-(* the kind Explore seals its per-vector facts under *)
-let vec_kind = "classify_vec2"
+(* the kind Explore's per-root memo seals its per-vector reports under *)
+let vec_kind = "classify_vec3"
 
 let flip_hex_digit h =
   let i = String.length h / 2 in
@@ -254,11 +332,12 @@ let test_unsealable_facts_recomputed () =
     | Json.String h -> Json.String (flip_hex_digit h)
     | _ -> Alcotest.fail "sealed fact is not a string")
 
-(* ----- facts under the retired kind are recomputed -----
+(* ----- facts under a retired kind are recomputed -----
 
    Per-vector facts were sealed as ["classify_vec"] while the
-   accumulator held a persistent state map; the kind changed with the
-   type.  A base holding a fact of the retired kind for one vector
+   accumulator held a persistent state map, and as ["classify_vec2"]
+   while they held the accumulator; the kind changed with the type
+   each time.  A base holding a fact of a retired kind for one vector
    (000 here) must not answer from it, even though it unseals under
    its own kind: that vector alone is explored afresh, the other
    seven are reused, the verdict is the from-scratch one, and the
@@ -324,15 +403,18 @@ let test_hunt_memo_oracle () =
           entry.Patterns_protocols.Registry.default_n
         else min entry.Patterns_protocols.Registry.default_n 3
       in
-      let hunt memo =
-        Patterns_adversary.Hunt.hunt ~memo ~max_failures:2 ~max_runs:1_200
+      let hunt ?base memo =
+        Patterns_adversary.Hunt.hunt ?base ~memo ~max_failures:2 ~max_runs:1_200
           ~mode:Patterns_adversary.Hunt.Systematic ~property:Audit.TC ~rule ~n ~seed:0
           entry
       in
       let a = hunt true and b = hunt false in
-      Alcotest.(check bool)
-        (entry.Patterns_protocols.Registry.name ^ ": memoized ≡ replayed")
-        true (a = b))
+      let name = entry.Patterns_protocols.Registry.name in
+      Alcotest.(check bool) (name ^ ": memoized ≡ replayed") true (a = b);
+      (* and through the per-root memo, fresh then reused *)
+      let base = Db.create () in
+      Alcotest.(check bool) (name ^ ": through a fresh memo") true (a = hunt ~base true);
+      Alcotest.(check bool) (name ^ ": reused") true (a = hunt ~base true))
     Patterns_protocols.Registry.all
 
 let test_hunt_counters_jobs_invariant () =
@@ -420,7 +502,10 @@ let () =
             test_unsealable_facts_recomputed;
           Alcotest.test_case "retired fact kind recomputed" `Quick
             test_retired_kind_recomputed;
+          Alcotest.test_case "live-state limit gate" `Quick test_live_limit_gate;
         ] );
+      ( "scheme",
+        [ Alcotest.test_case "registry reuse oracle" `Slow test_scheme_registry_reuse ] );
       ( "hunt",
         [
           Alcotest.test_case "memo oracle (registry)" `Slow test_hunt_memo_oracle;

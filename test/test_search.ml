@@ -196,39 +196,50 @@ let test_metrics_merge_and_json () =
       "roots"; "truncated_roots" ]
 
 (* The per-root sweep: payloads fold and metrics merge in root order,
-   tagged with the root index; a resumed sweep replays recorded roots
-   without searching them, and a root a deadline cut short is never
-   recorded, so it is searched again.  Under a spent deadline every
-   root receives a zero allowance. *)
+   tagged with the root index.  Through a memo, a recorded root is not
+   searched again and reports no expansions, only the derivations it
+   skips; a root a deadline cut short is never recorded, so it is
+   searched again.  Under a spent deadline every root receives a zero
+   allowance. *)
 let test_sweep () =
-  let file = Filename.temp_file "sweep" ".ckpt" in
+  let memo =
+    {
+      Search.base = Patterns_db.Db.create ();
+      kind = "sweep-test";
+      params = "diamond";
+      key = string_of_int;
+      budget = max_int;
+      max_live = None;
+    }
+  in
   let searched = ref [] in
   let root _pool ~deadline:_ r =
     searched := r :: !searched;
     let _, m = Diamond.run ~root:0 () in
     (r, if r = 2 then { m with Metrics.deadline_hits = 1 } else m)
   in
-  let sweep resume =
+  let sweep () =
     let metrics = ref Metrics.zero in
-    let checkpoint = ({ Checkpoint.file; resume; kill_after = None }, "sweep-test") in
     let acc =
-      Search.sweep ~metrics ~checkpoint ~jobs:1 Search.Layers ~root
+      Search.sweep ~metrics ~memo ~jobs:1 Search.Layers ~root
         ~merge:(fun acc r -> r :: acc) [] [ 0; 1; 2 ]
     in
     (List.rev acc, !metrics)
   in
   let ints = Alcotest.(list int) in
-  let fresh, m = sweep false in
+  let roots m = List.map (fun (s : Metrics.shard) -> s.root) m.Metrics.shards in
+  let fresh, m = sweep () in
   check ints "payloads in root order" [ 0; 1; 2 ] fresh;
-  check ints "root indices" [ 0; 1; 2 ]
-    (List.map (fun (s : Metrics.shard) -> s.root) m.Metrics.shards);
+  check ints "root indices" [ 0; 1; 2 ] (roots m);
   check Alcotest.int "metrics merged" 15 m.Metrics.states_expanded;
+  check Alcotest.int "nothing reused" 0 m.Metrics.delta_reused_edges;
   searched := [];
-  let resumed, m' = sweep true in
+  let resumed, m' = sweep () in
   check ints "resumed payloads" [ 0; 1; 2 ] resumed;
   check ints "only the deadline-cut root searched again" [ 2 ] !searched;
-  check Alcotest.int "resumed metrics" m.Metrics.states_expanded m'.Metrics.states_expanded;
-  Sys.remove file;
+  check ints "only its shard" [ 2 ] (roots m');
+  check Alcotest.int "resumed roots expand nothing" 5 m'.Metrics.states_expanded;
+  check Alcotest.int "their derivations are skipped" 10 m'.Metrics.delta_reused_edges;
   let allowances =
     Search.sweep ~deadline:0.0 ~jobs:1 Search.Async
       ~root:(fun _ ~deadline () -> (deadline, Metrics.zero))

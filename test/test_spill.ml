@@ -4,8 +4,8 @@
    produce.  These tests pin that contract — Block_file codec and
    probe against a sorted-association oracle, Spill_store membership
    against a Hashtbl mirror under adversarial budgets, the kernel
-   drivers against the balanced-tree reference, and checkpoint/resume
-   against an uninterrupted run. *)
+   drivers against the balanced-tree reference, and a run through the
+   per-root memo against one without it. *)
 
 open Patterns_sim
 open Patterns_stdx
@@ -341,141 +341,93 @@ let test_classify_spill_invariant () =
             (Stdlib.compare v1 v = 0))
         [ 1_000; 8_000 ])
 
-(* ----- Checkpoint: record / find / resume / refusal ----- *)
+(* ----- the per-root memo: resumed runs answer as plain ones ----- *)
 
-let test_checkpoint_roundtrip () =
-  with_tmpdir (fun d ->
-      let file = Filename.concat d "ck" in
-      let spec = { Patterns_search.Checkpoint.file; resume = false; kill_after = None } in
-      let t = Result.get_ok (Patterns_search.Checkpoint.create spec ~header:"h|n=3") in
-      Patterns_search.Checkpoint.record t 2 "two";
-      Patterns_search.Checkpoint.record t 0 "zero";
-      Patterns_search.Checkpoint.record t 0 "ignored duplicate";
-      Alcotest.(check int) "completed" 2 (Patterns_search.Checkpoint.completed t);
-      (* a fresh process resumes and sees the same entries *)
-      let spec' = { spec with Patterns_search.Checkpoint.resume = true } in
-      let t' = Result.get_ok (Patterns_search.Checkpoint.create spec' ~header:"h|n=3") in
-      Alcotest.(check (option string)) "entry 0" (Some "zero")
-        (Patterns_search.Checkpoint.find t' 0);
-      Alcotest.(check (option string)) "entry 1" None
-        (Patterns_search.Checkpoint.find t' 1);
-      Alcotest.(check (option string)) "entry 2" (Some "two")
-        (Patterns_search.Checkpoint.find t' 2);
-      (* header mismatch is refused *)
-      (match
-         (Patterns_search.Checkpoint.create spec' ~header:"h|n=4"
-           : (string Patterns_search.Checkpoint.t, string) result)
-       with
-      | Ok _ -> Alcotest.fail "mismatched header accepted"
-      | Error msg ->
-        Alcotest.(check bool) "mismatch named" true (String.length msg > 0));
-      (* a non-checkpoint file is refused *)
-      let junk = Filename.concat d "junk" in
-      let oc = open_out junk in
-      output_string oc "not a checkpoint\n";
-      close_out oc;
-      (match
-         (Patterns_search.Checkpoint.create
-            { Patterns_search.Checkpoint.file = junk; resume = true; kill_after = None }
-            ~header:"h"
-           : (string Patterns_search.Checkpoint.t, string) result)
-       with
-      | Ok _ -> Alcotest.fail "junk file accepted"
-      | Error _ -> ());
-      (* resuming a missing file is a fresh start *)
-      let missing = Filename.concat d "missing" in
-      match
-        (Patterns_search.Checkpoint.create
-           { Patterns_search.Checkpoint.file = missing; resume = true; kill_after = None }
-           ~header:"h"
-          : (string Patterns_search.Checkpoint.t, string) result)
-      with
-      | Ok t -> Alcotest.(check int) "fresh" 0 (Patterns_search.Checkpoint.completed t)
-      | Error msg -> Alcotest.fail msg)
+module Db = Patterns_db.Db
 
-let test_scheme_checkpoint_resume () =
+(* a memo as --resume keeps it: saved to a file and loaded back *)
+let through_file d base =
+  let file = Filename.concat d "memo" in
+  Db.save base file;
+  match Db.load file with Ok db -> db | Error e -> Alcotest.fail e
+
+let test_scheme_memo_resume () =
   with_tmpdir (fun d ->
       let (module P : Protocol.S) = Patterns_protocols.Chain_proto.fig3 in
       let module S = Patterns_pattern.Scheme.Make (P) in
-      let base = S.scheme ~n:3 () in
-      let file = Filename.concat d "ck" in
+      let plain = S.scheme ~n:3 () in
+      let base = Db.create () in
       let fresh_metrics = ref Patterns_search.Metrics.zero in
-      let fresh =
-        S.scheme ~metrics:fresh_metrics
-          ~checkpoint:{ Patterns_search.Checkpoint.file; resume = false; kill_after = None }
-          ~n:3 ()
-      in
-      Alcotest.(check bool) "checkpointed = plain" true (base = fresh);
-      Alcotest.(check bool) "checkpoint written" true (Sys.file_exists file);
-      (* a full resume replays every vector from the file: each root's
-         recorded metrics are merged back verbatim, so the resumed run
-         reports the same counters as the run it replays *)
+      let fresh = S.scheme ~metrics:fresh_metrics ~base ~n:3 () in
+      Alcotest.(check bool) "recorded = plain" true (plain = fresh);
+      Alcotest.(check int) "one fact per vector" 8
+        (List.length (Db.facts base ~kind:"scheme_vec2"));
+      (* a full resume searches nothing: each vector reports only the
+         successor derivations it skips *)
       let metrics = ref Patterns_search.Metrics.zero in
-      let resumed =
-        S.scheme ~metrics
-          ~checkpoint:{ Patterns_search.Checkpoint.file; resume = true; kill_after = None }
-          ~n:3 ()
-      in
-      Alcotest.(check bool) "resumed = plain" true (base = resumed);
-      Alcotest.(check int) "replayed metrics are bit-identical"
-        !fresh_metrics.Patterns_search.Metrics.states_expanded
+      let resumed = S.scheme ~metrics ~base:(through_file d base) ~n:3 () in
+      Alcotest.(check bool) "resumed = plain" true (plain = resumed);
+      Alcotest.(check int) "resumed vectors expand nothing" 0
         !metrics.Patterns_search.Metrics.states_expanded;
-      (* mismatched parameters are refused *)
-      Alcotest.(check bool) "mismatched n refused" true
-        (try
-           ignore
-             (S.scheme
-                ~checkpoint:
-                  { Patterns_search.Checkpoint.file; resume = true; kill_after = None }
-                ~n:2 ());
-           false
-         with Failure _ -> true))
+      Alcotest.(check int) "their derivations are skipped"
+        (!fresh_metrics.Patterns_search.Metrics.fingerprint_probes - 8)
+        !metrics.Patterns_search.Metrics.delta_reused_edges)
 
-let test_hunt_checkpoint_equivalence () =
+(* A memo recorded under other parameters is no error: its facts are
+   keyed by them, so a run at n=2 through an n=3 memo misses, answers
+   as a fresh run, and leaves the memo holding both. *)
+let test_memo_other_n_misses () =
   with_tmpdir (fun d ->
-      (* winner case: the chunked checkpointed hunt returns the same
-         certificate as the one-shot hunt *)
-      let hunt ?checkpoint () =
-        Patterns_adversary.Hunt.hunt ~max_failures:2 ~max_runs:5_000 ?checkpoint
-          ~property:Patterns_core.Audit.TC
-          ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed:1984
-          Patterns_protocols.Registry.(
-            List.find (fun e -> e.name = "2pc") all)
+      let (module P : Protocol.S) = Patterns_protocols.Chain_proto.fig3 in
+      let module S = Patterns_pattern.Scheme.Make (P) in
+      let base = Db.create () in
+      ignore (S.scheme ~base ~n:3 () : Patterns_pattern.Pattern.Set.t * _);
+      let base = through_file d base in
+      let metrics = ref Patterns_search.Metrics.zero in
+      let through = S.scheme ~metrics ~base ~n:2 () in
+      Alcotest.(check bool) "n=2 through an n=3 memo = fresh n=2" true
+        (S.scheme ~n:2 () = through);
+      Alcotest.(check int) "nothing reused" 0 !metrics.Patterns_search.Metrics.delta_reused_edges;
+      Alcotest.(check int) "both recorded" (8 + 4)
+        (List.length (Db.facts base ~kind:"scheme_vec2")))
+
+let test_hunt_memo_chunks () =
+  with_tmpdir (fun d ->
+      let twopc = Patterns_protocols.Registry.(List.find (fun e -> e.name = "2pc") all) in
+      let expanded m = !m.Patterns_search.Metrics.states_expanded in
+      (* the winner case: the chunk holding the violation is recorded
+         with its certificate *)
+      let hunt ?metrics ?base () =
+        Patterns_adversary.Hunt.hunt ?metrics ?base ~max_failures:2 ~max_runs:5_000
+          ~property:Patterns_core.Audit.TC ~rule:Patterns_protocols.Decision_rule.Unanimity
+          ~n:3 ~seed:1984 twopc
       in
       let plain = hunt () in
       Alcotest.(check bool) "hunt finds the 2pc violation" true (Result.is_ok plain);
-      let file = Filename.concat d "hunt-ck" in
-      let fresh =
-        hunt
-          ~checkpoint:{ Patterns_search.Checkpoint.file; resume = false; kill_after = None }
-          ()
-      in
-      Alcotest.(check bool) "checkpointed hunt = plain" true (plain = fresh);
-      (* clean case across a chunk boundary: same tried count, and a
-         resume replays the recorded chunks *)
-      let clean ?checkpoint () =
-        Patterns_adversary.Hunt.hunt ~max_failures:1 ~max_runs:5_000 ?checkpoint
+      let base = Db.create () in
+      Alcotest.(check bool) "recorded hunt = plain" true (plain = hunt ~base ());
+      let metrics = ref Patterns_search.Metrics.zero in
+      Alcotest.(check bool) "resumed hunt = plain" true
+        (plain = hunt ~metrics ~base:(through_file d base) ());
+      Alcotest.(check int) "the winner is not run again" 0 (expanded metrics);
+      (* the clean case across a chunk boundary: 5 000 runs are two
+         chunks, both recorded; a resume runs neither and clears the
+         same count *)
+      let clean ?metrics ?base () =
+        Patterns_adversary.Hunt.hunt ?metrics ?base ~max_failures:1 ~max_runs:5_000
           ~property:Patterns_core.Audit.Agreement
-          ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed:7
-          Patterns_protocols.Registry.(
-            List.find (fun e -> e.name = "2pc") all)
+          ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed:7 twopc
       in
       let plain = clean () in
-      Alcotest.(check bool) "clean hunt exhausts its budget" true
-        (plain = Error 5_000);
-      let file = Filename.concat d "hunt-clean-ck" in
-      let fresh =
-        clean
-          ~checkpoint:{ Patterns_search.Checkpoint.file; resume = false; kill_after = None }
-          ()
-      in
-      Alcotest.(check bool) "checkpointed clean hunt = plain" true (plain = fresh);
-      let resumed =
-        clean
-          ~checkpoint:{ Patterns_search.Checkpoint.file; resume = true; kill_after = None }
-          ()
-      in
-      Alcotest.(check bool) "resumed clean hunt = plain" true (plain = resumed))
+      Alcotest.(check bool) "clean hunt exhausts its budget" true (plain = Error 5_000);
+      let base = Db.create () in
+      Alcotest.(check bool) "recorded clean hunt = plain" true (plain = clean ~base ());
+      Alcotest.(check int) "one fact per chunk" 2
+        (List.length (Db.facts base ~kind:"hunt_chunk"));
+      let metrics = ref Patterns_search.Metrics.zero in
+      Alcotest.(check bool) "resumed clean hunt = plain" true
+        (plain = clean ~metrics ~base:(through_file d base) ());
+      Alcotest.(check int) "no chunk run again" 0 (expanded metrics))
 
 (* ----- qcheck ----- *)
 
@@ -573,12 +525,11 @@ let () =
           Alcotest.test_case "classify spill-invariant" `Quick
             test_classify_spill_invariant;
         ] );
-      ( "checkpoint",
+      ( "memo",
         [
-          Alcotest.test_case "roundtrip and refusal" `Quick test_checkpoint_roundtrip;
-          Alcotest.test_case "scheme resume" `Quick test_scheme_checkpoint_resume;
-          Alcotest.test_case "hunt chunk equivalence" `Quick
-            test_hunt_checkpoint_equivalence;
+          Alcotest.test_case "scheme resume" `Quick test_scheme_memo_resume;
+          Alcotest.test_case "other n is a miss" `Quick test_memo_other_n_misses;
+          Alcotest.test_case "hunt chunk equivalence" `Quick test_hunt_memo_chunks;
         ] );
       ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
