@@ -17,13 +17,12 @@ module Make (P : Protocol.S) = struct
     let compare = P.compare_state
   end)
 
-  (* behaviour-only configurations ([E.init_behavioral]), deduplicated
-     as Explore does *)
+  (* flat behaviour-only configurations, deduplicated as Explore does *)
   module Config = struct
-    type state = E.config
+    type state = E.Flat.t
 
-    let compare = E.compare_behavioral
-    let fingerprint = E.behavioral_fingerprint
+    let compare = E.Flat.compare
+    let fingerprint = E.Flat.fingerprint
   end
 
   module K = Search.Make (Config)
@@ -38,22 +37,23 @@ module Make (P : Protocol.S) = struct
      the other operational processors — two processors sharing a
      state legitimately put that state in its own C(s). *)
   let expand ~n ~max_failures acc c =
-    let ops = List.filter (fun p -> not (E.is_failed c p)) (Proc_id.all ~n) in
+    let ops = List.filter (fun p -> not (E.Flat.is_failed c p)) (Proc_id.all ~n) in
     List.iter
       (fun p ->
         let others =
-          List.filter_map (fun q -> if q = p then None else Some (E.state_of c q)) ops
+          List.filter_map (fun q -> if q = p then None else Some (E.Flat.state_of c q)) ops
           |> State_set.of_list
         in
         acc :=
-          State_map.update (E.state_of c p)
+          State_map.update (E.Flat.state_of c p)
             (fun cs -> Some (Option.fold ~none:others ~some:(State_set.union others) cs))
             !acc)
       ops;
-    let fails = if n - List.length ops < max_failures then E.failure_actions c else [] in
+    let fails = if n - List.length ops < max_failures then E.Flat.failure_actions c else [] in
     List.filter_map
-      (fun a -> match E.apply ~step:0 c a with Ok (c', _) -> Some c' | Error _ -> None)
-      (E.applicable c @ fails)
+      (fun a ->
+        match E.Flat.step c a with E.Flat.Next (c', _) -> Some c' | E.Flat.Refused _ -> None)
+      (E.Flat.applicable c @ fails)
 
   let build ?(max_failures = 1) ?(max_configs = 400_000) ?inputs_choices ~n () =
     let inputs_choices =
@@ -73,7 +73,7 @@ module Make (P : Protocol.S) = struct
     let sets =
       Search.sweep ~metrics ~jobs:1 Search.Layers
         ~root:(fun _ ~deadline:_ inputs ->
-          let _, acc, m = K.run ~budget ~expand ~root:(E.init_behavioral ~n ~inputs) () in
+          let _, acc, m = K.run ~budget ~expand ~root:(E.Flat.init ~n ~inputs) () in
           (!acc, m))
         ~merge:union State_map.empty inputs_choices
     in

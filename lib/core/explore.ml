@@ -197,43 +197,50 @@ module Make (P : Protocol.S) = struct
     | Some (k, _) when k <= key -> ()
     | _ -> o.cells.(cell) <- Some (key, msg)
 
-  (* The first processor holding a decision in [ds], and the first
+  (* Decisions packed 2 bits per processor, the codes
+     {!E.Flat.step} reports: 0 none, 1 commit, 2 abort.  A node's
+     first decisions are one such word, so [n] is at most
+     [max_procs]. *)
+  let max_procs = (Sys.int_size - 1) / 2
+
+  let code_at codes p = (codes lsr (2 * p)) land 3
+  let decision_of_code code = if code = 1 then Decision.Commit else Decision.Abort
+
+  (* The first processor holding a decision in [codes], and the first
      later one holding the other decision, if there is one. *)
-  let first_conflict (ds : Decision.t option array) =
-    let n = Array.length ds in
-    let rec first p =
-      if p = n then None else match ds.(p) with Some d -> Some (p, d) | None -> first (p + 1)
-    in
-    match first 0 with
-    | None -> None
-    | Some (p0, d0) ->
+  let first_conflict ~n codes =
+    let rec first p = if p = n || code_at codes p <> 0 then p else first (p + 1) in
+    let p0 = first 0 in
+    if p0 = n then None
+    else
+      let c0 = code_at codes p0 in
       let rec other p =
         if p = n then None
         else
-          match ds.(p) with
-          | Some d when not (Decision.equal d d0) -> Some (p0, d0, p, d)
-          | Some _ | None -> other (p + 1)
+          let c = code_at codes p in
+          if c <> 0 && c <> c0 then Some (p0, decision_of_code c0, p, decision_of_code c)
+          else other (p + 1)
       in
       other (p0 + 1)
 
   let observe_config o key config decided =
-    let n = E.n_of config in
-    (* operational processors' current decisions, [None] at the failed *)
-    let ops = Array.make n None in
-    let commits = ref 0 and aborts = ref 0 in
+    let n = E.Flat.n_of config in
+    (* operational processors' current decisions, none at the failed *)
+    let ops = ref 0 and commits = ref 0 and aborts = ref 0 in
     for p = 0 to n - 1 do
-      if not (E.is_failed config p) then begin
-        let d = (E.status_of config p).Status.decision in
-        ops.(p) <- d;
-        match d with
-        | Some Decision.Commit -> incr commits
-        | Some Decision.Abort -> incr aborts
+      if not (E.Flat.is_failed config p) then
+        match (E.Flat.status_of config p).Status.decision with
+        | Some Decision.Commit ->
+          ops := !ops lor (1 lsl (2 * p));
+          incr commits
+        | Some Decision.Abort ->
+          ops := !ops lor (2 lsl (2 * p));
+          incr aborts
         | None -> ()
-      end
     done;
     (* interactive consistency at this configuration *)
     if !commits > 0 && !aborts > 0 then begin
-      match first_conflict ops with
+      match first_conflict ~n !ops with
       | Some (p0, d0, p1, d1) ->
         record o key ic_cell
           (Format.asprintf "operational %a in %a while %a in %a" Proc_id.pp p0 Decision.pp d0
@@ -241,7 +248,7 @@ module Make (P : Protocol.S) = struct
       | None -> ()
     end;
     (* total consistency over first decisions (includes the failed) *)
-    (match first_conflict decided with
+    (match first_conflict ~n decided with
     | Some (p0, d0, p1, d1) ->
       record o key tc_cell
         (Format.asprintf "%a decided %a but %a decided %a" Proc_id.pp p0 Decision.pp d0
@@ -251,35 +258,37 @@ module Make (P : Protocol.S) = struct
        processor co-occurs with a commit (abort) when some other
        operational processor holds one *)
     for p = 0 to n - 1 do
-      if not (E.is_failed config p) then begin
-        let d = ops.(p) in
-        let commit = !commits > (match d with Some Decision.Commit -> 1 | _ -> 0) in
-        let abort = !aborts > (match d with Some Decision.Abort -> 1 | _ -> 0) in
-        let s = E.state_of config p in
+      if not (E.Flat.is_failed config p) then begin
+        let d = code_at !ops p in
+        let commit = !commits > (if d = 1 then 1 else 0) in
+        let abort = !aborts > (if d = 2 then 1 else 0) in
+        let s = E.Flat.state_of config p in
         match State_tbl.find o.tallies s with
         | t ->
           t.commit <- t.commit || commit;
           t.abort <- t.abort || abort;
           t.visits <- t.visits + 1
         | exception Not_found ->
-          State_tbl.add o.tallies s { decision = d; commit; abort; visits = 1 }
+          (* the status's own value, not a rebuilt one: the sealed
+             report marshals it, sharing included *)
+          let decision = (P.status s).Status.decision in
+          State_tbl.add o.tallies s { decision; commit; abort; visits = 1 }
       end
     done
 
   let observe_terminal o key config decided =
     o.terminal <- o.terminal + 1;
-    for p = 0 to E.n_of config - 1 do
-      if not (E.is_failed config p) then begin
-        let status = E.status_of config p in
-        if decided.(p) = None then
+    for p = 0 to E.Flat.n_of config - 1 do
+      if not (E.Flat.is_failed config p) then begin
+        let status = E.Flat.status_of config p in
+        let first = code_at decided p in
+        if first = 0 then
           record o key wt_cell
             (Format.asprintf "terminal configuration with nonfaulty %a undecided:@,%a"
-               Proc_id.pp p E.pp_config config);
-        (match decided.(p) with
-        | Some _ when not (status.Status.amnesic || status.Status.halted) ->
+               Proc_id.pp p E.Flat.pp config);
+        if first <> 0 && not (status.Status.amnesic || status.Status.halted) then
           record o key st_cell
-            (Format.asprintf "nonfaulty %a decided but never forgot or halted" Proc_id.pp p)
-        | _ -> ());
+            (Format.asprintf "nonfaulty %a decided but never forgot or halted" Proc_id.pp p);
         if not status.Status.halted then
           record o key ht_cell (Format.asprintf "nonfaulty %a never halted" Proc_id.pp p)
       end
@@ -290,61 +299,57 @@ module Make (P : Protocol.S) = struct
      same inputs. *)
   type vector = { inputs : bool array; natural : Decision.t }
 
-  (* decision-time checks carried on the trace events of one edge;
-     [failure_before] is whether the expanded node holds a failure *)
-  let observe_events ~rule ~vector ~failure_before o key events decided =
-    List.fold_left
-      (fun decided ev ->
-        match ev with
-        | Trace.Decided { proc; decision; _ } ->
-          if
-            not
-              (Patterns_protocols.Decision_rule.permits rule ~inputs:vector.inputs
-                 ~failure_occurred:failure_before decision)
-          then
-            record o key rule_cell
-              (Format.asprintf "%a's %a not permitted by %a" Proc_id.pp proc Decision.pp
-                 decision Patterns_protocols.Decision_rule.pp rule);
-          if (not failure_before) && not (Decision.equal decision vector.natural) then
-            record o key validity_cell
-              (Format.asprintf "failure-free path: %a decided %a, natural decision differs"
-                 Proc_id.pp proc Decision.pp decision);
-          let decided = Array.copy decided in
-          if decided.(proc) = None then decided.(proc) <- Some decision;
-          decided
-        | _ -> decided)
-      decided events
+  (* decision-time checks on a step that gave processor [p] its first
+     decision [code]; [failure_before] is whether the expanded node
+     holds a failure.  Returns the successor's first decisions. *)
+  let observe_decision ~rule ~vector ~failure_before o key p code decided =
+    let decision = decision_of_code code in
+    if
+      not
+        (Patterns_protocols.Decision_rule.permits rule ~inputs:vector.inputs
+           ~failure_occurred:failure_before decision)
+    then
+      record o key rule_cell
+        (Format.asprintf "%a's %a not permitted by %a" Proc_id.pp p Decision.pp decision
+           Patterns_protocols.Decision_rule.pp rule);
+    if (not failure_before) && not (Decision.equal decision vector.natural) then
+      record o key validity_cell
+        (Format.asprintf "failure-free path: %a decided %a, natural decision differs" Proc_id.pp
+           p Decision.pp decision);
+    if code_at decided p = 0 then decided lor (code lsl (2 * p)) else decided
 
   let failures_in config =
     let k = ref 0 in
-    for p = 0 to E.n_of config - 1 do
-      if E.is_failed config p then incr k
+    for p = 0 to E.Flat.n_of config - 1 do
+      if E.Flat.is_failed config p then incr k
     done;
     !k
 
   module Node = struct
-      (* exploration node: behavioural configuration plus each
+      (* exploration node: flat behavioural configuration plus each
          processor's first decision (amnesia may erase it from the
-         state) *)
-      type state = E.config * Decision.t option array
+         state), packed as [code_at] reads it *)
+      type state = E.Flat.t * int
 
       let compare (c1, d1) (c2, d2) =
-        let c = E.compare_behavioral c1 c2 in
-        if c <> 0 then c else Stdlib.compare d1 d2
+        let c = E.Flat.compare c1 c2 in
+        if c <> 0 then c else Int.compare d1 d2
 
       (* behavioural fingerprint of the configuration, extended with an
-         explicit full fold over the decision array — [Hashtbl.hash]
-         samples only a bounded prefix of arrays and would alias nodes
-         at larger [n] *)
+         explicit fold over the processors' decision codes *)
       let fingerprint (c, d) =
-        Array.fold_left
-          (fun h cell ->
-            Fingerprint.feed h
-              (match cell with None -> 0 | Some Decision.Commit -> 1 | Some Decision.Abort -> 2))
-          (E.behavioral_fingerprint c) d
+        let h = ref (E.Flat.fingerprint c) in
+        for p = 0 to E.Flat.n_of c - 1 do
+          h := Fingerprint.feed !h (code_at d p)
+        done;
+        !h
     end
 
   module K = Patterns_search.Search.Make (Node)
+
+  let actor = function
+    | Action.Send_step p | Action.Fail p -> p
+    | Action.Deliver { at; _ } | Action.Drop { at; _ } -> at
 
   let node_expand ~fifo_notices ~max_failures ~rule ~vector o
       ((config, decided) as node : Node.state) =
@@ -352,26 +357,28 @@ module Make (P : Protocol.S) = struct
        with the node's fingerprint key — the canonical-witness order *)
     let key = Fingerprint.to_int (Node.fingerprint node) in
     observe_config o key config decided;
-    let actions = E.applicable ~fifo_notices config in
+    let actions = E.Flat.applicable ~fifo_notices config in
     if actions = [] then observe_terminal o key config decided;
     let failures = failures_in config in
     let failure_before = failures > 0 in
-    let fail_actions = if failures < max_failures then E.failure_actions config else [] in
-    let succs =
-      List.filter_map
-        (fun a ->
-          match E.apply ~step:0 config a with
-          | Error e ->
-            o.errors <- e :: o.errors;
-            None
-          | Ok (config', events) ->
-            Some (config', observe_events ~rule ~vector ~failure_before o key events decided))
-        (actions @ fail_actions)
+    let successor succs a =
+      match E.Flat.step config a with
+      | E.Flat.Refused e ->
+        o.errors <- e :: o.errors;
+        succs
+      | E.Flat.Next (config', 0) -> (config', decided) :: succs
+      | E.Flat.Next (config', code) ->
+        (config', observe_decision ~rule ~vector ~failure_before o key (actor a) code decided)
+        :: succs
     in
-    (* reversed: the historical stack discipline explored the last
-       applicable action first; truncated counts are pinned to that
-       order by the jobs-invariance tests *)
-    List.rev succs
+    (* consed in action order, applicable actions then failures, so
+       the last action comes out first: the historical stack
+       discipline explored it first, and truncated counts are pinned
+       to that order by the jobs-invariance tests *)
+    let succs = List.fold_left successor [] actions in
+    if failures < max_failures then
+      List.fold_left successor succs (E.Flat.failure_actions config)
+    else succs
 
   (* kernel edge sink: node fingerprints as src/dst, the successor
      ordinal (stringified) as the event descriptor — anonymous
@@ -390,9 +397,9 @@ module Make (P : Protocol.S) = struct
      exactly.  The frontier, visited store and budget live in the
      search kernel; this function only hangs the paper's observations
      on the expansion closure.  Nothing here reads a communication
-     pattern, so the root is a behaviour-only configuration. *)
+     pattern or a trace, so the root is a flat configuration. *)
   let explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n inputs =
-    let root_config = E.init_behavioral ~n ~inputs in
+    let root_config = E.Flat.init ~n ~inputs in
     let vector =
       let inputs = Array.of_list inputs in
       { inputs; natural = Patterns_protocols.Decision_rule.natural_decision rule inputs }
@@ -413,7 +420,7 @@ module Make (P : Protocol.S) = struct
               ~max_failures:options.max_failures ~rule ~vector;
         }
       in
-      let root = (root_config, Array.make n None) in
+      let root = (root_config, 0) in
       match options.par_mode with
       | Patterns_search.Search.Layers ->
         K.run ~budget ?deadline ?max_live:options.max_live ?spill:options.spill ?edges
@@ -422,7 +429,7 @@ module Make (P : Protocol.S) = struct
         K.run_par_async ~pool ~budget ?deadline ?max_live:options.max_live
           ?spill:options.spill ?edges ~expand ~root ()
     in
-    let m = Patterns_search.Metrics.with_intern_bindings (E.intern_bindings root_config) m in
+    let m = Patterns_search.Metrics.with_intern_bindings (E.Flat.intern_bindings root_config) m in
     (o, Patterns_search.Search.truncated outcome, m)
 
   let report_of ~configs ~truncated o =
@@ -503,6 +510,8 @@ module Make (P : Protocol.S) = struct
     }
 
   let explore ?metrics ?options ~rule ~n () =
+    if n > max_procs then
+      invalid_arg (Printf.sprintf "Explore.explore: n = %d exceeds %d processors" n max_procs);
     let options = match options with Some o -> o | None -> default_options ~n in
     let nvec = max 1 (List.length options.inputs_choices) in
     (* even split of the total node budget, so the sharded sweep does

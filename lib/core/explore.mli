@@ -18,12 +18,15 @@
     with it and whether it implies the all-ones input vector — from
     which the safe-state conditions and Corollary 6 are decided.
 
-    None of this reads a communication pattern, so every root is a
-    behaviour-only configuration ({!Engine.Make.init_behavioral}): the
-    sweep pays for no knowledge sets, happens-before edges or triples.
-    The accumulation is per root: input-vector constants are computed
-    once per root, and each worker folds its states into a mutable
-    table that becomes the report's [states], in
+    None of this reads a communication pattern or a trace, so every
+    root is a flat behaviour-only configuration
+    ({!Engine.Make.Flat.init}) stepped by {!Engine.Make.Flat.step}: the
+    sweep pays for no knowledge sets, happens-before edges, triples or
+    trace events.  A node is such a configuration plus each
+    processor's first decision, 2 bits per processor in one [int], so
+    [n] is at most 31.  The accumulation is per root: input-vector
+    constants are computed once per root, and each worker folds its
+    states into a mutable table that becomes the report's [states], in
     [P.compare_state] order.
 
     What a sweep stores for later runs is its per-root memo
@@ -176,7 +179,8 @@ module Make (P : Protocol.S) : sig
       selected by [options.par_mode] ([Async] spreads each vector's
       search across [options.jobs] domains).  The optional sink
       accumulates the kernel's counters
-      ({!Patterns_search.Search.merge_into}). *)
+      ({!Patterns_search.Search.merge_into}).
+      @raise Invalid_argument if [n > 31]. *)
 
   val pp_report : Format.formatter -> report -> unit
 end

@@ -30,18 +30,15 @@ module Make (P : Protocol.S) = struct
        randomized audits, the hunts, replays — pay nothing for dedup
        machinery they never use.  Their edge set and fingerprints are
        computed by full folds on first demand, the fingerprints
-       memoized;
-     - [Behavioral] ([init_behavioral]): the behavioural fingerprint
-       and state interning, and [sent_count], which mints the buffer
-       indices {!compare_behavioral} reads — nothing else.  Knowledge,
-       edges and triples stay empty, the pattern fingerprint is never
-       formed, and the pattern readers raise: behavioural sweeps pay
-       only for what their dedup and observations read. *)
-  type kind = Full | Lazy | Behavioral
+       memoized.
 
-  (* Per-root mutable interning context: every state (and, under
-     [Full], every knowledge/trips set and edge set) constructed under
-     one root is routed through these tables, so structurally equal
+     Searches over behavioural configurations use neither: they run on
+     {!Flat}, below, which keeps only what their dedup reads. *)
+  type kind = Full | Lazy
+
+  (* Per-root mutable interning context: every state and every
+     knowledge/trips set and edge set constructed under one [Full]
+     root is routed through these tables, so structurally equal
      values reached along different schedules are pointer-shared and
      their fingerprints are computed once.  The tables are shared by
      every configuration descended from one root; under the async
@@ -78,7 +75,7 @@ module Make (P : Protocol.S) = struct
        carries; [edge_set] expands it when a reader asks.  A send's
        triple is freshly minted, so each pair occurs exactly once and
        both shapes denote the same set and fold to the same
-       fingerprint.  [Behavioral] keeps neither. *)
+       fingerprint. *)
     edges : Pair_set.t;
     sends : (Triple.t * Triple.t list) list;
     (* commutative fingerprint of the edges alone: the intern key for
@@ -94,9 +91,9 @@ module Make (P : Protocol.S) = struct
     (* behavioral fingerprint (n, inputs, states, failed, buffers) and
        pattern-bookkeeping fingerprint (sent counts, knowledge, edges,
        trips).  Under [Full] both are maintained incrementally by
-       [apply], under [Behavioral] only [bfp]; under [Lazy] both are
-       stale until [ensure_fps] memoizes the full folds on first
-       demand ([fps_valid] says which). *)
+       [apply]; under [Lazy] both are stale until [ensure_fps]
+       memoizes the full folds on first demand ([fps_valid] says
+       which). *)
     mutable bfp : F.t;
     mutable pfp : F.t;
     mutable fps_valid : bool;
@@ -184,10 +181,12 @@ module Make (P : Protocol.S) = struct
      pair gives the very word the [Full] set fold gives *)
   let scratch_efp c =
     match c.ctx.kind with
-    | Full | Behavioral -> Pair_set.fold (fun (a, b) h -> F.combine h (fp_edge a b)) c.edges F.zero
+    | Full -> Pair_set.fold (fun (a, b) h -> F.combine h (fp_edge a b)) c.edges F.zero
     | Lazy -> fold_sends (fun h m1 m2 -> F.combine h (fp_edge m1 m2)) F.zero c
 
-  let init_with kind ~n ~inputs =
+  (* the validated initial local states, shared by [init_with] and
+     {!Flat.init} *)
+  let initial_states ~n ~inputs =
     if not (P.valid_n n) then
       invalid_arg (Printf.sprintf "Engine.init: protocol %s does not support n = %d" P.name n);
     if List.length inputs <> n then
@@ -202,15 +201,19 @@ module Make (P : Protocol.S) = struct
             (Printf.sprintf
                "Engine.init: protocol %s starts p%d outside the initial states z_0/z_1" P.name i))
       states;
+    (inputs, states)
+
+  let init_with kind ~n ~inputs =
+    let inputs, states = initial_states ~n ~inputs in
     let failed = Array.make n false in
     let buffers = Array.make n [] in
-    let eager = kind <> Lazy in
+    let eager = kind = Full in
     let state_fps =
       if eager then Array.init n (fun i -> fp_state_at i (P.hash_state states.(i)))
       else Array.make n F.zero
     in
     (* a table the kind never interns into stays at one slot *)
-    let table_size used = if used then 256 else 1 in
+    let table_size = if eager then 256 else 1 in
     {
       n;
       inputs;
@@ -232,23 +235,15 @@ module Make (P : Protocol.S) = struct
         {
           kind;
           lock = Mutex.create ();
-          sets = Intern.create ~size:(table_size (kind = Full)) ~equal:Triple.Fset.equal ();
+          sets = Intern.create ~size:table_size ~equal:Triple.Fset.equal ();
           states =
-            Intern.create ~size:(table_size eager) ~equal:(fun a b -> P.compare_state a b = 0) ();
-          edge_sets = Intern.create ~size:(table_size (kind = Full)) ~equal:Pair_set.equal ();
+            Intern.create ~size:table_size ~equal:(fun a b -> P.compare_state a b = 0) ();
+          edge_sets = Intern.create ~size:table_size ~equal:Pair_set.equal ();
         };
     }
 
   let init ~n ~inputs = init_with Full ~n ~inputs
   let init_untracked ~n ~inputs = init_with Lazy ~n ~inputs
-  let init_behavioral ~n ~inputs = init_with Behavioral ~n ~inputs
-
-  (* the pattern readers have nothing to read on a behaviour-only
-     configuration *)
-  let require_pattern name c =
-    match c.ctx.kind with
-    | Behavioral -> invalid_arg ("Engine." ^ name ^ ": behaviour-only configuration")
-    | Full | Lazy -> ()
 
   let n_of c = c.n
   let inputs_of c = Array.copy c.inputs
@@ -271,12 +266,10 @@ module Make (P : Protocol.S) = struct
      every call, which only the pattern readers and tests make *)
   let edge_set c =
     match c.ctx.kind with
-    | Full | Behavioral -> c.edges
+    | Full -> c.edges
     | Lazy -> fold_sends (fun acc m1 m2 -> Pair_set.add (m1, m2) acc) Pair_set.empty c
 
-  let pattern_edges c =
-    require_pattern "pattern_edges" c;
-    Pair_set.elements (edge_set c)
+  let pattern_edges c = Pair_set.elements (edge_set c)
 
   (* Lazy fallback for [Lazy] configurations, mirroring [ensure_fps]
      below: the full fold over the sends runs on first demand and
@@ -295,18 +288,11 @@ module Make (P : Protocol.S) = struct
      per root, structurally equal pairs are physically equal — so a
      caller can dedup terminal patterns before paying for
      [Pattern.make] *)
-  let pattern_fp c =
-    require_pattern "pattern_fp" c;
-    F.combine (Triple.Fset.fp c.trips) (ensure_efp c)
+  let pattern_fp c = F.combine (Triple.Fset.fp c.trips) (ensure_efp c)
 
-  let same_pattern_rep a b =
-    require_pattern "same_pattern_rep" a;
-    require_pattern "same_pattern_rep" b;
-    a.trips == b.trips && a.edges == b.edges && a.sends == b.sends
+  let same_pattern_rep a b = a.trips == b.trips && a.edges == b.edges && a.sends == b.sends
 
-  let triples_of c =
-    require_pattern "triples_of" c;
-    Triple.Fset.elements c.trips
+  let triples_of c = Triple.Fset.elements c.trips
 
   let compare_entry a b =
     match (a, b) with
@@ -384,8 +370,6 @@ module Make (P : Protocol.S) = struct
             if c <> 0 then c else compare_arrays compare_buffer a.buffers b.buffers
 
   let compare_config a b =
-    require_pattern "compare_config" a;
-    require_pattern "compare_config" b;
     if a == b then 0
     else
       let c = compare_behavioral a b in
@@ -406,8 +390,8 @@ module Make (P : Protocol.S) = struct
   (* Lazy fallback for [Lazy] configurations: the full folds run on
      the first probe and the result is memoized in place.  [Lazy]
      configurations live inside linear single-domain runs, so the
-     mutation is unshared; the eager kinds are always valid and never
-     mutated here (under [Behavioral], [pfp] is never read). *)
+     mutation is unshared; [Full] configurations are always valid and
+     never mutated here. *)
   let ensure_fps c =
     if not c.fps_valid then begin
       c.bfp <-
@@ -420,7 +404,6 @@ module Make (P : Protocol.S) = struct
     end
 
   let fingerprint c =
-    require_pattern "fingerprint" c;
     ensure_fps c;
     F.combine c.bfp c.pfp
 
@@ -429,7 +412,6 @@ module Make (P : Protocol.S) = struct
     c.bfp
 
   let fingerprint_from_scratch c =
-    require_pattern "fingerprint_from_scratch" c;
     F.combine
       (scratch_bfp ~n:c.n ~inputs:c.inputs ~states:c.states ~failed:c.failed ~buffers:c.buffers)
       (scratch_pfp ~sent_count:c.sent_count ~knowledge:c.knowledge ~efp:(scratch_efp c)
@@ -445,17 +427,23 @@ module Make (P : Protocol.S) = struct
     | Note p -> Format.fprintf ppf "failed(%a)" Proc_id.pp p
     | Data { triple; payload } -> Format.fprintf ppf "%a:%a" Triple.pp triple P.pp_msg payload
 
-  let pp_config ppf c =
+  let pp_entry_sep ppf () = Format.fprintf ppf "; "
+
+  (* one line per processor; [pp_buffer ppf p] prints [p]'s buffer *)
+  let pp_rows ppf ~n ~failed ~states pp_buffer =
     Format.fprintf ppf "@[<v>";
-    for p = 0 to c.n - 1 do
+    for p = 0 to n - 1 do
       Format.fprintf ppf "%a%s: %a  [%a]  buf=[%a]@,"
         Proc_id.pp p
-        (if c.failed.(p) then "(failed)" else "")
-        P.pp_state c.states.(p) Status.pp (P.status c.states.(p))
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp_entry)
-        c.buffers.(p)
+        (if failed.(p) then "(failed)" else "")
+        P.pp_state states.(p) Status.pp (P.status states.(p))
+        pp_buffer p
     done;
     Format.fprintf ppf "@]"
+
+  let pp_config ppf c =
+    pp_rows ppf ~n:c.n ~failed:c.failed ~states:c.states (fun ppf p ->
+        Format.pp_print_list ~pp_sep:pp_entry_sep pp_entry ppf c.buffers.(p))
 
   (* ----- applicability ----- *)
 
@@ -505,40 +493,77 @@ module Make (P : Protocol.S) = struct
       evs := Trace.Halted { step; proc = p } :: !evs;
     List.rev !evs
 
+  (* The refusals [apply] and {!Flat.step} share, word for word.
+     [refusal] is the guard both run before touching a configuration,
+     in the order it is checked; [None] means the action passes it.
+     The helpers are inlined: as calls they slowed the hunts, which
+     step untracked configurations (EXPERIMENTS.md, "the flat
+     step"). *)
+  let out_of_range what p = Some (Printf.sprintf "%s: p%d out of range" what p)
+
+  let[@inline] refusal ~n ~failed ~states = function
+    | Action.Send_step p ->
+      if p < 0 || p >= n then out_of_range "send" p
+      else if failed.(p) then Some (Printf.sprintf "send: p%d has failed" p)
+      else if not (Step_kind.equal (P.step_kind states.(p)) Step_kind.Sending) then
+        Some (Printf.sprintf "send: p%d is not in a sending state" p)
+      else None
+    | Action.Deliver { at; _ } ->
+      if at < 0 || at >= n then out_of_range "deliver" at
+      else if failed.(at) then Some (Printf.sprintf "deliver: p%d has failed" at)
+      else if not (Step_kind.equal (P.step_kind states.(at)) Step_kind.Receiving) then
+        Some (Printf.sprintf "deliver: p%d is not in a receiving state" at)
+      else None
+    | Action.Fail p ->
+      if p < 0 || p >= n then out_of_range "fail" p
+      else if failed.(p) then Some (Printf.sprintf "fail: p%d has already failed" p)
+      else None
+    | Action.Drop { at; _ } -> if at < 0 || at >= n then out_of_range "drop" at else None
+
+  let transition_error p before after =
+    Format.asprintf "protocol %s violated a status invariant at %a: %a -> %a" P.name Proc_id.pp
+      p Status.pp before Status.pp after
+
+  let[@inline] destination_error ~n p dst =
+    if Proc_id.equal dst p then
+      Some (Printf.sprintf "protocol %s: %s tried to send to itself" P.name (Proc_id.to_string p))
+    else if dst < 0 || dst >= n then
+      Some (Printf.sprintf "protocol %s: destination p%d out of range" P.name dst)
+    else None
+
+  let no_entry what p index = Printf.sprintf "%s: no buffer entry #%d at p%d" what index p
+
   let check_transition p before after =
-    if Status.transition_ok before after then Ok ()
-    else
-      Error
-        (Format.asprintf "protocol %s violated a status invariant at %a: %a -> %a" P.name
-           Proc_id.pp p Status.pp before Status.pp after)
+    if Status.transition_ok before after then Ok () else Error (transition_error p before after)
 
   let ( let* ) = Result.bind
 
-  (* No [Fun.protect]: this runs on every interning [apply], and the
-     only code under the lock is the table's own *)
-  let locked c f =
-    Mutex.lock c.ctx.lock;
-    match f () with
+  (* Interns [x] under the root's lock.  No [Fun.protect] and no
+     closure: this runs on every interning step, and the only code
+     under the lock is the table's own. *)
+  let intern_locked lock tbl ~fp x =
+    Mutex.lock lock;
+    match Intern.intern tbl ~fp x with
     | v ->
-      Mutex.unlock c.ctx.lock;
+      Mutex.unlock lock;
       v
     | exception e ->
-      Mutex.unlock c.ctx.lock;
+      Mutex.unlock lock;
       raise e
 
   (* route a freshly built set through the per-root intern table:
      schedules that reassemble the same set share one physical copy *)
   let interned c fs =
     match c.ctx.kind with
-    | Full -> locked c (fun () -> Intern.intern c.ctx.sets ~fp:(Triple.Fset.fp fs) fs)
-    | Lazy | Behavioral -> fs
+    | Full -> intern_locked c.ctx.lock c.ctx.sets ~fp:(Triple.Fset.fp fs) fs
+    | Lazy -> fs
 
   (* Installs [p]'s new local state in [states], a fresh copy of
      [c.states], and returns the matching [state_fps] and [bfp].
-     Under the eager kinds the state is hash-consed: schedules that
-     drive a processor to the same local state share one physical
-     copy, so the physical-equality fast path in [compare_arrays]
-     settles almost every dedup confirmation without calling
+     Under [Full] the state is hash-consed: schedules that drive a
+     processor to the same local state share one physical copy, so
+     the physical-equality fast path in [compare_arrays] settles
+     almost every dedup confirmation without calling
      [P.compare_state].  The intern key reuses the [P.hash_state] word
      the fingerprint update needs anyway. *)
   let install_state c states p state' =
@@ -546,13 +571,13 @@ module Make (P : Protocol.S) = struct
     | Lazy ->
       states.(p) <- state';
       (c.state_fps, F.zero)
-    | Full | Behavioral ->
+    | Full ->
       let h' = P.hash_state state' in
       let word = fp_state_at p h' in
       let state_fps = Array.copy c.state_fps in
       let bfp = F.combine (F.remove c.bfp state_fps.(p)) word in
       state_fps.(p) <- word;
-      states.(p) <- locked c (fun () -> Intern.intern c.ctx.states ~fp:(F.of_int h') state');
+      states.(p) <- intern_locked c.ctx.lock c.ctx.states ~fp:(F.of_int h') state';
       (state_fps, bfp)
 
   (* the knowledge array after [p] sends the freshly minted [triple];
@@ -574,14 +599,12 @@ module Make (P : Protocol.S) = struct
     match outgoing with
     | None ->
       Ok
-        ( { c with states; state_fps; bfp; fps_valid = kind <> Lazy },
+        ( { c with states; state_fps; bfp; fps_valid = kind = Full },
           Trace.Null_step { step; proc = p } :: flips )
-    | Some (dst, payload) ->
-      if Proc_id.equal dst p then
-        Error (Printf.sprintf "protocol %s: %s tried to send to itself" P.name (Proc_id.to_string p))
-      else if dst < 0 || dst >= c.n then
-        Error (Printf.sprintf "protocol %s: destination p%d out of range" P.name dst)
-      else begin
+    | Some (dst, payload) -> (
+      match destination_error ~n:c.n p dst with
+      | Some e -> Error e
+      | None -> (
         let idx = (p * c.n) + dst in
         let sent_count = Array.copy c.sent_count in
         let old_count = sent_count.(idx) in
@@ -590,24 +613,19 @@ module Make (P : Protocol.S) = struct
         let entry = Data { triple; payload } in
         let buffers = Array.copy c.buffers in
         buffers.(dst) <- buffers.(dst) @ [ entry ];
+        let causes = Triple.Fset.elements c.knowledge.(p) in
+        let knowledge = learn c p triple in
         match kind with
-        | Behavioral ->
-          let bfp = F.combine bfp (fp_entry dst entry) in
-          Ok
-            ( { c with states; state_fps; sent_count; buffers; bfp },
-              Trace.Sent { step; triple; payload; causes = [] } :: flips )
         | Full ->
           (* the triple's index was just minted, so every add below is
              a real insertion and contributes to the fingerprint
              exactly once *)
-          let causes = Triple.Fset.elements c.knowledge.(p) in
-          let knowledge = learn c p triple in
           let efp = List.fold_left (fun h m1 -> F.combine h (fp_edge m1 triple)) c.efp causes in
           let edges =
             let edges =
               List.fold_left (fun acc m1 -> Pair_set.add (m1, triple) acc) c.edges causes
             in
-            locked c (fun () -> Intern.intern c.ctx.edge_sets ~fp:efp edges)
+            intern_locked c.ctx.lock c.ctx.edge_sets ~fp:efp edges
           in
           let bfp = F.combine bfp (fp_entry dst entry) in
           let pfp =
@@ -624,20 +642,19 @@ module Make (P : Protocol.S) = struct
           (* no fingerprint upkeep and no edge set: the send joins
              [sends] with the causes its event carries, and the edges
              and both fingerprints are folded from there on demand *)
-          let causes = Triple.Fset.elements c.knowledge.(p) in
-          let knowledge = learn c p triple in
           Ok
             ( { c with states; sent_count; knowledge; sends = (triple, causes) :: c.sends;
                 efp_valid = false; buffers; trips = Triple.Fset.add_new triple c.trips;
                 fps_valid = false },
-              Trace.Sent { step; triple; payload; causes } :: flips )
-      end
+              Trace.Sent { step; triple; payload; causes } :: flips )))
+
+  (* [List.nth_opt] raises on a negative index *)
+  let[@inline] buffered c p index = if index < 0 then None else List.nth_opt c.buffers.(p) index
 
   let apply_deliver ~step c p index =
-    match List.nth_opt c.buffers.(p) index with
-    | None -> Error (Printf.sprintf "deliver: no buffer entry #%d at p%d" index p)
+    match buffered c p index with
+    | None -> Error (no_entry "deliver" p index)
     | Some entry ->
-      let kind = c.ctx.kind in
       let incoming, delivered_event, knowledge, know_delta =
         match entry with
         | Note about ->
@@ -646,16 +663,10 @@ module Make (P : Protocol.S) = struct
             c.knowledge,
             F.zero )
         | Data { triple; payload } ->
-          let knowledge =
-            match kind with
-            | Behavioral -> c.knowledge
-            | Full | Lazy ->
-              let knowledge = Array.copy c.knowledge in
-              (* the triple was sent to [p] exactly once and [p] is not
-                 its sender, so this is a real insertion *)
-              knowledge.(p) <- interned c (Triple.Fset.add_new triple knowledge.(p));
-              knowledge
-          in
+          let knowledge = Array.copy c.knowledge in
+          (* the triple was sent to [p] exactly once and [p] is not its
+             sender, so this is a real insertion *)
+          knowledge.(p) <- interned c (Triple.Fset.add_new triple knowledge.(p));
           ( Incoming.Msg { from = triple.Triple.sender; payload },
             Trace.Delivered_msg { step; triple; payload },
             knowledge,
@@ -668,37 +679,33 @@ module Make (P : Protocol.S) = struct
       let states = Array.copy c.states in
       let state_fps, bfp = install_state c states p state' in
       let bfp, pfp =
-        match kind with
+        match c.ctx.kind with
         | Full -> (F.remove bfp (fp_entry p entry), F.combine c.pfp know_delta)
-        | Behavioral -> (F.remove bfp (fp_entry p entry), F.zero)
         | Lazy -> (F.zero, F.zero)
       in
       let buffers = Array.copy c.buffers in
       buffers.(p) <- List.filteri (fun i _ -> i <> index) buffers.(p);
       let flips = status_events ~step p before after in
       Ok
-        ( { c with states; state_fps; buffers; knowledge; bfp; pfp; fps_valid = kind <> Lazy },
+        ( { c with states; state_fps; buffers; knowledge; bfp; pfp; fps_valid = c.ctx.kind = Full },
           delivered_event :: flips )
 
   let apply_fail ~step c p =
-    if c.failed.(p) then Error (Printf.sprintf "fail: p%d has already failed" p)
-    else begin
-      let eager = c.ctx.kind <> Lazy in
-      let failed = Array.copy c.failed in
-      failed.(p) <- true;
-      let buffers = Array.copy c.buffers in
-      let bfp =
-        List.fold_left
-          (fun h q ->
-            buffers.(q) <- buffers.(q) @ [ Note p ];
-            if eager then F.combine h (fp_entry q (Note p)) else h)
-          (if eager then F.combine c.bfp (fp_failed_at p) else F.zero)
-          (Proc_id.others ~n:c.n p)
-      in
-      Ok
-        ( { c with failed; buffers; bfp; fps_valid = eager },
-          [ Trace.Failed_proc { step; proc = p } ] )
-    end
+    let eager = c.ctx.kind = Full in
+    let failed = Array.copy c.failed in
+    failed.(p) <- true;
+    let buffers = Array.copy c.buffers in
+    let bfp =
+      List.fold_left
+        (fun h q ->
+          buffers.(q) <- buffers.(q) @ [ Note p ];
+          if eager then F.combine h (fp_entry q (Note p)) else h)
+        (if eager then F.combine c.bfp (fp_failed_at p) else F.zero)
+        (Proc_id.others ~n:c.n p)
+    in
+    Ok
+      ( { c with failed; buffers; bfp; fps_valid = eager },
+        [ Trace.Failed_proc { step; proc = p } ] )
 
   (* Receive omission: the entry vanishes from the buffer with no
      other effect — no state change, no knowledge, no notice.  The
@@ -708,11 +715,11 @@ module Make (P : Protocol.S) = struct
      modelling device, not network traffic), and a failed receiver is
      fine: the drop is a network event, not a step of the victim. *)
   let apply_drop ~step c p index =
-    match List.nth_opt c.buffers.(p) index with
-    | None -> Error (Printf.sprintf "drop: no buffer entry #%d at p%d" index p)
+    match buffered c p index with
+    | None -> Error (no_entry "drop" p index)
     | Some (Note _) -> Error (Printf.sprintf "drop: entry #%d at p%d is a failure notice" index p)
     | Some (Data { triple; payload } as entry) ->
-      let eager = c.ctx.kind <> Lazy in
+      let eager = c.ctx.kind = Full in
       let buffers = Array.copy c.buffers in
       buffers.(p) <- List.filteri (fun i _ -> i <> index) buffers.(p);
       let bfp = if eager then F.remove c.bfp (fp_entry p entry) else F.zero in
@@ -721,30 +728,255 @@ module Make (P : Protocol.S) = struct
           [ Trace.Dropped_msg { step; triple; payload } ] )
 
   let apply ~step c action =
-    match action with
-    | Action.Send_step p ->
-      if p < 0 || p >= c.n then Error (Printf.sprintf "send: p%d out of range" p)
-      else if c.failed.(p) then Error (Printf.sprintf "send: p%d has failed" p)
-      else if not (Step_kind.equal (P.step_kind c.states.(p)) Step_kind.Sending) then
-        Error (Printf.sprintf "send: p%d is not in a sending state" p)
-      else apply_send ~step c p
-    | Action.Deliver { at; index } ->
-      if at < 0 || at >= c.n then Error (Printf.sprintf "deliver: p%d out of range" at)
-      else if c.failed.(at) then Error (Printf.sprintf "deliver: p%d has failed" at)
-      else if not (Step_kind.equal (P.step_kind c.states.(at)) Step_kind.Receiving) then
-        Error (Printf.sprintf "deliver: p%d is not in a receiving state" at)
-      else apply_deliver ~step c at index
-    | Action.Fail p ->
-      if p < 0 || p >= c.n then Error (Printf.sprintf "fail: p%d out of range" p)
-      else apply_fail ~step c p
-    | Action.Drop { at; index } ->
-      if at < 0 || at >= c.n then Error (Printf.sprintf "drop: p%d out of range" at)
-      else apply_drop ~step c at index
+    match refusal ~n:c.n ~failed:c.failed ~states:c.states action with
+    | Some e -> Error e
+    | None -> (
+      match action with
+      | Action.Send_step p -> apply_send ~step c p
+      | Action.Deliver { at; index } -> apply_deliver ~step c at index
+      | Action.Fail p -> apply_fail ~step c p
+      | Action.Drop { at; index } -> apply_drop ~step c at index)
 
   let apply_exn ~step c action =
     match apply ~step c action with
     | Ok r -> r
     | Error e -> failwith (Format.asprintf "Engine.apply %a: %s" Action.pp action e)
+
+  (* ----- the flat behaviour-only configuration -----
+
+     Exhaustive searches over behavioural configurations (Explore,
+     the concurrency sets) read local states, failure flags and buffer
+     multisets, and dedup on the behavioural fingerprint.  A [Flat.t]
+     holds exactly that, and its [step] builds nothing else: no trace
+     events, no [result], no list copies of a buffer.  Each field
+     carries the value [config]'s field of the same name would, so the
+     fingerprint words are [config]'s bit for bit (test_fingerprint's
+     flat-step oracle walks both side by side). *)
+  module Flat = struct
+    (* what every configuration under one root shares: its size, its
+       inputs and the state intern table, which several workers probe
+       at once under the async driver *)
+    type root = { n : int; inputs : bool array; lock : Mutex.t; interned : P.state Intern.t }
+
+    type t = {
+      states : P.state array;  (* interned per root, the initial ones aside *)
+      state_fps : F.t array;
+      failed : bool array;
+      buffers : entry array array;  (* per receiver, arrival order *)
+      sent_count : int array;  (* flattened n*n; mints the message indices *)
+      bfp : F.t;
+      root : root;
+    }
+
+    type stepped = Next of t * int | Refused of string
+
+    let init ~n ~inputs =
+      let inputs, states = initial_states ~n ~inputs in
+      let failed = Array.make n false in
+      {
+        states;
+        state_fps = Array.init n (fun i -> fp_state_at i (P.hash_state states.(i)));
+        failed;
+        buffers = Array.make n [||];
+        sent_count = Array.make (n * n) 0;
+        bfp = scratch_bfp ~n ~inputs ~states ~failed ~buffers:(Array.make n []);
+        root =
+          {
+            n;
+            inputs;
+            lock = Mutex.create ();
+            interned = Intern.create ~equal:(fun a b -> P.compare_state a b = 0) ();
+          };
+      }
+
+    let n_of c = c.root.n
+    let state_of c p = c.states.(p)
+    let status_of c p = P.status c.states.(p)
+    let is_failed c p = c.failed.(p)
+    let fingerprint c = c.bfp
+    let intern_bindings c = Intern.bindings c.root.interned
+
+    let pp ppf c =
+      pp_rows ppf ~n:c.root.n ~failed:c.failed ~states:c.states (fun ppf p ->
+          Format.pp_print_array ~pp_sep:pp_entry_sep pp_entry ppf c.buffers.(p))
+
+    (* as [compare_buffer]: the order-sensitive scan first, the sorts
+       only when it disagrees *)
+    let compare_buffer a b =
+      if a == b then 0
+      else if compare_arrays compare_entry a b = 0 then 0
+      else
+        let sorted x =
+          let x = Array.copy x in
+          Array.sort compare_entry x;
+          x
+        in
+        compare_arrays compare_entry (sorted a) (sorted b)
+
+    let compare a b =
+      if a == b then 0
+      else
+        let c = Int.compare a.root.n b.root.n in
+        if c <> 0 then c
+        else
+          let c =
+            if a.root == b.root then 0 else compare_bool_array a.root.inputs b.root.inputs
+          in
+          if c <> 0 then c
+          else
+            let c = compare_arrays P.compare_state a.states b.states in
+            if c <> 0 then c
+            else
+              let c = compare_bool_array a.failed b.failed in
+              if c <> 0 then c else compare_arrays compare_buffer a.buffers b.buffers
+
+    (* Both lists are consed back to front, so they come out in
+       [config]'s order without a reversal. *)
+    let applicable ?(fifo_notices = false) c =
+      let data_from buffer q =
+        Array.exists
+          (function Data { triple; _ } -> Proc_id.equal triple.Triple.sender q | Note _ -> false)
+          buffer
+      in
+      let acc = ref [] in
+      for p = c.root.n - 1 downto 0 do
+        if not c.failed.(p) then
+          match P.step_kind c.states.(p) with
+          | Step_kind.Quiescent -> ()
+          | Step_kind.Sending -> acc := Action.Send_step p :: !acc
+          | Step_kind.Receiving ->
+            let buffer = c.buffers.(p) in
+            for index = Array.length buffer - 1 downto 0 do
+              match buffer.(index) with
+              | Note q when fifo_notices && data_from buffer q -> ()
+              | Data _ | Note _ -> acc := Action.Deliver { at = p; index } :: !acc
+            done
+      done;
+      !acc
+
+    let failure_actions c =
+      let acc = ref [] in
+      for p = c.root.n - 1 downto 0 do
+        if not c.failed.(p) then acc := Action.Fail p :: !acc
+      done;
+      !acc
+
+    let snoc a x =
+      let len = Array.length a in
+      let b = Array.make (len + 1) x in
+      Array.blit a 0 b 0 len;
+      b
+
+    let remove_at a i =
+      let len = Array.length a in
+      if len = 1 then [||]
+      else
+        let b = Array.make (len - 1) a.(0) in
+        Array.blit a 0 b 0 i;
+        Array.blit a (i + 1) b i (len - 1 - i);
+        b
+
+    (* the code of the first decision a step gave its processor, as
+       [apply]'s [Decided] event reports it: 1 commit, 2 abort, 0 none *)
+    let decision_code before after =
+      if before.Status.amnesic then 0
+      else
+        match (before.Status.decision, after.Status.decision) with
+        | None, Some Decision.Commit -> 1
+        | None, Some Decision.Abort -> 2
+        | _ -> 0
+
+    (* the successor with [p] in [state'], interned, on top of the
+       buffers, send counts and fingerprint [bfp] the step produced *)
+    let install c p state' ~buffers ~sent_count ~bfp =
+      let h' = P.hash_state state' in
+      let word = fp_state_at p h' in
+      let states = Array.copy c.states and state_fps = Array.copy c.state_fps in
+      states.(p) <- intern_locked c.root.lock c.root.interned ~fp:(F.of_int h') state';
+      state_fps.(p) <- word;
+      {
+        c with
+        states;
+        state_fps;
+        buffers;
+        sent_count;
+        bfp = F.combine (F.remove bfp c.state_fps.(p)) word;
+      }
+
+    let send c p =
+      let n = c.root.n in
+      let before = P.status c.states.(p) in
+      let outgoing, state' = P.send ~n ~me:p c.states.(p) in
+      let after = P.status state' in
+      if not (Status.transition_ok before after) then Refused (transition_error p before after)
+      else
+        match outgoing with
+        | None ->
+          Next
+            ( install c p state' ~buffers:c.buffers ~sent_count:c.sent_count ~bfp:c.bfp,
+              decision_code before after )
+        | Some (dst, payload) -> (
+          match destination_error ~n p dst with
+          | Some e -> Refused e
+          | None ->
+            let idx = (p * n) + dst in
+            let sent_count = Array.copy c.sent_count in
+            sent_count.(idx) <- sent_count.(idx) + 1;
+            let entry =
+              Data { triple = Triple.make ~sender:p ~receiver:dst ~index:sent_count.(idx); payload }
+            in
+            let buffers = Array.copy c.buffers in
+            buffers.(dst) <- snoc c.buffers.(dst) entry;
+            Next
+              ( install c p state' ~buffers ~sent_count ~bfp:(F.combine c.bfp (fp_entry dst entry)),
+                decision_code before after ))
+
+    let deliver c p index =
+      let buffer = c.buffers.(p) in
+      if index < 0 || index >= Array.length buffer then Refused (no_entry "deliver" p index)
+      else
+        let entry = buffer.(index) in
+        let incoming =
+          match entry with
+          | Note about -> Incoming.Failed about
+          | Data { triple; payload } -> Incoming.Msg { from = triple.Triple.sender; payload }
+        in
+        let before = P.status c.states.(p) in
+        let state' = P.receive ~n:c.root.n ~me:p c.states.(p) incoming in
+        let after = P.status state' in
+        if not (Status.transition_ok before after) then Refused (transition_error p before after)
+        else
+          let buffers = Array.copy c.buffers in
+          buffers.(p) <- remove_at buffer index;
+          Next
+            ( install c p state' ~buffers ~sent_count:c.sent_count
+                ~bfp:(F.remove c.bfp (fp_entry p entry)),
+              decision_code before after )
+
+    let fail c p =
+      let failed = Array.copy c.failed in
+      failed.(p) <- true;
+      let buffers = Array.copy c.buffers in
+      let note = Note p in
+      let bfp = ref (F.combine c.bfp (fp_failed_at p)) in
+      for q = 0 to c.root.n - 1 do
+        if q <> p then begin
+          buffers.(q) <- snoc buffers.(q) note;
+          bfp := F.combine !bfp (fp_entry q note)
+        end
+      done;
+      Next ({ c with failed; buffers; bfp = !bfp }, 0)
+
+    let step c action =
+      match refusal ~n:c.root.n ~failed:c.failed ~states:c.states action with
+      | Some e -> Refused e
+      | None -> (
+        match action with
+        | Action.Send_step p -> send c p
+        | Action.Deliver { at; index } -> deliver c at index
+        | Action.Fail p -> fail c p
+        | Action.Drop _ -> Refused "drop: a receive omission is not a search step")
+  end
 
   (* ----- schedulers ----- *)
 

@@ -7,11 +7,14 @@
     deterministic to seeded-random to scripted replays.
 
     Configurations are persistent values, so exploration (branching
-    over all applicable events) needs no undo machinery; the engine
-    additionally threads the communication-pattern-so-far through each
-    configuration that is not behaviour-only (see {!Make.config}),
-    which lets the scheme enumerator memoize on configurations
-    alone. *)
+    over all applicable events) needs no undo machinery.  There are
+    two representations.  A {!Make.config} threads the
+    communication-pattern-so-far through every step, which lets the
+    scheme enumerator memoize on configurations alone, and yields the
+    trace events runs and replays read.  A {!Make.Flat.t} is the
+    behaviour-only configuration of exhaustive searches that read no
+    pattern and no trace: local states, failure flags and buffers,
+    stepped by a search-only {!Make.Flat.step}. *)
 
 module Make (P : Protocol.S) : sig
   (** {1 Configurations} *)
@@ -26,7 +29,7 @@ module Make (P : Protocol.S) : sig
       patterns (per-pair send counts, per-processor knowledge sets,
       accumulated pattern edges).
 
-      Every configuration is of one of three kinds, fixed by the
+      Every configuration is of one of two kinds, fixed by the
       initial configuration it descends from:
 
       - {e full} ({!init}): both canonical fingerprints maintained
@@ -46,22 +49,12 @@ module Make (P : Protocol.S) : sig
         afresh.  Every value equals the full kind's, bit for bit.
         For linear runs (hunts, replays, shrinks, audits) that read
         local states, decisions and the trace and never probe a
-        visited store;
-      - {e behaviour-only} ({!init_behavioral}): the behavioural
-        fingerprint, state interning and the per-pair send counts
-        (which mint the buffer indices {!compare_behavioral} reads),
-        and no pattern bookkeeping at all — for searches over
-        behavioural configurations ({!compare_behavioral}), such as
-        the exhaustive classification sweep and the concurrency sets.
-        The pattern readers ({!fingerprint}, {!hash_config},
-        {!fingerprint_from_scratch}, {!compare_config},
-        {!pattern_fp}, {!same_pattern_rep}, {!triples_of},
-        {!pattern_edges}) raise [Invalid_argument] on them, and their
-        [Sent] events carry no causes.
+        visited store.
 
       Whatever the kind, {!apply} yields the same local states,
-      buffers (message indices included), failures and events, causes
-      aside. *)
+      buffers (message indices included), failures and events.
+      Searches over behavioural configurations, which need neither
+      kind's pattern bookkeeping, run on {!Flat}. *)
 
   val init : n:int -> inputs:bool list -> config
   (** Initial configuration: processor [i] starts in
@@ -80,14 +73,6 @@ module Make (P : Protocol.S) : sig
       {!config}) — the right trade for linear runs that never probe
       a visited store. *)
 
-  val init_behavioral : n:int -> inputs:bool list -> config
-  (** Like {!init}, but every descendant keeps only what
-      {!compare_behavioral} and {!behavioral_fingerprint} read: the
-      behavioural fingerprint (incrementally maintained), interned
-      local states and the per-pair send counts.  Knowledge, edges
-      and triples are never built, so the pattern readers raise
-      [Invalid_argument] and [Sent] events carry [causes = []]. *)
-
   val n_of : config -> int
   val inputs_of : config -> bool array
   val state_of : config -> Proc_id.t -> P.state
@@ -104,40 +89,34 @@ module Make (P : Protocol.S) : sig
   val pattern_edges : config -> (Triple.t * Triple.t) list
   (** Direct happens-before pairs accumulated so far, sorted.  An
       untracked configuration expands its recorded sends into the set
-      on every call.
-      @raise Invalid_argument on a behaviour-only configuration. *)
+      on every call. *)
 
   val triples_of : config -> Triple.t list
-  (** All message triples sent so far, sorted.
-      @raise Invalid_argument on a behaviour-only configuration. *)
+  (** All message triples sent so far, sorted. *)
 
   val pattern_fp : config -> Patterns_stdx.Fingerprint.t
   (** Canonical fingerprint of the accumulated pattern alone — the
-      triples and the happens-before edges, nothing else.
-      @raise Invalid_argument on a behaviour-only configuration. *)
+      triples and the happens-before edges, nothing else. *)
 
   val same_pattern_rep : config -> config -> bool
   (** Physical equality of the interned pattern components.  Within
       one root this holds exactly when the accumulated patterns are
       structurally equal, so a terminal-pattern cache can use
       {!pattern_fp} as the key and this as the collision-proof
-      confirmation, skipping extraction for repeats.
-      @raise Invalid_argument on a behaviour-only configuration. *)
+      confirmation, skipping extraction for repeats. *)
 
   val compare_config : config -> config -> int
   (** Structural order including pattern bookkeeping; two configs are
       equal iff their futures (and final patterns) coincide.  Defined
       across the full and untracked kinds; an untracked operand's edge
       set is built from its recorded sends when the comparison gets
-      that far.
-      @raise Invalid_argument on a behaviour-only configuration. *)
+      that far. *)
 
   val compare_behavioral : config -> config -> int
   (** Ignores pattern bookkeeping (send counts, knowledge, edges):
       equality of states, failure flags and buffer multisets only.
-      Suitable for local-state reachability analyses, and defined on
-      every kind of configuration — comparing a behaviour-only
-      configuration with a full one is meaningful. *)
+      Defined across both kinds; {!Flat.compare} decides the same
+      equality on flat configurations. *)
 
   val fingerprint : config -> Patterns_stdx.Fingerprint.t
   (** Canonical 64-bit fingerprint, consistent with {!compare_config}:
@@ -145,33 +124,30 @@ module Make (P : Protocol.S) : sig
       reached.  On a full configuration (see {!init}) it is carried in
       the configuration and maintained incrementally by {!apply} —
       reading it is O(1); on an untracked one the first read pays a
-      full fold, memoized per configuration.
-      @raise Invalid_argument on a behaviour-only configuration. *)
+      full fold, memoized per configuration. *)
 
   val behavioral_fingerprint : config -> Patterns_stdx.Fingerprint.t
   (** Canonical fingerprint of the behavioral projection, consistent
-      with {!compare_behavioral}: O(1) on full and behaviour-only
-      configurations, a memoized full fold on untracked ones. *)
+      with {!compare_behavioral}: O(1) on full configurations, a
+      memoized full fold on untracked ones.  {!Flat.fingerprint} is
+      the same word for the same behavioural configuration. *)
 
   val fingerprint_from_scratch : config -> Patterns_stdx.Fingerprint.t
   (** Recompute {!fingerprint} by full folds over every field, ignoring
       the incrementally maintained value.  For the consistency test
       suite: [fingerprint_from_scratch c = fingerprint c] is the
-      maintenance invariant.
-      @raise Invalid_argument on a behaviour-only configuration. *)
+      maintenance invariant. *)
 
   val intern_bindings : config -> int
   (** Distinct values interned under this configuration's root (each
-      [init*] call creates fresh tables): local states, plus
-      knowledge/trips sets and edge sets on a full root.  A
-      behaviour-only root interns local states only, and an untracked
-      one nothing.  A deterministic measure of sharing, surfaced in
-      search metrics. *)
+      [init*] call creates fresh tables): local states, knowledge/trips
+      sets and edge sets on a full root, nothing on an untracked one.
+      A deterministic measure of sharing, surfaced in search
+      metrics. *)
 
   val hash_config : config -> int
   (** Consistent with {!compare_config}: the {!fingerprint} folded to
-      an [int].  O(1).
-      @raise Invalid_argument on a behaviour-only configuration. *)
+      an [int].  O(1). *)
 
   val hash_behavioral : config -> int
   (** Consistent with {!compare_behavioral}: the
@@ -216,6 +192,65 @@ module Make (P : Protocol.S) : sig
 
   val apply_exn : step:int -> config -> Action.t -> config * P.msg Trace.event list
   (** @raise Failure on [Error]. *)
+
+  (** {1 Flat configurations for behavioural searches} *)
+
+  (** The behaviour-only configuration of exhaustive searches that
+      dedup on {!compare_behavioral} and read no pattern and no trace:
+      the classification sweep and the concurrency sets.  It holds the
+      interned local states with their fingerprint words, the failure
+      flags, each receiver's buffer as an array in arrival order, the
+      per-pair send counts (which mint the message indices buffered
+      entries carry) and the behavioural fingerprint — nothing else.
+      Every value equals the one a {!config} stepped through the same
+      actions carries, fingerprint words included. *)
+  module Flat : sig
+    type t
+
+    val init : n:int -> inputs:bool list -> t
+    (** The initial configuration, as {!Make.init}'s; each call starts a
+        fresh state intern table shared by its descendants.
+        @raise Invalid_argument as {!Make.init} does. *)
+
+    val n_of : t -> int
+    val state_of : t -> Proc_id.t -> P.state
+    val status_of : t -> Proc_id.t -> Status.t
+    val is_failed : t -> Proc_id.t -> bool
+
+    val compare : t -> t -> int
+    (** Equality of inputs, states, failure flags and buffer
+        multisets: {!Make.compare_behavioral}'s, as a total order. *)
+
+    val fingerprint : t -> Patterns_stdx.Fingerprint.t
+    (** The {!Make.behavioral_fingerprint} of the same configuration, bit
+        for bit; carried, O(1). *)
+
+    val intern_bindings : t -> int
+    (** Distinct local states interned under the root, as
+        {!Make.intern_bindings} counts them. *)
+
+    val pp : Format.formatter -> t -> unit
+    (** {!Make.pp_config}'s text for the same configuration. *)
+
+    val applicable : ?fifo_notices:bool -> t -> Action.t list
+    (** {!Make.applicable}'s list for the same configuration. *)
+
+    val failure_actions : t -> Action.t list
+
+    type stepped =
+      | Next of t * int
+          (** the successor, and the first decision the step gave the
+              stepping processor: [1] commit, [2] abort, [0] none —
+              nonzero exactly when {!Make.apply}'s events carry a
+              [Decided] *)
+      | Refused of string  (** {!Make.apply}'s [Error] text *)
+
+    val step : t -> Action.t -> stepped
+    (** {!Make.apply} for searches: the same successor, built without trace
+        events, and the same refusals.  A search explores sends,
+        deliveries and failures only, so it refuses every in-range
+        {!Action.Drop}. *)
+  end
 
   (** {1 Schedulers and runs} *)
 

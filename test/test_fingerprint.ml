@@ -1,6 +1,6 @@
 (* Fingerprint consistency over the whole protocol registry.
 
-   Two invariants, qcheck'd on random walks (failure steps and
+   Three invariants, qcheck'd on random walks (failure steps and
    receive-omission drops included) through every registered protocol:
 
    - canonicality: [compare_config a b = 0] implies
@@ -10,7 +10,12 @@
    - maintenance: after every [apply_exn], the incrementally carried
      fingerprint equals [fingerprint_from_scratch] — the O(1) value
      the search kernel keys its visited store on never drifts from
-     the full fold.
+     the full fold;
+   - the flat step is [apply]: a [Flat.t] stepped through the same
+     actions as a full configuration carries the same behavioural
+     fingerprint, prints the same text, offers the same actions,
+     reports the same first decisions and refuses with the same
+     words.
 
    Each maintenance run checks every configuration along a 20-step
    walk, so at 500 runs a protocol gets ~10k checked applications. *)
@@ -79,21 +84,15 @@ let tests_for entry =
       ~count:100
       Gen.(int_bound 1_000_000)
       (fun seed ->
-        (* replay the same walk from a tracked, an untracked and a
-           behaviour-only root: the untracked configuration's
-           on-demand fingerprint must equal the incrementally
-           maintained one, and reading it twice must agree
-           (memoization); its edges, triples and [compare_config]
-           must agree with the tracked configuration's; the
-           behaviour-only configuration must be
-           behaviourally equal to the tracked one, fingerprint
-           included, and decide exactly when it does *)
+        (* replay the same walk from a tracked and an untracked root:
+           the untracked configuration's on-demand fingerprint must
+           equal the incrementally maintained one, and reading it
+           twice must agree (memoization); its edges, triples and
+           [compare_config] must agree with the tracked
+           configuration's *)
         let prng = Prng.create ~seed in
         let inputs = List.init n (fun _ -> Prng.bool prng) in
-        let decided evs =
-          List.filter (function Trace.Decided _ -> true | _ -> false) evs
-        in
-        let rec go ok tracked untracked behavioral k =
+        let rec go ok tracked untracked k =
           if k = 0 || not ok then ok
           else
             let acts =
@@ -105,9 +104,8 @@ let tests_for entry =
             | [] -> ok
             | acts ->
               let a = List.nth acts (Prng.int prng ~bound:(List.length acts)) in
-              let tracked', evs = E.apply_exn ~step:0 tracked a in
+              let tracked', _ = E.apply_exn ~step:0 tracked a in
               let untracked', _ = E.apply_exn ~step:0 untracked a in
-              let behavioral', bevs = E.apply_exn ~step:0 behavioral a in
               let ok =
                 E.fingerprint untracked' = E.fingerprint tracked'
                 && E.fingerprint untracked' = E.fingerprint untracked'
@@ -126,20 +124,77 @@ let tests_for entry =
                 && E.compare_config untracked' tracked' = 0
                 && E.compare_config tracked' untracked' = 0
                 && E.fingerprint_from_scratch untracked' = E.fingerprint tracked'
-                && E.behavioral_fingerprint behavioral' = E.behavioral_fingerprint tracked'
-                && E.compare_behavioral behavioral' tracked' = 0
-                && decided bevs = decided evs
               in
-              go ok tracked' untracked' behavioral' (k - 1)
+              go ok tracked' untracked' (k - 1)
         in
         go
-          (E.fingerprint (E.init_untracked ~n ~inputs) = E.fingerprint (E.init ~n ~inputs)
-          && E.behavioral_fingerprint (E.init_behavioral ~n ~inputs)
-             = E.behavioral_fingerprint (E.init ~n ~inputs))
+          (E.fingerprint (E.init_untracked ~n ~inputs) = E.fingerprint (E.init ~n ~inputs))
           (E.init ~n ~inputs)
           (E.init_untracked ~n ~inputs)
-          (E.init_behavioral ~n ~inputs)
           15);
+    Test.make
+      ~name:(Printf.sprintf "%s: flat step = full step" P.name)
+      ~count:150
+      Gen.(int_bound 1_000_000)
+      (fun seed ->
+        (* step a full and a flat root through the same walk under one
+           notice discipline, failures included; now and then the walk
+           tries a send, delivery or failure drawn at random, most
+           often inapplicable, which both must refuse with the same
+           text (and then both stay put) *)
+        let prng = Prng.create ~seed in
+        let inputs = List.init n (fun _ -> Prng.bool prng) in
+        let fifo_notices = Prng.bool prng in
+        let text pp c = Format.asprintf "%a" pp c in
+        let same full flat =
+          E.behavioral_fingerprint full = E.Flat.fingerprint flat
+          && text E.pp_config full = text E.Flat.pp flat
+          && E.applicable ~fifo_notices full = E.Flat.applicable ~fifo_notices flat
+          && E.failure_actions full = E.Flat.failure_actions flat
+        in
+        let random_action full =
+          let p = Prng.int prng ~bound:(n + 1) in
+          let index =
+            Prng.int prng ~bound:(3 + if p < n then List.length (E.buffer_of full p) else 0) - 1
+          in
+          match Prng.int prng ~bound:3 with
+          | 0 -> Action.Send_step p
+          | 1 -> Action.Deliver { at = p; index }
+          | _ -> Action.Fail p
+        in
+        (* the code [Flat.step] must report: the [Decided] event's
+           decision, at the stepping processor *)
+        let decision_code a evs =
+          List.fold_left
+            (fun code ev ->
+              match (ev, a) with
+              | ( Trace.Decided { proc; decision; _ },
+                  (Action.Send_step p | Action.Deliver { at = p; _ }) )
+                when proc = p -> (
+                match decision with Decision.Commit -> 1 | Decision.Abort -> 2)
+              | Trace.Decided _, _ -> -1
+              | _ -> code)
+            0 evs
+        in
+        let rec go full flat k =
+          if k = 0 then true
+          else
+            let acts =
+              E.applicable ~fifo_notices full
+              @ (if Prng.int prng ~bound:3 = 0 then E.failure_actions full else [])
+            in
+            let a =
+              if acts = [] || Prng.int prng ~bound:4 = 0 then random_action full
+              else List.nth acts (Prng.int prng ~bound:(List.length acts))
+            in
+            match (E.apply ~step:0 full a, E.Flat.step flat a) with
+            | Error e, E.Flat.Refused e' -> e = e' && go full flat (k - 1)
+            | Ok (full', evs), E.Flat.Next (flat', code) ->
+              code = decision_code a evs && same full' flat' && go full' flat' (k - 1)
+            | Ok _, E.Flat.Refused _ | Error _, E.Flat.Next _ -> false
+        in
+        let full = E.init ~n ~inputs and flat = E.Flat.init ~n ~inputs in
+        same full flat && go full flat 25);
     Test.make
       ~name:(Printf.sprintf "%s: equal configs fingerprint equally" P.name)
       ~count:40
@@ -160,41 +215,6 @@ let tests_for entry =
           pool);
   ]
 
-(* A behaviour-only configuration carries no pattern bookkeeping, so
-   every pattern reader refuses it — at the root and after a send
-   (whose event carries no causes) — rather than answer from empty
-   sets. *)
-let test_behavioral_pattern_readers () =
-  let (module P : Protocol.S) = Patterns_protocols.Chain_proto.fig3 in
-  let module E = Engine.Make (P) in
-  let root = E.init_behavioral ~n:3 ~inputs:[ true; true; true ] in
-  let sent, evs =
-    match E.applicable root with
-    | a :: _ -> E.apply_exn ~step:0 root a
-    | [] -> Alcotest.fail "fig3-chain root has no step"
-  in
-  List.iter
-    (function
-      | Trace.Sent { causes; _ } ->
-        Alcotest.(check int) "a behaviour-only send carries no causes" 0 (List.length causes)
-      | _ -> ())
-    evs;
-  List.iter
-    (fun (what, c) ->
-      let raises name f =
-        match f () with
-        | () -> Alcotest.failf "%s on the %s configuration did not raise" name what
-        | exception Invalid_argument _ -> ()
-      in
-      raises "fingerprint" (fun () -> ignore (E.fingerprint c));
-      raises "compare_config" (fun () -> ignore (E.compare_config c c));
-      raises "pattern_fp" (fun () -> ignore (E.pattern_fp c));
-      raises "triples_of" (fun () -> ignore (E.triples_of c));
-      raises "pattern_edges" (fun () -> ignore (E.pattern_edges c));
-      (* the behavioural readers still answer *)
-      Alcotest.(check int) (what ^ ": compare_behavioral") 0 (E.compare_behavioral c c))
-    [ ("root", root); ("sent", sent) ]
-
 let () =
   Alcotest.run "fingerprint"
     [
@@ -202,9 +222,4 @@ let () =
         List.concat_map
           (fun entry -> List.map QCheck_alcotest.to_alcotest (tests_for entry))
           Patterns_protocols.Registry.all );
-      ( "kinds",
-        [
-          Alcotest.test_case "behaviour-only pattern readers raise" `Quick
-            test_behavioral_pattern_readers;
-        ] );
     ]
