@@ -96,7 +96,7 @@ let replay_metrics ?db (cert : Cert.t) =
           in
           (* Walk the recorded edges instead of the engine: src and
              event bound, so each step is one point query (a cached
-             prefix scan), and the engine never runs. *)
+             read of one adjacency), and the engine never runs. *)
           let walk () =
             let r = root () in
             let root_fp = fp_of r in

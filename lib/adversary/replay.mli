@@ -9,10 +9,10 @@
 
     With an execution database attached ([?db]), replay consults the
     recorded edge log first: the script is walked as point queries
-    (src and event bound at every step, so each is a key prefix scan), and
-    if the walk covers the whole script and a verdict fact for the
-    resulting path fingerprint is stored, the verdict is returned with
-    {e zero} engine plays and zero kernel expansions
+    (src and event bound at every step, so each reads one source's
+    out-edges), and if the walk covers the whole script and a verdict
+    fact for the resulting path fingerprint is stored, the verdict is
+    returned with {e zero} engine plays and zero kernel expansions
     ([states_expanded = 0] in the returned metrics).  On any miss the
     engine replays live, the execution's edges are recorded stepwise
     into the database, and the verdict is stored as a fact — so the

@@ -2,6 +2,11 @@ open Patterns_sim
 open Patterns_stdx
 module Db = Patterns_db.Db
 
+(* the edge descriptor "#k" of the k-th successor ordinal, made once
+   for the ordinals a search meets *)
+let ordinals = Array.init 64 (fun k -> "#" ^ string_of_int k)
+let ordinal k = if k < Array.length ordinals then ordinals.(k) else "#" ^ string_of_int k
+
 module Make (P : Protocol.S) = struct
   module E = Engine.Make (P)
 
@@ -385,10 +390,7 @@ module Make (P : Protocol.S) = struct
      expansion edges, as opposed to the replay recorder's rendered
      directives *)
   let edge_adapter sink ~src ~event ~dst =
-    sink
-      ~src:(Fingerprint.to_int (Node.fingerprint src))
-      ~event:("#" ^ string_of_int event)
-      ~dst:(Fingerprint.to_int (Node.fingerprint dst))
+    sink ~src:(Fingerprint.to_int src) ~event:(ordinal event) ~dst:(Fingerprint.to_int dst)
 
   (* One root of the sweep: exhaustive search from a single input
      vector.  Input vectors are part of every configuration (and

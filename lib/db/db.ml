@@ -1,17 +1,17 @@
-module Dict = Patterns_stdx.Dict
 module Lru = Patterns_stdx.Lru
 module Json = Patterns_stdx.Json
 module Hex = Patterns_stdx.Hex
 module Seal = Patterns_stdx.Seal
-module Sset = Set.Make (String)
+module Configs = Patterns_stdx.Dict.Make (Int)
+module Events = Patterns_stdx.Dict.Make (String)
 
 type stats = { edges : int; index_scans : int; cache_hits : int; cache_misses : int }
 
 type t = {
   mutex : Mutex.t;
-  configs : int Dict.t; (* fingerprint -> dense id *)
-  events : string Dict.t; (* descriptor -> dense id *)
-  mutable keys : Sset.t; (* one 24-byte (src, event, dst) key per edge *)
+  configs : Configs.t; (* fingerprint -> dense id *)
+  events : Events.t; (* descriptor -> dense id *)
+  mutable out : int array array; (* src id -> its adjacency, see [insert] *)
   mutable n_edges : int;
   mutable index_scans : int;
   cache : (string, (int * string * int) list) Lru.t;
@@ -24,12 +24,15 @@ type t = {
    more, and [load] refuses both by name. *)
 let schema = "patterns-edge-db/3"
 
+(* the adjacency of a source without edges; [insert] never writes it *)
+let no_edges = [| 0 |]
+
 let create () =
   {
     mutex = Mutex.create ();
-    configs = Dict.create ();
-    events = Dict.create ();
-    keys = Sset.empty;
+    configs = Configs.create ();
+    events = Events.create ();
+    out = [||];
     n_edges = 0;
     index_scans = 0;
     cache = Lru.create ~capacity:128 ();
@@ -43,34 +46,86 @@ let locked t f =
 
 (* ----- edges ----- *)
 
-let add_edge_unlocked t ~src ~event ~dst =
-  let s = Dict.intern t.configs src in
-  let e = Dict.intern t.events event in
-  let o = Dict.intern t.configs dst in
-  (* [Set.add] returns its argument physically when the key is present *)
-  let keys = Sset.add (Index.key ~src:s ~event:e ~dst:o) t.keys in
-  if keys != t.keys then begin
-    t.keys <- keys;
+(* An adjacency holds its length in slot 0 and then that many
+   (event id, dst id) pairs, each packed into one int as
+   [event lsl 32 lor dst] and kept in ascending order, which is
+   (event, dst) order: a duplicate is found on insert and a source's
+   edges are read in (src, event, dst) id order. *)
+let pack e o =
+  if e lsr 30 <> 0 || o lsr 32 <> 0 then invalid_arg "Db: an id outgrew its 30 or 32 bits";
+  (e lsl 32) lor o
+
+let event_of p = p lsr 32
+let dst_of p = p land 0xFFFF_FFFF
+
+(* add the edge [(s, e, o)] of interned ids unless it is present *)
+let insert t s e o =
+  let cap = Array.length t.out in
+  if s >= cap then begin
+    let out = Array.make (max 64 (2 * max cap s)) no_edges in
+    Array.blit t.out 0 out 0 cap;
+    t.out <- out
+  end;
+  let p = pack e o in
+  let a = t.out.(s) in
+  let len = a.(0) in
+  (* the last slot at or below [p]: sources mostly gain their edges in
+     ascending order, so the walk from the end usually stops at once *)
+  let i = ref len in
+  while !i > 0 && a.(!i) > p do
+    decr i
+  done;
+  if !i = 0 || a.(!i) <> p then begin
+    let a =
+      if len + 1 < Array.length a then a
+      else begin
+        let b = Array.make (2 * (len + 1)) 0 in
+        Array.blit a 0 b 0 (len + 1);
+        t.out.(s) <- b;
+        b
+      end
+    in
+    Array.blit a (!i + 1) a (!i + 2) (len - !i);
+    a.(!i + 1) <- p;
+    a.(0) <- len + 1;
     t.n_edges <- t.n_edges + 1;
     Lru.clear t.cache
   end
 
-let add_edge t ~src ~event ~dst = locked t (fun () -> add_edge_unlocked t ~src ~event ~dst)
+(* no closure: this runs once per recorded expansion edge *)
+let add_edge t ~src ~event ~dst =
+  Mutex.lock t.mutex;
+  match
+    let s = Configs.intern t.configs src in
+    let e = Events.intern t.events event in
+    insert t s e (Configs.intern t.configs dst)
+  with
+  | () -> Mutex.unlock t.mutex
+  | exception e ->
+    Mutex.unlock t.mutex;
+    raise e
 
-(* The keys extending the bound components' prefix (every key extending
-   [p] sorts at or after [p] itself; [p] is empty when [src] is
-   unbound), filtered on the bound components the prefix leaves out. *)
+(* The id triples matching the bound ids: one adjacency when [src] is
+   bound, else one pass over all of them, filtered on [event] and
+   [dst]. *)
 let scan t ?src ?event ?dst () =
   t.index_scans <- t.index_scans + 1;
-  let p = Index.prefix ?src ?event ?dst () in
   let matches bound id = match bound with None -> true | Some b -> b = id in
-  Sset.to_seq_from p t.keys
-  |> Seq.take_while (String.starts_with ~prefix:p)
-  |> Seq.fold_left
-       (fun acc k ->
-         let ((s, e, o) as ids) = Index.decode k in
-         if matches src s && matches event e && matches dst o then ids :: acc else acc)
-       []
+  let acc = ref [] in
+  let visit s =
+    let a = if s < Array.length t.out then t.out.(s) else no_edges in
+    for i = a.(0) downto 1 do
+      let e = event_of a.(i) and o = dst_of a.(i) in
+      if matches event e && matches dst o then acc := (s, e, o) :: !acc
+    done
+  in
+  (match src with
+  | Some s -> visit s
+  | None ->
+    for s = Array.length t.out - 1 downto 0 do
+      visit s
+    done);
+  !acc
 
 let compare_triple (s1, e1, o1) (s2, e2, o2) =
   match compare (s1 : int) s2 with
@@ -88,30 +143,24 @@ let edges t ?src ?event ?dst () =
       match Lru.find t.cache ckey with
       | Some r -> r
       | None ->
-        let bound_config = function
+        let bound find = function
           | None -> Some None
-          | Some fp -> (
-            match Dict.find t.configs fp with Some id -> Some (Some id) | None -> None)
+          | Some v -> ( match find v with Some id -> Some (Some id) | None -> None)
         in
-        let bound_event = function
-          | None -> Some None
-          | Some d -> ( match Dict.find t.events d with Some id -> Some (Some id) | None -> None)
-        in
+        let bound_config = bound (Configs.find t.configs) in
         let result =
-          match (bound_config src, bound_event event, bound_config dst) with
+          match (bound_config src, bound (Events.find t.events) event, bound_config dst) with
           | Some s, Some e, Some o ->
             scan t ?src:s ?event:e ?dst:o ()
-            |> List.filter_map (fun (s, e, o) ->
-                   match (Dict.value t.configs s, Dict.value t.events e, Dict.value t.configs o) with
-                   | Some sfp, Some d, Some ofp -> Some (sfp, d, ofp)
-                   | _ -> None)
+            |> List.map (fun (s, e, o) ->
+                   (Configs.get t.configs s, Events.get t.events e, Configs.get t.configs o))
             |> List.sort compare_triple
           | _ -> [] (* a bound component was never interned: no matches *)
         in
         Lru.add t.cache ckey result;
         result)
 
-let mem_config t fp = locked t (fun () -> Dict.find t.configs fp <> None)
+let mem_config t fp = locked t (fun () -> Configs.find t.configs fp <> None)
 
 let stats t =
   locked t (fun () ->
@@ -124,10 +173,9 @@ let stats t =
 
 (* ----- facts ----- *)
 
+(* facts never enter the edge-query cache, so a fact write leaves it *)
 let put_fact t ~kind ~key v =
-  locked t (fun () ->
-      Hashtbl.replace t.facts (kind, key) v;
-      Lru.clear t.cache);
+  locked t (fun () -> Hashtbl.replace t.facts (kind, key) v);
   t.on_put ()
 
 let on_put t f = t.on_put <- f
@@ -152,9 +200,9 @@ let facts t ~kind =
       Hashtbl.fold (fun (k, key) v acc -> if String.equal k kind then (key, v) :: acc else acc) t.facts []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
-(* ----- streaming JSONL (/2) ----- *)
+(* ----- the record codec ----- *)
 
-(* One-line rendering for the /2 records: {!Json.to_string} breaks
+(* One-line rendering for the records: {!Json.to_string} breaks
    objects one element per line by design, so the stream writes its
    own compact form (same RFC 8259 escaping, no layout). *)
 let escape_to b s =
@@ -173,11 +221,25 @@ let escape_to b s =
     s;
   Buffer.add_char b '"'
 
+(* the decimal digits of [string_of_int n], written without the C
+   formatter or an intermediate string; digits are taken from the
+   nonpositive [-|n|], so [min_int] needs no special case *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b n
+  end
+  else add_digits b (-n)
+
 let rec compact_to b (j : Json.t) =
   match j with
   | Json.Null -> Buffer.add_string b "null"
   | Json.Bool x -> Buffer.add_string b (string_of_bool x)
-  | Json.Int i -> Buffer.add_string b (string_of_int i)
+  | Json.Int i -> add_int b i
   | Json.Float f -> Buffer.add_string b (Printf.sprintf "%.17g" f)
   | Json.String s -> escape_to b s
   | Json.List xs ->
@@ -198,6 +260,34 @@ let rec compact_to b (j : Json.t) =
         compact_to b v)
       kvs;
     Buffer.add_char b '}'
+
+(* The integer spelled by [s.[i .. j-1]] when those bytes are exactly
+   what [string_of_int] writes for it (an optional '-', then "0" or
+   digits without a leading zero, in range), else [min_int], which
+   sends the line to the generic parser.  [min_int] itself is spelled
+   correctly but also goes there; the generic parser reads it the
+   same. *)
+let canonical_int s i j =
+  let neg = i < j && s.[i] = '-' in
+  let start = if neg then i + 1 else i in
+  let digits = j - start in
+  if digits < 1 || digits > 19 || (s.[start] = '0' && (digits > 1 || neg)) then min_int
+  else begin
+    (* accumulated as -|n|, which holds [min_int] *)
+    let n = ref 0 and k = ref start in
+    while !k < j do
+      let d = Char.code s.[!k] - 48 in
+      if d < 0 || d > 9 || !n < min_int / 10 || !n * 10 < min_int + d then begin
+        n := 1;
+        k := j
+      end
+      else begin
+        n := (!n * 10) - d;
+        incr k
+      end
+    done;
+    if !n > 0 then min_int else if neg then !n else if !n = min_int then min_int else - !n
+  end
 
 (* ----- the end record -----
 
@@ -236,11 +326,13 @@ let output_record oc j =
 
 (* The /3 stream: a schema marker line, then one record per line —
    ["c"] config fingerprints in id order, ["e"] event descriptors in
-   id order, ["t"] edge id-triples in key order, ["f"] facts sorted by
-   (kind, key) — then the end record.  Records are written a group at
-   a time, so saving never materialises the whole database as one
-   string.  The stream goes to a temporary file renamed over [path],
-   so a kill mid-save leaves the previous database whole. *)
+   id order, ["t"] edge id-triples in (src, event, dst) id order, ["f"]
+   facts sorted by (kind, key) — then the end record.  The ["c"],
+   ["e"] and ["t"] records are written straight into the group
+   buffer, a group at a time, so saving never materialises the whole
+   database as one string.  The stream goes to a temporary file
+   renamed over [path], so a kill mid-save leaves the previous
+   database whole. *)
 let save t path =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
@@ -249,20 +341,41 @@ let save t path =
     (fun () ->
       locked t (fun () ->
           let w = tally () in
+          let b = w.lines in
           let flush = Buffer.output_buffer oc in
           let record j =
-            compact_to w.lines j;
-            Buffer.add_char w.lines '\n';
+            compact_to b j;
+            Buffer.add_char b '\n';
             counted w ~flush
           in
           output_record oc (Json.Obj [ ("schema", Json.String schema) ]);
-          Dict.iter (fun _ fp -> record (Json.Obj [ ("c", Json.Int fp) ])) t.configs;
-          Dict.iter (fun _ d -> record (Json.Obj [ ("e", Json.String d) ])) t.events;
-          Sset.iter
-            (fun k ->
-              let s, e, o = Index.decode k in
-              record (Json.Obj [ ("t", Json.List [ Json.Int s; Json.Int e; Json.Int o ]) ]))
-            t.keys;
+          Configs.iter
+            (fun _ fp ->
+              Buffer.add_string b {|{"c":|};
+              add_int b fp;
+              Buffer.add_string b "}\n";
+              counted w ~flush)
+            t.configs;
+          Events.iter
+            (fun _ d ->
+              Buffer.add_string b {|{"e":|};
+              escape_to b d;
+              Buffer.add_string b "}\n";
+              counted w ~flush)
+            t.events;
+          Array.iteri
+            (fun s a ->
+              for i = 1 to a.(0) do
+                Buffer.add_string b {|{"t":[|};
+                add_int b s;
+                Buffer.add_char b ',';
+                add_int b (event_of a.(i));
+                Buffer.add_char b ',';
+                add_int b (dst_of a.(i));
+                Buffer.add_string b "]}\n";
+                counted w ~flush
+              done)
+            t.out;
           Hashtbl.fold (fun (kind, key) v acc -> (kind, key, v) :: acc) t.facts []
           |> List.sort (fun (k1, key1, _) (k2, key2, _) ->
                  match String.compare k1 k2 with 0 -> String.compare key1 key2 | c -> c)
@@ -278,7 +391,7 @@ let save t path =
                               ("value", v);
                             ] );
                       ]));
-          flush w.lines;
+          flush b;
           output_record oc
             (Json.Obj
                [
@@ -288,29 +401,68 @@ let save t path =
                ])));
   Sys.rename tmp path
 
+(* the edge of ids [(s, e, o)] read from a file, if every id is one
+   its dictionaries have assigned *)
+let insert_read t s e o =
+  let n = Configs.cardinal t.configs in
+  if s >= 0 && s < n && o >= 0 && o < n && e >= 0 && e < Events.cardinal t.events then begin
+    insert t s e o;
+    true
+  end
+  else false
+
+(* the first ',' in [s.[i .. j-1]], or [j] *)
+let rec comma s i j = if i >= j || s.[i] = ',' then i else comma s (i + 1) j
+
+(* whether [s] starts with [p] from byte [i] on: [String.starts_with]
+   without the closure it allocates on every call *)
+let rec has_prefix s p i =
+  i >= String.length p || (i < String.length s && s.[i] = p.[i] && has_prefix s p (i + 1))
+
+(* The ["c"] and ["t"] lines exactly as [save] writes them, applied
+   without a [Json.t]; [false], with nothing applied, for any other
+   line, which goes to [apply_record]. *)
+let apply_compact t line =
+  let len = String.length line in
+  if len > 6 && has_prefix line {|{"c":|} 0 && line.[len - 1] = '}' then begin
+    let fp = canonical_int line 5 (len - 1) in
+    fp <> min_int
+    &&
+    (ignore (Configs.intern t.configs fp : int);
+     true)
+  end
+  else if len > 8 && has_prefix line {|{"t":[|} 0 && line.[len - 2] = ']' && line.[len - 1] = '}'
+  then begin
+    let stop = len - 2 in
+    let c1 = comma line 6 stop in
+    let c2 = comma line (c1 + 1) stop in
+    c2 < stop
+    && insert_read t (canonical_int line 6 c1)
+         (canonical_int line (c1 + 1) c2)
+         (canonical_int line (c2 + 1) stop)
+  end
+  else false
+
 let apply_record t j =
   let ( let* ) = Result.bind in
   match j with
   | Json.Obj [ ("c", fp) ] ->
     let* fp = Json.to_int fp in
-    ignore (Dict.intern t.configs fp);
+    ignore (Configs.intern t.configs fp : int);
     Ok ()
   | Json.Obj [ ("e", d) ] ->
     let* d = Json.to_str d in
-    ignore (Dict.intern t.events d);
+    ignore (Events.intern t.events d : int);
     Ok ()
   | Json.Obj [ ("t", triple) ] -> (
     let* triple = Json.to_list triple in
     match triple with
-    | [ s; ev; o ] -> (
+    | [ s; ev; o ] ->
       let* s = Json.to_int s in
       let* ev = Json.to_int ev in
       let* o = Json.to_int o in
-      match (Dict.value t.configs s, Dict.value t.events ev, Dict.value t.configs o) with
-      | Some sfp, Some d, Some ofp ->
-        add_edge_unlocked t ~src:sfp ~event:d ~dst:ofp;
-        Ok ()
-      | _ -> Error "edge references an id outside the dictionaries")
+      if insert_read t s ev o then Ok ()
+      else Error "edge references an id outside the dictionaries"
     | _ -> Error "edge is not a 3-element list")
   | Json.Obj [ ("f", f) ] ->
     let* kind = Result.bind (Json.field "kind" f) Json.to_str in
@@ -349,18 +501,24 @@ let load path =
               | _ -> fail "data after the end record")
             | _ -> fail "the end record disagrees with the %d records before it" r.records
           in
+          let counted line =
+            Buffer.add_string r.lines line;
+            Buffer.add_char r.lines '\n';
+            counted r ~flush:ignore
+          in
           let rec go lineno =
             match input_line ic with
             | exception End_of_file -> fail "no end record after %d records" r.records
+            | line when apply_compact t line ->
+              counted line;
+              go (lineno + 1)
             | line -> (
               match Json.of_string line with
               | Ok (Json.Obj [ ("end", e) ]) -> finish e
               | parsed -> (
                 match Result.bind parsed (apply_record t) with
                 | Ok () ->
-                  Buffer.add_string r.lines line;
-                  Buffer.add_char r.lines '\n';
-                  counted r ~flush:ignore;
+                  counted line;
                   go (lineno + 1)
                 | Error e -> fail "line %d: %s" lineno e))
           in

@@ -1,18 +1,18 @@
-(** The execution database: a triple-encoded edge log, a fact store,
-    and a query-result cache.
+(** The execution database: an edge log of dense-id triples, a fact
+    store, and a query-result cache.
 
     Every recorded kernel expansion is one [(src, event, dst)] triple:
     [src]/[dst] are canonical config fingerprints
     ({!Patterns_stdx.Fingerprint.to_int}) and [event] is a descriptor
     string (a rendered {!Patterns_sim.Script.directive}, or a
     successor ordinal for anonymous kernel expansions).  Fingerprints
-    and descriptors are interned into global dictionaries
-    ({!Patterns_stdx.Dict}); the dense ids form one 24-byte big-endian
-    (src, event, dst) key per edge ({!Index}), kept in one ordered
-    set.  A query that binds [src] is a prefix scan of that set; one
-    that leaves [src] unbound is a single filtered pass over it.
-    Query results are memoised in an LRU cache of 128 entries,
-    invalidated wholesale on every write.
+    and descriptors are interned into two global dictionaries
+    ({!Patterns_stdx.Dict}), and each source id holds the adjacency of
+    its [(event id, dst id)] pairs, sorted and deduplicated on insert.
+    A query that binds [src] reads that one adjacency; one that leaves
+    [src] unbound is a single filtered pass over all of them.  Query
+    results are memoised in an LRU cache of 128 entries, invalidated
+    wholesale whenever a new edge is recorded.
 
     Alongside edges the database stores generic {e facts} — JSON
     values keyed by [(kind, key)] — used by the consumers for
@@ -51,15 +51,14 @@ val create : unit -> t
 (** {1 Edges} *)
 
 val add_edge : t -> src:int -> event:string -> dst:int -> unit
-(** Record one triple (idempotent — the keys form a set).  [src] and
-    [dst] are config fingerprints, [event] a descriptor string.
-    Invalidates the query cache. *)
+(** Record one triple (idempotent — the triples form a set).  [src]
+    and [dst] are config fingerprints, [event] a descriptor string.  A
+    new triple invalidates the query cache. *)
 
 val edges : t -> ?src:int -> ?event:string -> ?dst:int -> unit -> (int * string * int) list
 (** All stored triples matching the bound components (memoised in the
-    cache): a prefix scan when [src] is bound, else one pass over every
-    edge, filtered on [event] and [dst].  A bound [dst] with an unbound
-    [event] filters the [src] scan.  Results are sorted by
+    cache): one adjacency when [src] is bound, else one pass over every
+    edge, filtered on [event] and [dst].  Results are sorted by
     [(src, event, dst)] — fingerprint, then descriptor, then
     fingerprint — so they are independent of insertion order and
     hence of [--jobs]/[--par-mode]. *)
@@ -73,8 +72,8 @@ val stats : t -> stats
 (** {1 Facts} *)
 
 val put_fact : t -> kind:string -> key:string -> Patterns_stdx.Json.t -> unit
-(** Insert or replace the fact [(kind, key)].  Invalidates the query
-    cache. *)
+(** Insert or replace the fact [(kind, key)].  Facts never enter the
+    query cache, so a fact write leaves it as it is. *)
 
 val get_fact : t -> kind:string -> key:string -> Patterns_stdx.Json.t option
 
@@ -104,12 +103,17 @@ val save : t -> string -> unit
 (** Stream the database to a file in the /3 JSONL form, a group of
     records at a time — saving never materialises the whole database
     as a string, so [--db] does not double peak memory on large edge
-    logs.  The stream is written to [path ^ ".tmp"] and renamed over
-    [path], so a kill mid-save leaves the previous file whole. *)
+    logs.  The ["c"], ["e"] and ["t"] records are written straight
+    into the group buffer, without a {!Patterns_stdx.Json.t}.  The
+    stream is written to [path ^ ".tmp"] and renamed over [path], so a
+    kill mid-save leaves the previous file whole. *)
 
 val load : string -> (t, string) result
 (** Read a database from a /3 stream (recognised by its first line),
-    applied record by record.  A missing file is an empty database
+    applied record by record: a ["c"] or ["t"] line in exactly the
+    form {!save} writes is read without a {!Patterns_stdx.Json.t}, and
+    every other line through {!Patterns_stdx.Json.of_string}, with the
+    same result.  A missing file is an empty database
     (so [--db FILE] works on first use).  [Error] naming the file
     when a line is malformed, when the end record is missing (a file
     cut short, at a record boundary or not) or disagrees with the

@@ -112,7 +112,7 @@ type t = {
           database after the run — deterministic for a given recorded
           edge set; 0 when no [--db] is attached (/6 section) *)
   db_index_scans : int;
-      (** key scans (prefix scans or filtered passes) performed by
+      (** edge scans (one adjacency or a filtered pass) performed by
           database queries (cache hits perform none); deterministic
           (/6 section) *)
   db_cache_hits : int;

@@ -74,25 +74,26 @@ module Make (P : Problem) = struct
   }
 
   (* Optional execution-database sink: every expansion emits its
-     (src, successor-ordinal, dst) triples, before visited/prune
-     filtering — the database records the raw expansion relation.
-     Ordinals are assigned in fingerprint order of the successors,
-     not list position: equal states reached along different paths
-     can carry their internal collections in different orders, and
-     which representative wins the visited race is a property of the
-     driver and the schedule.  Sorting by the canonical fingerprint
-     makes the emitted triples a function of the state alone, so the
-     recorded edge set is identical across drivers and worker counts.
-     The callback is invoked from worker domains by the async driver;
-     thread safety is the callee's obligation (the execution database
-     locks internally). *)
+     (src, successor-ordinal, dst) fingerprint triples, before
+     visited/prune filtering — the database records the raw expansion
+     relation.  Ordinals are assigned in fingerprint order of the
+     successors, not list position: equal states reached along
+     different paths can carry their internal collections in different
+     orders, and which representative wins the visited race is a
+     property of the driver and the schedule.  Sorting by the
+     canonical fingerprint makes the emitted triples a function of the
+     state alone, so the recorded edge set is identical across drivers
+     and worker counts.  Each fingerprint is computed once and handed
+     to the sink.  The callback is invoked from worker domains by the
+     async driver; thread safety is the callee's obligation (the
+     execution database locks internally). *)
   let emit_edges edges src succs =
     match edges with
     | None -> ()
     | Some f ->
-      List.stable_sort
-        (fun a b -> Fingerprint.compare (P.fingerprint a) (P.fingerprint b))
-        succs
+      let src = P.fingerprint src in
+      List.map P.fingerprint succs
+      |> List.sort Fingerprint.compare
       |> List.iteri (fun i dst -> f ~src ~event:i ~dst)
 
   (* ----- the visited store, the guards and the metrics step ----- *)

@@ -140,7 +140,8 @@ module Make (P : Problem) : sig
     ?spill:spill ->
     ?is_goal:(P.state -> bool) ->
     ?prune:(P.state -> bool) ->
-    ?edges:(src:P.state -> event:int -> dst:P.state -> unit) ->
+    ?edges:
+      (src:Patterns_stdx.Fingerprint.t -> event:int -> dst:Patterns_stdx.Fingerprint.t -> unit) ->
     expand:'obs par_expand ->
     root:P.state ->
     unit ->
@@ -176,12 +177,13 @@ module Make (P : Problem) : sig
       charged, and [shard_bits] is the store's.
 
       [edges] is the optional execution-database sink, shared with
-      {!run_par_async}: each expansion of [src] invokes it once per
+      {!run_par_async}: each expansion of a state invokes it once per
       successor — before visited/prune filtering, so the database
-      records the raw expansion relation — with [event] the
-      successor's ordinal in fingerprint order (a function of the
-      state alone).  {!run_par_async} invokes it from worker domains
-      concurrently; thread safety is the callee's obligation. *)
+      records the raw expansion relation — with [src] and [dst] the
+      two states' [P.fingerprint]s and [event] the successor's
+      ordinal in fingerprint order (a function of the state alone).
+      {!run_par_async} invokes it from worker domains concurrently;
+      thread safety is the callee's obligation. *)
 
   val run_par_async :
     ?pool:Patterns_stdx.Domain_pool.t ->
@@ -191,7 +193,8 @@ module Make (P : Problem) : sig
     ?spill:spill ->
     ?is_goal:(P.state -> bool) ->
     ?prune:(P.state -> bool) ->
-    ?edges:(src:P.state -> event:int -> dst:P.state -> unit) ->
+    ?edges:
+      (src:Patterns_stdx.Fingerprint.t -> event:int -> dst:Patterns_stdx.Fingerprint.t -> unit) ->
     expand:'obs par_expand ->
     root:P.state ->
     unit ->

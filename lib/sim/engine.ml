@@ -533,11 +533,6 @@ module Make (P : Protocol.S) = struct
 
   let no_entry what p index = Printf.sprintf "%s: no buffer entry #%d at p%d" what index p
 
-  let check_transition p before after =
-    if Status.transition_ok before after then Ok () else Error (transition_error p before after)
-
-  let ( let* ) = Result.bind
-
   (* Interns [x] under the root's lock.  No [Fun.protect] and no
      closure: this runs on every interning step, and the only code
      under the lock is the table's own. *)
@@ -591,62 +586,63 @@ module Make (P : Protocol.S) = struct
     let before = P.status c.states.(p) in
     let outgoing, state' = P.send ~n:c.n ~me:p c.states.(p) in
     let after = P.status state' in
-    let* () = check_transition p before after in
-    let kind = c.ctx.kind in
-    let states = Array.copy c.states in
-    let state_fps, bfp = install_state c states p state' in
-    let flips = status_events ~step p before after in
-    match outgoing with
-    | None ->
-      Ok
-        ( { c with states; state_fps; bfp; fps_valid = kind = Full },
-          Trace.Null_step { step; proc = p } :: flips )
-    | Some (dst, payload) -> (
-      match destination_error ~n:c.n p dst with
-      | Some e -> Error e
-      | None -> (
-        let idx = (p * c.n) + dst in
-        let sent_count = Array.copy c.sent_count in
-        let old_count = sent_count.(idx) in
-        sent_count.(idx) <- old_count + 1;
-        let triple = Triple.make ~sender:p ~receiver:dst ~index:sent_count.(idx) in
-        let entry = Data { triple; payload } in
-        let buffers = Array.copy c.buffers in
-        buffers.(dst) <- buffers.(dst) @ [ entry ];
-        let causes = Triple.Fset.elements c.knowledge.(p) in
-        let knowledge = learn c p triple in
-        match kind with
-        | Full ->
-          (* the triple's index was just minted, so every add below is
-             a real insertion and contributes to the fingerprint
-             exactly once *)
-          let efp = List.fold_left (fun h m1 -> F.combine h (fp_edge m1 triple)) c.efp causes in
-          let edges =
+    if not (Status.transition_ok before after) then Error (transition_error p before after)
+    else
+      let kind = c.ctx.kind in
+      let states = Array.copy c.states in
+      let state_fps, bfp = install_state c states p state' in
+      let flips = status_events ~step p before after in
+      match outgoing with
+      | None ->
+        Ok
+          ( { c with states; state_fps; bfp; fps_valid = kind = Full },
+            Trace.Null_step { step; proc = p } :: flips )
+      | Some (dst, payload) -> (
+        match destination_error ~n:c.n p dst with
+        | Some e -> Error e
+        | None -> (
+          let idx = (p * c.n) + dst in
+          let sent_count = Array.copy c.sent_count in
+          let old_count = sent_count.(idx) in
+          sent_count.(idx) <- old_count + 1;
+          let triple = Triple.make ~sender:p ~receiver:dst ~index:sent_count.(idx) in
+          let entry = Data { triple; payload } in
+          let buffers = Array.copy c.buffers in
+          buffers.(dst) <- buffers.(dst) @ [ entry ];
+          let causes = Triple.Fset.elements c.knowledge.(p) in
+          let knowledge = learn c p triple in
+          match kind with
+          | Full ->
+            (* the triple's index was just minted, so every add below is
+               a real insertion and contributes to the fingerprint
+               exactly once *)
+            let efp = List.fold_left (fun h m1 -> F.combine h (fp_edge m1 triple)) c.efp causes in
             let edges =
-              List.fold_left (fun acc m1 -> Pair_set.add (m1, triple) acc) c.edges causes
+              let edges =
+                List.fold_left (fun acc m1 -> Pair_set.add (m1, triple) acc) c.edges causes
+              in
+              intern_locked c.ctx.lock c.ctx.edge_sets ~fp:efp edges
             in
-            intern_locked c.ctx.lock c.ctx.edge_sets ~fp:efp edges
-          in
-          let bfp = F.combine bfp (fp_entry dst entry) in
-          let pfp =
-            F.combine (F.remove c.pfp (fp_sent_at idx old_count)) (fp_sent_at idx (old_count + 1))
-          in
-          let pfp = F.combine pfp (fp_know_at p triple) in
-          let pfp = F.combine pfp (F.remove efp c.efp) in
-          let pfp = F.combine pfp (fp_trip triple) in
-          Ok
-            ( { c with states; state_fps; sent_count; knowledge; edges; efp; buffers;
-                trips = interned c (Triple.Fset.add_new triple c.trips); bfp; pfp },
-              Trace.Sent { step; triple; payload; causes } :: flips )
-        | Lazy ->
-          (* no fingerprint upkeep and no edge set: the send joins
-             [sends] with the causes its event carries, and the edges
-             and both fingerprints are folded from there on demand *)
-          Ok
-            ( { c with states; sent_count; knowledge; sends = (triple, causes) :: c.sends;
-                efp_valid = false; buffers; trips = Triple.Fset.add_new triple c.trips;
-                fps_valid = false },
-              Trace.Sent { step; triple; payload; causes } :: flips )))
+            let bfp = F.combine bfp (fp_entry dst entry) in
+            let pfp =
+              F.combine (F.remove c.pfp (fp_sent_at idx old_count)) (fp_sent_at idx (old_count + 1))
+            in
+            let pfp = F.combine pfp (fp_know_at p triple) in
+            let pfp = F.combine pfp (F.remove efp c.efp) in
+            let pfp = F.combine pfp (fp_trip triple) in
+            Ok
+              ( { c with states; state_fps; sent_count; knowledge; edges; efp; buffers;
+                  trips = interned c (Triple.Fset.add_new triple c.trips); bfp; pfp },
+                Trace.Sent { step; triple; payload; causes } :: flips )
+          | Lazy ->
+            (* no fingerprint upkeep and no edge set: the send joins
+               [sends] with the causes its event carries, and the edges
+               and both fingerprints are folded from there on demand *)
+            Ok
+              ( { c with states; sent_count; knowledge; sends = (triple, causes) :: c.sends;
+                  efp_valid = false; buffers; trips = Triple.Fset.add_new triple c.trips;
+                  fps_valid = false },
+                Trace.Sent { step; triple; payload; causes } :: flips )))
 
   (* [List.nth_opt] raises on a negative index *)
   let[@inline] buffered c p index = if index < 0 then None else List.nth_opt c.buffers.(p) index
@@ -675,20 +671,22 @@ module Make (P : Protocol.S) = struct
       let before = P.status c.states.(p) in
       let state' = P.receive ~n:c.n ~me:p c.states.(p) incoming in
       let after = P.status state' in
-      let* () = check_transition p before after in
-      let states = Array.copy c.states in
-      let state_fps, bfp = install_state c states p state' in
-      let bfp, pfp =
-        match c.ctx.kind with
-        | Full -> (F.remove bfp (fp_entry p entry), F.combine c.pfp know_delta)
-        | Lazy -> (F.zero, F.zero)
-      in
-      let buffers = Array.copy c.buffers in
-      buffers.(p) <- List.filteri (fun i _ -> i <> index) buffers.(p);
-      let flips = status_events ~step p before after in
-      Ok
-        ( { c with states; state_fps; buffers; knowledge; bfp; pfp; fps_valid = c.ctx.kind = Full },
-          delivered_event :: flips )
+      if not (Status.transition_ok before after) then Error (transition_error p before after)
+      else
+        let states = Array.copy c.states in
+        let state_fps, bfp = install_state c states p state' in
+        let bfp, pfp =
+          match c.ctx.kind with
+          | Full -> (F.remove bfp (fp_entry p entry), F.combine c.pfp know_delta)
+          | Lazy -> (F.zero, F.zero)
+        in
+        let buffers = Array.copy c.buffers in
+        buffers.(p) <- List.filteri (fun i _ -> i <> index) buffers.(p);
+        let flips = status_events ~step p before after in
+        Ok
+          ( { c with
+              states; state_fps; buffers; knowledge; bfp; pfp; fps_valid = c.ctx.kind = Full },
+            delivered_event :: flips )
 
   let apply_fail ~step c p =
     let eager = c.ctx.kind = Full in

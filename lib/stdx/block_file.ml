@@ -6,10 +6,9 @@ let block_bytes = record_width * block_records
 (* ----- fixed-width record codec ----- *)
 
 (* A record is the 8-byte big-endian key followed by the 8-byte
-   big-endian payload — the [Dict] discipline widened to two words.
-   Big-endian is what makes [String.compare] on keys coincide with
-   numeric order, so the run files below can be binary-searched as
-   flat strings. *)
+   big-endian payload.  Big-endian is what makes [String.compare] on
+   keys coincide with numeric order, so the run files below can be
+   binary-searched as flat strings. *)
 let encode_record buf off ~key ~payload =
   if String.length key <> key_width then
     invalid_arg "Block_file.encode_record: key must be 8 bytes";

@@ -2,8 +2,7 @@
     half of {!Spill_store}.
 
     A run is a flat file of 16-byte records: an 8-byte big-endian key
-    followed by an 8-byte big-endian payload (the {!Dict} encoding
-    discipline widened to two words).  Because the keys are big-endian,
+    followed by an 8-byte big-endian payload.  Because the keys are big-endian,
     byte order coincides with numeric order, so a run written in
     ascending key order can be searched with plain [String.compare]:
     a probe binary-searches an in-memory {e fence index} (the first

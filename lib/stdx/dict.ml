@@ -1,49 +1,43 @@
-type 'a t = {
-  ids : ('a, int) Hashtbl.t;
-  mutable rev : 'a option array; (* id -> value; slots [0, card) live *)
-  mutable card : int;
-}
+module Make (H : Hashtbl.HashedType) = struct
+  module Tbl = Hashtbl.Make (H)
 
-let create ?(initial = 256) () =
-  { ids = Hashtbl.create initial; rev = Array.make (max 16 initial) None; card = 0 }
+  type key = H.t
 
-let cardinal d = d.card
+  type t = {
+    ids : int Tbl.t;
+    mutable rev : key array; (* id -> value; slots [0, card) live *)
+    mutable card : int;
+  }
 
-let grow d =
-  let cap = Array.length d.rev in
-  if d.card >= cap then begin
-    let rev = Array.make (2 * cap) None in
-    Array.blit d.rev 0 rev 0 cap;
-    d.rev <- rev
-  end
+  let create () = { ids = Tbl.create 256; rev = [||]; card = 0 }
+  let cardinal d = d.card
 
-let intern d v =
-  match Hashtbl.find_opt d.ids v with
-  | Some id -> id
-  | None ->
-    let id = d.card in
-    grow d;
-    d.rev.(id) <- Some v;
-    d.card <- id + 1;
-    Hashtbl.add d.ids v id;
-    id
+  (* the reverse array starts empty and is made (or doubled) on the
+     first intern that does not fit, filled with the value at hand *)
+  let intern d v =
+    match Tbl.find d.ids v with
+    | id -> id
+    | exception Not_found ->
+      let id = d.card in
+      let cap = Array.length d.rev in
+      if id >= cap then begin
+        let rev = Array.make (max 16 (2 * cap)) v in
+        Array.blit d.rev 0 rev 0 cap;
+        d.rev <- rev
+      end;
+      d.rev.(id) <- v;
+      d.card <- id + 1;
+      Tbl.add d.ids v id;
+      id
 
-let find d v = Hashtbl.find_opt d.ids v
-let value d id = if id >= 0 && id < d.card then d.rev.(id) else None
+  let find d v = Tbl.find_opt d.ids v
 
-let iter f d =
-  for id = 0 to d.card - 1 do
-    match d.rev.(id) with Some v -> f id v | None -> assert false
-  done
+  let get d id =
+    if id < 0 || id >= d.card then invalid_arg "Dict.get: unassigned id";
+    d.rev.(id)
 
-(* ----- big-endian fixed-width key encoding ----- *)
-
-let encoded_width = 8
-let encode_into buf off id = Bytes.set_int64_be buf off (Int64.of_int id)
-
-let encode id =
-  let buf = Bytes.create encoded_width in
-  encode_into buf 0 id;
-  Bytes.unsafe_to_string buf
-
-let decode s off = Int64.to_int (String.get_int64_be s off)
+  let iter f d =
+    for id = 0 to d.card - 1 do
+      f id d.rev.(id)
+    done
+end

@@ -4,8 +4,8 @@
     overflow.  {!find} refreshes recency and counts a hit or a miss;
     {!add} inserts at most-recent position.  Used as the query-result
     cache of the execution database (invalidated wholesale on every
-    write — recorded runs are append-only, so between writes cached
-    results are exact).
+    new edge — recorded runs are append-only, so between new edges
+    cached results are exact).
 
     Not thread-safe: callers serialise access externally. *)
 

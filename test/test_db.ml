@@ -1,5 +1,5 @@
-(* The execution database: dictionary encoding, the index key
-   layout, the LRU query cache, persistence, query combinators, and
+(* The execution database: the dense-id dictionary, the LRU query
+   cache, persistence and its record codec, query combinators, and
    the end-to-end guarantee the subsystem exists for — replaying a
    certificate against a recorded run performs zero kernel
    expansions. *)
@@ -11,43 +11,34 @@ let check = Alcotest.check
 
 (* ----- Dict ----- *)
 
+module Sdict = Dict.Make (String)
+module Idict = Dict.Make (Int)
+
 let test_dict_dense_ids () =
-  let d = Dict.create () in
-  check Alcotest.int "first id" 0 (Dict.intern d "a");
-  check Alcotest.int "second id" 1 (Dict.intern d "b");
-  check Alcotest.int "re-intern is stable" 0 (Dict.intern d "a");
-  check Alcotest.int "cardinal" 2 (Dict.cardinal d);
-  check Alcotest.(option int) "find present" (Some 1) (Dict.find d "b");
-  check Alcotest.(option int) "find absent" None (Dict.find d "c");
-  check Alcotest.(option string) "reverse lookup" (Some "b") (Dict.value d 1);
-  check Alcotest.(option string) "reverse absent" None (Dict.value d 2);
+  let d = Sdict.create () in
+  check Alcotest.int "first id" 0 (Sdict.intern d "a");
+  check Alcotest.int "second id" 1 (Sdict.intern d "b");
+  check Alcotest.int "re-intern is stable" 0 (Sdict.intern d "a");
+  check Alcotest.int "cardinal" 2 (Sdict.cardinal d);
+  check Alcotest.(option int) "find present" (Some 1) (Sdict.find d "b");
+  check Alcotest.(option int) "find absent" None (Sdict.find d "c");
+  check Alcotest.string "reverse lookup" "b" (Sdict.get d 1);
+  Alcotest.check_raises "reverse absent" (Invalid_argument "Dict.get: unassigned id") (fun () ->
+      ignore (Sdict.get d 2 : string));
   let seen = ref [] in
-  Dict.iter (fun id v -> seen := (id, v) :: !seen) d;
+  Sdict.iter (fun id v -> seen := (id, v) :: !seen) d;
   check
     Alcotest.(list (pair int string))
     "iter ascending" [ (0, "a"); (1, "b") ] (List.rev !seen)
 
-let test_dict_encoding_roundtrip () =
-  List.iter
-    (fun id ->
-      let s = Dict.encode id in
-      check Alcotest.int "width" Dict.encoded_width (String.length s);
-      check Alcotest.int "decode inverts" id (Dict.decode s 0))
-    [ 0; 1; 255; 256; 65_535; 1_000_000; max_int ]
-
 let dict_qcheck_tests =
   let open QCheck2 in
   [
-    Test.make ~count:500 ~name:"byte order of encodings = numeric order of ids"
-      Gen.(pair big_nat big_nat)
-      (fun (a, b) ->
-        compare (String.compare (Dict.encode a) (Dict.encode b)) 0
-        = compare (Int.compare a b) 0);
     Test.make ~count:200 ~name:"intern assigns first-sight order"
       Gen.(list small_int)
       (fun l ->
-        let d = Dict.create () in
-        let ids = List.map (Dict.intern d) l in
+        let d = Idict.create () in
+        let ids = List.map (Idict.intern d) l in
         let expected =
           let seen = Hashtbl.create 16 in
           List.map
@@ -60,7 +51,9 @@ let dict_qcheck_tests =
                 id)
             l
         in
-        ids = expected && Dict.cardinal d = List.length (List.sort_uniq compare l));
+        ids = expected
+        && Idict.cardinal d = List.length (List.sort_uniq compare l)
+        && List.for_all2 (fun v id -> Idict.get d id = v) l ids);
   ]
 
 (* ----- Lru ----- *)
@@ -89,41 +82,6 @@ let test_lru_eviction_and_counters () =
   Alcotest.check_raises "capacity 0 rejected"
     (Invalid_argument "Lru.create: capacity must be positive") (fun () ->
       ignore (Lru.create ~capacity:0 ()))
-
-(* ----- Index: the key layout ----- *)
-
-let test_index_key_decode () =
-  let k = Index.key ~src:7 ~event:11 ~dst:13 in
-  check Alcotest.int "key width" Index.width (String.length k);
-  check Alcotest.(triple int int int) "decode" (7, 11, 13) (Index.decode k)
-
-let index_qcheck_tests =
-  let open QCheck2 in
-  [
-    Test.make ~count:300 ~name:"key/decode round-trips under every ordering"
-      Gen.(triple big_nat big_nat big_nat)
-      (fun (src, event, dst) -> Index.decode (Index.key ~src ~event ~dst) = (src, event, dst));
-    Test.make ~count:300 ~name:"prefix covers leading bound ids"
-      Gen.(quad bool bool bool (triple (int_bound 50) (int_bound 50) (int_bound 50)))
-      (fun (bs, be, bd, (src, event, dst)) ->
-        let p =
-          Index.prefix ?src:(if bs then Some src else None)
-            ?event:(if be then Some event else None)
-            ?dst:(if bd then Some dst else None)
-            ()
-        in
-        (* the prefix stops at the first unbound component; the scan
-           filters on any bound component after it *)
-        let leading =
-          match (bs, be, bd) with
-          | true, true, true -> 3
-          | true, true, false -> 2
-          | true, false, _ -> 1
-          | false, _, _ -> 0
-        in
-        String.length p = leading * Dict.encoded_width
-        && String.starts_with ~prefix:p (Index.key ~src ~event ~dst));
-  ]
 
 (* ----- Db: pattern queries against a full-scan oracle ----- *)
 
@@ -217,6 +175,21 @@ let test_db_stats_and_cache () =
   check Alcotest.int "write invalidates" 2 (Db.stats db).Db.index_scans;
   check Alcotest.bool "mem_config present" true (Db.mem_config db 9);
   check Alcotest.bool "mem_config absent" false (Db.mem_config db 77)
+
+(* facts never enter the edge-query cache, so a fact write keeps it:
+   the same query after a [put_fact] is a hit, not a second scan *)
+let test_db_put_fact_keeps_cache () =
+  let db = Db.create () in
+  Db.add_edge db ~src:1 ~event:"x" ~dst:2;
+  let q () = Db.edges db ~src:1 () in
+  let r1 = q () in
+  Db.put_fact db ~kind:"cert" ~key:"k1" (Json.Obj [ ("crashes", Json.List []) ]);
+  let r2 = q () in
+  check Alcotest.bool "same answer" true (r1 = r2);
+  let s = Db.stats db in
+  check Alcotest.int "no second scan" 1 s.Db.index_scans;
+  check Alcotest.int "one hit" 1 s.Db.cache_hits;
+  check Alcotest.int "one miss" 1 s.Db.cache_misses
 
 let test_db_unknown_bound_values () =
   let db = Db.create () in
@@ -538,22 +511,157 @@ let test_recorded_edges_driver_invariant () =
       (4, Patterns_search.Search.Layers, "layers jobs=4 identical");
     ]
 
+(* ----- the /3 stream: re-save identity and the two parse paths -----
+
+   [load] reads the ["c"] and ["t"] lines [save] writes without a
+   [Json.t] and sends every other line through [Json.of_string]; both
+   paths must build the same database, and a saved file must come back
+   byte for byte. *)
+
+let file_bytes file = In_channel.with_open_bin file In_channel.input_all
+
+let with_temp f =
+  let file = Filename.temp_file "patterns-db" ".jsonl" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists file then Sys.remove file) (fun () -> f file)
+
+let load_ok file = match Db.load file with Ok db -> db | Error e -> Alcotest.fail e
+
+(* every bound/unbound pattern over a sample of the database's own
+   triples, the unbound one among them *)
+let patterns db =
+  let all = Db.edges db () in
+  let every = max 1 (List.length all / 12) in
+  let bools = [ false; true ] in
+  List.filteri (fun i _ -> i mod every = 0) all
+  |> List.concat_map (fun (s, e, d) ->
+         List.concat_map
+           (fun bs ->
+             List.concat_map
+               (fun be -> List.map (fun bd -> (opt_if bs s, opt_if be e, opt_if bd d)) bools)
+               bools)
+           bools)
+
+let answers db pats = List.map (fun (src, event, dst) -> Db.edges db ?src ?event ?dst ()) pats
+
+(* a database as [hunt --db] records it: the certificate's execution
+   replayed with its directive descriptors, the sealed verdict fact,
+   and a plain-JSON certificate fact *)
+let replay_db () =
+  let cert = agreement_cert () in
+  let db = Db.create () in
+  ignore (Replay.replay ~db cert : Replay.verdict);
+  Db.put_fact db ~kind:"cert" ~key:"agreement"
+    (Json.Obj
+       [
+         ( "crashes",
+           Json.List (List.map (fun p -> Json.Int p) (Patterns_adversary.Cert.crashes cert)) );
+         ("cert", Patterns_adversary.Cert.to_json cert);
+       ]);
+  db
+
+let test_resave_identity () =
+  List.iter
+    (fun (name, db) ->
+      with_temp (fun f1 ->
+          with_temp (fun f2 ->
+              Db.save db f1;
+              let loaded = load_ok f1 in
+              Db.save loaded f2;
+              check Alcotest.bool (name ^ ": save, load, save is byte-identical") true
+                (file_bytes f1 = file_bytes f2);
+              (* a second load of the same bytes takes the same queries,
+                 so every counter must move alike *)
+              let again = load_ok f2 in
+              let pats = patterns db in
+              let expected = answers db pats in
+              check Alcotest.bool (name ^ ": patterns answered alike") true
+                (answers loaded pats = expected && answers again pats = expected);
+              check Alcotest.int (name ^ ": edges") (Db.stats db).Db.edges
+                (Db.stats loaded).Db.edges;
+              check Alcotest.bool (name ^ ": equal stats") true
+                (Db.stats loaded = Db.stats again))))
+    (("replay", replay_db ()) :: Lazy.force registry_dbs)
+
+(* the end record of [lines] as [save] computes it below one group of
+   4096 records: the MD5 of the MD5 of the lines *)
+let end_record lines =
+  let body = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  Printf.sprintf {|{"end":{"records":%d,"md5":"%s"}}|} (List.length lines)
+    (Digest.to_hex (Digest.string (Digest.string body)))
+
+let write_db file records =
+  write_lines file (({|{"schema":"patterns-edge-db/3"}|} :: records) @ [ end_record records ])
+
+let test_generic_form_loads_alike () =
+  let db = Db.create () in
+  Db.add_edge db ~src:10 ~event:"alpha" ~dst:(-20);
+  Db.add_edge db ~src:(-20) ~event:"beta" ~dst:max_int;
+  Db.add_edge db ~src:10 ~event:"beta" ~dst:min_int;
+  Db.put_fact db ~kind:"cert" ~key:"k1" (Json.Obj [ ("crashes", Json.List [ Json.Int 1 ]) ]);
+  with_temp (fun compact ->
+      with_temp (fun generic ->
+          with_temp (fun resaved ->
+              Db.save db compact;
+              write_db generic
+                [
+                  {| { "c" : 10 } |};
+                  {|{"c": -20}|};
+                  {|{ "c":4611686018427387903 }|};
+                  {|{"c" :-4611686018427387904}|};
+                  {|{ "e": "alpha" }|};
+                  {|{"e" : "beta"}|};
+                  {|{ "t": [ 0, 0, 1 ] }|};
+                  {|{"t":[1,1,2] }|};
+                  {|{"t" :[0 ,1, 3]}|};
+                  {|{ "f": { "kind": "cert", "key": "k1", "value": { "crashes": [ 1 ] } } }|};
+                ];
+              Db.save (load_ok generic) resaved;
+              check Alcotest.string "generic form saves as its compact twin" (file_bytes compact)
+                (file_bytes resaved))))
+
+(* an id past its dictionary in a compact edge line is refused with
+   the generic path's text *)
+let test_compact_id_out_of_range () =
+  with_temp (fun file ->
+      write_db file [ {|{"c":10}|}; {|{"c":20}|}; {|{"e":"alpha"}|}; {|{"t":[0,0,2]}|} ];
+      match Db.load file with
+      | Ok _ -> Alcotest.fail "an edge to an unassigned id was loaded"
+      | Error e ->
+        check Alcotest.string "refusal text"
+          (file ^ ": line 5: edge references an id outside the dictionaries")
+          e)
+
+(* a "c" line [save] would not write goes to [Json.of_string], and
+   loads (or is refused) exactly as that parser reads it *)
+let test_noncanonical_config_lines () =
+  List.iter
+    (fun digits ->
+      let line = Printf.sprintf {|{"c":%s}|} digits in
+      with_temp (fun file ->
+          write_db file [ line ];
+          match (Json.of_string line, Db.load file) with
+          | Ok (Json.Obj [ ("c", Json.Int fp) ]), Ok db ->
+            check Alcotest.bool (line ^ " interned as parsed") true (Db.mem_config db fp)
+          | Error e, Error e' ->
+            check Alcotest.string (line ^ " refused") (file ^ ": line 2: " ^ e) e'
+          | _ -> Alcotest.failf "%s: the load disagrees with Json.of_string" line))
+    [ "007"; "-0"; "00"; "12345678901234567890"; "4611686018427387904"; "-4611686018427387905" ]
+
 let () =
   Alcotest.run "db"
     [
       ( "dict",
         [
           Alcotest.test_case "dense ids" `Quick test_dict_dense_ids;
-          Alcotest.test_case "encoding round-trip" `Quick test_dict_encoding_roundtrip;
         ] );
       ("dict properties", List.map QCheck_alcotest.to_alcotest dict_qcheck_tests);
       ("lru", [ Alcotest.test_case "eviction and counters" `Quick test_lru_eviction_and_counters ]);
-      ("index", [ Alcotest.test_case "key decode" `Quick test_index_key_decode ]);
-      ("index properties", List.map QCheck_alcotest.to_alcotest index_qcheck_tests);
       ( "db",
         [
           Alcotest.test_case "stats and cache" `Quick test_db_stats_and_cache;
           Alcotest.test_case "unknown bound values" `Quick test_db_unknown_bound_values;
+          Alcotest.test_case "a fact write keeps the query cache" `Quick
+            test_db_put_fact_keeps_cache;
           Alcotest.test_case "persistence round-trip" `Quick test_db_persistence_roundtrip;
           Alcotest.test_case "edge-db /1 refused" `Quick test_db_v1_refused;
           Alcotest.test_case "missing and malformed files" `Quick
@@ -564,6 +672,13 @@ let () =
         ] );
       ("db properties", List.map QCheck_alcotest.to_alcotest db_oracle_qcheck_tests);
       ("registry oracle", [ QCheck_alcotest.to_alcotest registry_oracle_test ]);
+      ( "jsonl round-trip",
+        [
+          Alcotest.test_case "save, load, save is byte-identical" `Slow test_resave_identity;
+          Alcotest.test_case "the generic form loads alike" `Quick test_generic_form_loads_alike;
+          Alcotest.test_case "compact id out of range" `Quick test_compact_id_out_of_range;
+          Alcotest.test_case "noncanonical config lines" `Quick test_noncanonical_config_lines;
+        ] );
       ( "query",
         [
           Alcotest.test_case "graph helpers" `Quick test_query_graph_helpers;
