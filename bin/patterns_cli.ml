@@ -87,14 +87,12 @@ let failures_arg =
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"J"
-         ~doc:"Worker domains for the $(b,async) driver (0 = all cores); $(b,--par-mode \
-               layers) runs on one domain whatever the value. An exhaustive search gives \
-               the same verdict for every value, and the same counts under $(b,layers). \
-               Under $(b,async) with several workers, a protocol whose distinct paths \
-               reach one behavioural configuration counts a schedule-dependent number \
-               of configurations (coop-2pc). A truncated search gives the same answer \
-               under $(b,layers); under $(b,async) it keeps its counts but visits a \
-               schedule-dependent subset, so its verdict or witness may differ.")
+         ~doc:"Worker domains (0 = all cores). A sweep over several roots (input \
+               vectors) searches up to $(docv) roots at once, each on one worker, so its \
+               output is the same for every value, truncated or not, under either \
+               driver. A search of one root ($(b,realize)) under $(b,async) spreads that \
+               root over the workers; a truncated one then visits a schedule-dependent \
+               subset, so its answer or witness may differ.")
 
 let resolve_jobs j = if j <= 0 then Patterns_stdx.Domain_pool.default_jobs () else j
 
@@ -103,15 +101,14 @@ let par_mode_arg =
        & opt (some (enum [ ("async", Patterns_search.Search.Async);
                            ("layers", Patterns_search.Search.Layers) ])) None
        & info [ "par-mode" ] ~docv:"MODE"
-         ~doc:"Search driver: $(b,async) distributes work across $(b,--jobs) domains \
-               through per-worker stealing deques over a lock-striped visited table; \
-               $(b,layers) is the serial breadth-first search, on one domain. The \
-               default is $(b,async) everywhere except $(b,realize), whose \
-               shortest-witness guarantee needs $(b,layers). The choice can change \
-               answers: $(b,layers) gives the same truncation point for every \
-               $(b,--jobs), while a truncated $(b,async) search visits a \
-               schedule-dependent subset; and where distinct paths reach one \
-               behavioural configuration the two can report different counts.")
+         ~doc:"Search driver, the order in which each root is searched: $(b,async) is \
+               depth-first (and, in a one-root search, spreads the root over the \
+               $(b,--jobs) workers through stealing deques over a lock-striped visited \
+               table); $(b,layers) is the serial breadth-first search. The default is \
+               $(b,async) everywhere except $(b,realize), whose shortest-witness \
+               guarantee needs $(b,layers). The choice can change answers: where \
+               distinct paths reach one behavioural configuration the two can report \
+               different counts, and a truncated search stops at a different point.")
 
 let metrics_json_arg =
   Arg.(value & opt (some string) None
@@ -140,10 +137,10 @@ let deadline_arg =
 let max_states_arg =
   Arg.(value & opt (some int) None
        & info [ "max-states" ] ~docv:"K"
-         ~doc:"Live-state budget (visited + frontier) per search. Exceeding it truncates \
-               the answer gracefully (exit 2) instead of exhausting memory. Under \
-               $(b,--par-mode layers) the truncation point is the same for every \
-               $(b,--jobs); under $(b,async) it is schedule-dependent.")
+         ~doc:"Live-state budget (visited + frontier) of each root's search; up to \
+               $(b,--jobs) roots are live at once. Exceeding it truncates the answer \
+               gracefully (exit 2) instead of exhausting memory, at the same point for \
+               every $(b,--jobs) in a sweep over several roots.")
 
 let spill_dir_arg =
   Arg.(value & opt (some string) None
@@ -157,9 +154,9 @@ let spill_dir_arg =
 let mem_budget_arg =
   Arg.(value & opt int 1_000_000
        & info [ "mem-budget" ] ~docv:"K"
-         ~doc:"($(b,--spill-dir) only) Resident-binding high-water mark per search: \
-               reaching it evicts whole shards, largest first, until half the budget is \
-               free.")
+         ~doc:"($(b,--spill-dir) only) Resident-binding high-water mark of each root's \
+               search, with up to $(b,--jobs) roots live at once: reaching it evicts \
+               whole shards, largest first, until half the budget is free.")
 
 let resume_arg =
   Arg.(value & opt (some string) None
@@ -225,7 +222,9 @@ let db_handle = Option.map fst
 let save_db = function None -> () | Some (db, path) -> Patterns_db.Db.save db path
 
 (* The --resume memo: loaded like --db (sharing its handle when both
-   name one file), and saved after every root recorded into it. *)
+   name one file), and saved after every root recorded into it.  Roots
+   are recorded on the sweep's workers, so the hook runs under one
+   lock: the count and the kill see one save at a time. *)
 let open_memo ?db resume kill_after =
   let memo =
     match (resume, db) with
@@ -234,15 +233,16 @@ let open_memo ?db resume kill_after =
   in
   Option.map
     (fun (memo, path) ->
-      let recorded = ref 0 in
+      let recorded = ref 0 and lock = Mutex.create () in
       Patterns_db.Db.on_put memo (fun () ->
-          Patterns_db.Db.save memo path;
-          incr recorded;
-          match kill_after with
-          | Some k when !recorded >= k ->
-            Printf.eprintf "memo: killed after %d recorded roots (test hook)\n%!" k;
-            exit 99
-          | _ -> ());
+          Mutex.protect lock (fun () ->
+              Patterns_db.Db.save memo path;
+              incr recorded;
+              match kill_after with
+              | Some k when !recorded >= k ->
+                Printf.eprintf "memo: killed after %d recorded roots (test hook)\n%!" k;
+                exit 99
+              | _ -> ()));
       memo)
     memo
 

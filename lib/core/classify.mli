@@ -63,11 +63,10 @@ val classify :
 
     [par_mode] selects the driver (default
     {!Patterns_search.Search.Async}; [Layers] is the serial
-    breadth-first driver).  Exhaustive sweeps give identical
-    verdicts for every [jobs]; the two modes can disagree on counts
-    where distinct paths converge on one behavioural node, and
-    truncated sweeps should pin [Layers] when comparing across
-    [jobs]. *)
+    breadth-first driver).  Each input vector is searched by one
+    worker, up to [jobs] at once, so verdicts are identical for every
+    [jobs], truncated sweeps included; the two modes can disagree on
+    counts where distinct paths converge on one behavioural node. *)
 
 val solves : verdict -> Taxonomy.t -> bool
 (** Interpret the verdict against a taxonomy point (the rule is

@@ -51,10 +51,11 @@ module Make (P : Protocol.S) : sig
             sender's messages (fail-stop-processor discipline); the
             paper's unordered default is [false] *)
     jobs : int;
-        (** worker domains for the [Async] driver (default 1);
-            parallelism is intra-root — each vector's search is spread
-            across the pool — and any value yields the same report on
-            an exhaustive sweep.  [Layers] runs on one domain. *)
+        (** worker domains (default 1).  With several input vectors
+            the parallelism is across them: up to [jobs] vectors are
+            searched at once, each by one worker, so any value yields
+            the same report, truncated or not.  A single vector under
+            [Async] is spread across the pool instead. *)
     par_mode : Patterns_search.Search.par_mode;
         (** driver: [Async] (default) is the work-stealing driver,
             [Layers] the serial breadth-first driver.  Violation
@@ -62,9 +63,8 @@ module Make (P : Protocol.S) : sig
             violation observed at the smallest expanded-node
             fingerprint key — so both modes report the same witnesses;
             counts can differ between the modes where distinct paths
-            converge on one behavioural node, and truncated sweeps
-            visit a schedule-dependent subset under [Async], so
-            truncation-sensitive comparisons should pin [Layers]. *)
+            converge on one behavioural node, and so can the subset a
+            truncated sweep visits. *)
     deadline : float option;
         (** wall-clock budget (seconds) for the whole sweep: each
             vector's search receives the time remaining at its turn,
@@ -72,8 +72,9 @@ module Make (P : Protocol.S) : sig
             hanging *)
     max_live : int option;
         (** live-state budget (visited + frontier) per vector's
-            search; exceeding it truncates gracefully instead of
-            exhausting memory.  Deterministic and jobs-invariant. *)
+            search, with up to [jobs] vectors live at once; exceeding
+            it truncates gracefully instead of exhausting memory.
+            Deterministic and jobs-invariant. *)
     edge_sink : (src:int -> event:string -> dst:int -> unit) option;
         (** execution-database recorder: invoked once per expansion
             edge with the node fingerprints as [src]/[dst] and the
@@ -174,10 +175,10 @@ module Make (P : Protocol.S) : sig
     n:int ->
     unit ->
     report
-  (** One search per input vector, sequentially in vector order
-      through {!Patterns_search.Search.sweep}, under the driver
-      selected by [options.par_mode] ([Async] spreads each vector's
-      search across [options.jobs] domains).  The optional sink
+  (** One search per input vector through
+      {!Patterns_search.Search.sweep}, up to [options.jobs] vectors at
+      once and merged in vector order, under the driver selected by
+      [options.par_mode].  The optional sink
       accumulates the kernel's counters
       ({!Patterns_search.Search.merge_into}).
       @raise Invalid_argument if [n > 31]. *)

@@ -332,14 +332,17 @@ let output_record oc j =
    buffer, a group at a time, so saving never materialises the whole
    database as one string.  The stream goes to a temporary file
    renamed over [path], so a kill mid-save leaves the previous
-   database whole. *)
+   database whole.  One lock covers the open, the write and the
+   rename: two saves of one database to one path from two domains
+   would otherwise truncate each other's temporary file, and the
+   second rename would find it gone. *)
 let save t path =
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      locked t (fun () ->
+  locked t (fun () ->
+      let oc = open_out tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () ->
           let w = tally () in
           let b = w.lines in
           let flush = Buffer.output_buffer oc in
@@ -398,8 +401,8 @@ let save t path =
                  ( "end",
                    Json.Obj [ ("records", Json.Int w.records); ("md5", Json.String (digest w)) ]
                  );
-               ])));
-  Sys.rename tmp path
+               ]));
+      Sys.rename tmp path)
 
 (* the edge of ids [(s, e, o)] read from a file, if every id is one
    its dictionaries have assigned *)

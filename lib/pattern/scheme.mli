@@ -76,13 +76,14 @@ module Make (P : Protocol.S) : sig
     Pattern.Set.t * stats
   (** Union over all [2^n] input vectors, one
       {!Patterns_search.Search.sweep} root each: the scheme proper.
-      Stats are summed in vector order.  Parallelism is intra-root: under
-      the default async driver each vector's search is spread across
-      [jobs] domains; an exhaustive sweep gives the same scheme and
-      stats for every [jobs] and [par_mode].  [max_configs] (default
-      1_000_000) is each vector's budget; [deadline] bounds the whole
-      sweep (each vector's search receives the time remaining);
-      [max_live] bounds each vector's search separately.  [spill]
+      Stats are summed in vector order.  Up to [jobs] vectors are
+      searched at once, each by one worker, so the scheme and stats
+      are the same for every [jobs], truncated or not; an exhaustive
+      sweep gives the same for either [par_mode].  [max_configs]
+      (default 1_000_000) is each vector's budget; [deadline] bounds
+      the whole sweep (each vector's search receives the time
+      remaining when it starts); [max_live] bounds each vector's
+      search separately, with up to [jobs] of them live at once.  [spill]
       swaps each root's visited store for the disk-backed spill store
       (bit-identical results; see {!Patterns_search.Search.spill}).
       [base] is the per-root memo ({!Patterns_search.Search.memo},

@@ -250,8 +250,8 @@ let merge a b =
    schema /7 appends the spill-store counters "spill_runs",
    "spill_evictions", "spill_probes", "spill_read_bytes",
    "spill_write_bytes" (all 0 unless a --spill-dir was given;
-   deterministic except under the asynchronous driver at jobs > 1,
-   like "intern_bindings") after "db_cache_misses";
+   deterministic except when the asynchronous driver spreads one root
+   over several workers, like "intern_bindings") after "db_cache_misses";
    schema /8 appends "spill_fd_reopens" (descriptor-cache misses for
    runs already opened once; same gating as the other spill counters)
    after "spill_write_bytes", then the incremental-derivation counters

@@ -10,11 +10,14 @@
     under either; {!Search.sweep} merges the per-root records.  Sums
     and maxima are taken in root order.  Each field's documentation
     states its determinism class: most counters are deterministic for
-    a fixed driver and input, and on exhaustive searches identical for
-    every [--jobs] value; the timing fields ([seconds], [expand_seconds],
-    [lock_contention]) and the /5 section are volatile; and
-    [intern_bindings], the frontier gauges and the spill counters are
-    schedule-dependent under the async driver at [jobs > 1]. *)
+    a fixed driver and input.  A {!Search.sweep} of several roots
+    searches each root on one worker, so its whole record but the
+    timing fields ([seconds], [expand_seconds]) is the same for every
+    [--jobs] value.  Only when the async driver spreads one root over
+    several workers (a one-root search at [jobs > 1]) are
+    [lock_contention] and the /5 section volatile and
+    [intern_bindings], the frontier gauges and the spill counters
+    schedule-dependent. *)
 
 type outcome_kind = Exhausted | Goal_found | Truncated
 
@@ -83,15 +86,17 @@ type t = {
   lock_contention : int;
       (** visited-store mutex acquisitions that found the lock held:
           a stripe lock of the visited table under several workers, a
-          shard lock of the spill store — nondeterministic under
-          [jobs > 1], never compared across runs *)
+          shard lock of the spill store — nondeterministic when one
+          root is spread over several workers, never compared across
+          runs *)
   expand_seconds : float;
       (** wall-clock summed over expansion tasks across workers
           (nondeterministic) *)
   steals : int;
       (** work items taken from another worker's deque by the
-          asynchronous driver — 0 under [--jobs 1] or the serial
-          driver, schedule-dependent otherwise (/5 volatile section) *)
+          asynchronous driver — 0 under [--jobs 1], the serial driver
+          or a sweep of several roots (one worker per root),
+          schedule-dependent otherwise (/5 volatile section) *)
   steal_failures : int;
       (** steal attempts that found a victim empty or lost the race —
           schedule-dependent (/5 volatile section) *)
@@ -121,8 +126,9 @@ type t = {
       (** query-result cache misses (/6 section) *)
   spill_runs : int;
       (** sorted runs written by the disk-backed visited store — 0
-          unless [--spill-dir] is given; deterministic except under the
-          async driver at [jobs > 1] (/7 section) *)
+          unless [--spill-dir] is given; deterministic except when the
+          async driver spreads one root over several workers (/7
+          section) *)
   spill_evictions : int;
       (** in-memory shards flushed to disk (several per run) (/7
           section) *)
@@ -135,7 +141,9 @@ type t = {
   spill_fd_reopens : int;
       (** run files re-opened after eviction from the bounded
           descriptor cache — 0 when every run's descriptor stayed
-          cached; same gating as the other spill counters (/8
+          cached; same gating as the other spill counters, and also
+          schedule-dependent when the roots a sweep searches at once
+          hold more runs than the process-wide cache keeps open (/8
           section) *)
   prefix_hits : int;
       (** systematic hunt runs that resumed from a memoized

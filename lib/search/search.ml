@@ -26,13 +26,12 @@ let merge_into sink m = Option.iter (fun r -> r := Metrics.merge !r m) sink
 
 let now () = Unix.gettimeofday ()
 
-(* Which driver a client sweep runs on.  [Layers] is the serial
-   breadth-first search ({!Make.run}): shortest goal witnesses and the
-   same truncation points for every [--jobs], because it runs on one
-   domain.  [Async] is the work-stealing driver over the lock-striped
-   fingerprint table — same outcomes, pattern sets and deterministic
-   counters on searches it runs to exhaustion, but truncation points
-   and goal witnesses are schedule-dependent. *)
+(* Which driver searches each root.  [Layers] is the serial
+   breadth-first search ({!Make.run}): shortest goal witnesses.
+   [Async] is the work-stealing driver — depth-first on one worker;
+   spread over several only in a one-root search, where its truncation
+   points and goal witnesses are schedule-dependent.  A sweep of
+   several roots gives each root one worker (see [sweep]). *)
 type par_mode = Layers | Async
 
 let par_mode_string = function Layers -> "layers2" | Async -> "async"
@@ -107,9 +106,9 @@ module Make (P : Problem) = struct
      every binding in memory, the resident ones when spilling.  [evict]
      is the spill store's eviction point, which each driver calls where
      it keeps the counts deterministic (serial: between layers; async:
-     once per processed state, deterministic at --jobs 1 and
-     schedule-dependent above it — the /7 counters carry the same
-     jobs>1 caveat as [intern_bindings]).  [bits] is what both drivers
+     once per processed state, deterministic at one worker and
+     schedule-dependent with several — the /7 counters carry the same
+     caveat as [intern_bindings]).  [bits] is what both drivers
      report as [shard_bits]: the table's starting exponent, or the
      spill store's shard count.  [finish] adds the /7 spill section and
      deletes the run files. *)
@@ -565,32 +564,42 @@ let memo_record memo r (payload, (m : Metrics.t)) =
 (* ----- the per-root sweep ----- *)
 
 (* Every answer is a fold over independent roots (input vectors)
-   merged in root order.  The parallelism is intra-root — the async
-   driver spreads each root's search across the pool — so the loop
-   over roots stays on the pool-owning domain (nested pool maps are
-   not supported).  [deadline] bounds the whole sweep: each root
-   receives the time remaining when its turn comes, and a root
-   starting past the deadline gets a zero allowance and truncates
-   immediately.  With a memo, each root is looked up before it is
-   searched and recorded after. *)
+   merged in root order.  With several workers and several roots the
+   parallelism is across roots: the roots are mapped over one pool of
+   [jobs] workers, and each is searched on a one-job pool, so every
+   root's search is the one it would be at [--jobs 1] and the answer
+   and every counter but the timings are the same for every [jobs].
+   A single root (a realization) keeps the whole pool for its own
+   search.  [deadline] bounds the whole sweep: each root receives the
+   time remaining when it starts, and a root starting past the
+   deadline gets a zero allowance and truncates immediately.  With a
+   memo, each root is looked up before it is searched and recorded
+   after, on the worker that searches it. *)
 let sweep ?metrics ?deadline ?memo ~jobs par_mode ~root ~merge init roots =
   let t_end = Option.map (fun d -> now () +. d) deadline in
   let remaining () = Option.map (fun te -> Float.max 0. (te -. now ())) t_end in
-  let acc, m =
-    with_pool ~jobs par_mode (fun pool ->
-        List.fold_left
-          (fun (acc, ms) (i, r) ->
-            let payload, m =
-              match Option.bind memo (fun memo -> memo_find memo r) with
-              | Some reused -> reused
-              | None ->
-                let fresh = root pool ~deadline:(remaining ()) r in
-                Option.iter (fun memo -> memo_record memo r fresh) memo;
-                fresh
-            in
-            (merge acc payload, Metrics.merge ms (Metrics.with_root_index i m)))
-          (init, Metrics.zero)
-          (List.mapi (fun i r -> (i, r)) roots))
+  let search pool r =
+    match Option.bind memo (fun memo -> memo_find memo r) with
+    | Some reused -> reused
+    | None ->
+      let fresh = root pool ~deadline:(remaining ()) r in
+      Option.iter (fun memo -> memo_record memo r fresh) memo;
+      fresh
+  in
+  let fold (acc, ms, i) (payload, m) =
+    (merge acc payload, Metrics.merge ms (Metrics.with_root_index i m), i + 1)
+  in
+  let acc, m, _ =
+    match roots with
+    | _ :: _ :: _ when jobs > 1 ->
+      Domain_pool.with_pool ~jobs (fun pool ->
+          Domain_pool.map pool
+            (fun r -> Domain_pool.with_pool ~jobs:1 (fun one -> search one r))
+            roots)
+      |> List.fold_left fold (init, Metrics.zero, 0)
+    | _ ->
+      with_pool ~jobs par_mode (fun pool ->
+          List.fold_left (fun st r -> fold st (search pool r)) (init, Metrics.zero, 0) roots)
   in
   merge_into metrics m;
   acc

@@ -55,18 +55,18 @@ type 'a outcome =
 val outcome_kind : 'a outcome -> Metrics.outcome_kind
 val truncated : 'a outcome -> bool
 
-(** Which driver a client sweep runs on.  [Layers] is the serial
-    breadth-first search ({!Make.run}): it runs on one
-    domain, so its truncation points and goal witnesses (shortest
-    ones) are the same for every [--jobs].  [Async] is the
-    work-stealing driver over the lock-striped fingerprint table
-    ({!Make.run_par_async}) — same outcomes, observations and
-    deterministic counters on searches it runs to exhaustion, but
-    truncation sets and goal witnesses are schedule-dependent.  The
-    two modes can also disagree on count statistics where distinct
-    paths converge on one behavioural state, because the
-    representative kept is visit-order dependent.  Clients default to
-    [Async], except realization. *)
+(** Which driver searches each root of a client sweep.  [Layers] is
+    the serial breadth-first search ({!Make.run}), whose goal
+    witnesses are shortest ones.  [Async] is the work-stealing driver
+    ({!Make.run_par_async}): depth-first on one worker, and spread
+    over the pool's workers only in a search of one root, where its
+    truncation sets and goal witnesses are schedule-dependent.  In a
+    {!sweep} of several roots each root runs on one worker, so under
+    either driver every answer and counter but the timings is the
+    same for every [--jobs].  The two modes can disagree on count
+    statistics where distinct paths converge on one behavioural
+    state, because the representative kept is visit-order dependent.
+    Clients default to [Async], except realization. *)
 type par_mode = Layers | Async
 
 val par_mode_string : par_mode -> string
@@ -78,8 +78,8 @@ val par_mode_string : par_mode -> string
 
 val with_pool :
   jobs:int -> par_mode -> (Patterns_stdx.Domain_pool.t -> 'a) -> 'a
-(** The worker pool a sweep under [par_mode] needs: [jobs] domains for
-    [Async], none beyond the caller's for [Layers]. *)
+(** The worker pool a one-root search under [par_mode] needs: [jobs]
+    domains for [Async], none beyond the caller's for [Layers]. *)
 
 (** Disk-backed visited storage.  When passed to a driver, the
     in-memory visited store is replaced by a
@@ -93,8 +93,10 @@ val with_pool :
     without spilling.  [shard_bits] follows the store in use, under
     either driver: the table's starting exponent (6) in memory and
     {!Patterns_stdx.Spill_store.shard_bits} (4) with spilling.  The /7
-    spill counters themselves are deterministic except under the async
-    driver at [jobs > 1].  One semantic shift: the [max_live] guard
+    spill counters themselves are deterministic except when the async
+    driver spreads one root over several workers.  [mem_budget] bounds
+    each root's store, and a {!sweep} keeps up to [jobs] roots live at
+    once.  One semantic shift: the [max_live] guard
     counts {e resident} bindings plus frontier rather than cumulative
     bindings — spilling exists precisely to move cold states out of
     the live-memory budget.  Run files are deleted when the driver
@@ -282,16 +284,27 @@ val sweep :
   'acc
 (** [sweep ~jobs par_mode ~root ~merge init roots]: the per-root loop
     every exhaustive answer runs through.  Each root is searched by
-    [root pool ~deadline r] on the pool {!with_pool} gives [par_mode],
-    one root at a time in list order on the calling domain, and its
-    payload folded into [init] with [merge]; the per-root metrics are
-    tagged with the root's index ({!Metrics.with_root_index}), merged
-    in root order and accumulated into [metrics].  [deadline] bounds
-    the whole sweep: each root receives the time remaining when its
-    turn comes.  With [memo], a root found there is not searched
-    ({!memo_find}) and a searched one is recorded ({!memo_record}), so
-    the answer is the same as without it and only the metrics
-    differ. *)
+    [root pool ~deadline r].  With [jobs > 1] and at least two roots,
+    the roots are mapped over a pool of [jobs] workers and each is
+    searched on a one-job pool, so up to [jobs] roots run at once and
+    each root's search is the one it is at [jobs = 1]: the answer and
+    every counter but the timings are the same for every [jobs],
+    truncated sweeps included.  Otherwise the roots run one at a time
+    on the calling domain, on the pool {!with_pool} gives [par_mode]
+    (a single root under [Async] is spread over [jobs] workers).
+    Payloads are folded into [init] with [merge] in root order; the
+    per-root metrics are tagged with the root's index
+    ({!Metrics.with_root_index}), merged in root order and accumulated
+    into [metrics].  [deadline] bounds the whole sweep: each root
+    receives the time remaining when it starts.  The per-search
+    bounds a [root] applies (state budget, live-state limit, spill
+    budget) therefore bound each root, with up to [jobs] roots live at
+    once.  With [memo], a root found there is not searched
+    ({!memo_find}) and a searched one is recorded ({!memo_record}), on
+    the worker that searches it, so the answer is the same as without
+    it and only the metrics differ; a database hook that runs on each
+    record ({!Patterns_db.Db.on_put}) may therefore run on several
+    domains at once. *)
 
 val find_first :
   ?metrics:Metrics.t ref ->

@@ -71,6 +71,12 @@ let create ~jobs =
       workers = [];
     }
   in
+  (* Empty the minor heap before spawning.  Measured, not explained:
+     in a process that creates and joins a two-worker pool per
+     operation, the major heap grew by about 64 KB per pool unless the
+     minor heap was empty at the spawn (emptying it after the join did
+     not help); see EXPERIMENTS.md, "across roots". *)
+  if jobs > 1 then Gc.minor ();
   (* the calling domain is worker number [jobs]; spawn the rest *)
   t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t

@@ -76,9 +76,11 @@ val spill_fd_reopens : 'a t -> int
 (** Run-file opens beyond each run's first, summed over runs — probes
     that missed {!Block_file}'s bounded descriptor cache.  0 when
     every run's descriptor stayed cached.  Deterministic when this
-    store is the only one probing (the serial driver, or the async
-    driver at [jobs = 1]); the cache is process-global, so concurrent stores or
-    domains evict each other's descriptors schedule-dependently. *)
+    store is the only one probing (any search at [jobs = 1]); the
+    cache is process-global, so stores probed at once (the roots of a
+    sweep at [jobs > 1]) or several domains probing one store evict
+    each other's descriptors schedule-dependently once they hold more
+    runs than the cache keeps open. *)
 
 val dispose : 'a t -> unit
 (** Delete the run files and the private subdirectory. *)

@@ -311,6 +311,42 @@ let test_db_flipped_digit () =
       write_lines file flipped;
       refused_naming file (Db.load file))
 
+(* The per-root memo is saved from the sweep's workers, so two saves
+   of one database to one path can overlap.  Each holds the database's
+   lock from opening the temporary file to renaming it: neither
+   truncates the other's temporary file or renames it away. *)
+let test_db_concurrent_saves () =
+  let db = Db.create () in
+  for i = 0 to 1999 do
+    Db.add_edge db ~src:i ~event:"step" ~dst:(i + 1)
+  done;
+  Db.put_fact db ~kind:"cert" ~key:"k1" (Json.Obj [ ("crashes", Json.List [ Json.Int 1 ]) ]);
+  let file = Filename.temp_file "patterns-db" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ file; file ^ ".tmp" ])
+    (fun () ->
+      let saves () =
+        match
+          for _ = 1 to 50 do
+            Db.save db file
+          done
+        with
+        | () -> None
+        | exception e -> Some (Printexc.to_string e)
+      in
+      let other = Domain.spawn saves in
+      let here = saves () in
+      let there = Domain.join other in
+      check Alcotest.(option string) "every save on this domain returns" None here;
+      check Alcotest.(option string) "every save on the other domain returns" None there;
+      match Db.load file with
+      | Error e -> Alcotest.fail e
+      | Ok db' ->
+        check
+          Alcotest.(list (triple int string int))
+          "the file holds the database" (Db.edges db ()) (Db.edges db' ()))
+
 let test_db_load_missing_and_malformed () =
   (match Db.load "/nonexistent/patterns-db.json" with
   | Ok db -> check Alcotest.int "missing file is empty" 0 (Db.stats db).Db.edges
@@ -669,6 +705,7 @@ let () =
           Alcotest.test_case "cut at a record boundary" `Quick
             test_db_cut_at_record_boundary;
           Alcotest.test_case "flipped digit refused" `Quick test_db_flipped_digit;
+          Alcotest.test_case "concurrent saves to one path" `Quick test_db_concurrent_saves;
         ] );
       ("db properties", List.map QCheck_alcotest.to_alcotest db_oracle_qcheck_tests);
       ("registry oracle", [ QCheck_alcotest.to_alcotest registry_oracle_test ]);

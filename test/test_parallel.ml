@@ -78,10 +78,9 @@ let test_scheme_jobs_invariant () =
       let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
       let n = pick_n (module P) ~default_n:entry.Patterns_protocols.Registry.default_n in
       let module S = Patterns_pattern.Scheme.Make (P) in
-      (* truncation-sensitive (the budget cuts most registry sweeps
-         short), so pin the layered driver: only its truncation prefix
-         is jobs-invariant.  The async driver's exhaustive-sweep
-         invariance is tested separately below. *)
+      (* the budget cuts most registry sweeps short; this case runs
+         the layered driver at a larger budget, and "every sweep, both
+         drivers" below runs both drivers at small ones *)
       let run jobs =
         S.scheme ~max_configs:2_000 ~jobs ~par_mode:Patterns_search.Search.Layers ~n ()
       in
@@ -115,7 +114,7 @@ let test_classify_jobs_invariant () =
       let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
       let n = pick_n (module P) ~default_n:entry.Patterns_protocols.Registry.default_n in
       let rule = rule_of entry in
-      (* truncation-sensitive budget: pin the layered driver (see
+      (* the layered driver at a larger budget (see
          test_scheme_jobs_invariant) *)
       let run jobs =
         Classify.classify ~max_failures:1 ~max_configs:20_000 ~jobs
@@ -180,6 +179,72 @@ let test_classify_async_invariant () =
         true
         (Stdlib.compare v1 v = 0))
     [ 1; 2; 4 ]
+
+(* ----- every sweep, both drivers: the answer of jobs 1 ----- *)
+
+(* A sweep with several roots searches each on one worker, so its
+   answer is the one of [--jobs 1] under either driver, truncated or
+   not: verdicts (configuration counts included), pattern sets and
+   scheme statistics.  The budget-capped rows cover the whole
+   registry; the exhaustive ones cover the protocols whose
+   single-crash space fits the default budget at n = 3, coop-2pc among
+   them, whose count under the async driver depends on the order in
+   which converging paths are met (6818 configurations). *)
+let test_sweeps_jobs_invariant_both_drivers () =
+  let classify ?max_configs entry ~par_mode jobs =
+    let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
+    let n = pick_n (module P) ~default_n:entry.Patterns_protocols.Registry.default_n in
+    Classify.classify ~max_failures:1 ?max_configs ~jobs ~par_mode ~rule:(rule_of entry) ~n
+      entry.Patterns_protocols.Registry.protocol
+  in
+  let scheme ?max_configs entry ~par_mode jobs =
+    let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
+    let n = pick_n (module P) ~default_n:entry.Patterns_protocols.Registry.default_n in
+    let module S = Patterns_pattern.Scheme.Make (P) in
+    let pats, stats = S.scheme ?max_configs ~jobs ~par_mode ~n () in
+    (Patterns_pattern.Pattern.Set.elements pats, stats)
+  in
+  let same what run =
+    let one = run 1 in
+    List.iter
+      (fun jobs ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: jobs=%d = jobs=1" what jobs)
+          true
+          (Stdlib.compare one (run jobs) = 0))
+      [ 2; 4; 8 ]
+  in
+  let entry name = Option.get (Patterns_protocols.Registry.find name) in
+  List.iter
+    (fun par_mode ->
+      let mode = Patterns_search.Search.par_mode_string par_mode in
+      List.iter
+        (fun e ->
+          let name = e.Patterns_protocols.Registry.name in
+          same (Printf.sprintf "%s %s classify, capped" name mode)
+            (classify ~max_configs:400 e ~par_mode);
+          same (Printf.sprintf "%s %s scheme, capped" name mode)
+            (scheme ~max_configs:20 e ~par_mode))
+        Patterns_protocols.Registry.all;
+      List.iter
+        (fun name ->
+          let e = entry name in
+          let v = classify e ~par_mode 1 in
+          Alcotest.(check bool) (name ^ " classify is exhaustive") false v.Classify.truncated;
+          same (Printf.sprintf "%s %s classify, exhaustive" name mode) (classify e ~par_mode))
+        [ "coop-2pc"; "fig2-central" ];
+      List.iter
+        (fun name ->
+          let e = entry name in
+          let _, stats = scheme e ~par_mode 1 in
+          Alcotest.(check bool)
+            (name ^ " scheme is exhaustive")
+            false stats.Patterns_pattern.Scheme.truncated;
+          same (Printf.sprintf "%s %s scheme, exhaustive" name mode) (scheme e ~par_mode))
+        [ "fig3-chain"; "coop-2pc" ])
+    Patterns_search.Search.[ Async; Layers ];
+  Alcotest.(check int) "coop-2pc async configs" 6818
+    (classify (entry "coop-2pc") ~par_mode:Patterns_search.Search.Async 4).Classify.configs
 
 (* ----- run / run_par_async: the kernel drivers themselves ----- *)
 
@@ -445,6 +510,8 @@ let () =
           Alcotest.test_case "classify, async exhaustive" `Quick
             test_classify_async_invariant;
           Alcotest.test_case "hunt" `Quick test_hunt_jobs_invariant;
+          Alcotest.test_case "every sweep, both drivers" `Quick
+            test_sweeps_jobs_invariant_both_drivers;
         ] );
       ( "kernel drivers",
         [
