@@ -90,9 +90,7 @@ let jobs_arg =
          ~doc:"Worker domains (0 = all cores). A sweep over several roots (input \
                vectors) searches up to $(docv) roots at once, each on one worker, so its \
                output is the same for every value, truncated or not, under either \
-               driver. A search of one root ($(b,realize)) under $(b,async) spreads that \
-               root over the workers; a truncated one then visits a schedule-dependent \
-               subset, so its answer or witness may differ.")
+               driver.")
 
 let resolve_jobs j = if j <= 0 then Patterns_stdx.Domain_pool.default_jobs () else j
 
@@ -101,14 +99,13 @@ let par_mode_arg =
        & opt (some (enum [ ("async", Patterns_search.Search.Async);
                            ("layers", Patterns_search.Search.Layers) ])) None
        & info [ "par-mode" ] ~docv:"MODE"
-         ~doc:"Search driver, the order in which each root is searched: $(b,async) is \
-               depth-first (and, in a one-root search, spreads the root over the \
-               $(b,--jobs) workers through stealing deques over a lock-striped visited \
-               table); $(b,layers) is the serial breadth-first search. The default is \
-               $(b,async) everywhere except $(b,realize), whose shortest-witness \
-               guarantee needs $(b,layers). The choice can change answers: where \
-               distinct paths reach one behavioural configuration the two can report \
-               different counts, and a truncated search stops at a different point.")
+         ~doc:"Search driver, the order in which each root is searched on its one \
+               worker: $(b,async) is depth-first; $(b,layers) is breadth-first. The \
+               default is $(b,async) everywhere except $(b,realize), whose \
+               shortest-witness guarantee needs $(b,layers). The choice can change \
+               answers: where distinct paths reach one behavioural configuration the two \
+               can report different counts, and a truncated search stops at a different \
+               point.")
 
 let metrics_json_arg =
   Arg.(value & opt (some string) None
@@ -140,7 +137,7 @@ let max_states_arg =
          ~doc:"Live-state budget (visited + frontier) of each root's search; up to \
                $(b,--jobs) roots are live at once. Exceeding it truncates the answer \
                gracefully (exit 2) instead of exhausting memory, at the same point for \
-               every $(b,--jobs) in a sweep over several roots.")
+               every $(b,--jobs).")
 
 let spill_dir_arg =
   Arg.(value & opt (some string) None
@@ -344,8 +341,8 @@ let realize_cmd =
          & info [ "max-configs" ] ~docv:"K"
            ~doc:"Search budget; when hit, the answer is $(b,truncated), not unrealizable.")
   in
-  let run name n inputs target_of k max_configs jobs par_mode spill_dir mem_budget
-      resume kill_after metrics_json =
+  let run name n inputs target_of k max_configs par_mode spill_dir mem_budget resume
+      kill_after metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let inputs = or_die (parse_inputs n inputs) in
@@ -376,8 +373,7 @@ let realize_cmd =
     let metrics = ref Patterns_search.Metrics.zero in
     let result =
       catch_failures (fun () ->
-          S.realize ~metrics ~jobs:(resolve_jobs jobs) ?par_mode
-            ~max_configs ?spill ?base ~n ~inputs ~target ())
+          S.realize ~metrics ?par_mode ~max_configs ?spill ?base ~n ~inputs ~target ())
     in
     let code =
       match result with
@@ -402,7 +398,7 @@ let realize_cmd =
   Cmd.v (Cmd.info "realize" ~doc)
     Term.(
       const run $ protocol_arg $ n_arg $ inputs_arg $ target_of_arg $ pattern_arg
-      $ max_configs_arg $ jobs_arg $ par_mode_arg $ spill_dir_arg
+      $ max_configs_arg $ par_mode_arg $ spill_dir_arg
       $ mem_budget_arg $ resume_arg $ kill_after_arg $ metrics_json_arg)
 
 (* ----- dot ----- *)

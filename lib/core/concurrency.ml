@@ -71,8 +71,8 @@ module Make (P : Protocol.S) = struct
     in
     let metrics = ref Patterns_search.Metrics.zero in
     let sets =
-      Search.sweep ~metrics ~jobs:1 Search.Layers
-        ~root:(fun _ ~deadline:_ inputs ->
+      Search.sweep ~metrics ~jobs:1
+        ~root:(fun ~deadline:_ inputs ->
           let _, acc, m = K.run ~budget ~expand ~root:(E.Flat.init ~n ~inputs) () in
           (!acc, m))
         ~merge:union State_map.empty inputs_choices

@@ -400,7 +400,7 @@ module Make (P : Protocol.S) = struct
      search kernel; this function only hangs the paper's observations
      on the expansion closure.  Nothing here reads a communication
      pattern or a trace, so the root is a flat configuration. *)
-  let explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n inputs =
+  let explore_one_vector ?deadline ~options ~budget ~rule ~n inputs =
     let root_config = E.Flat.init ~n ~inputs in
     let vector =
       let inputs = Array.of_list inputs in
@@ -428,8 +428,8 @@ module Make (P : Protocol.S) = struct
         K.run ~budget ?deadline ?max_live:options.max_live ?spill:options.spill ?edges
           ~expand ~root ()
       | Patterns_search.Search.Async ->
-        K.run_par_async ~pool ~budget ?deadline ?max_live:options.max_live
-          ?spill:options.spill ?edges ~expand ~root ()
+        K.run_par_async ~budget ?deadline ?max_live:options.max_live ?spill:options.spill
+          ?edges ~expand ~root ()
     in
     let m = Patterns_search.Metrics.with_intern_bindings (E.Flat.intern_bindings root_config) m in
     (o, Patterns_search.Search.truncated outcome, m)
@@ -548,11 +548,9 @@ module Make (P : Protocol.S) = struct
     (* Input vectors are baked into every configuration, so the roots
        partition the state space; reports merge in vector order. *)
     Patterns_search.Search.sweep ?metrics ?deadline:options.deadline ?memo
-      ~jobs:options.jobs options.par_mode
-      ~root:(fun pool ~deadline inputs ->
-        let o, truncated, m =
-          explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n inputs
-        in
+      ~jobs:options.jobs
+      ~root:(fun ~deadline inputs ->
+        let o, truncated, m = explore_one_vector ?deadline ~options ~budget ~rule ~n inputs in
         (report_of ~configs:m.Patterns_search.Metrics.states_expanded ~truncated o, m))
       ~merge:merge_reports empty_report options.inputs_choices
 

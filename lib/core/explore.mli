@@ -54,11 +54,10 @@ module Make (P : Protocol.S) : sig
         (** worker domains (default 1).  With several input vectors
             the parallelism is across them: up to [jobs] vectors are
             searched at once, each by one worker, so any value yields
-            the same report, truncated or not.  A single vector under
-            [Async] is spread across the pool instead. *)
+            the same report, truncated or not. *)
     par_mode : Patterns_search.Search.par_mode;
-        (** driver: [Async] (default) is the work-stealing driver,
-            [Layers] the serial breadth-first driver.  Violation
+        (** driver: [Async] (default) is the depth-first driver,
+            [Layers] the breadth-first one.  Violation
             witnesses are canonicalized — each report cell keeps the
             violation observed at the smallest expanded-node
             fingerprint key — so both modes report the same witnesses;

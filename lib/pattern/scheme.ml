@@ -39,8 +39,7 @@ module Make (P : Protocol.S) = struct
 
   module K = Search.Make (Pr)
 
-  (* Observation accumulator (one per search under the serial driver,
-     one per worker under the async one).  [seen_pats] is the
+  (* Observation accumulator, one per search.  [seen_pats] is the
      terminal-pattern cache: distinct
      terminal configurations mostly repeat a handful of patterns, and
      extraction ([Pattern.make]) is far more expensive than a
@@ -82,10 +81,7 @@ module Make (P : Protocol.S) = struct
           | actions -> Pr.successors c actions);
     }
 
-  (* [obs] merging is union/sum — commutative as well as associative —
-     so the async driver's worker-order fold collects the same pattern
-     set and terminal count as the serial driver's single fold. *)
-  let patterns_for_inputs_m ?pool ?(par_mode = Search.Async)
+  let patterns_for_inputs_m ?(par_mode = Search.Async)
       ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ~n ~inputs () =
     let root = E.init ~n ~inputs in
     let outcome, o, m =
@@ -93,8 +89,8 @@ module Make (P : Protocol.S) = struct
       | Search.Layers ->
         K.run ~budget:max_configs ?deadline ?max_live ?spill ~expand:obs_expand ~root ()
       | Search.Async ->
-        K.run_par_async ?pool ~budget:max_configs ?deadline ?max_live ?spill
-          ~expand:obs_expand ~root ()
+        K.run_par_async ~budget:max_configs ?deadline ?max_live ?spill ~expand:obs_expand
+          ~root ()
     in
     let m = Metrics.with_intern_bindings (E.intern_bindings root) m in
     ( ( o.pats,
@@ -105,12 +101,10 @@ module Make (P : Protocol.S) = struct
         } ),
       m )
 
-  let patterns_for_inputs ?metrics ?(jobs = 1) ?(par_mode = Search.Async) ?max_configs
-      ?deadline ?max_live ?spill ~n ~inputs () =
+  let patterns_for_inputs ?metrics ?par_mode ?max_configs ?deadline ?max_live ?spill ~n
+      ~inputs () =
     let result, m =
-      Search.with_pool ~jobs par_mode (fun pool ->
-          patterns_for_inputs_m ~pool ~par_mode ?max_configs ?deadline ?max_live ?spill ~n
-            ~inputs ())
+      patterns_for_inputs_m ?par_mode ?max_configs ?deadline ?max_live ?spill ~n ~inputs ()
     in
     Search.merge_into metrics m;
     result
@@ -133,10 +127,10 @@ module Make (P : Protocol.S) = struct
       base
 
   (* [par_mode] defaults to [Layers], not [Async]: the documented
-     shortest-witness guarantee, identical for every [jobs], needs the
-     serial driver's breadth-first order.  [Async] is still accepted
-     for callers that only need *a* witness. *)
-  let realize ?metrics ?(jobs = 1) ?(par_mode = Search.Layers)
+     shortest-witness guarantee needs the breadth-first order.
+     [Async] is still accepted for callers that only need *a*
+     witness. *)
+  let realize ?metrics ?(par_mode = Search.Layers)
       ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ?base ~n ~inputs ~target () =
     (* the accumulated pattern must be a prefix of the target: its
        triples a subset, and the orders in agreement *)
@@ -147,9 +141,7 @@ module Make (P : Protocol.S) = struct
     let module R = struct
       (* A configuration plus the reversed event path that reached it;
          dedup ignores the path.  [acts] memoizes [E.applicable], which
-         both the goal test and the expansion need; a state is
-         goal-tested and expanded by the same worker, so the lazy is
-         never forced concurrently. *)
+         both the goal test and the expansion need. *)
       type state = { c : E.config; path : Action.t list; acts : Action.t list Lazy.t }
 
       let make c path = { c; path; acts = lazy (E.applicable c) }
@@ -182,8 +174,8 @@ module Make (P : Protocol.S) = struct
         base
     in
     (* a realization is a sweep of one root *)
-    Search.sweep ?metrics ?deadline ?memo ~jobs par_mode
-      ~root:(fun pool ~deadline () ->
+    Search.sweep ?metrics ?deadline ?memo ~jobs:1
+      ~root:(fun ~deadline () ->
         let root_config = E.init ~n ~inputs in
         let root = R.make root_config [] in
         let outcome, (), m =
@@ -191,8 +183,8 @@ module Make (P : Protocol.S) = struct
           | Search.Layers ->
             K.run ~budget:max_configs ?deadline ?max_live ?spill ~is_goal ~prune ~expand ~root ()
           | Search.Async ->
-            K.run_par_async ~pool ~budget:max_configs ?deadline ?max_live ?spill ~is_goal
-              ~prune ~expand ~root ()
+            K.run_par_async ~budget:max_configs ?deadline ?max_live ?spill ~is_goal ~prune
+              ~expand ~root ()
         in
         let r =
           match outcome with
@@ -220,10 +212,9 @@ module Make (P : Protocol.S) = struct
         ~key:(fun inputs -> "vec=" ^ Patterns_stdx.Listx.bits inputs)
         base
     in
-    Search.sweep ?metrics ?deadline ?memo ~jobs par_mode
-      ~root:(fun pool ~deadline inputs ->
-        patterns_for_inputs_m ~pool ~par_mode ~max_configs ?deadline ?max_live ?spill ~n
-          ~inputs ())
+    Search.sweep ?metrics ?deadline ?memo ~jobs
+      ~root:(fun ~deadline inputs ->
+        patterns_for_inputs_m ~par_mode ~max_configs ?deadline ?max_live ?spill ~n ~inputs ())
       ~merge:(fun (acc, st) (pats, st') -> (Pattern.Set.union acc pats, merge_stats st st'))
       (Pattern.Set.empty, { configs_visited = 0; terminal_configs = 0; truncated = false })
       (Patterns_stdx.Listx.all_bool_vectors n)

@@ -36,7 +36,6 @@ module Make (P : Protocol.S) : sig
 
   val patterns_for_inputs :
     ?metrics:Patterns_search.Metrics.t ref ->
-    ?jobs:int ->
     ?par_mode:Patterns_search.Search.par_mode ->
     ?max_configs:int ->
     ?deadline:float ->
@@ -47,15 +46,12 @@ module Make (P : Protocol.S) : sig
     unit ->
     Pattern.Set.t * stats
   (** All patterns of failure-free executions from the given initial
-      bits, enumerated by the driver selected by [par_mode] (default
-      {!Patterns_search.Search.Async}, the work-stealing driver across
-      [jobs] domains; [Layers] is the serial breadth-first driver,
-      which ignores [jobs]).  On a search that runs to exhaustion both
-      modes produce the identical pattern set, stats and deterministic
-      counters for every [jobs]; a truncated async search keeps its
-      counts but visits a schedule-dependent subset, so
-      truncation-sensitive comparisons should pass
-      [~par_mode:Layers].  Default [max_configs] is 1_000_000.
+      bits, enumerated on the calling domain in the order selected by
+      [par_mode] (default {!Patterns_search.Search.Async}, depth-first;
+      [Layers] is breadth-first).  On a search that runs to exhaustion
+      both modes produce the identical pattern set, stats and
+      deterministic counters; a truncated search stops at a point
+      each order fixes.  Default [max_configs] is 1_000_000.
       [deadline] (wall-clock seconds) and [max_live] (live states)
       degrade the search gracefully: exceeding either truncates
       instead of hanging or exhausting memory.  Every [?metrics] sink
@@ -94,7 +90,6 @@ module Make (P : Protocol.S) : sig
 
   val realize :
     ?metrics:Patterns_search.Metrics.t ref ->
-    ?jobs:int ->
     ?par_mode:Patterns_search.Search.par_mode ->
     ?max_configs:int ->
     ?deadline:float ->
@@ -108,15 +103,14 @@ module Make (P : Protocol.S) : sig
     realization
   (** Synthesize a failure-free execution whose communication pattern
       is exactly [target]: a search over applicable events pruned to
-      pattern prefixes of the target.  [par_mode] defaults to
-      [Layers], unlike the sweeps above: the serial driver's
+      pattern prefixes of the target, on the calling domain.
+      [par_mode] defaults to [Layers], unlike the sweeps above: the
       breadth-first order is what makes the witness a shortest
-      realization, identical for every [jobs].  Under
-      [~par_mode:Async] the answer ({!Realized} / {!Unrealizable}) is
-      unchanged but the witness is schedule-dependent and need not be
-      shortest.  {!Truncated} is distinct from {!Unrealizable}: an
-      answer cut short by [max_configs] is not evidence of
-      unrealizability.  [spill] and [base] behave as in {!scheme}: a
+      realization.  Under [~par_mode:Async] the answer ({!Realized} /
+      {!Unrealizable}) is unchanged but the witness is the first in
+      depth-first order and need not be shortest.  {!Truncated} is
+      distinct from {!Unrealizable}: an answer cut short by
+      [max_configs] is not evidence of unrealizability.  [spill] and [base] behave as in {!scheme}: a
       realization is a single root, recorded under the kind
       ["realize"] and keyed by a digest of the inputs and target. *)
 end

@@ -250,8 +250,7 @@ let merge a b =
    schema /7 appends the spill-store counters "spill_runs",
    "spill_evictions", "spill_probes", "spill_read_bytes",
    "spill_write_bytes" (all 0 unless a --spill-dir was given;
-   deterministic except when the asynchronous driver spreads one root
-   over several workers, like "intern_bindings") after "db_cache_misses";
+   deterministic) after "db_cache_misses";
    schema /8 appends "spill_fd_reopens" (descriptor-cache misses for
    runs already opened once; same gating as the other spill counters)
    after "spill_write_bytes", then the incremental-derivation counters
@@ -266,18 +265,20 @@ let merge a b =
    schema /10 removes "par_layers" and "delta_seeds", which had become
    constant 0 on every path;
    every other field is unchanged in name, meaning and order.
-   "lock_contention", "expand_seconds", "parallel_efficiency" and the
-   whole /5 section are the nondeterministic top-level fields
-   (normalized away by the cram test); "deadline_hits" is
+   "expand_seconds" and "parallel_efficiency" are the nondeterministic
+   top-level fields (normalized away by the cram test); since every
+   search runs on one domain, "lock_contention", "steals",
+   "steal_failures", "cas_retries" and "idle_seconds" are always 0 and
+   "table_occupancy" is deterministic; "deadline_hits" is
    deterministically 0 when no deadline was set, and
    wall-clock-dependent when one was. *)
 let schema = "patterns-search-metrics/10"
 
 let wall_seconds m = List.fold_left (fun acc (s : shard) -> acc +. s.seconds) 0. m.shards
 
-(* expand-time over wall-time: the fraction of the run spent inside
-   successor expansion, summed across workers — values above 1 mean
-   expansion actually overlapped across domains. *)
+(* expand-time over the roots' summed wall-time: the fraction of the
+   searches spent inside successor expansion (at most about 1, since
+   each root is searched on one domain). *)
 let parallel_efficiency m =
   let wall = wall_seconds m in
   if wall > 0. then m.expand_seconds /. wall else 0.

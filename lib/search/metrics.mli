@@ -10,14 +10,11 @@
     under either; {!Search.sweep} merges the per-root records.  Sums
     and maxima are taken in root order.  Each field's documentation
     states its determinism class: most counters are deterministic for
-    a fixed driver and input.  A {!Search.sweep} of several roots
-    searches each root on one worker, so its whole record but the
-    timing fields ([seconds], [expand_seconds]) is the same for every
-    [--jobs] value.  Only when the async driver spreads one root over
-    several workers (a one-root search at [jobs > 1]) are
-    [lock_contention] and the /5 section volatile and
-    [intern_bindings], the frontier gauges and the spill counters
-    schedule-dependent. *)
+    a fixed driver and input.  Every search runs on one domain, and a
+    {!Search.sweep} of several roots searches each root on one worker,
+    so the whole record but the timing fields ([seconds],
+    [expand_seconds], [parallel_efficiency]) is the same for every
+    [--jobs] value. *)
 
 type outcome_kind = Exhausted | Goal_found | Truncated
 
@@ -84,34 +81,26 @@ type t = {
       (** searches stopped by the live-state budget
           ({!Search.Live_limit_exceeded}); deterministic *)
   lock_contention : int;
-      (** visited-store mutex acquisitions that found the lock held:
-          a stripe lock of the visited table under several workers, a
-          shard lock of the spill store — nondeterministic when one
-          root is spread over several workers, never compared across
-          runs *)
+      (** always 0: no visited store takes a lock, since every search
+          runs on one domain *)
   expand_seconds : float;
-      (** wall-clock summed over expansion tasks across workers
+      (** wall-clock spent expanding, summed over roots
           (nondeterministic) *)
   steals : int;
-      (** work items taken from another worker's deque by the
-          asynchronous driver — 0 under [--jobs 1], the serial driver
-          or a sweep of several roots (one worker per root),
-          schedule-dependent otherwise (/5 volatile section) *)
-  steal_failures : int;
-      (** steal attempts that found a victim empty or lost the race —
-          schedule-dependent (/5 volatile section) *)
+      (** always 0: no search shares its work between domains (/5
+          section) *)
+  steal_failures : int;  (** always 0 (/5 section) *)
   cas_retries : int;
       (** always 0: the visited table claims no slot by
-          compare-and-set.  Kept so schema /10 and its readers (the
-          benchmark of record reads it) stay unchanged (/5 volatile
-          section) *)
+          compare-and-set (/5 section) *)
   table_occupancy : float;
-      (** final load factor of the open-addressed visited table; maxed
-          on merge; volatile near a doubling (/5 volatile section) *)
+      (** final load factor of the in-memory visited table, 0 with
+          spilling; maxed on merge; deterministic (/5 section) *)
   idle_seconds : float;
-      (** wall-clock workers spent between exhausting their own deque
-          and acquiring new work (or quiescence) — the async driver's
-          analogue of barrier wait time (/5 volatile section) *)
+      (** always 0: no worker waits for work within a search (/5
+          section).  [lock_contention] and the /5 section stay until
+          the metrics schema is next changed, because the benchmark of
+          record reads [steals], [cas_retries] and [idle_seconds] *)
   db_edges : int;
       (** distinct (src, event, dst) triples in the attached execution
           database after the run — deterministic for a given recorded
@@ -126,9 +115,7 @@ type t = {
       (** query-result cache misses (/6 section) *)
   spill_runs : int;
       (** sorted runs written by the disk-backed visited store — 0
-          unless [--spill-dir] is given; deterministic except when the
-          async driver spreads one root over several workers (/7
-          section) *)
+          unless [--spill-dir] is given; deterministic (/7 section) *)
   spill_evictions : int;
       (** in-memory shards flushed to disk (several per run) (/7
           section) *)
@@ -139,12 +126,10 @@ type t = {
   spill_write_bytes : int;
       (** bytes written to run files by evictions (/7 section) *)
   spill_fd_reopens : int;
-      (** run files re-opened after eviction from the bounded
-          descriptor cache — 0 when every run's descriptor stayed
-          cached; same gating as the other spill counters, and also
-          schedule-dependent when the roots a sweep searches at once
-          hold more runs than the process-wide cache keeps open (/8
-          section) *)
+      (** run files re-opened after eviction from their store's
+          64-entry descriptor cache — 0 when every run's descriptor
+          stayed cached; same gating as the other spill counters, and
+          deterministic like them (/8 section) *)
   prefix_hits : int;
       (** systematic hunt runs that resumed from a memoized
           failure-free prefix instead of replaying from the initial
@@ -208,9 +193,8 @@ val with_faults :
 
 val parallel_efficiency : t -> float
 (** [expand_seconds] over summed shard wall-clock: the fraction of the
-    run spent inside successor expansion, summed across workers.
-    Values above 1 mean expansion overlapped across domains.
-    Nondeterministic. *)
+    roots' searches spent inside successor expansion, at most about 1
+    since each root is searched on one domain.  Nondeterministic. *)
 
 val merge : t -> t -> t
 (** Counters are summed, [frontier_peak] maxed, outcomes joined

@@ -26,18 +26,14 @@ let merge_into sink m = Option.iter (fun r -> r := Metrics.merge !r m) sink
 
 let now () = Unix.gettimeofday ()
 
-(* Which driver searches each root.  [Layers] is the serial
-   breadth-first search ({!Make.run}): shortest goal witnesses.
-   [Async] is the work-stealing driver — depth-first on one worker;
-   spread over several only in a one-root search, where its truncation
-   points and goal witnesses are schedule-dependent.  A sweep of
-   several roots gives each root one worker (see [sweep]). *)
+(* The order in which each root is searched, on the one domain that
+   searches it.  [Layers] is the breadth-first search ({!Make.run}):
+   shortest goal witnesses.  [Async] is the depth-first search
+   ({!Make.run_par_async}).  A sweep of several roots gives each root
+   one worker (see [sweep]). *)
 type par_mode = Layers | Async
 
 let par_mode_string = function Layers -> "layers2" | Async -> "async"
-
-let with_pool ~jobs par_mode f =
-  Domain_pool.with_pool ~jobs:(match par_mode with Layers -> 1 | Async -> jobs) f
 
 (* Disk-backed visited storage: when set, both drivers swap the
    in-memory table for a {!Patterns_stdx.Spill_store} rooted at [dir]
@@ -63,9 +59,10 @@ end
 module Make (P : Problem) = struct
   (* Observation interface shared by both drivers: [expand] folds one
      state's observations into an accumulator from [empty] and returns
-     its successors.  The serial driver threads one accumulator through
-     the whole search in visitation order; the async driver keeps one
-     per worker and folds them with [merge] in worker-index order. *)
+     its successors.  Each driver threads one accumulator through the
+     whole search in visitation order.  Nothing calls [merge]: it is
+     kept for bench/perf's shadow searches, which still build the
+     record with it. *)
   type 'obs par_expand = {
     empty : unit -> 'obs;
     merge : 'obs -> 'obs -> 'obs;
@@ -83,9 +80,10 @@ module Make (P : Problem) = struct
      canonical fingerprint makes the emitted triples a function of the
      state alone, so the recorded edge set is identical across drivers
      and worker counts.  Each fingerprint is computed once and handed
-     to the sink.  The callback is invoked from worker domains by the
-     async driver; thread safety is the callee's obligation (the
-     execution database locks internally). *)
+     to the sink.  The callback runs on the domain that searches the
+     root, so a sink shared by the roots of a sweep at [jobs > 1] is
+     called from several domains; thread safety is the callee's
+     obligation (the execution database locks internally). *)
   let emit_edges edges src succs =
     match edges with
     | None -> ()
@@ -98,45 +96,39 @@ module Make (P : Problem) = struct
   (* ----- the visited store, the guards and the metrics step ----- *)
 
   (* The one visited interface both drivers use, over either store:
-     the [Visited_table] in memory (a one-worker table, without locks,
-     for the serial driver and for the async one at one worker; a
-     lock-striped one for several workers) or, with [spill], the
-     [Spill_store].  [add] is the only probe: it claims a state and
-     answers whether it was new.  [live] feeds the [max_live] guard:
-     every binding in memory, the resident ones when spilling.  [evict]
-     is the spill store's eviction point, which each driver calls where
-     it keeps the counts deterministic (serial: between layers; async:
-     once per processed state, deterministic at one worker and
-     schedule-dependent with several — the /7 counters carry the same
-     caveat as [intern_bindings]).  [bits] is what both drivers
-     report as [shard_bits]: the table's starting exponent, or the
-     spill store's shard count.  [finish] adds the /7 spill section and
-     deletes the run files. *)
+     the [Visited_table] in memory or, with [spill], the [Spill_store];
+     both belong to one search and take no lock.  [add] is the only
+     probe: it claims a state and answers whether it was new.  [live]
+     feeds the [max_live] guard: every binding in memory, the resident
+     ones when spilling.  [evict] is the spill store's eviction point,
+     which each driver calls at fixed points of its order (serial:
+     between layers; async: once per processed state).  [bits] is what
+     both drivers report as [shard_bits]: the table's starting
+     exponent, or the spill store's shard count.  [finish] adds the /7
+     spill section and deletes the run files. *)
   type visited = {
     add : P.state -> bool;
     live : unit -> int;
     bindings : unit -> int;
     probes : unit -> int;
     collision_fallbacks : unit -> int;
-    lock_contention : unit -> int;
     occupancy : unit -> float;
     bits : int;
     evict : unit -> unit;
     finish : Metrics.t -> Metrics.t;
   }
 
-  let visited ~workers spill =
+  let visited spill =
     let equal a b = P.compare a b = 0 in
     match spill with
     | None ->
-      let t = Visited_table.create ~workers ~equal ~fingerprint:P.fingerprint () in
+      let t = Visited_table.create ~equal ~fingerprint:P.fingerprint () in
       {
         add = Visited_table.add_if_absent t;
         live = (fun () -> Visited_table.bindings t);
         bindings = (fun () -> Visited_table.bindings t);
         probes = (fun () -> Visited_table.probes t);
         collision_fallbacks = (fun () -> Visited_table.collision_fallbacks t);
-        lock_contention = (fun () -> Visited_table.lock_contention t);
         occupancy = (fun () -> Visited_table.occupancy t);
         bits = Visited_table.initial_bits t;
         evict = ignore;
@@ -150,7 +142,6 @@ module Make (P : Problem) = struct
         bindings = (fun () -> Spill_store.bindings t);
         probes = (fun () -> Spill_store.probes t);
         collision_fallbacks = (fun () -> Spill_store.collision_fallbacks t);
-        lock_contention = (fun () -> Spill_store.lock_contention t);
         occupancy = (fun () -> 0.);
         bits = Spill_store.shard_bits;
         evict = (fun () -> Spill_store.maybe_evict t);
@@ -171,8 +162,7 @@ module Make (P : Problem) = struct
             m);
       }
 
-  (* The deterministic tallies: one record for the serial driver, one
-     per worker for the async driver, summed at quiescence. *)
+  (* The deterministic tallies of one search. *)
   type tally = { mutable expanded : int; mutable dedup : int; mutable pruned : int }
 
   let tally () = { expanded = 0; dedup = 0; pruned = 0 }
@@ -200,7 +190,7 @@ module Make (P : Problem) = struct
      search pays one branch per check.  The live count is the store's
      plus [pending], the frontier a driver holds as a list: the serial
      driver's whole next layer (already claimed, so counted twice),
-     nothing for the async driver, whose deques are not counted. *)
+     nothing for the async driver, whose stack is not counted. *)
   let guard ?max_live ?deadline visited ~t0 =
     if max_live = None && deadline = None then None
     else
@@ -221,10 +211,9 @@ module Make (P : Problem) = struct
   (* The metrics step both drivers end with: their tallies, the
      store's counters and which guard (if any) stopped the search,
      straight into one single-root record.  The serial driver adds its
-     layer count, the async one its work-stealing section; a field a
-     driver does not pass stays 0, [shard_occupancy_max] always. *)
-  let metrics visited outcome ~t0 tally ~peak ~expand_seconds ?(layers = 0) ?(steals = 0)
-      ?(steal_failures = 0) ?(idle_seconds = 0.) () =
+     layer count; a field a driver does not pass stays 0, as do
+     [shard_occupancy_max] and the /5 work-stealing section always. *)
+  let metrics visited outcome ~t0 tally ~peak ~expand_seconds ?(layers = 0) () =
     let shard =
       {
         Metrics.root = 0;
@@ -252,19 +241,15 @@ module Make (P : Problem) = struct
         shard_occupancy_total = visited.bindings ();
         deadline_hits;
         live_limit_hits;
-        lock_contention = visited.lock_contention ();
         expand_seconds;
-        steals;
-        steal_failures;
         table_occupancy = visited.occupancy ();
-        idle_seconds;
       }
 
   (* ----- the serial driver: breadth-first, one layer at a time ----- *)
 
   let run ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune ?edges
       ~expand:obs_iface ~root () =
-    let visited = visited ~workers:1 spill in
+    let visited = visited spill in
     let obs = obs_iface.empty () in
     let tally = tally () in
     let peak = ref 0 and layers = ref 0 and expand_seconds = ref 0. in
@@ -319,170 +304,58 @@ module Make (P : Problem) = struct
       metrics visited outcome ~t0 tally ~peak:!peak ~expand_seconds:!expand_seconds
         ~layers:!layers () )
 
-  (* ----- asynchronous work-stealing driver ----- *)
+  (* ----- the depth-first driver ----- *)
 
-  (* No layers, no barrier: each worker owns a Chase–Lev deque and
-     works depth-first on its own bottom end, hunting round-robin over
-     the other deques when its own runs dry.  A successor is claimed
-     into the visited store at generation time (add doubles as the
-     membership test), so a state enters exactly one deque and is
-     processed exactly once.
-
-     Quiescence: [in_flight] counts the root plus every claimed,
-     not-yet-retired state.  A worker increments it for each fresh
-     child before retiring the parent, so it can only reach 0 when no
-     state is queued or being expanded anywhere — the termination
-     barrier is one atomic read.
-
-     Determinism contract (pinned by test_parallel): successors pass
-     the serial driver's rule ([admit]), so on a search that runs to
-     exhaustion the claimed set equals the serial visited set and
-     every deterministic counter agrees with the serial driver's.
-     Budget exhaustion is not a halt:
-     workers keep draining their deques, dropping every state whose
-     budget ticket is out of range, so exactly [budget] tickets are
-     consumed and [states_expanded] is deterministic even for a
-     truncated search (the *set* expanded is schedule-dependent). *)
-  let run_par_async ?pool ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune
+  (* One stack of claimed, unexpanded states: pop the newest, charge
+     it, expand it and push its claimed successors in generation order.
+     A successor is claimed into the visited store at generation time
+     ([admit]), so a state enters the stack once and is processed once,
+     and on a search that runs to exhaustion the claimed set and every
+     deterministic counter equal the serial driver's.  The visit order
+     is a function of the problem, root and budget.  The name and the
+     ignored [?pool] are kept for bench/perf's shadow searches, which
+     still call it so. *)
+  let run_par_async ?pool:_ ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune
       ?edges ~expand:obs_iface ~root () =
-    let workers = match pool with Some p -> Domain_pool.jobs p | None -> 1 in
-    let visited = visited ~workers spill in
+    let visited = visited spill in
+    let obs = obs_iface.empty () in
+    let tally = tally () in
     let goal = match is_goal with Some g -> g | None -> fun _ -> false in
-    let deques = Array.init workers (fun _ -> Ws_deque.create ()) in
-    let in_flight = Atomic.make 1 in
-    let tickets = Atomic.make 0 in
-    let halt = Atomic.make (None : P.state outcome option) in
-    let budget_hit = Atomic.make false in
-    let request_halt o = ignore (Atomic.compare_and_set halt None (Some o) : bool) in
-    (* per-worker tallies, merged in worker-index order at quiescence *)
-    let tallies = Array.init workers (fun _ -> tally ()) in
-    let steals = Array.make workers 0 and steal_failures = Array.make workers 0 in
-    let idle = Array.make workers 0. and busy = Array.make workers 0. in
-    let obss = Array.init workers (fun _ -> obs_iface.empty ()) in
-    (* queued = claimed states sitting in some deque (the async
-       frontier); its high-water mark is the driver's frontier_peak.
-       Deterministic at one worker (pushes and pops interleave in
-       program order); a schedule-dependent lower bound on the true
-       concurrent peak above that, same caveat as the /5 section. *)
-    let queued = Atomic.make 0 in
-    let qpeak = Atomic.make 0 in
-    let note_push () =
-      let q = Atomic.fetch_and_add queued 1 + 1 in
-      let rec bump () =
-        let p = Atomic.get qpeak in
-        if q > p && not (Atomic.compare_and_set qpeak p q) then bump ()
-      in
-      bump ()
-    in
     let t0 = now () in
-    (* checked once per charged state, before its goal test *)
+    (* checked once per popped state, before it is charged *)
     let guard = guard ?max_live ?deadline visited ~t0 in
-    ignore (visited.add root : bool);
-    Ws_deque.push deques.(0) root;
-    note_push ();
-    let process wi s =
-      let ticket = Atomic.fetch_and_add tickets 1 in
-      if ticket >= budget then Atomic.set budget_hit true
-      else begin
-        (match guard with
-        | Some g -> Option.iter (fun reason -> request_halt (Truncated reason)) (g 0)
-        | None -> ());
-        if Atomic.get halt = None then begin
-          let tally = tallies.(wi) in
-          tally.expanded <- tally.expanded + 1;
-          if goal s then request_halt (Goal_found s)
-          else begin
-            let succs = obs_iface.expand obss.(wi) s in
-            emit_edges edges s succs;
-            List.iter
-              (fun c ->
-                if admit visited prune tally c then begin
-                  Atomic.incr in_flight;
-                  Ws_deque.push deques.(wi) c;
-                  note_push ()
-                end)
-              succs;
-            visited.evict ()
-          end
-        end
-      end;
-      Atomic.decr in_flight
+    (* the stack, its size and its high-water mark: the frontier_peak *)
+    let stack = ref [ root ] and size = ref 1 and peak = ref 1 in
+    let push c =
+      stack := c :: !stack;
+      incr size;
+      if !size > !peak then peak := !size
     in
-    let worker wi =
-      let dq = deques.(wi) in
-      let tstart = now () in
-      (* round-robin hunt over the other deques; gives up only on
-         global quiescence or a halt *)
-      let rec hunt v =
-        if Atomic.get halt <> None || Atomic.get in_flight = 0 then None
+    let rec loop () =
+      match !stack with
+      | [] -> Exhausted
+      | s :: rest -> (
+        stack := rest;
+        decr size;
+        if tally.expanded >= budget then
+          Truncated (Budget_exhausted { budget; consumed = tally.expanded })
         else
-          let v = if v = wi then (v + 1) mod workers else v in
-          match Ws_deque.steal deques.(v) with
-          | Ws_deque.Stolen s ->
-            steals.(wi) <- steals.(wi) + 1;
-            Atomic.decr queued;
-            Some s
-          | Ws_deque.Empty | Ws_deque.Retry ->
-            steal_failures.(wi) <- steal_failures.(wi) + 1;
-            Domain.cpu_relax ();
-            hunt ((v + 1) mod workers)
-      in
-      let rec loop () =
-        if Atomic.get halt <> None then ()
-        else
-          match Ws_deque.pop dq with
-          | Some s ->
-            Atomic.decr queued;
-            process wi s;
-            loop ()
+          match Option.bind guard (fun g -> g 0) with
+          | Some reason -> Truncated reason
           | None ->
-            (* a single worker with an empty deque is already
-               quiescent: every push happened on this deque *)
-            if workers = 1 || Atomic.get in_flight = 0 then ()
+            tally.expanded <- tally.expanded + 1;
+            if goal s then Goal_found s
             else begin
-              let ts = now () in
-              let stolen = hunt ((wi + 1) mod workers) in
-              idle.(wi) <- idle.(wi) +. (now () -. ts);
-              match stolen with
-              | Some s ->
-                process wi s;
-                loop ()
-              | None -> ()
-            end
-      in
-      loop ();
-      busy.(wi) <- busy.(wi) +. (now () -. tstart) -. idle.(wi)
+              let succs = obs_iface.expand obs s in
+              emit_edges edges s succs;
+              List.iter (fun c -> if admit visited prune tally c then push c) succs;
+              visited.evict ();
+              loop ()
+            end)
     in
-    (match pool with
-    | Some p when workers > 1 ->
-      ignore (Domain_pool.map p worker (List.init workers Fun.id) : unit list)
-    | _ -> worker 0);
-    let isum a = Array.fold_left ( + ) 0 a in
-    let fsum a = Array.fold_left ( +. ) 0. a in
-    let total =
-      Array.fold_left
-        (fun a t ->
-          {
-            expanded = a.expanded + t.expanded;
-            dedup = a.dedup + t.dedup;
-            pruned = a.pruned + t.pruned;
-          })
-        (tally ()) tallies
-    in
-    let outcome =
-      match Atomic.get halt with
-      | Some o -> o
-      | None ->
-        if Atomic.get budget_hit then
-          Truncated (Budget_exhausted { budget; consumed = total.expanded })
-        else Exhausted
-    in
-    let obs = Array.fold_left obs_iface.merge (obs_iface.empty ()) obss in
-    ( outcome,
-      obs,
-      metrics visited outcome ~t0 total ~peak:(Atomic.get qpeak) ~expand_seconds:(fsum busy)
-        ~steals:(isum steals) ~steal_failures:(isum steal_failures)
-        ~idle_seconds:(fsum idle) () )
+    ignore (visited.add root : bool);
+    let outcome = loop () in
+    (outcome, obs, metrics visited outcome ~t0 tally ~peak:!peak ~expand_seconds:(now () -. t0) ())
 end
 
 (* ----- the per-root memo ----- *)
@@ -564,25 +437,25 @@ let memo_record memo r (payload, (m : Metrics.t)) =
 (* ----- the per-root sweep ----- *)
 
 (* Every answer is a fold over independent roots (input vectors)
-   merged in root order.  With several workers and several roots the
-   parallelism is across roots: the roots are mapped over one pool of
-   [jobs] workers, and each is searched on a one-job pool, so every
-   root's search is the one it would be at [--jobs 1] and the answer
-   and every counter but the timings are the same for every [jobs].
-   A single root (a realization) keeps the whole pool for its own
-   search.  [deadline] bounds the whole sweep: each root receives the
+   merged in root order, and every root is searched on one domain.
+   With several workers and several roots the parallelism is across
+   roots: the roots are mapped over one pool of [jobs] workers, so
+   every root's search is the one it would be at [--jobs 1] and the
+   answer and every counter but the timings are the same for every
+   [jobs].  Otherwise the roots run one at a time on the calling
+   domain.  [deadline] bounds the whole sweep: each root receives the
    time remaining when it starts, and a root starting past the
    deadline gets a zero allowance and truncates immediately.  With a
    memo, each root is looked up before it is searched and recorded
    after, on the worker that searches it. *)
-let sweep ?metrics ?deadline ?memo ~jobs par_mode ~root ~merge init roots =
+let sweep ?metrics ?deadline ?memo ~jobs ~root ~merge init roots =
   let t_end = Option.map (fun d -> now () +. d) deadline in
   let remaining () = Option.map (fun te -> Float.max 0. (te -. now ())) t_end in
-  let search pool r =
+  let search r =
     match Option.bind memo (fun memo -> memo_find memo r) with
     | Some reused -> reused
     | None ->
-      let fresh = root pool ~deadline:(remaining ()) r in
+      let fresh = root ~deadline:(remaining ()) r in
       Option.iter (fun memo -> memo_record memo r fresh) memo;
       fresh
   in
@@ -592,14 +465,9 @@ let sweep ?metrics ?deadline ?memo ~jobs par_mode ~root ~merge init roots =
   let acc, m, _ =
     match roots with
     | _ :: _ :: _ when jobs > 1 ->
-      Domain_pool.with_pool ~jobs (fun pool ->
-          Domain_pool.map pool
-            (fun r -> Domain_pool.with_pool ~jobs:1 (fun one -> search one r))
-            roots)
+      Domain_pool.with_pool ~jobs (fun pool -> Domain_pool.map pool search roots)
       |> List.fold_left fold (init, Metrics.zero, 0)
-    | _ ->
-      with_pool ~jobs par_mode (fun pool ->
-          List.fold_left (fun st r -> fold st (search pool r)) (init, Metrics.zero, 0) roots)
+    | _ -> List.fold_left (fun st r -> fold st (search r)) (init, Metrics.zero, 0) roots
   in
   merge_into metrics m;
   acc

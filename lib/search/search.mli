@@ -13,21 +13,21 @@
     Only the trace checkers, which read one execution and revisit
     nothing, are plain linear scans outside the kernel.
 
-    Two drivers share the {!Make.par_expand} observation interface:
-    {!Make.run}, a serial breadth-first search, and
-    {!Make.run_par_async}, a work-stealing search across a
-    {!Patterns_stdx.Domain_pool}.  They differ only in their frontier.
-    Both follow one successor rule — [prune] first, then a claim into
-    the visited store that doubles as the membership test — on one
-    visited-store interface: the {!Patterns_stdx.Visited_table} in
-    memory (one stripe without a lock for the serial driver and for
-    one worker, lock-striped for several), or the
-    {!Patterns_stdx.Spill_store} with {!spill}.  They share one
-    overrun guard (live-state limit, then deadline) and one metrics
-    step.  Under {!Make.run} the visitation order — and hence every
-    counter except the wall-clock [seconds] — is a pure function of
-    the problem, root and budget.  {!sweep} is the one per-root loop
-    the clients' sweeps run through. *)
+    Every search runs on one domain.  Two drivers share the
+    {!Make.par_expand} observation interface: {!Make.run}, a
+    breadth-first search, and {!Make.run_par_async}, a depth-first
+    one.  They differ only in their frontier.  Both follow one
+    successor rule — [prune] first, then a claim into the visited
+    store that doubles as the membership test — on one visited-store
+    interface: the {!Patterns_stdx.Visited_table} in memory, or the
+    {!Patterns_stdx.Spill_store} with {!spill}, each owned by its
+    search and free of locks.  They share one overrun guard
+    (live-state limit, then deadline) and one metrics step.  Under
+    either driver the visitation order — and hence every counter
+    except the wall-clock timings — is a pure function of the problem,
+    root and budget.  {!sweep} is the one per-root loop the clients'
+    sweeps run through, and the only place the kernel uses several
+    domains: one per root. *)
 
 (** Why a search stopped short of exhausting its space.  All three are
     graceful: the search returns its metrics and a [Truncated] outcome
@@ -55,13 +55,10 @@ type 'a outcome =
 val outcome_kind : 'a outcome -> Metrics.outcome_kind
 val truncated : 'a outcome -> bool
 
-(** Which driver searches each root of a client sweep.  [Layers] is
-    the serial breadth-first search ({!Make.run}), whose goal
-    witnesses are shortest ones.  [Async] is the work-stealing driver
-    ({!Make.run_par_async}): depth-first on one worker, and spread
-    over the pool's workers only in a search of one root, where its
-    truncation sets and goal witnesses are schedule-dependent.  In a
-    {!sweep} of several roots each root runs on one worker, so under
+(** The order in which each root of a client sweep is searched.
+    [Layers] is the breadth-first search ({!Make.run}), whose goal
+    witnesses are shortest ones.  [Async] is the depth-first search
+    ({!Make.run_par_async}).  Each root runs on one worker, so under
     either driver every answer and counter but the timings is the
     same for every [--jobs].  The two modes can disagree on count
     statistics where distinct paths converge on one behavioural
@@ -76,11 +73,6 @@ val par_mode_string : par_mode -> string
     set, realize witness or kept representative stored under the
     older grouped order is recomputed, never reused. *)
 
-val with_pool :
-  jobs:int -> par_mode -> (Patterns_stdx.Domain_pool.t -> 'a) -> 'a
-(** The worker pool a one-root search under [par_mode] needs: [jobs]
-    domains for [Async], none beyond the caller's for [Layers]. *)
-
 (** Disk-backed visited storage.  When passed to a driver, the
     in-memory visited store is replaced by a
     {!Patterns_stdx.Spill_store} rooted at [dir]: at most [mem_budget]
@@ -93,10 +85,10 @@ val with_pool :
     without spilling.  [shard_bits] follows the store in use, under
     either driver: the table's starting exponent (6) in memory and
     {!Patterns_stdx.Spill_store.shard_bits} (4) with spilling.  The /7
-    spill counters themselves are deterministic except when the async
-    driver spreads one root over several workers.  [mem_budget] bounds
-    each root's store, and a {!sweep} keeps up to [jobs] roots live at
-    once.  One semantic shift: the [max_live] guard
+    spill counters themselves are deterministic, [spill_fd_reopens]
+    included: each store keeps its own descriptor cache.
+    [mem_budget] bounds each root's store, and a {!sweep} keeps up to
+    [jobs] roots live at once.  One semantic shift: the [max_live] guard
     counts {e resident} bindings plus frontier rather than cumulative
     bindings — spilling exists precisely to move cold states out of
     the live-memory budget.  Run files are deleted when the driver
@@ -127,8 +119,9 @@ module Make (P : Problem) : sig
       per visited state: it folds the state's observations (pattern
       collection, violation recording) into [acc] and returns the
       successors.  {!run} threads one accumulator from [empty] through
-      the whole search in visitation order; {!run_par_async} keeps one
-      per worker and folds them with [merge]. *)
+      the whole search in visitation order, and so does
+      {!run_par_async}.  Nothing calls [merge]: the field is kept for
+      bench/perf's shadow searches, which build the record with it. *)
   type 'obs par_expand = {
     empty : unit -> 'obs;
     merge : 'obs -> 'obs -> 'obs;
@@ -148,7 +141,7 @@ module Make (P : Problem) : sig
     root:P.state ->
     unit ->
     P.state outcome * 'obs * Metrics.t
-  (** Serial breadth-first search from [root], on the calling domain.
+  (** Breadth-first search from [root], on the calling domain.
       Each layer is charged against [budget] (default unlimited) and
       goal-tested with [is_goal] in frontier order, so a mid-layer
       stop is deterministic and the first goal found is at the
@@ -157,8 +150,8 @@ module Make (P : Problem) : sig
       generated: those for which [prune] returns [true] are discarded
       (counted in [pruned]; [prune] must be pure, since it also sees
       states already visited), the rest are claimed into the visited
-      store (a one-worker {!Patterns_stdx.Visited_table}, or the spill
-      store), and a claim that finds the state already there counts in
+      store (a {!Patterns_stdx.Visited_table}, or the spill store),
+      and a claim that finds the state already there counts in
       [dedup_hits].  The next layer is the claimed successors in
       generation order, so the visit order is a function of the
       reachable graph alone.
@@ -184,8 +177,8 @@ module Make (P : Problem) : sig
       records the raw expansion relation — with [src] and [dst] the
       two states' [P.fingerprint]s and [event] the successor's
       ordinal in fingerprint order (a function of the state alone).
-      {!run_par_async} invokes it from worker domains concurrently;
-      thread safety is the callee's obligation. *)
+      It runs on the searching domain; a sink shared by the roots of a
+      {!sweep} at [jobs > 1] must be safe to call from several. *)
 
   val run_par_async :
     ?pool:Patterns_stdx.Domain_pool.t ->
@@ -201,36 +194,26 @@ module Make (P : Problem) : sig
     root:P.state ->
     unit ->
     P.state outcome * 'obs * Metrics.t
-  (** Asynchronous work-stealing search: one Chase–Lev deque per pool
-      worker, depth-first on the owner's end with round-robin stealing,
-      over a flat open-addressing visited table
-      ({!Patterns_stdx.Visited_table}: one stripe without a lock at one
-      worker, 64 stripes each behind its own mutex above that, every
-      stripe starting at 64 slots) whose insert doubles as the
-      membership test — no barrier.  Quiescence is detected by an atomic
-      in-flight counter; budget, deadline and live-state guards run
-      inside each worker.
+  (** Depth-first search from [root], on the calling domain: one stack
+      of claimed states, from which the newest is popped, charged
+      against [budget], goal-tested with [is_goal] and expanded, its
+      claimed successors pushed in generation order.  Its name, from
+      the work-stealing driver it replaced, and the ignored [?pool]
+      are kept for bench/perf's shadow searches, which still call it
+      so.
 
       Successors pass the same rule as under {!run}: [prune] first
-      ([prune] must be pure), then the claim.  Determinism contract,
-      relative to the serial {!run} (and pinned by the registry-wide
-      tests): on a search that runs to {!Exhausted}, the visited set,
-      observations (for a commutative associative [merge]), and the
-      deterministic counters [states_expanded], [dedup_hits], [pruned]
-      and [fingerprint_probes] all match.
-      [Truncated (Budget_exhausted _)] still consumes exactly [budget]
-      states (workers drain their deques dropping out-of-budget
-      tickets), but *which* states is schedule-dependent, as are
-      {!Goal_found} witnesses, [deadline] and [max_live] trigger
-      points, and every /5 metrics field.  [frontier_peak] reports the
-      high-water mark of claimed-but-unprocessed states across all
-      deques — deterministic at one worker, a schedule-dependent lower
-      bound on the true concurrent peak above that — truncation-sensitive or
-      shortest-witness callers should use {!run}.  [merge]
-      folds per-worker accumulators in worker-index order, so it must
-      be commutative as well as associative for observations to be
-      jobs-invariant.  Calling from the pool-owning domain is
-      required. *)
+      ([prune] must be pure), then the claim.  The visit order is a
+      function of the problem, root and budget, so every outcome,
+      goal witness, truncation point and counter but the timings
+      repeats run after run.  On a search that runs to {!Exhausted}
+      the visited set, the observations and the counters
+      [states_expanded], [dedup_hits], [pruned] and
+      [fingerprint_probes] match {!run}'s.  A budget-cut search
+      expands a prefix of its exhaustive order.  [deadline] and
+      [max_live] (visited bindings only: the stack is not counted)
+      are checked before each state is charged.  [frontier_peak] is
+      the stack's high-water mark; [layers] stays 0. *)
 end
 
 (** The per-root memo: sealed facts in an execution database, one per
@@ -276,24 +259,21 @@ val sweep :
   ?deadline:float ->
   ?memo:'r memo ->
   jobs:int ->
-  par_mode ->
-  root:(Patterns_stdx.Domain_pool.t -> deadline:float option -> 'r -> 'p * Metrics.t) ->
+  root:(deadline:float option -> 'r -> 'p * Metrics.t) ->
   merge:('acc -> 'p -> 'acc) ->
   'acc ->
   'r list ->
   'acc
-(** [sweep ~jobs par_mode ~root ~merge init roots]: the per-root loop
-    every exhaustive answer runs through.  Each root is searched by
-    [root pool ~deadline r].  With [jobs > 1] and at least two roots,
-    the roots are mapped over a pool of [jobs] workers and each is
-    searched on a one-job pool, so up to [jobs] roots run at once and
-    each root's search is the one it is at [jobs = 1]: the answer and
-    every counter but the timings are the same for every [jobs],
-    truncated sweeps included.  Otherwise the roots run one at a time
-    on the calling domain, on the pool {!with_pool} gives [par_mode]
-    (a single root under [Async] is spread over [jobs] workers).
-    Payloads are folded into [init] with [merge] in root order; the
-    per-root metrics are tagged with the root's index
+(** [sweep ~jobs ~root ~merge init roots]: the per-root loop every
+    exhaustive answer runs through.  Each root is searched by [root
+    ~deadline r] on one domain.  With [jobs > 1] and at least two
+    roots, the roots are mapped over a pool of [jobs] workers, so up
+    to [jobs] roots run at once and each root's search is the one it
+    is at [jobs = 1]: the answer and every counter but the timings are
+    the same for every [jobs], truncated sweeps included.  Otherwise
+    the roots run one at a time on the calling domain.  Payloads are
+    folded into [init] with [merge] in root order; the per-root
+    metrics are tagged with the root's index
     ({!Metrics.with_root_index}), merged in root order and accumulated
     into [metrics].  [deadline] bounds the whole sweep: each root
     receives the time remaining when it starts.  The per-search

@@ -41,15 +41,10 @@ module Make (P : Protocol.S) = struct
      root is routed through these tables, so structurally equal
      values reached along different schedules are pointer-shared and
      their fingerprints are computed once.  The tables are shared by
-     every configuration descended from one root; under the async
-     driver several domains expand such siblings at once, so every
-     table access takes [lock].  Which physical representative wins a
-     concurrent intern race is timing-dependent, but representatives
-     are only ever used as a fast path for structural equality, so no
-     observable result depends on the winner. *)
+     every configuration descended from one root, and take no lock:
+     a root is searched on one domain. *)
   type ctx = {
     kind : kind;
-    lock : Mutex.t;
     sets : Triple.Fset.t Intern.t;
     states : P.state Intern.t;
     edge_sets : Pair_set.t Intern.t;
@@ -234,7 +229,6 @@ module Make (P : Protocol.S) = struct
       ctx =
         {
           kind;
-          lock = Mutex.create ();
           sets = Intern.create ~size:table_size ~equal:Triple.Fset.equal ();
           states =
             Intern.create ~size:table_size ~equal:(fun a b -> P.compare_state a b = 0) ();
@@ -533,24 +527,11 @@ module Make (P : Protocol.S) = struct
 
   let no_entry what p index = Printf.sprintf "%s: no buffer entry #%d at p%d" what index p
 
-  (* Interns [x] under the root's lock.  No [Fun.protect] and no
-     closure: this runs on every interning step, and the only code
-     under the lock is the table's own. *)
-  let intern_locked lock tbl ~fp x =
-    Mutex.lock lock;
-    match Intern.intern tbl ~fp x with
-    | v ->
-      Mutex.unlock lock;
-      v
-    | exception e ->
-      Mutex.unlock lock;
-      raise e
-
   (* route a freshly built set through the per-root intern table:
      schedules that reassemble the same set share one physical copy *)
   let interned c fs =
     match c.ctx.kind with
-    | Full -> intern_locked c.ctx.lock c.ctx.sets ~fp:(Triple.Fset.fp fs) fs
+    | Full -> Intern.intern c.ctx.sets ~fp:(Triple.Fset.fp fs) fs
     | Lazy -> fs
 
   (* Installs [p]'s new local state in [states], a fresh copy of
@@ -572,7 +553,7 @@ module Make (P : Protocol.S) = struct
       let state_fps = Array.copy c.state_fps in
       let bfp = F.combine (F.remove c.bfp state_fps.(p)) word in
       state_fps.(p) <- word;
-      states.(p) <- intern_locked c.ctx.lock c.ctx.states ~fp:(F.of_int h') state';
+      states.(p) <- Intern.intern c.ctx.states ~fp:(F.of_int h') state';
       (state_fps, bfp)
 
   (* the knowledge array after [p] sends the freshly minted [triple];
@@ -621,7 +602,7 @@ module Make (P : Protocol.S) = struct
               let edges =
                 List.fold_left (fun acc m1 -> Pair_set.add (m1, triple) acc) c.edges causes
               in
-              intern_locked c.ctx.lock c.ctx.edge_sets ~fp:efp edges
+              Intern.intern c.ctx.edge_sets ~fp:efp edges
             in
             let bfp = F.combine bfp (fp_entry dst entry) in
             let pfp =
@@ -752,9 +733,8 @@ module Make (P : Protocol.S) = struct
      flat-step oracle walks both side by side). *)
   module Flat = struct
     (* what every configuration under one root shares: its size, its
-       inputs and the state intern table, which several workers probe
-       at once under the async driver *)
-    type root = { n : int; inputs : bool array; lock : Mutex.t; interned : P.state Intern.t }
+       inputs and the state intern table *)
+    type root = { n : int; inputs : bool array; interned : P.state Intern.t }
 
     type t = {
       states : P.state array;  (* interned per root, the initial ones aside *)
@@ -782,7 +762,6 @@ module Make (P : Protocol.S) = struct
           {
             n;
             inputs;
-            lock = Mutex.create ();
             interned = Intern.create ~equal:(fun a b -> P.compare_state a b = 0) ();
           };
       }
@@ -890,7 +869,7 @@ module Make (P : Protocol.S) = struct
       let h' = P.hash_state state' in
       let word = fp_state_at p h' in
       let states = Array.copy c.states and state_fps = Array.copy c.state_fps in
-      states.(p) <- intern_locked c.root.lock c.root.interned ~fp:(F.of_int h') state';
+      states.(p) <- Intern.intern c.root.interned ~fp:(F.of_int h') state';
       state_fps.(p) <- word;
       {
         c with

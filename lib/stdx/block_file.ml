@@ -18,54 +18,25 @@ let encode_record buf off ~key ~payload =
 let decode_key s off = String.sub s off key_width
 let decode_payload s off = Int64.to_int (String.get_int64_be s (off + key_width))
 
-(* ----- bounded descriptor cache ----- *)
-
-(* Probes used to open/read/close the run file every time — 21k+
-   opens in the n=3 budget-500 check.  A small process-global LRU of
-   open channels (path-keyed) absorbs almost all of them while still
-   bounding descriptors when thousands of tiny runs exist.  The
-   discipline is claim-based so no channel is ever shared: a probe
-   {e removes} the channel from the cache (or opens one on a miss),
-   performs its seek/read with exclusive ownership, and re-inserts it
-   afterwards — the registry mutex is never held across I/O, and a
-   channel evicted by a re-insert is by construction unclaimed, so
-   closing it in the eviction hook is safe.  Two domains probing the
-   same run concurrently just cost one transient extra descriptor. *)
-let fd_cache_capacity = 64
-let fd_lock = Mutex.create ()
-
-let fd_cache : (string, in_channel) Lru.t =
-  Lru.create ~on_evict:(fun _ ic -> close_in_noerr ic) ~capacity:fd_cache_capacity ()
-
-(* claimed channel plus whether it was freshly opened (a cache miss) *)
-let claim_channel path =
-  Mutex.lock fd_lock;
-  let cached = Lru.remove fd_cache path in
-  Mutex.unlock fd_lock;
-  match cached with Some ic -> (ic, false) | None -> (open_in_bin path, true)
-
-let release_channel path ic =
-  Mutex.lock fd_lock;
-  (match Lru.find fd_cache path with
-  | Some _ -> close_in_noerr ic (* a concurrent probe re-inserted first *)
-  | None -> Lru.add fd_cache path ic);
-  Mutex.unlock fd_lock
-
-let drop_channel path =
-  Mutex.lock fd_lock;
-  let cached = Lru.remove fd_cache path in
-  Mutex.unlock fd_lock;
-  Option.iter close_in_noerr cached
-
 (* ----- sorted runs ----- *)
 
-(* Between probes a run's descriptor lives (if anywhere) in the
-   process-global cache above, so a search that writes thousands of
-   small runs (tiny memory budgets) still cannot exhaust the fd
-   table.  The per-run mutex only guards the counters. *)
+(* Probes used to open/read/close the run file every time — 21k+
+   opens in the n=3 budget-500 check.  Each store keeps the channels
+   of its runs in a small LRU (path-keyed) that absorbs almost all of
+   them while still bounding descriptors when thousands of tiny runs
+   exist; the cache evicting a channel closes it.  A store and its
+   cache are used from one domain, so nothing here is shared between
+   domains. *)
+type cache = (string, in_channel) Lru.t
+
+let cache_capacity = 64
+
+let cache () : cache =
+  Lru.create ~on_evict:(fun _ ic -> close_in_noerr ic) ~capacity:cache_capacity ()
+
 type t = {
   path : string;
-  lock : Mutex.t;
+  cache : cache;
   length : int; (* records *)
   write_bytes : int;
   fences : string array; (* first key of each block, in block order *)
@@ -75,7 +46,7 @@ type t = {
   mutable reopens : int; (* opens after the first — descriptor-cache misses *)
 }
 
-let create ~path entries =
+let create ~cache ~path entries =
   let n = Array.length entries in
   let oc = open_out_bin path in
   let buf = Bytes.create record_width in
@@ -93,7 +64,7 @@ let create ~path entries =
         entries);
   {
     path;
-    lock = Mutex.create ();
+    cache;
     length = n;
     write_bytes = n * record_width;
     fences;
@@ -123,34 +94,28 @@ let block_of t key =
     Some !lo
   end
 
+(* the run's cached channel, opened (and counted) on a miss *)
+let channel t =
+  match Lru.find t.cache t.path with
+  | Some ic -> ic
+  | None ->
+    let ic = open_in_bin t.path in
+    if t.opened then t.reopens <- t.reopens + 1 else t.opened <- true;
+    Lru.add t.cache t.path ic;
+    ic
+
 let probe t key =
   if String.length key <> key_width then invalid_arg "Block_file.probe: key must be 8 bytes";
+  t.probes <- t.probes + 1;
   match block_of t key with
-  | None ->
-    Mutex.lock t.lock;
-    t.probes <- t.probes + 1;
-    Mutex.unlock t.lock;
-    None
+  | None -> None
   | Some b ->
     let off = b * block_bytes in
     let len = min block_bytes ((t.length * record_width) - off) in
-    let ic, fresh = claim_channel t.path in
-    let s =
-      try
-        seek_in ic off;
-        let s = really_input_string ic len in
-        release_channel t.path ic;
-        s
-      with e ->
-        close_in_noerr ic;
-        raise e
-    in
-    Mutex.lock t.lock;
-    t.probes <- t.probes + 1;
+    let ic = channel t in
+    seek_in ic off;
+    let s = really_input_string ic len in
     t.read_bytes <- t.read_bytes + len;
-    if fresh then
-      if t.opened then t.reopens <- t.reopens + 1 else t.opened <- true;
-    Mutex.unlock t.lock;
     let nrec = len / record_width in
     let lo = ref 0 and hi = ref (nrec - 1) and found = ref None in
     while !found = None && !lo <= !hi do
@@ -162,8 +127,8 @@ let probe t key =
     done;
     !found
 
-let close t = drop_channel t.path
+let close t = Option.iter close_in_noerr (Lru.remove t.cache t.path)
 
 let delete t =
-  drop_channel t.path;
+  close t;
   try Sys.remove t.path with Sys_error _ -> ()

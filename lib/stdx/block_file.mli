@@ -11,15 +11,11 @@
     it.  One probe therefore costs at most one 4 KiB read.
 
     Runs are immutable after {!create}.  Between probes a run's file
-    descriptor lives at most in a small process-global LRU cache (64
-    entries), so a store that has spilled thousands of small runs
-    still uses O(1) descriptors while the hot runs avoid an
-    open/close syscall pair per probe.  The cache hands out channels
-    by {e claim}: a probe removes the channel, seeks and reads with
-    exclusive ownership, and re-inserts it, so concurrent probes from
-    several domains are free to overlap (the loser of a claim race
-    opens a transient extra descriptor); only the counters are
-    guarded by an internal mutex. *)
+    descriptor lives at most in its store's {!cache}, a 64-entry LRU,
+    so a store that has spilled thousands of small runs still uses
+    O(1) descriptors while the hot runs avoid an open/close syscall
+    pair per probe.  Neither a run nor a cache takes a lock: a store
+    and its runs are used from one domain at a time. *)
 
 val record_width : int
 (** 16 — bytes per record. *)
@@ -43,17 +39,26 @@ val decode_payload : string -> int -> int
 (** The payload of the record at the given byte offset (the record's
     start, not the payload's). *)
 
+type cache
+(** The open descriptors of one store's runs, at most 64: probing a
+    run whose descriptor is not cached opens it and closes the least
+    recently probed one. *)
+
+val cache : unit -> cache
+(** A fresh, empty descriptor cache. *)
+
 type t
 
-val create : path:string -> (string * int) array -> t
+val create : cache:cache -> path:string -> (string * int) array -> t
 (** Write the entries — which must be strictly ascending in key —
     as one sorted run at [path], building the fence index on the way
-    out, and return the run opened for probing.  Raises
-    [Invalid_argument] on an unsorted or duplicate key. *)
+    out, and return the run, whose probes keep its descriptor in
+    [cache].  Raises [Invalid_argument] on an unsorted or duplicate
+    key. *)
 
 val probe : t -> string -> int option
 (** Payload stored under the key, if any; at most one block read.
-    Thread-safe.  Counted in {!probes} / {!read_bytes}. *)
+    Counted in {!probes} / {!read_bytes}. *)
 
 val length : t -> int
 (** Records in the run. *)
@@ -68,11 +73,9 @@ val read_bytes : t -> int
 
 val reopens : t -> int
 (** Opens after the first — probes that missed the descriptor cache
-    because this run's channel had been evicted (or claimed by a
-    concurrent probe).  0 when the descriptor stayed cached for the
-    run's whole life.  Deterministic for a deterministic probe
-    sequence against a single store; schedule-dependent when several
-    stores (or domains) share the cache. *)
+    because this run's channel had been evicted.  0 when the
+    descriptor stayed cached for the run's whole life; deterministic
+    for a deterministic probe sequence through the cache. *)
 
 val path : t -> string
 

@@ -6,14 +6,12 @@ module Fp_tbl = Hashtbl.Make (struct
 end)
 
 type 'a shard = {
-  lock : Mutex.t;
   tbl : ('a * int) list Fp_tbl.t; (* fp -> (state, dense id) bucket *)
   mutable resident : int; (* bindings currently in memory *)
   mutable total : int; (* cumulative distinct bindings, never reset *)
   mutable probes : int;
   mutable disk_probes : int;
   mutable collision_fallbacks : int;
-  mutable contention : int;
 }
 
 type 'a t = {
@@ -22,11 +20,8 @@ type 'a t = {
   shards : 'a shard array;
   dir : string; (* this store's private subdirectory *)
   mem_budget : int;
-  next_id : int Atomic.t; (* dense dictionary ids, in insertion order *)
-  evict_lock : Mutex.t;
-  (* the fields below are written only under [evict_lock] + all shard
-     locks; readers hold at least one shard lock (probes) or take the
-     shard locks themselves (counter snapshots) *)
+  cache : Block_file.cache; (* the descriptors of this store's runs *)
+  mutable next_id : int; (* dense dictionary ids, in insertion order *)
   mutable runs : Block_file.t list; (* newest first *)
   mutable runs_written : int;
   mutable shards_evicted : int;
@@ -45,6 +40,8 @@ let key_of_fingerprint fp =
 (* 16 shards: the unit of eviction *)
 let shard_bits = 4
 
+(* the one shared cell: stores are created on the domains that search
+   their roots, so their directory names come from one atomic count *)
 let store_seq = Atomic.make 0
 
 let ensure_dir dir =
@@ -63,14 +60,12 @@ let create ~equal ~fingerprint ~dir ~mem_budget () =
   let shards =
     Array.init (1 lsl shard_bits) (fun _ ->
         {
-          lock = Mutex.create ();
           tbl = Fp_tbl.create 256;
           resident = 0;
           total = 0;
           probes = 0;
           disk_probes = 0;
           collision_fallbacks = 0;
-          contention = 0;
         })
   in
   {
@@ -79,8 +74,8 @@ let create ~equal ~fingerprint ~dir ~mem_budget () =
     shards;
     dir = sub;
     mem_budget = max 1 mem_budget;
-    next_id = Atomic.make 0;
-    evict_lock = Mutex.create ();
+    cache = Block_file.cache ();
+    next_id = 0;
     runs = [];
     runs_written = 0;
     shards_evicted = 0;
@@ -90,14 +85,6 @@ let create ~equal ~fingerprint ~dir ~mem_budget () =
 (* the high bits of the folded projection pick the shard,
    independently of the low bits the per-shard hashtable hashes on *)
 let shard_of fp = Fingerprint.to_int fp lsr (62 - shard_bits)
-
-let with_lock sh f =
-  if Mutex.try_lock sh.lock then ()
-  else begin
-    sh.contention <- sh.contention + 1;
-    Mutex.lock sh.lock
-  end;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.lock) f
 
 (* in-memory membership keeps the structural-confirmation discipline
    of the other stores; a bucket member that fails it is a certified
@@ -123,17 +110,17 @@ let disk_mem t sh fp =
 let mem t x =
   let fp = t.fingerprint x in
   let sh = t.shards.(shard_of fp) in
-  with_lock sh (fun () ->
-      sh.probes <- sh.probes + 1;
-      let in_mem =
-        match Fp_tbl.find_opt sh.tbl fp with
-        | None -> false
-        | Some bucket -> bucket_mem t sh x bucket
-      in
-      in_mem || disk_mem t sh fp)
+  sh.probes <- sh.probes + 1;
+  let in_mem =
+    match Fp_tbl.find_opt sh.tbl fp with
+    | None -> false
+    | Some bucket -> bucket_mem t sh x bucket
+  in
+  in_mem || disk_mem t sh fp
 
 let insert t sh fp x bucket =
-  let id = Atomic.fetch_and_add t.next_id 1 in
+  let id = t.next_id in
+  t.next_id <- id + 1;
   Fp_tbl.replace sh.tbl fp ((x, id) :: bucket);
   sh.resident <- sh.resident + 1;
   sh.total <- sh.total + 1
@@ -141,14 +128,13 @@ let insert t sh fp x bucket =
 let add_if_absent t x =
   let fp = t.fingerprint x in
   let sh = t.shards.(shard_of fp) in
-  with_lock sh (fun () ->
-      sh.probes <- sh.probes + 1;
-      let bucket = match Fp_tbl.find_opt sh.tbl fp with Some b -> b | None -> [] in
-      if bucket_mem t sh x bucket || disk_mem t sh fp then false
-      else begin
-        insert t sh fp x bucket;
-        true
-      end)
+  sh.probes <- sh.probes + 1;
+  let bucket = match Fp_tbl.find_opt sh.tbl fp with Some b -> b | None -> [] in
+  if bucket_mem t sh x bucket || disk_mem t sh fp then false
+  else begin
+    insert t sh fp x bucket;
+    true
+  end
 
 (* ----- eviction ----- *)
 
@@ -158,7 +144,6 @@ let resident t = sum (fun sh -> sh.resident) t
 let bindings t = sum (fun sh -> sh.total) t
 let probes t = sum (fun sh -> sh.probes) t
 let collision_fallbacks t = sum (fun sh -> sh.collision_fallbacks) t
-let lock_contention t = sum (fun sh -> sh.contention) t
 
 let spill_probes t = sum (fun sh -> sh.disk_probes) t
 let spill_runs t = t.runs_written
@@ -166,9 +151,6 @@ let spill_evictions t = t.shards_evicted
 let spill_write_bytes t = t.spilled_write_bytes
 let spill_read_bytes t = List.fold_left (fun acc r -> acc + Block_file.read_bytes r) 0 t.runs
 let spill_fd_reopens t = List.fold_left (fun acc r -> acc + Block_file.reopens r) 0 t.runs
-
-let lock_all t = Array.iter (fun sh -> Mutex.lock sh.lock) t.shards
-let unlock_all t = Array.iter (fun sh -> Mutex.unlock sh.lock) t.shards
 
 (* Eviction policy: when the resident count reaches the high-water
    mark, flush whole shards — largest resident count first, lower
@@ -180,7 +162,7 @@ let unlock_all t = Array.iter (fun sh -> Mutex.unlock sh.lock) t.shards
    (fingerprint key, dense id) records; the flushed shards drop to
    zero resident but keep their cumulative totals, so [bindings] and
    [occupancy_max] read the same with or without spilling. *)
-let evict_locked t =
+let evict t =
   let order = Array.init (Array.length t.shards) Fun.id in
   Array.sort
     (fun a b ->
@@ -219,7 +201,7 @@ let evict_locked t =
     let arr = Array.of_list es in
     Array.sort (fun (a, _) (b, _) -> String.compare a b) arr;
     let path = Filename.concat t.dir (Printf.sprintf "run-%04d.blk" t.runs_written) in
-    let run = Block_file.create ~path arr in
+    let run = Block_file.create ~cache:t.cache ~path arr in
     t.runs <- run :: t.runs;
     t.runs_written <- t.runs_written + 1;
     t.spilled_write_bytes <- t.spilled_write_bytes + Block_file.write_bytes run);
@@ -231,19 +213,7 @@ let evict_locked t =
       t.shards_evicted <- t.shards_evicted + 1)
     chosen
 
-let maybe_evict t =
-  (* cheap unsynchronized high-water check first; the exact decision
-     re-reads the counts under every shard lock *)
-  if resident t >= t.mem_budget then begin
-    Mutex.lock t.evict_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.evict_lock)
-      (fun () ->
-        lock_all t;
-        Fun.protect
-          ~finally:(fun () -> unlock_all t)
-          (fun () -> if resident t >= t.mem_budget then evict_locked t))
-  end
+let maybe_evict t = if resident t >= t.mem_budget then evict t
 
 let dispose t =
   List.iter Block_file.delete t.runs;

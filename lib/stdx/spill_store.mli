@@ -1,8 +1,10 @@
 (** Disk-backed spillable visited store: an in-memory cache split
-    into [2^]{!shard_bits} mutex-guarded shards (routed by the high bits
-    of the fingerprint) and bounded by a memory budget, evicting whole
-    shards to sorted {!Block_file} runs when the budget's high-water
-    mark is hit.
+    into [2^]{!shard_bits} shards (routed by the high bits of the
+    fingerprint) and bounded by a memory budget, evicting whole shards
+    to sorted {!Block_file} runs when the budget's high-water mark is
+    hit.  A store takes no lock: it must be used from one domain at a
+    time, which is how the kernel uses it (every search runs on one
+    domain, and each search has its own store).
 
     States are dictionary-encoded on insertion to dense ids (the
     {!Dict} discipline); a spilled binding survives on disk only as
@@ -46,13 +48,12 @@ val mem : 'a t -> 'a -> bool
     spill probe if the disk is consulted). *)
 
 val add_if_absent : 'a t -> 'a -> bool
-(** Atomic probe-and-insert; counts one probe; [true] iff inserted. *)
+(** Probe-and-insert; counts one probe; [true] iff inserted. *)
 
 val maybe_evict : 'a t -> unit
 (** Spill if resident bindings have reached the memory budget: the
     drivers call this at deterministic points (serial: between
-    layers; async: per processed state).
-    Takes every shard lock; callers must hold none. *)
+    layers; async: per processed state). *)
 
 val bindings : 'a t -> int
 (** Cumulative distinct bindings, in memory and on disk. *)
@@ -62,7 +63,6 @@ val resident : 'a t -> int
 
 val probes : 'a t -> int
 val collision_fallbacks : 'a t -> int
-val lock_contention : 'a t -> int
 
 val spill_runs : 'a t -> int
 val spill_evictions : 'a t -> int
@@ -74,13 +74,11 @@ val spill_write_bytes : 'a t -> int
 
 val spill_fd_reopens : 'a t -> int
 (** Run-file opens beyond each run's first, summed over runs — probes
-    that missed {!Block_file}'s bounded descriptor cache.  0 when
-    every run's descriptor stayed cached.  Deterministic when this
-    store is the only one probing (any search at [jobs = 1]); the
-    cache is process-global, so stores probed at once (the roots of a
-    sweep at [jobs > 1]) or several domains probing one store evict
-    each other's descriptors schedule-dependently once they hold more
-    runs than the cache keeps open. *)
+    that missed this store's 64-entry descriptor cache
+    ({!Block_file.cache}).  0 when every run's descriptor stayed
+    cached.  Each store has its own cache, so the count is a function
+    of this store's probe sequence alone, the same whichever stores
+    are probed beside it. *)
 
 val dispose : 'a t -> unit
 (** Delete the run files and the private subdirectory. *)

@@ -464,29 +464,33 @@ let test_fd_reopens () =
       Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
       Sys.rmdir d)
     (fun () ->
-      let fp_of i = Fingerprint.feed Fingerprint.seed i in
-      let entries i =
-        [| (Spill_store.key_of_fingerprint (fp_of i), i land max_int) |]
+      let key i = Spill_store.key_of_fingerprint (Fingerprint.feed Fingerprint.seed i) in
+      let run cache name i =
+        Block_file.create ~cache ~path:(Filename.concat d name) [| (key i, i land max_int) |]
       in
-      (* 70 one-record runs against the 64-slot global descriptor
-         cache: probing them all once evicts the first few, so probing
-         run 0 again must transparently reopen it — and count it *)
+      let probe r i = ignore (Block_file.probe r (key i) : int option) in
+      (* two stores' caches: one run in the other store's, probed
+         before and after 70 one-record runs of this store fill this
+         store's 64-entry cache.  Probing them all once evicts the
+         first few here, so probing run 0 again must transparently
+         reopen it — and count it — while the other store's descriptor
+         stays open *)
+      let mine = Block_file.cache () and other = Block_file.cache () in
+      let neighbour = run other "other.blk" 1000 in
+      probe neighbour 1000;
       let runs =
         Array.init 70 (fun i ->
-            let r =
-              Block_file.create
-                ~path:(Filename.concat d (Printf.sprintf "r%02d.blk" i))
-                (entries i)
-            in
-            ignore
-              (Block_file.probe r (Spill_store.key_of_fingerprint (fp_of i))
-                : int option);
+            let r = run mine (Printf.sprintf "r%02d.blk" i) i in
+            probe r i;
             r)
       in
       Alcotest.(check int) "no reopen on first probe" 0 (Block_file.reopens runs.(69));
-      ignore (Block_file.probe runs.(0) (Spill_store.key_of_fingerprint (fp_of 0)) : int option);
+      probe runs.(0) 0;
       Alcotest.(check int) "evicted run reopened once" 1 (Block_file.reopens runs.(0));
-      Array.iter Block_file.close runs)
+      probe neighbour 1000;
+      Alcotest.(check int) "another store's cache untouched" 0 (Block_file.reopens neighbour);
+      Array.iter Block_file.close runs;
+      Block_file.close neighbour)
 
 let () =
   Alcotest.run "delta"

@@ -250,11 +250,10 @@ let test_sweeps_jobs_invariant_both_drivers () =
 
 (* Failure-free expansion of a protocol's configurations, with the
    expanded states' fingerprints collected in the observation
-   accumulator, in expansion order under the serial driver — for an
-   exhausted search the multiset of expanded fingerprints IS the
-   visited set.  [Layers] is the serial driver, which takes no pool. *)
+   accumulator, in expansion order — for an exhausted search the
+   multiset of expanded fingerprints IS the visited set. *)
 let kernel_visited ?(par_mode = Patterns_search.Search.Layers) (module P : Protocol.S) ~n
-    ~inputs ~jobs ~budget =
+    ~inputs ~budget =
   let module E = Engine.Make (P) in
   let module Pr = struct
     type state = E.config
@@ -280,8 +279,7 @@ let kernel_visited ?(par_mode = Patterns_search.Search.Layers) (module P : Proto
   let outcome, fps, m =
     match par_mode with
     | Patterns_search.Search.Layers -> K.run ~budget ~expand ~root ()
-    | Patterns_search.Search.Async ->
-      Domain_pool.with_pool ~jobs (fun pool -> K.run_par_async ~pool ~budget ~expand ~root ())
+    | Patterns_search.Search.Async -> K.run_par_async ~budget ~expand ~root ()
   in
   ( (match outcome with
     | Patterns_search.Search.Exhausted -> "exhausted"
@@ -292,10 +290,8 @@ let kernel_visited ?(par_mode = Patterns_search.Search.Layers) (module P : Proto
     List.rev !fps,
     m )
 
-(* the drivers the oracles below compare: the serial one, and the
-   async one at every worker count up to 8 *)
-let drivers =
-  Patterns_search.Search.[ (Layers, 1); (Async, 1); (Async, 2); (Async, 4); (Async, 8) ]
+(* the drivers the oracles below compare *)
+let drivers = Patterns_search.Search.[ Layers; Async ]
 
 (* Independent oracle: a plain worklist reachability fold with a
    balanced-set visited store — no fingerprints, no sharding. *)
@@ -318,9 +314,9 @@ let reference_visited (module P : Protocol.S) ~n ~inputs =
   (List.sort Int.compare (List.map E.fingerprint (S.elements visited)), S.cardinal visited)
 
 let test_drivers_match_reference () =
-  (* whole registry, both drivers, jobs up to 8: each driver visits
-     exactly the reference reachable set — same cardinality, same
-     fingerprint multiset *)
+  (* whole registry, both drivers: each driver visits exactly the
+     reference reachable set — same cardinality, same fingerprint
+     multiset *)
   List.iter
     (fun entry ->
       let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
@@ -328,14 +324,10 @@ let test_drivers_match_reference () =
       let inputs = List.init n (fun i -> i mod 2 = 0) in
       let ref_fps, ref_card = reference_visited (module P) ~n ~inputs in
       List.iter
-        (fun (par_mode, jobs) ->
-          let outcome, fps, m =
-            kernel_visited ~par_mode (module P) ~n ~inputs ~jobs ~budget:max_int
-          in
+        (fun par_mode ->
+          let outcome, fps, m = kernel_visited ~par_mode (module P) ~n ~inputs ~budget:max_int in
           let label fmt =
-            Printf.sprintf "%s %s jobs=%d: %s" P.name
-              (Patterns_search.Search.par_mode_string par_mode)
-              jobs fmt
+            Printf.sprintf "%s %s: %s" P.name (Patterns_search.Search.par_mode_string par_mode) fmt
           in
           Alcotest.(check string) (label "outcome") "exhausted" outcome;
           Alcotest.(check int) (label "cardinality") ref_card (List.length fps);
@@ -353,33 +345,29 @@ let test_drivers_match_reference () =
     exhaustable
 
 let test_truncation_invariant () =
-  (* a budget cut mid-search: the serial driver's expansions are a
-     prefix of its exhaustive visit order (the layer the budget runs
-     out in is charged but not expanded), and the async driver
-     consumes the budget exactly too — its ticket drain is
-     deterministic even though the visited subset is
-     schedule-dependent *)
-  let run ?par_mode ?(budget = 7) jobs =
+  (* a budget cut mid-search: under either driver the expansions are a
+     prefix of the same driver's exhaustive visit order.  The serial
+     driver charges the layer the budget runs out in but does not
+     expand it; the depth-first driver expands exactly the budget *)
+  let run ?par_mode ?(budget = 7) () =
     kernel_visited ?par_mode Patterns_protocols.Chain_proto.fig3 ~n:3
-      ~inputs:[ true; true; true ] ~jobs ~budget
+      ~inputs:[ true; true; true ] ~budget
   in
-  let outcome, fps, _ = run 1 in
+  let expanded_prefix ?par_mode fps =
+    let _, all, _ = run ?par_mode ~budget:max_int () in
+    Alcotest.(check (list int)) "expanded prefix"
+      (List.filteri (fun i _ -> i < List.length fps) all)
+      fps
+  in
+  let outcome, fps, _ = run () in
   Alcotest.(check string) "budget consumed exactly" "truncated:7" outcome;
-  let _, all, _ = run ~budget:max_int 1 in
   Alcotest.(check bool) "some layers expanded" true (fps <> [] && List.length fps < 7);
-  Alcotest.(check (list int)) "expanded prefix"
-    (List.filteri (fun i _ -> i < List.length fps) all)
-    fps;
-  List.iter
-    (fun jobs ->
-      let outcome, fps, _ = run ~par_mode:Patterns_search.Search.Async jobs in
-      Alcotest.(check string)
-        (Printf.sprintf "async jobs=%d: budget consumed exactly" jobs)
-        "truncated:7" outcome;
-      Alcotest.(check int)
-        (Printf.sprintf "async jobs=%d: expanded = budget" jobs)
-        7 (List.length fps))
-    [ 1; 2; 4 ]
+  expanded_prefix fps;
+  let par_mode = Patterns_search.Search.Async in
+  let outcome, fps, _ = run ~par_mode () in
+  Alcotest.(check string) "async: budget consumed exactly" "truncated:7" outcome;
+  Alcotest.(check int) "async: expanded = budget" 7 (List.length fps);
+  expanded_prefix ~par_mode fps
 
 (* ----- hunt: the winner is the smallest violating run index ----- *)
 
@@ -448,16 +436,14 @@ let qcheck_tests =
     Test.make ~name:"drivers visit the reference set" ~count:40
       Gen.(
         triple (int_bound (List.length exhaustable - 1)) (int_bound 1000) (oneofl drivers))
-      (fun (idx, seed, (par_mode, jobs)) ->
+      (fun (idx, seed, par_mode) ->
         let entry = List.nth exhaustable idx in
         let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
         let n = pick_n (module P) ~default_n:entry.Patterns_protocols.Registry.default_n in
         let prng = Prng.create ~seed in
         let inputs = List.init n (fun _ -> Prng.bool prng) in
         let ref_fps, ref_card = reference_visited (module P) ~n ~inputs in
-        let outcome, fps, m =
-          kernel_visited ~par_mode (module P) ~n ~inputs ~jobs ~budget:max_int
-        in
+        let outcome, fps, m = kernel_visited ~par_mode (module P) ~n ~inputs ~budget:max_int in
         outcome = "exhausted" && List.length fps = ref_card
         && List.sort Int.compare fps = ref_fps
         && m.Patterns_search.Metrics.states_expanded = ref_card);

@@ -213,7 +213,7 @@ let test_sweep () =
     }
   in
   let searched = ref [] in
-  let root _pool ~deadline:_ r =
+  let root ~deadline:_ r =
     searched := r :: !searched;
     let _, m = Diamond.run ~root:0 () in
     (r, if r = 2 then { m with Metrics.deadline_hits = 1 } else m)
@@ -221,7 +221,7 @@ let test_sweep () =
   let sweep () =
     let metrics = ref Metrics.zero in
     let acc =
-      Search.sweep ~metrics ~memo ~jobs:1 Search.Layers ~root
+      Search.sweep ~metrics ~memo ~jobs:1 ~root
         ~merge:(fun acc r -> r :: acc) [] [ 0; 1; 2 ]
     in
     (List.rev acc, !metrics)
@@ -241,8 +241,8 @@ let test_sweep () =
   check Alcotest.int "resumed roots expand nothing" 5 m'.Metrics.states_expanded;
   check Alcotest.int "their derivations are skipped" 10 m'.Metrics.delta_reused_edges;
   let allowances =
-    Search.sweep ~deadline:0.0 ~jobs:1 Search.Async
-      ~root:(fun _ ~deadline () -> (deadline, Metrics.zero))
+    Search.sweep ~deadline:0.0 ~jobs:1
+      ~root:(fun ~deadline () -> (deadline, Metrics.zero))
       ~merge:(fun acc d -> d :: acc) [] [ (); () ]
   in
   Alcotest.(check (list (option (float 0.)))) "zero allowance" [ Some 0.; Some 0. ] allowances

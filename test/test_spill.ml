@@ -1,4 +1,4 @@
-(* The disk-backed spill layer must be invisible: every driver, every
+(* The disk-backed spill layer must be invisible: both drivers, every
    protocol in the registry, every jobs value and every memory budget
    must produce exactly the answer the purely in-memory stores
    produce.  These tests pin that contract — Block_file codec and
@@ -74,7 +74,10 @@ let test_block_probe () =
   with_tmpdir (fun d ->
       let xs = List.init 1000 (fun i -> (i * 7919) lxor 0x5bd1e995) in
       let entries = sorted_entries xs in
-      let run = Block_file.create ~path:(Filename.concat d "run.blk") entries in
+      let run =
+        Block_file.create ~cache:(Block_file.cache ()) ~path:(Filename.concat d "run.blk")
+          entries
+      in
       Alcotest.(check int) "length" (Array.length entries) (Block_file.length run);
       Alcotest.(check int) "write_bytes"
         (Block_file.record_width * Array.length entries)
@@ -97,15 +100,15 @@ let test_block_probe () =
 
 let test_block_unsorted_refused () =
   with_tmpdir (fun d ->
-      let path = Filename.concat d "bad.blk" in
+      let path = Filename.concat d "bad.blk" and cache = Block_file.cache () in
       let k1 = key_of_int 1 and k2 = key_of_int 2 in
       let lo, hi = if String.compare k1 k2 < 0 then (k1, k2) else (k2, k1) in
       Alcotest.check_raises "descending keys refused"
         (Invalid_argument "Block_file.create: keys must be strictly ascending")
-        (fun () -> ignore (Block_file.create ~path [| (hi, 0); (lo, 1) |]));
+        (fun () -> ignore (Block_file.create ~cache ~path [| (hi, 0); (lo, 1) |]));
       Alcotest.check_raises "duplicate keys refused"
         (Invalid_argument "Block_file.create: keys must be strictly ascending")
-        (fun () -> ignore (Block_file.create ~path [| (lo, 0); (lo, 1) |])))
+        (fun () -> ignore (Block_file.create ~cache ~path [| (lo, 0); (lo, 1) |])))
 
 (* ----- Spill_store vs a Hashtbl mirror ----- *)
 
@@ -177,7 +180,7 @@ let driver_string = function Serial -> "serial" | Async -> "async"
 
 (* the expanded states' fingerprints, collected in the observation
    accumulator: for an exhausted search, the visited set *)
-let kernel_visited_spill ~driver (module P : Protocol.S) ~n ~inputs ~jobs ~spill =
+let kernel_visited_spill ~driver (module P : Protocol.S) ~n ~inputs ~spill =
   let module E = Engine.Make (P) in
   let module Pr = struct
     type state = E.config
@@ -203,8 +206,7 @@ let kernel_visited_spill ~driver (module P : Protocol.S) ~n ~inputs ~jobs ~spill
   let outcome, fps, m =
     match driver with
     | Serial -> K.run ?spill ~expand ~root ()
-    | Async ->
-      Domain_pool.with_pool ~jobs (fun pool -> K.run_par_async ~pool ?spill ~expand ~root ())
+    | Async -> K.run_par_async ?spill ~expand ~root ()
   in
   ( (match outcome with
     | Patterns_search.Search.Exhausted -> "exhausted"
@@ -219,13 +221,12 @@ let check_spill_case ~dir entry cases =
   let inputs = List.init n (fun i -> i mod 2 = 0) in
   let ref_fps, ref_card = reference_visited (module P) ~n ~inputs in
   List.iter
-    (fun (driver, jobs, budget) ->
+    (fun (driver, budget) ->
       let mem_budget = budget ~ref_card in
       let spill = Some { Patterns_search.Search.dir; mem_budget } in
-      let outcome, fps, m = kernel_visited_spill ~driver (module P) ~n ~inputs ~jobs ~spill in
+      let outcome, fps, m = kernel_visited_spill ~driver (module P) ~n ~inputs ~spill in
       let label fmt =
-        Printf.sprintf "%s %s jobs=%d budget=%d: %s" P.name (driver_string driver) jobs
-          mem_budget fmt
+        Printf.sprintf "%s %s budget=%d: %s" P.name (driver_string driver) mem_budget fmt
       in
       Alcotest.(check string) (label "outcome") "exhausted" outcome;
       Alcotest.(check int) (label "states_expanded") ref_card
@@ -237,8 +238,7 @@ let check_spill_case ~dir entry cases =
           (m.Patterns_search.Metrics.spill_runs > 0))
     cases
 
-(* Every registry protocol, both drivers (async at jobs 1 to 8), a
-   budget of a quarter of the
+(* Every registry protocol, both drivers, a budget of a quarter of the
    visited set — small enough to force spilling everywhere, large
    enough that each store writes a handful of runs rather than one per
    state (a budget of 1 is roughly quadratic to probe; that regime is
@@ -252,14 +252,7 @@ let test_drivers_spill_oracle () =
   with_tmpdir (fun d ->
       List.iter
         (fun entry ->
-          check_spill_case ~dir:d entry
-            [
-              (Serial, 1, quarter);
-              (Async, 1, quarter);
-              (Async, 2, quarter);
-              (Async, 4, quarter);
-              (Async, 8, quarter);
-            ])
+          check_spill_case ~dir:d entry [ (Serial, quarter); (Async, quarter) ])
         (* the oracle's serial reference BFS must exhaust the reachable
            space; Ben-Or's is combinatorially explosive even at n = 3
            (see test_parallel), so it stays out of this uncapped sweep *)
@@ -275,13 +268,7 @@ let test_drivers_tiny_budget () =
           Patterns_protocols.Registry.all
       in
       check_spill_case ~dir:d entry
-        [
-          (Serial, 1, tiny);
-          (Serial, 1, small);
-          (Async, 1, tiny);
-          (Async, 4, tiny);
-          (Async, 4, small);
-        ])
+        [ (Serial, tiny); (Serial, small); (Async, tiny); (Async, small) ])
 
 (* ----- scheme / classify: spilling is answer-invisible end to end ----- *)
 
@@ -451,7 +438,7 @@ let qcheck_tests =
             Array.length entries > 0
             ==>
             let run =
-              Block_file.create
+              Block_file.create ~cache:(Block_file.cache ())
                 ~path:(Filename.concat d (Printf.sprintf "r%d.blk" seed))
                 entries
             in

@@ -166,165 +166,15 @@ let pool_qcheck_tests =
             = List.fold_left (fun acc s -> acc ^ String.uppercase_ascii s) "" l));
   ]
 
-(* ----- Ws_deque ----- *)
-
-let test_deque_owner_order () =
-  let d = Ws_deque.create ~capacity:2 () in
-  Alcotest.(check (option int)) "pop on empty" None (Ws_deque.pop d);
-  (match Ws_deque.steal d with
-  | Ws_deque.Empty -> ()
-  | _ -> Alcotest.fail "steal on empty");
-  (* five pushes through a capacity-2 buffer exercises growth *)
-  List.iter (Ws_deque.push d) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "size" 5 (Ws_deque.size d);
-  Alcotest.(check (option int)) "pop is LIFO" (Some 5) (Ws_deque.pop d);
-  (match Ws_deque.steal d with
-  | Ws_deque.Stolen 1 -> ()
-  | _ -> Alcotest.fail "steal is FIFO");
-  Alcotest.(check (option int)) "pop again" (Some 4) (Ws_deque.pop d);
-  (match Ws_deque.steal d with
-  | Ws_deque.Stolen 2 -> ()
-  | _ -> Alcotest.fail "second steal");
-  Alcotest.(check (option int)) "last item" (Some 3) (Ws_deque.pop d);
-  Alcotest.(check (option int)) "drained" None (Ws_deque.pop d);
-  match Ws_deque.steal d with
-  | Ws_deque.Empty -> ()
-  | _ -> Alcotest.fail "steal after drain"
-
-let test_deque_steal_storm () =
-  (* one owner pushes [n] items (popping a few along the way), three
-     thieves steal concurrently: every item must be taken exactly once
-     across all four domains — no loss, no duplication *)
-  let n = 20_000 in
-  let d = Ws_deque.create ~capacity:4 () in
-  let owner_done = Atomic.make false in
-  let thief () =
-    let rec go acc =
-      match Ws_deque.steal d with
-      | Ws_deque.Stolen v -> go (v :: acc)
-      | Ws_deque.Retry -> go acc
-      | Ws_deque.Empty -> if Atomic.get owner_done then acc else (Domain.cpu_relax (); go acc)
-    in
-    go []
-  in
-  let thieves = List.init 3 (fun _ -> Domain.spawn thief) in
-  let owner_got = ref [] in
-  for i = 0 to n - 1 do
-    Ws_deque.push d i;
-    if i mod 3 = 0 then
-      match Ws_deque.pop d with None -> () | Some v -> owner_got := v :: !owner_got
-  done;
-  let rec drain () =
-    match Ws_deque.pop d with
-    | Some v ->
-      owner_got := v :: !owner_got;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set owner_done true;
-  let stolen = List.concat_map Domain.join thieves in
-  let all = List.sort Int.compare (stolen @ !owner_got) in
-  Alcotest.(check int) "every item taken exactly once" n (List.length all);
-  Alcotest.(check (list int)) "items are 0..n-1" (Listx.range 0 n) all
-
-(* Sequential qcheck oracle: the deque against a plain list model —
-   push appends at the bottom, pop takes from the bottom, steal from
-   the top.  Single-domain, so the model is exact. *)
-let deque_qcheck_tests =
-  let open QCheck2 in
-  [
-    (* A tiny initial buffer forces grow-by-copy every few pushes while
-       three thieves steal concurrently: the copy must not lose, drop
-       or duplicate an element regardless of how pops interleave.  The
-       seed randomizes the owner's pop pattern, so each run races the
-       growth against steals at different points. *)
-    Test.make ~name:"grow-by-copy races concurrent steals (storm)" ~count:12
-      Gen.(int_bound 10_000)
-      (fun seed ->
-        let n = 2_000 in
-        let d = Ws_deque.create ~capacity:2 () in
-        let owner_done = Atomic.make false in
-        let thief () =
-          let rec go acc =
-            match Ws_deque.steal d with
-            | Ws_deque.Stolen v -> go (v :: acc)
-            | Ws_deque.Retry -> go acc
-            | Ws_deque.Empty ->
-              if Atomic.get owner_done then acc
-              else begin
-                Domain.cpu_relax ();
-                go acc
-              end
-          in
-          go []
-        in
-        let thieves = List.init 3 (fun _ -> Domain.spawn thief) in
-        let prng = Prng.create ~seed in
-        let owner_got = ref [] in
-        for i = 0 to n - 1 do
-          Ws_deque.push d i;
-          if Prng.int prng ~bound:4 = 0 then
-            match Ws_deque.pop d with None -> () | Some v -> owner_got := v :: !owner_got
-        done;
-        let rec drain () =
-          match Ws_deque.pop d with
-          | Some v ->
-            owner_got := v :: !owner_got;
-            drain ()
-          | None -> ()
-        in
-        drain ();
-        Atomic.set owner_done true;
-        let stolen = List.concat_map Domain.join thieves in
-        List.sort Int.compare (stolen @ !owner_got) = Listx.range 0 n);
-    Test.make ~name:"deque matches list model (sequential)" ~count:200
-      Gen.(list (int_bound 2))
-      (fun ops ->
-        let d = Ws_deque.create ~capacity:2 () in
-        let model = ref [] in
-        let counter = ref 0 in
-        List.for_all
-          (fun op ->
-            match op with
-            | 0 ->
-              incr counter;
-              Ws_deque.push d !counter;
-              model := !model @ [ !counter ];
-              true
-            | 1 -> (
-              let expect =
-                match List.rev !model with
-                | [] -> None
-                | last :: rest_rev ->
-                  model := List.rev rest_rev;
-                  Some last
-              in
-              Ws_deque.pop d = expect
-              &&
-              match expect with
-              | None -> true
-              | Some _ -> true)
-            | _ -> (
-              match (Ws_deque.steal d, !model) with
-              | Ws_deque.Empty, [] -> true
-              | Ws_deque.Stolen v, first :: rest ->
-                model := rest;
-                v = first
-              | _ -> false))
-          ops
-        && List.length !model = Ws_deque.size d);
-  ]
-
 (* ----- Visited_table ----- *)
 
-let int_table ~workers () =
-  Visited_table.create ~workers ~equal:Int.equal
+let int_table () =
+  Visited_table.create ~equal:Int.equal
     ~fingerprint:(fun i -> Fingerprint.of_int (i * 0x9e3779b9))
     ()
 
 let test_visited_table_basics () =
-  let t = int_table ~workers:1 () in
+  let t = int_table () in
   Alcotest.(check int) "initial capacity" 64 (Visited_table.capacity t);
   Alcotest.(check int) "initial_bits" 6 (Visited_table.initial_bits t);
   Alcotest.(check bool) "first insert" true (Visited_table.add_if_absent t 42);
@@ -333,13 +183,12 @@ let test_visited_table_basics () =
   Alcotest.(check bool) "mem absent" false (Visited_table.mem t 43);
   Alcotest.(check int) "bindings" 1 (Visited_table.bindings t);
   Alcotest.(check int) "probes = calls" 4 (Visited_table.probes t);
-  Alcotest.(check int) "no collisions" 0 (Visited_table.collision_fallbacks t);
-  Alcotest.(check int) "one worker takes no lock" 0 (Visited_table.lock_contention t)
+  Alcotest.(check int) "no collisions" 0 (Visited_table.collision_fallbacks t)
 
 let test_visited_table_growth () =
   (* 1000 distinct keys through a 64-slot table: several doublings,
      nothing lost *)
-  let t = int_table ~workers:1 () in
+  let t = int_table () in
   List.iter
     (fun i -> Alcotest.(check bool) "insert wins" true (Visited_table.add_if_absent t i))
     (Listx.range 0 1000);
@@ -354,7 +203,7 @@ let test_visited_table_collisions () =
   (* a constant fingerprint sends every state down one probe walk:
      the table must tell them apart structurally *)
   let t =
-    Visited_table.create ~workers:1 ~equal:Int.equal
+    Visited_table.create ~equal:Int.equal
       ~fingerprint:(fun _ -> Fingerprint.of_int 42)
       ()
   in
@@ -367,49 +216,10 @@ let test_visited_table_collisions () =
     (List.for_all (Visited_table.mem t) (Listx.range 0 10));
   Alcotest.(check bool) "collisions counted" true (Visited_table.collision_fallbacks t > 0)
 
-(* Four domains insert overlapping ranges into [t]: the winning
-   insertions and the distinct values inserted. *)
-let storm t =
-  let range d = Listx.range (d * 500) ((d * 500) + 1000) in
-  let domains =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            List.fold_left
-              (fun acc i -> if Visited_table.add_if_absent t i then acc + 1 else acc)
-              0 (range d)))
-  in
-  let inserted = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
-  (inserted, List.sort_uniq Int.compare (List.concat_map range (Listx.range 0 4)))
-
-let test_visited_table_insert_storm () =
-  (* through deliberately tiny initial stripes, which double while
-     other domains insert: add_if_absent must return true exactly once
-     per distinct value *)
-  let t = int_table ~workers:4 () in
-  let inserted, distinct = storm t in
-  Alcotest.(check int) "insert wins are the distinct values" (List.length distinct)
-    inserted;
-  Alcotest.(check int) "bindings" (List.length distinct) (Visited_table.bindings t);
-  Alcotest.(check int) "probes = calls" (4 * 1000) (Visited_table.probes t);
-  Alcotest.(check bool) "every value present" true (List.for_all (Visited_table.mem t) distinct);
-  Alcotest.(check int) "no collisions for distinct fps" 0
-    (Visited_table.collision_fallbacks t)
-
-let colliding_table ~workers ~keys () =
-  Visited_table.create ~workers ~equal:Int.equal
+let colliding_table ~keys () =
+  Visited_table.create ~equal:Int.equal
     ~fingerprint:(fun i -> Fingerprint.of_int (i land (keys - 1)))
     ()
-
-let test_visited_table_collision_storm () =
-  (* under four fingerprints, so nearly every insertion races other
-     domains on a colliding key: structural confirmation must still
-     let each value win once *)
-  let t = colliding_table ~workers:4 ~keys:4 () in
-  let inserted, distinct = storm t in
-  Alcotest.(check int) "each value wins once" (List.length distinct) inserted;
-  Alcotest.(check int) "bindings" (List.length distinct) (Visited_table.bindings t);
-  Alcotest.(check bool) "every value present" true (List.for_all (Visited_table.mem t) distinct);
-  Alcotest.(check bool) "collisions counted" true (Visited_table.collision_fallbacks t > 0)
 
 (* qcheck: a sealed value round-trips, and every kind of damage —
    each strict prefix, any single-bit flip, another kind — is an
@@ -441,9 +251,8 @@ let seal_qcheck_tests =
         && refused s ~kind:(kind ^ "'"));
   ]
 
-(* qcheck: the table against a Set model, random operation sequences
-   from one domain, on one- and three-worker tables with spread and
-   with colliding fingerprints *)
+(* qcheck: the table against a Set model, random operation sequences,
+   with spread and with colliding fingerprints *)
 let visited_table_qcheck_tests =
   let open QCheck2 in
   let module IS = Set.Make (Int) in
@@ -462,33 +271,7 @@ let visited_table_qcheck_tests =
     Test.make ~name:"visited table matches Set model (sequential)" ~count:200
       Gen.(list (int_bound 200))
       (fun keys ->
-        List.for_all (matches_model keys)
-          [
-            int_table ~workers:1 ();
-            colliding_table ~workers:1 ~keys:8 ();
-            int_table ~workers:3 ();
-            colliding_table ~workers:3 ~keys:8 ();
-          ]);
-    Test.make ~name:"concurrent insert storm loses nothing" ~count:20
-      Gen.(int_bound 1000)
-      (fun seed ->
-        let t = int_table ~workers:3 () in
-        let range d = Listx.range (seed + (d * 100)) (seed + (d * 100) + 300) in
-        let domains =
-          List.init 3 (fun d ->
-              Domain.spawn (fun () ->
-                  List.fold_left
-                    (fun acc i ->
-                      if Visited_table.add_if_absent t i then acc + 1 else acc)
-                    0 (range d)))
-        in
-        let wins = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
-        let distinct =
-          List.sort_uniq Int.compare (List.concat_map range (Listx.range 0 3))
-        in
-        wins = List.length distinct
-        && Visited_table.bindings t = List.length distinct
-        && List.for_all (Visited_table.mem t) distinct);
+        List.for_all (matches_model keys) [ int_table (); colliding_table ~keys:8 () ]);
   ]
 
 (* ----- Listx ----- *)
@@ -647,21 +430,12 @@ let () =
           Alcotest.test_case "exception then reuse" `Quick test_pool_exception_then_reuse;
           Alcotest.test_case "shutdown rejects" `Quick test_pool_shutdown_rejects;
         ] );
-      ( "ws_deque",
-        [
-          Alcotest.test_case "owner order" `Quick test_deque_owner_order;
-          Alcotest.test_case "steal storm" `Quick test_deque_steal_storm;
-        ] );
       ( "visited_table",
         [
           Alcotest.test_case "basics" `Quick test_visited_table_basics;
           Alcotest.test_case "growth" `Quick test_visited_table_growth;
           Alcotest.test_case "collisions confirmed" `Quick test_visited_table_collisions;
-          Alcotest.test_case "insert storm" `Quick test_visited_table_insert_storm;
-          Alcotest.test_case "forced-collision storm" `Quick
-            test_visited_table_collision_storm;
         ] );
-      ("deque properties", List.map QCheck_alcotest.to_alcotest deque_qcheck_tests);
       ("table properties", List.map QCheck_alcotest.to_alcotest visited_table_qcheck_tests);
       ("seal properties", List.map QCheck_alcotest.to_alcotest seal_qcheck_tests);
       ( "listx",
