@@ -249,11 +249,13 @@ let execution_db_section () =
     | None -> failwith "registry lost fig3-chain-st"
   in
   Format.printf
-    "One recording replay fills the edge log; after that the replay walk is one@.\
-     point query of the SEO index per directive plus a fact-store verdict lookup@.\
-     — zero engine plays (states_expanded = 0, pinned in test/cram/query.t).@.\
-     Live replay cost grows with the configuration size; the indexed walk only@.\
-     with the script length, so the index wins once the instance is non-toy.@.@.";
+    "One recording replay fills the edge log; after that the replay walk reads,@.\
+     per directive, the recorded successors of the current configuration (one@.\
+     adjacency of the dense-id edge store, filtered on the directive) plus a@.\
+     fact-store verdict lookup — zero engine plays (states_expanded = 0, pinned@.\
+     in test/cram/query.t).  It is not the faster replay: rendering and looking@.\
+     up each directive costs more than the engine step it skips, so db/live@.\
+     stays above 1 at both sizes below.  What the index buys is the zero.@.@.";
   let reps = 200 in
   let table =
     Table.create

@@ -87,10 +87,10 @@ let failures_arg =
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"J"
-         ~doc:"Worker domains (0 = all cores). A sweep over several roots (input \
-               vectors) searches up to $(docv) roots at once, each on one worker, so its \
-               output is the same for every value, truncated or not, under either \
-               driver.")
+         ~doc:"Worker domains (0 = all cores), at most as many as the cores the \
+               runtime reports. A sweep over several roots (input vectors) searches one \
+               root per worker at once, so its output is the same for every value, \
+               truncated or not, under either driver.")
 
 let resolve_jobs j = if j <= 0 then Patterns_stdx.Domain_pool.default_jobs () else j
 

@@ -51,9 +51,7 @@ let replay_metrics ?db (cert : Cert.t) =
         Inapplicable (Printf.sprintf "%s does not support n = %d" P.name cert.Cert.n)
       else begin
         let module E = Engine.Make (P) in
-        (* untracked: a replay is one linear execution; the incremental
-           fingerprint machinery would only slow it down *)
-        let root () = E.init_untracked ~n:cert.Cert.n ~inputs:cert.Cert.inputs in
+        let root () = E.init ~n:cert.Cert.n ~inputs:cert.Cert.inputs in
         let fp_of c = Fingerprint.to_int (E.fingerprint c) in
         let live () =
           match

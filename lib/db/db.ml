@@ -261,22 +261,22 @@ let rec compact_to b (j : Json.t) =
       kvs;
     Buffer.add_char b '}'
 
-(* The integer spelled by [s.[i .. j-1]] when those bytes are exactly
+(* The integer spelled by [b.[i .. j-1]] when those bytes are exactly
    what [string_of_int] writes for it (an optional '-', then "0" or
    digits without a leading zero, in range), else [min_int], which
    sends the line to the generic parser.  [min_int] itself is spelled
    correctly but also goes there; the generic parser reads it the
    same. *)
-let canonical_int s i j =
-  let neg = i < j && s.[i] = '-' in
+let canonical_int b i j =
+  let neg = i < j && Bytes.get b i = '-' in
   let start = if neg then i + 1 else i in
   let digits = j - start in
-  if digits < 1 || digits > 19 || (s.[start] = '0' && (digits > 1 || neg)) then min_int
+  if digits < 1 || digits > 19 || (Bytes.get b start = '0' && (digits > 1 || neg)) then min_int
   else begin
     (* accumulated as -|n|, which holds [min_int] *)
     let n = ref 0 and k = ref start in
     while !k < j do
-      let d = Char.code s.[!k] - 48 in
+      let d = Char.code (Bytes.get b !k) - 48 in
       if d < 0 || d > 9 || !n < min_int / 10 || !n * 10 < min_int + d then begin
         n := 1;
         k := j
@@ -414,35 +414,93 @@ let insert_read t s e o =
   end
   else false
 
-(* the first ',' in [s.[i .. j-1]], or [j] *)
-let rec comma s i j = if i >= j || s.[i] = ',' then i else comma s (i + 1) j
+(* the first ',' in [b.[i .. j-1]], or [j] *)
+let rec comma b i j = if i >= j || Bytes.get b i = ',' then i else comma b (i + 1) j
 
-(* whether [s] starts with [p] from byte [i] on: [String.starts_with]
-   without the closure it allocates on every call *)
-let rec has_prefix s p i =
-  i >= String.length p || (i < String.length s && s.[i] = p.[i] && has_prefix s p (i + 1))
+(* whether [b.[i .. j-1]] starts with [p], compared from [p.[k]] on:
+   [String.starts_with] without the closure it allocates on every
+   call *)
+let rec has_prefix b i j p k =
+  k >= String.length p
+  || (i + k < j && Bytes.get b (i + k) = p.[k] && has_prefix b i j p (k + 1))
 
-(* The ["c"] and ["t"] lines exactly as [save] writes them, applied
-   without a [Json.t]; [false], with nothing applied, for any other
-   line, which goes to [apply_record]. *)
-let apply_compact t line =
-  let len = String.length line in
-  if len > 6 && has_prefix line {|{"c":|} 0 && line.[len - 1] = '}' then begin
-    let fp = canonical_int line 5 (len - 1) in
+(* The ["c"] and ["t"] lines exactly as [save] writes them, read from
+   [b.[i .. j-1]] and applied without a [Json.t] or a string; [false],
+   with nothing applied, for any other line, which goes to
+   [apply_record]. *)
+let apply_compact t b i j =
+  let len = j - i in
+  if len > 6 && has_prefix b i j {|{"c":|} 0 && Bytes.get b (j - 1) = '}' then begin
+    let fp = canonical_int b (i + 5) (j - 1) in
     fp <> min_int
     &&
     (ignore (Configs.intern t.configs fp : int);
      true)
   end
-  else if len > 8 && has_prefix line {|{"t":[|} 0 && line.[len - 2] = ']' && line.[len - 1] = '}'
+  else if
+    len > 8
+    && has_prefix b i j {|{"t":[|} 0
+    && Bytes.get b (j - 2) = ']'
+    && Bytes.get b (j - 1) = '}'
   then begin
-    let stop = len - 2 in
-    let c1 = comma line 6 stop in
-    let c2 = comma line (c1 + 1) stop in
+    let stop = j - 2 in
+    let c1 = comma b (i + 6) stop in
+    let c2 = comma b (c1 + 1) stop in
     c2 < stop
-    && insert_read t (canonical_int line 6 c1)
-         (canonical_int line (c1 + 1) c2)
-         (canonical_int line (c2 + 1) stop)
+    && insert_read t (canonical_int b (i + 6) c1)
+         (canonical_int b (c1 + 1) c2)
+         (canonical_int b (c2 + 1) stop)
+  end
+  else false
+
+(* The lines of a channel, read a block at a time: the current line
+   is [buf.[start .. stop-1]], without its newline, so reading a record
+   makes no string.  A last line without a newline is a line, as
+   [input_line] reads it. *)
+type lines = {
+  ic : in_channel;
+  mutable buf : Bytes.t;
+  mutable pos : int;  (* the first byte not yet read as a line *)
+  mutable len : int;  (* the bytes of [buf] holding data *)
+  mutable start : int;
+  mutable stop : int;
+}
+
+let lines ic = { ic; buf = Bytes.create 65_536; pos = 0; len = 0; start = 0; stop = 0 }
+
+let rec newline b i j = if i >= j || Bytes.get b i = '\n' then i else newline b (i + 1) j
+
+(* more bytes after the unread ones, which move to the front of a
+   buffer twice as large when they fill it; [false] at the end of the
+   file *)
+let refill r =
+  let unread = r.len - r.pos in
+  let buf =
+    if unread = Bytes.length r.buf then Bytes.create (2 * Bytes.length r.buf) else r.buf
+  in
+  Bytes.blit r.buf r.pos buf 0 unread;
+  r.buf <- buf;
+  r.pos <- 0;
+  r.len <- unread;
+  let got = input r.ic buf unread (Bytes.length buf - unread) in
+  r.len <- unread + got;
+  got > 0
+
+(* moves to the next line; [false] at the end of the file *)
+let rec next_line r =
+  let nl = newline r.buf r.pos r.len in
+  if nl < r.len then begin
+    r.start <- r.pos;
+    r.stop <- nl;
+    r.pos <- nl + 1;
+    true
+  end
+  else if refill r then next_line r
+  else if r.pos < r.len then begin
+    r.start <- r.pos;
+    r.stop <- r.len;
+    r.pos <- r.len;
+    true
   end
   else false
 
@@ -495,35 +553,37 @@ let load path =
           let t = create () in
           let r = tally () in
           let fail fmt = Printf.ksprintf (fun e -> Error (path ^ ": " ^ e)) fmt in
+          let lines = lines ic in
           let finish e =
             let field name conv = Result.bind (Json.field name e) conv in
             match (field "records" Json.to_int, field "md5" Json.to_str) with
-            | Ok n, Ok h when n = r.records && String.equal h (digest r) -> (
-              match input_line ic with
-              | exception End_of_file -> Ok t
-              | _ -> fail "data after the end record")
+            | Ok n, Ok h when n = r.records && String.equal h (digest r) ->
+              if next_line lines then fail "data after the end record" else Ok t
             | _ -> fail "the end record disagrees with the %d records before it" r.records
           in
-          let counted line =
-            Buffer.add_string r.lines line;
+          (* the line goes into the digest as it was read *)
+          let counted () =
+            Buffer.add_subbytes r.lines lines.buf lines.start (lines.stop - lines.start);
             Buffer.add_char r.lines '\n';
             counted r ~flush:ignore
           in
           let rec go lineno =
-            match input_line ic with
-            | exception End_of_file -> fail "no end record after %d records" r.records
-            | line when apply_compact t line ->
-              counted line;
+            if not (next_line lines) then fail "no end record after %d records" r.records
+            else if apply_compact t lines.buf lines.start lines.stop then begin
+              counted ();
               go (lineno + 1)
-            | line -> (
-              match Json.of_string line with
+            end
+            else
+              match
+                Json.of_string (Bytes.sub_string lines.buf lines.start (lines.stop - lines.start))
+              with
               | Ok (Json.Obj [ ("end", e) ]) -> finish e
               | parsed -> (
                 match Result.bind parsed (apply_record t) with
                 | Ok () ->
-                  counted line;
+                  counted ();
                   go (lineno + 1)
-                | Error e -> fail "line %d: %s" lineno e))
+                | Error e -> fail "line %d: %s" lineno e)
           in
           go 2
         | marker ->

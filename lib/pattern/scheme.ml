@@ -22,37 +22,41 @@ module Make (P : Protocol.S) = struct
   (* One root per input vector; all bookkeeping (frontier, visited
      set, budget, counters) lives in the kernel — this layer only
      says how a configuration expands and what to collect at
-     terminals. *)
+     terminals.  A configuration is a flat one with its pattern so
+     far ({!E.Patterned}), whose dedup equality is [compare_config]'s. *)
+
+  module C = E.Patterned
+
+  let pattern c = Pattern.make (C.triples c) (C.edges c)
 
   module Pr = struct
-    type state = E.config
+    type state = C.t
 
-    let compare = E.compare_config
-    let fingerprint = E.fingerprint
+    let compare = C.compare
+    let fingerprint = C.fingerprint
 
     (* expansion without observation: reversed, because the
        historical stack discipline explored the last applicable action
        first, and truncated counts are pinned to that order by the
        jobs-invariance tests *)
-    let successors c actions = List.rev_map (fun a -> fst (E.apply_exn ~step:0 c a)) actions
+    let successors c actions = List.rev_map (C.step c) actions
   end
 
   module K = Search.Make (Pr)
 
   (* Observation accumulator, one per search.  [seen_pats] is the
-     terminal-pattern cache: distinct
-     terminal configurations mostly repeat a handful of patterns, and
-     extraction ([Pattern.make]) is far more expensive than a
-     fingerprint probe.  Keyed by [E.pattern_fp]; a hit is only
-     trusted when [E.same_pattern_rep] confirms it on the interned
-     representation, so a fingerprint collision merely costs one
-     redundant extraction.  The cache is accumulator-local (dropped at
-     merge), so it never leaks observations across accumulators —
+     terminal-pattern cache: distinct terminal configurations mostly
+     repeat a handful of patterns, and extraction ([Pattern.make]) is
+     far more expensive than a hash probe.  Keyed by
+     [C.pattern_key]; a hit is only trusted when [C.same_pattern]
+     confirms it, so a collision merely costs one redundant
+     extraction.  The cache is accumulator-local (dropped at merge),
+     so it never leaks observations across accumulators —
      [Pattern.Set.union] dedups structurally either way. *)
   type obs = {
     mutable pats : Pattern.Set.t;
     mutable terminal : int;
-    seen_pats : (int, E.config list) Hashtbl.t;
+    seen_pats : (int, C.t list) Hashtbl.t;
   }
 
   let obs_expand =
@@ -67,15 +71,14 @@ module Make (P : Protocol.S) = struct
           a);
       expand =
         (fun o c ->
-          match E.applicable c with
+          match C.applicable c with
           | [] ->
             o.terminal <- o.terminal + 1;
-            let key = Patterns_stdx.Fingerprint.to_int (E.pattern_fp c) in
+            let key = C.pattern_key c in
             let bucket = Option.value (Hashtbl.find_opt o.seen_pats key) ~default:[] in
-            if not (List.exists (E.same_pattern_rep c) bucket) then begin
+            if not (List.exists (C.same_pattern c) bucket) then begin
               Hashtbl.replace o.seen_pats key (c :: bucket);
-              o.pats <-
-                Pattern.Set.add (Pattern.make (E.triples_of c) (E.pattern_edges c)) o.pats
+              o.pats <- Pattern.Set.add (pattern c) o.pats
             end;
             []
           | actions -> Pr.successors c actions);
@@ -83,7 +86,7 @@ module Make (P : Protocol.S) = struct
 
   let patterns_for_inputs_m ?(par_mode = Search.Async)
       ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ~n ~inputs () =
-    let root = E.init ~n ~inputs in
+    let root = C.init ~n ~inputs in
     let outcome, o, m =
       match par_mode with
       | Search.Layers ->
@@ -92,7 +95,7 @@ module Make (P : Protocol.S) = struct
         K.run_par_async ~budget:max_configs ?deadline ?max_live ?spill ~expand:obs_expand
           ~root ()
     in
-    let m = Metrics.with_intern_bindings (E.intern_bindings root) m in
+    let m = Metrics.with_intern_bindings (C.intern_bindings root) m in
     ( ( o.pats,
         {
           configs_visited = m.Metrics.states_expanded;
@@ -134,19 +137,16 @@ module Make (P : Protocol.S) = struct
       ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ?base ~n ~inputs ~target () =
     (* the accumulated pattern must be a prefix of the target: its
        triples a subset, and the orders in agreement *)
-    let prefix_ok c =
-      let here = Pattern.make (E.triples_of c) (E.pattern_edges c) in
-      Pattern.is_prefix_consistent here target
-    in
+    let prefix_ok c = Pattern.is_prefix_consistent (pattern c) target in
     let module R = struct
       (* A configuration plus the reversed event path that reached it;
-         dedup ignores the path.  [acts] memoizes [E.applicable], which
+         dedup ignores the path.  [acts] memoizes [C.applicable], which
          both the goal test and the expansion need. *)
-      type state = { c : E.config; path : Action.t list; acts : Action.t list Lazy.t }
+      type state = { c : C.t; path : Action.t list; acts : Action.t list Lazy.t }
 
-      let make c path = { c; path; acts = lazy (E.applicable c) }
-      let compare a b = E.compare_config a.c b.c
-      let fingerprint s = E.fingerprint s.c
+      let make c path = { c; path; acts = lazy (C.applicable c) }
+      let compare a b = C.compare a.c b.c
+      let fingerprint s = C.fingerprint s.c
     end in
     let module K = Search.Make (R) in
     let expand =
@@ -155,15 +155,10 @@ module Make (P : Protocol.S) = struct
         merge = (fun () () -> ());
         expand =
           (fun () s ->
-            List.map
-              (fun a -> R.make (fst (E.apply_exn ~step:0 s.R.c a)) (a :: s.R.path))
-              (Lazy.force s.R.acts));
+            List.map (fun a -> R.make (C.step s.R.c a) (a :: s.R.path)) (Lazy.force s.R.acts));
       }
     in
-    let is_goal s =
-      Lazy.force s.R.acts = []
-      && Pattern.equal (Pattern.make (E.triples_of s.R.c) (E.pattern_edges s.R.c)) target
-    in
+    let is_goal s = Lazy.force s.R.acts = [] && Pattern.equal (pattern s.R.c) target in
     let prune s = not (prefix_ok s.R.c) in
     (* the target and input vector key the one root by a structural
        digest *)
@@ -176,7 +171,7 @@ module Make (P : Protocol.S) = struct
     (* a realization is a sweep of one root *)
     Search.sweep ?metrics ?deadline ?memo ~jobs:1
       ~root:(fun ~deadline () ->
-        let root_config = E.init ~n ~inputs in
+        let root_config = C.init ~n ~inputs in
         let root = R.make root_config [] in
         let outcome, (), m =
           match par_mode with
@@ -192,7 +187,7 @@ module Make (P : Protocol.S) = struct
           | Search.Exhausted -> Unrealizable
           | Search.Truncated _ -> Truncated
         in
-        (r, Metrics.with_intern_bindings (E.intern_bindings root_config) m))
+        (r, Metrics.with_intern_bindings (C.intern_bindings root_config) m))
       ~merge:(fun _ r -> r) Truncated [ () ]
 
   let merge_stats a b =

@@ -4,9 +4,9 @@
     all its failure-free executions.  For the finite, quiescing
     protocols studied here the scheme is computed exactly, by an
     exhaustive kernel search over every applicable event from every
-    initial configuration, memoizing on full configurations (which
-    carry the pattern-so-far, making the memoization sound for
-    pattern collection).  What a sweep or realization stores for a
+    initial configuration, memoizing on configurations that carry the
+    pattern so far ({!Patterns_sim.Engine.Make.Patterned}), which
+    makes the memoization sound for pattern collection.  What a sweep or realization stores for a
     later run is its per-root memo ({!Patterns_search.Search.memo}):
     one sealed fact per input vector (["scheme_vec2"]) or per
     realization (["realize"]). *)

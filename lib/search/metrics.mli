@@ -37,10 +37,9 @@ type shard = {
           structurally distinct state — true 64-bit collisions *)
   intern_bindings : int;
       (** distinct values interned under this shard's root: protocol
-          states, knowledge/trips sets and edge sets on a full root
-          (scheme, realize), protocol states only on a behaviour-only
-          root (explore), and 0 for searches that do not report their
-          intern tables *)
+          states and edge sets on a pattern root (scheme, realize),
+          protocol states only on a behaviour-only root (explore), and
+          0 for searches that do not report their intern tables *)
   seconds : float;  (** wall-clock for this shard (nondeterministic) *)
 }
 

@@ -267,9 +267,10 @@ val sweep :
 (** [sweep ~jobs ~root ~merge init roots]: the per-root loop every
     exhaustive answer runs through.  Each root is searched by [root
     ~deadline r] on one domain.  With [jobs > 1] and at least two
-    roots, the roots are mapped over a pool of [jobs] workers, so up
-    to [jobs] roots run at once and each root's search is the one it
-    is at [jobs = 1]: the answer and every counter but the timings are
+    roots, the roots are mapped over a pool of [jobs] workers (capped
+    at the cores, {!Patterns_stdx.Domain_pool.create}), so up to
+    [jobs] roots run at once and each root's search is the one it is
+    at [jobs = 1]: the answer and every counter but the timings are
     the same for every [jobs], truncated sweeps included.  Otherwise
     the roots run one at a time on the calling domain.  Payloads are
     folded into [init] with [merge] in root order; the per-root
@@ -299,7 +300,9 @@ val find_first :
     ([start] defaults to 1; a hunt scans its index space chunk by
     chunk with it — the (winner, tried) result over a window is
     identical to the same window of a full scan):
-    worker [w] of [jobs] owns the stride [start+w, start+w+jobs, …]
+    worker [w] of the pool's [jobs] workers ([jobs] capped at the
+    cores, {!Patterns_stdx.Domain_pool.create}) owns the stride
+    [start+w, start+w+jobs, …]
     and scans it as one long-lived task — zero shared mutable state beyond a CAS-min
     cell holding the smallest goal index found, so independent
     evaluations (hunt runs) never synchronize.  A worker abandons its

@@ -16,83 +16,39 @@ module Make (P : Protocol.S) = struct
   module Pair_set = Set.Make (Pair)
   module F = Fingerprint
 
-  (* What every configuration descended from one root maintains on
-     [apply]:
+  (* A configuration carries the pattern bookkeeping its readers need
+     (send counts, knowledge, triples) and the happens-before edges
+     left unexpanded, as one [(triple, causes)] entry per send.  It
+     maintains no fingerprint and interns nothing: its readers are
+     linear runs, replays and the theorem checks, which never probe a
+     visited store, so the edge set and both fingerprints are computed
+     by full folds on first demand, the fingerprints memoized.
 
-     - [Full] ([init]): both incremental fingerprints, the pattern
-       bookkeeping (knowledge, edges, triples), and per-root interning
-       of states, knowledge/trips sets and edge sets — what a search
-       over full configurations with a visited store wants;
-     - [Lazy] ([init_untracked], and every {!run}): the pattern
-       bookkeeping only, with the edges left unexpanded as one
-       [(triple, causes)] entry per send.  No fingerprint upkeep and
-       no interning: linear runs with no visited store attached — the
-       randomized audits, the hunts, replays — pay nothing for dedup
-       machinery they never use.  Their edge set and fingerprints are
-       computed by full folds on first demand, the fingerprints
-       memoized.
-
-     Searches over behavioural configurations use neither: they run on
-     {!Flat}, below, which keeps only what their dedup reads. *)
-  type kind = Full | Lazy
-
-  (* Per-root mutable interning context: every state and every
-     knowledge/trips set and edge set constructed under one [Full]
-     root is routed through these tables, so structurally equal
-     values reached along different schedules are pointer-shared and
-     their fingerprints are computed once.  The tables are shared by
-     every configuration descended from one root, and take no lock:
-     a root is searched on one domain. *)
-  type ctx = {
-    kind : kind;
-    sets : Triple.Fset.t Intern.t;
-    states : P.state Intern.t;
-    edge_sets : Pair_set.t Intern.t;
-  }
-
+     Searches use neither this representation nor its [apply]: the
+     behavioural ones run on {!Flat}, the pattern ones on
+     {!Patterned}, a flat configuration with the edges and
+     fingerprints a pattern search dedups on, both below. *)
   type config = {
     n : int;
     inputs : bool array;
     states : P.state array;
-    (* state_fps.(p) = fp_state_at p (P.hash_state states.(p)) — the
-       word [bfp] currently carries for p, cached so an update hashes
-       only the one state that changed *)
-    state_fps : F.t array;
     failed : bool array;
     buffers : entry list array;
     sent_count : int array;  (* flattened n*n: sender * n + receiver *)
     knowledge : Triple.Fset.t array;
-    (* The happens-before edges, in the shape the kind can afford.
-       [Full] folds every (cause, triple) pair of a send into the
-       interned set [edges].  [Lazy] leaves [edges] empty and conses
-       one [(triple, causes)] entry per send onto [sends], newest
-       first, where [causes] is the very list the [Sent] event
-       carries; [edge_set] expands it when a reader asks.  A send's
-       triple is freshly minted, so each pair occurs exactly once and
-       both shapes denote the same set and fold to the same
-       fingerprint. *)
-    edges : Pair_set.t;
+    (* one [(triple, causes)] entry per send, newest first, where
+       [causes] is the very list the [Sent] event carries; [edge_set]
+       expands it when a reader asks.  A send's triple is freshly
+       minted, so each pair occurs exactly once. *)
     sends : (Triple.t * Triple.t list) list;
-    (* commutative fingerprint of the edges alone: the intern key for
-       the edge set and the edge half of the terminal pattern identity.
-       Maintained eagerly under [Full] (the intern table needs it on
-       every send); stale under [Lazy] until [ensure_efp] recomputes
-       it by a full fold on first demand ([efp_valid] says which) —
-       linear runs that never ask for a pattern identity pay nothing
-       for it. *)
-    mutable efp : F.t;
-    mutable efp_valid : bool;
     trips : Triple.Fset.t;
     (* behavioral fingerprint (n, inputs, states, failed, buffers) and
        pattern-bookkeeping fingerprint (sent counts, knowledge, edges,
-       trips).  Under [Full] both are maintained incrementally by
-       [apply]; under [Lazy] both are stale until [ensure_fps]
-       memoizes the full folds on first demand ([fps_valid] says
-       which). *)
+       trips), both stale until [ensure_fps] memoizes the full folds on
+       first demand ([fps_valid] says which) *)
     mutable bfp : F.t;
     mutable pfp : F.t;
     mutable fps_valid : bool;
-    ctx : ctx;
   }
 
   (* ----- canonical fingerprints -----
@@ -139,11 +95,11 @@ module Make (P : Protocol.S) = struct
   let fp_edge m1 m2 = F.feed (F.feed (F.feed F.seed tag_edge) (Triple.fp m1)) (Triple.fp m2)
   let fp_trip tr = F.feed (F.feed F.seed tag_trip) (Triple.fp tr)
 
-  (* Full folds, used at [init] and by the consistency test suite;
-     the hot path never calls these.  Note the explicit element-wise
-     folds over [inputs], [failed] and [sent_count] — [Hashtbl.hash]
-     samples only a bounded prefix of a structure, so hashing large
-     arrays with it silently collides. *)
+  (* Full folds: a configuration's fingerprints on first demand, and a
+     flat root's.  Note the explicit element-wise folds over [inputs],
+     [failed] and [sent_count] — [Hashtbl.hash] samples only a bounded
+     prefix of a structure, so hashing large arrays with it silently
+     collides. *)
   let scratch_bfp ~n ~inputs ~states ~failed ~buffers =
     let acc = ref (fp_n n) in
     Array.iteri (fun i b -> acc := F.combine !acc (fp_input i b)) inputs;
@@ -154,32 +110,24 @@ module Make (P : Protocol.S) = struct
       buffers;
     !acc
 
-  (* [efp] is the edge fold, [scratch_efp] below *)
-  let scratch_pfp ~sent_count ~knowledge ~efp ~trips =
-    let acc = ref efp in
-    Array.iteri (fun idx c -> acc := F.combine !acc (fp_sent_at idx c)) sent_count;
-    Array.iteri
-      (fun p ks ->
-        List.iter (fun tr -> acc := F.combine !acc (fp_know_at p tr)) (Triple.Fset.elements ks))
-      knowledge;
-    List.iter (fun tr -> acc := F.combine !acc (fp_trip tr)) (Triple.Fset.elements trips);
-    !acc
-
-  (* folds [f] over a [Lazy] configuration's edges, one (cause, triple)
-     pair at a time *)
+  (* folds [f] over a configuration's edges, one (cause, triple) pair
+     at a time *)
   let fold_sends f acc c =
     List.fold_left
       (fun acc (triple, causes) -> List.fold_left (fun acc m1 -> f acc m1 triple) acc causes)
       acc c.sends
 
-  (* [combine] is commutative, so folding the [Lazy] send list pair by
-     pair gives the very word the [Full] set fold gives *)
-  let scratch_efp c =
-    match c.ctx.kind with
-    | Full -> Pair_set.fold (fun (a, b) h -> F.combine h (fp_edge a b)) c.edges F.zero
-    | Lazy -> fold_sends (fun h m1 m2 -> F.combine h (fp_edge m1 m2)) F.zero c
+  let scratch_pfp c =
+    let acc = ref (fold_sends (fun h m1 m2 -> F.combine h (fp_edge m1 m2)) F.zero c) in
+    Array.iteri (fun idx k -> acc := F.combine !acc (fp_sent_at idx k)) c.sent_count;
+    Array.iteri
+      (fun p ks ->
+        List.iter (fun tr -> acc := F.combine !acc (fp_know_at p tr)) (Triple.Fset.elements ks))
+      c.knowledge;
+    List.iter (fun tr -> acc := F.combine !acc (fp_trip tr)) (Triple.Fset.elements c.trips);
+    !acc
 
-  (* the validated initial local states, shared by [init_with] and
+  (* the validated initial local states, shared by [init] and
      {!Flat.init} *)
   let initial_states ~n ~inputs =
     if not (P.valid_n n) then
@@ -198,51 +146,25 @@ module Make (P : Protocol.S) = struct
       states;
     (inputs, states)
 
-  let init_with kind ~n ~inputs =
+  let init ~n ~inputs =
     let inputs, states = initial_states ~n ~inputs in
-    let failed = Array.make n false in
-    let buffers = Array.make n [] in
-    let eager = kind = Full in
-    let state_fps =
-      if eager then Array.init n (fun i -> fp_state_at i (P.hash_state states.(i)))
-      else Array.make n F.zero
-    in
-    (* a table the kind never interns into stays at one slot *)
-    let table_size = if eager then 256 else 1 in
     {
       n;
       inputs;
       states;
-      state_fps;
-      failed;
-      buffers;
+      failed = Array.make n false;
+      buffers = Array.make n [];
       sent_count = Array.make (n * n) 0;
       knowledge = Array.make n Triple.Fset.empty;
-      edges = Pair_set.empty;
       sends = [];
-      efp = F.zero;
-      efp_valid = true;
       trips = Triple.Fset.empty;
-      bfp = (if eager then scratch_bfp ~n ~inputs ~states ~failed ~buffers else F.zero);
+      bfp = F.zero;
       pfp = F.zero;
-      fps_valid = eager;
-      ctx =
-        {
-          kind;
-          sets = Intern.create ~size:table_size ~equal:Triple.Fset.equal ();
-          states =
-            Intern.create ~size:table_size ~equal:(fun a b -> P.compare_state a b = 0) ();
-          edge_sets = Intern.create ~size:table_size ~equal:Pair_set.equal ();
-        };
+      fps_valid = false;
     }
 
-  let init ~n ~inputs = init_with Full ~n ~inputs
-  let init_untracked ~n ~inputs = init_with Lazy ~n ~inputs
-
   let n_of c = c.n
-  let inputs_of c = Array.copy c.inputs
   let state_of c p = c.states.(p)
-  let states_of c = Array.copy c.states
   let buffer_of c p = c.buffers.(p)
   let is_failed c p = c.failed.(p)
   let status_of c p = P.status c.states.(p)
@@ -256,36 +178,11 @@ module Make (P : Protocol.S) = struct
         | None -> None)
       (Proc_id.all ~n:c.n)
 
-  (* the edge set; a [Lazy] configuration builds it from its sends on
-     every call, which only the pattern readers and tests make *)
-  let edge_set c =
-    match c.ctx.kind with
-    | Full -> c.edges
-    | Lazy -> fold_sends (fun acc m1 m2 -> Pair_set.add (m1, m2) acc) Pair_set.empty c
-
+  (* the edge set, built from the sends on every call, which only the
+     pattern readers, the tests and [compare_config] past every other
+     field make *)
+  let edge_set c = fold_sends (fun acc m1 m2 -> Pair_set.add (m1, m2) acc) Pair_set.empty c
   let pattern_edges c = Pair_set.elements (edge_set c)
-
-  (* Lazy fallback for [Lazy] configurations, mirroring [ensure_fps]
-     below: the full fold over the sends runs on first demand and
-     memoizes in place.  [Full] configurations always have [efp_valid]
-     (the intern table needs the key eagerly) and are never mutated
-     here, so sharing across domains is safe. *)
-  let ensure_efp c =
-    if not c.efp_valid then begin
-      c.efp <- scratch_efp c;
-      c.efp_valid <- true
-    end;
-    c.efp
-
-  (* pattern identity without extraction: the fingerprint covers the
-     triples and edges alone, and because both components are interned
-     per root, structurally equal pairs are physically equal — so a
-     caller can dedup terminal patterns before paying for
-     [Pattern.make] *)
-  let pattern_fp c = F.combine (Triple.Fset.fp c.trips) (ensure_efp c)
-
-  let same_pattern_rep a b = a.trips == b.trips && a.edges == b.edges && a.sends == b.sends
-
   let triples_of c = Triple.Fset.elements c.trips
 
   let compare_entry a b =
@@ -375,25 +272,18 @@ module Make (P : Protocol.S) = struct
           let c = compare_arrays Triple.Fset.compare a.knowledge b.knowledge in
           if c <> 0 then c
           else
-            let c =
-              if a.edges == b.edges && a.sends == b.sends then 0
-              else Pair_set.compare (edge_set a) (edge_set b)
-            in
+            let c = if a.sends == b.sends then 0 else Pair_set.compare (edge_set a) (edge_set b) in
             if c <> 0 then c else Triple.Fset.compare a.trips b.trips
 
-  (* Lazy fallback for [Lazy] configurations: the full folds run on
-     the first probe and the result is memoized in place.  [Lazy]
-     configurations live inside linear single-domain runs, so the
-     mutation is unshared; [Full] configurations are always valid and
-     never mutated here. *)
+  (* The full folds run on the first probe and the result is memoized
+     in place.  Configurations live inside linear single-domain runs,
+     so the mutation is unshared. *)
   let ensure_fps c =
     if not c.fps_valid then begin
       c.bfp <-
         scratch_bfp ~n:c.n ~inputs:c.inputs ~states:c.states ~failed:c.failed
           ~buffers:c.buffers;
-      c.pfp <-
-        scratch_pfp ~sent_count:c.sent_count ~knowledge:c.knowledge ~efp:(ensure_efp c)
-          ~trips:c.trips;
+      c.pfp <- scratch_pfp c;
       c.fps_valid <- true
     end
 
@@ -405,15 +295,6 @@ module Make (P : Protocol.S) = struct
     ensure_fps c;
     c.bfp
 
-  let fingerprint_from_scratch c =
-    F.combine
-      (scratch_bfp ~n:c.n ~inputs:c.inputs ~states:c.states ~failed:c.failed ~buffers:c.buffers)
-      (scratch_pfp ~sent_count:c.sent_count ~knowledge:c.knowledge ~efp:(scratch_efp c)
-         ~trips:c.trips)
-
-  let intern_bindings c =
-    Intern.bindings c.ctx.sets + Intern.bindings c.ctx.states
-    + Intern.bindings c.ctx.edge_sets
   let hash_behavioral c = F.to_int (behavioral_fingerprint c)
   let hash_config c = F.to_int (fingerprint c)
 
@@ -491,7 +372,7 @@ module Make (P : Protocol.S) = struct
      [refusal] is the guard both run before touching a configuration,
      in the order it is checked; [None] means the action passes it.
      The helpers are inlined: as calls they slowed the hunts, which
-     step untracked configurations (EXPERIMENTS.md, "the flat
+     step configurations with [apply] (EXPERIMENTS.md, "the flat
      step"). *)
   let out_of_range what p = Some (Printf.sprintf "%s: p%d out of range" what p)
 
@@ -527,103 +408,40 @@ module Make (P : Protocol.S) = struct
 
   let no_entry what p index = Printf.sprintf "%s: no buffer entry #%d at p%d" what index p
 
-  (* route a freshly built set through the per-root intern table:
-     schedules that reassemble the same set share one physical copy *)
-  let interned c fs =
-    match c.ctx.kind with
-    | Full -> Intern.intern c.ctx.sets ~fp:(Triple.Fset.fp fs) fs
-    | Lazy -> fs
-
-  (* Installs [p]'s new local state in [states], a fresh copy of
-     [c.states], and returns the matching [state_fps] and [bfp].
-     Under [Full] the state is hash-consed: schedules that drive a
-     processor to the same local state share one physical copy, so
-     the physical-equality fast path in [compare_arrays] settles
-     almost every dedup confirmation without calling
-     [P.compare_state].  The intern key reuses the [P.hash_state] word
-     the fingerprint update needs anyway. *)
-  let install_state c states p state' =
-    match c.ctx.kind with
-    | Lazy ->
-      states.(p) <- state';
-      (c.state_fps, F.zero)
-    | Full ->
-      let h' = P.hash_state state' in
-      let word = fp_state_at p h' in
-      let state_fps = Array.copy c.state_fps in
-      let bfp = F.combine (F.remove c.bfp state_fps.(p)) word in
-      state_fps.(p) <- word;
-      states.(p) <- Intern.intern c.ctx.states ~fp:(F.of_int h') state';
-      (state_fps, bfp)
-
-  (* the knowledge array after [p] sends the freshly minted [triple];
-     the send's causes are [p]'s knowledge before it *)
-  let learn c p triple =
-    let knowledge = Array.copy c.knowledge in
-    knowledge.(p) <- interned c (Triple.Fset.add_new triple knowledge.(p));
-    knowledge
-
+  (* Every transition copies the arrays it touches and leaves both
+     fingerprints stale ([fps_valid = false]): they are folded afresh
+     on first demand. *)
   let apply_send ~step c p =
     let before = P.status c.states.(p) in
     let outgoing, state' = P.send ~n:c.n ~me:p c.states.(p) in
     let after = P.status state' in
     if not (Status.transition_ok before after) then Error (transition_error p before after)
     else
-      let kind = c.ctx.kind in
       let states = Array.copy c.states in
-      let state_fps, bfp = install_state c states p state' in
+      states.(p) <- state';
       let flips = status_events ~step p before after in
       match outgoing with
       | None ->
-        Ok
-          ( { c with states; state_fps; bfp; fps_valid = kind = Full },
-            Trace.Null_step { step; proc = p } :: flips )
+        Ok ({ c with states; fps_valid = false }, Trace.Null_step { step; proc = p } :: flips)
       | Some (dst, payload) -> (
         match destination_error ~n:c.n p dst with
         | Some e -> Error e
-        | None -> (
+        | None ->
           let idx = (p * c.n) + dst in
           let sent_count = Array.copy c.sent_count in
-          let old_count = sent_count.(idx) in
-          sent_count.(idx) <- old_count + 1;
+          sent_count.(idx) <- sent_count.(idx) + 1;
           let triple = Triple.make ~sender:p ~receiver:dst ~index:sent_count.(idx) in
-          let entry = Data { triple; payload } in
           let buffers = Array.copy c.buffers in
-          buffers.(dst) <- buffers.(dst) @ [ entry ];
+          buffers.(dst) <- buffers.(dst) @ [ Data { triple; payload } ];
+          (* the send's causes are [p]'s knowledge before it; the
+             triple was just minted, so adding it is a real insertion *)
           let causes = Triple.Fset.elements c.knowledge.(p) in
-          let knowledge = learn c p triple in
-          match kind with
-          | Full ->
-            (* the triple's index was just minted, so every add below is
-               a real insertion and contributes to the fingerprint
-               exactly once *)
-            let efp = List.fold_left (fun h m1 -> F.combine h (fp_edge m1 triple)) c.efp causes in
-            let edges =
-              let edges =
-                List.fold_left (fun acc m1 -> Pair_set.add (m1, triple) acc) c.edges causes
-              in
-              Intern.intern c.ctx.edge_sets ~fp:efp edges
-            in
-            let bfp = F.combine bfp (fp_entry dst entry) in
-            let pfp =
-              F.combine (F.remove c.pfp (fp_sent_at idx old_count)) (fp_sent_at idx (old_count + 1))
-            in
-            let pfp = F.combine pfp (fp_know_at p triple) in
-            let pfp = F.combine pfp (F.remove efp c.efp) in
-            let pfp = F.combine pfp (fp_trip triple) in
-            Ok
-              ( { c with states; state_fps; sent_count; knowledge; edges; efp; buffers;
-                  trips = interned c (Triple.Fset.add_new triple c.trips); bfp; pfp },
-                Trace.Sent { step; triple; payload; causes } :: flips )
-          | Lazy ->
-            (* no fingerprint upkeep and no edge set: the send joins
-               [sends] with the causes its event carries, and the edges
-               and both fingerprints are folded from there on demand *)
-            Ok
-              ( { c with states; sent_count; knowledge; sends = (triple, causes) :: c.sends;
-                  efp_valid = false; buffers; trips = Triple.Fset.add_new triple c.trips;
-                  fps_valid = false },
-                Trace.Sent { step; triple; payload; causes } :: flips )))
+          let knowledge = Array.copy c.knowledge in
+          knowledge.(p) <- Triple.Fset.add_new triple knowledge.(p);
+          Ok
+            ( { c with states; sent_count; knowledge; sends = (triple, causes) :: c.sends;
+                buffers; trips = Triple.Fset.add_new triple c.trips; fps_valid = false },
+              Trace.Sent { step; triple; payload; causes } :: flips ))
 
   (* [List.nth_opt] raises on a negative index *)
   let[@inline] buffered c p index = if index < 0 then None else List.nth_opt c.buffers.(p) index
@@ -632,22 +450,18 @@ module Make (P : Protocol.S) = struct
     match buffered c p index with
     | None -> Error (no_entry "deliver" p index)
     | Some entry ->
-      let incoming, delivered_event, knowledge, know_delta =
+      let incoming, delivered_event, knowledge =
         match entry with
         | Note about ->
-          ( Incoming.Failed about,
-            Trace.Delivered_note { step; at = p; about },
-            c.knowledge,
-            F.zero )
+          (Incoming.Failed about, Trace.Delivered_note { step; at = p; about }, c.knowledge)
         | Data { triple; payload } ->
           let knowledge = Array.copy c.knowledge in
           (* the triple was sent to [p] exactly once and [p] is not its
              sender, so this is a real insertion *)
-          knowledge.(p) <- interned c (Triple.Fset.add_new triple knowledge.(p));
+          knowledge.(p) <- Triple.Fset.add_new triple knowledge.(p);
           ( Incoming.Msg { from = triple.Triple.sender; payload },
             Trace.Delivered_msg { step; triple; payload },
-            knowledge,
-            fp_know_at p triple )
+            knowledge )
       in
       let before = P.status c.states.(p) in
       let state' = P.receive ~n:c.n ~me:p c.states.(p) incoming in
@@ -655,56 +469,32 @@ module Make (P : Protocol.S) = struct
       if not (Status.transition_ok before after) then Error (transition_error p before after)
       else
         let states = Array.copy c.states in
-        let state_fps, bfp = install_state c states p state' in
-        let bfp, pfp =
-          match c.ctx.kind with
-          | Full -> (F.remove bfp (fp_entry p entry), F.combine c.pfp know_delta)
-          | Lazy -> (F.zero, F.zero)
-        in
+        states.(p) <- state';
         let buffers = Array.copy c.buffers in
         buffers.(p) <- List.filteri (fun i _ -> i <> index) buffers.(p);
         let flips = status_events ~step p before after in
-        Ok
-          ( { c with
-              states; state_fps; buffers; knowledge; bfp; pfp; fps_valid = c.ctx.kind = Full },
-            delivered_event :: flips )
+        Ok ({ c with states; buffers; knowledge; fps_valid = false }, delivered_event :: flips)
 
   let apply_fail ~step c p =
-    let eager = c.ctx.kind = Full in
     let failed = Array.copy c.failed in
     failed.(p) <- true;
     let buffers = Array.copy c.buffers in
-    let bfp =
-      List.fold_left
-        (fun h q ->
-          buffers.(q) <- buffers.(q) @ [ Note p ];
-          if eager then F.combine h (fp_entry q (Note p)) else h)
-        (if eager then F.combine c.bfp (fp_failed_at p) else F.zero)
-        (Proc_id.others ~n:c.n p)
-    in
-    Ok
-      ( { c with failed; buffers; bfp; fps_valid = eager },
-        [ Trace.Failed_proc { step; proc = p } ] )
+    List.iter (fun q -> buffers.(q) <- buffers.(q) @ [ Note p ]) (Proc_id.others ~n:c.n p);
+    Ok ({ c with failed; buffers; fps_valid = false }, [ Trace.Failed_proc { step; proc = p } ])
 
   (* Receive omission: the entry vanishes from the buffer with no
-     other effect — no state change, no knowledge, no notice.  The
-     behavioral delta is the exact inverse of the buffer-append half
-     of [apply_send], so the incremental fingerprint invariants carry
-     over unchanged.  Failure notices cannot be dropped (they are a
-     modelling device, not network traffic), and a failed receiver is
-     fine: the drop is a network event, not a step of the victim. *)
+     other effect — no state change, no knowledge, no notice.  Failure
+     notices cannot be dropped (they are a modelling device, not
+     network traffic), and a failed receiver is fine: the drop is a
+     network event, not a step of the victim. *)
   let apply_drop ~step c p index =
     match buffered c p index with
     | None -> Error (no_entry "drop" p index)
     | Some (Note _) -> Error (Printf.sprintf "drop: entry #%d at p%d is a failure notice" index p)
-    | Some (Data { triple; payload } as entry) ->
-      let eager = c.ctx.kind = Full in
+    | Some (Data { triple; payload }) ->
       let buffers = Array.copy c.buffers in
       buffers.(p) <- List.filteri (fun i _ -> i <> index) buffers.(p);
-      let bfp = if eager then F.remove c.bfp (fp_entry p entry) else F.zero in
-      Ok
-        ( { c with buffers; bfp; fps_valid = eager },
-          [ Trace.Dropped_msg { step; triple; payload } ] )
+      Ok ({ c with buffers; fps_valid = false }, [ Trace.Dropped_msg { step; triple; payload } ])
 
   let apply ~step c action =
     match refusal ~n:c.n ~failed:c.failed ~states:c.states action with
@@ -727,9 +517,9 @@ module Make (P : Protocol.S) = struct
      the concurrency sets) read local states, failure flags and buffer
      multisets, and dedup on the behavioural fingerprint.  A [Flat.t]
      holds exactly that, and its [step] builds nothing else: no trace
-     events, no [result], no list copies of a buffer.  Each field
-     carries the value [config]'s field of the same name would, so the
-     fingerprint words are [config]'s bit for bit (test_fingerprint's
+     events, no [result], no list copies of a buffer.  Its buffers and
+     send counts hold what [config]'s would, and its fingerprint is
+     [config]'s behavioural one bit for bit (test_fingerprint's
      flat-step oracle walks both side by side). *)
   module Flat = struct
     (* what every configuration under one root shares: its size, its
@@ -955,6 +745,145 @@ module Make (P : Protocol.S) = struct
         | Action.Drop _ -> Refused "drop: a receive omission is not a search step")
   end
 
+  (* ----- the pattern layer -----
+
+     Scheme enumeration and realization dedup on [compare_config]'s
+     equality: behaviour plus the pattern so far.  A [Patterned.t] is
+     a flat configuration plus the one part of that bookkeeping the
+     flat fields do not determine, the happens-before edges.  The
+     triples sent are the send counts.  What [p] knows, the causes of
+     its next send, is every message it sent (its row of send counts)
+     and every message sent to it that its buffer no longer holds:
+     [Flat.step] refuses drops, so nothing else leaves a buffer.
+     Knowledge and triples are therefore functions of the send counts
+     and buffers, and comparing the flat configuration, the send
+     counts and the edge set decides [compare_config]'s equality. *)
+  module Patterned = struct
+    type t = {
+      flat : Flat.t;
+      edges : Pair_set.t;  (* interned in [edge_sets] *)
+      efp : F.t;  (* the fold of [edges]: their intern key *)
+      (* [config]'s pattern fingerprint: the words of the send counts,
+         of what each processor knows, of the triples and of the
+         edges, updated as [apply] would *)
+      pfp : F.t;
+      edge_sets : Pair_set.t Intern.t;  (* shared by every configuration under one root *)
+    }
+
+    let init ~n ~inputs =
+      {
+        flat = Flat.init ~n ~inputs;
+        edges = Pair_set.empty;
+        efp = F.zero;
+        pfp = F.zero;
+        edge_sets = Intern.create ~equal:Pair_set.equal ();
+      }
+
+    let applicable c = Flat.applicable c.flat
+    let fingerprint c = F.combine c.flat.Flat.bfp c.pfp
+    let intern_bindings c = Flat.intern_bindings c.flat + Intern.bindings c.edge_sets
+
+    (* whether [buffer], from index [i] on, holds the [k]-th message
+       from [q] *)
+    let rec holds buffer q k i =
+      i < Array.length buffer
+      && ((match buffer.(i) with
+          | Data { triple; _ } -> triple.Triple.sender = q && triple.Triple.index = k
+          | Note _ -> false)
+         || holds buffer q k (i + 1))
+
+    (* [f] on every message [p] knows in [c] *)
+    let iter_known f (c : Flat.t) p =
+      let n = c.Flat.root.Flat.n and buffer = c.Flat.buffers.(p) in
+      for s = 0 to n - 1 do
+        if s = p then
+          for q = 0 to n - 1 do
+            for index = 1 to c.Flat.sent_count.((p * n) + q) do
+              f { Triple.sender = p; receiver = q; index }
+            done
+          done
+        else
+          for index = 1 to c.Flat.sent_count.((s * n) + p) do
+            if not (holds buffer s index 0) then f { Triple.sender = s; receiver = p; index }
+          done
+      done
+
+    (* [p]'s send in [c] gave [flat]: the new triple is the one cell of
+       [p]'s row of send counts that grew, and its causes are what [p]
+       knew in [c].  The triple was just minted, so every word below
+       is a real insertion. *)
+    let sent c (flat : Flat.t) p =
+      let n = flat.Flat.root.Flat.n in
+      let rec receiver q =
+        if flat.Flat.sent_count.((p * n) + q) <> c.flat.Flat.sent_count.((p * n) + q) then q
+        else receiver (q + 1)
+      in
+      let dst = receiver 0 in
+      let idx = (p * n) + dst in
+      let index = flat.Flat.sent_count.(idx) in
+      let triple = { Triple.sender = p; receiver = dst; index } in
+      let pfp = F.combine (F.remove c.pfp (fp_sent_at idx (index - 1))) (fp_sent_at idx index) in
+      let pfp = F.combine (F.combine pfp (fp_know_at p triple)) (fp_trip triple) in
+      let edges = ref c.edges and efp = ref c.efp in
+      iter_known
+        (fun m ->
+          edges := Pair_set.add (m, triple) !edges;
+          efp := F.combine !efp (fp_edge m triple))
+        c.flat p;
+      if !edges == c.edges then { c with flat; pfp }
+      else
+        {
+          c with
+          flat;
+          edges = Intern.intern c.edge_sets ~fp:!efp !edges;
+          efp = !efp;
+          pfp = F.combine pfp (F.remove !efp c.efp);
+        }
+
+    (* {!Flat.step} and the edge update: only a send adds edges, and
+       only a delivered message adds a word of knowledge *)
+    let step c a =
+      match Flat.step c.flat a with
+      | Flat.Refused e -> failwith (Format.asprintf "Engine.apply %a: %s" Action.pp a e)
+      | Flat.Next (flat, _) -> (
+        match a with
+        | Action.Send_step p when flat.Flat.sent_count != c.flat.Flat.sent_count -> sent c flat p
+        | Action.Deliver { at; index } -> (
+          match c.flat.Flat.buffers.(at).(index) with
+          | Data { triple; _ } -> { c with flat; pfp = F.combine c.pfp (fp_know_at at triple) }
+          | Note _ -> { c with flat })
+        | Action.Send_step _ | Action.Fail _ | Action.Drop _ -> { c with flat })
+
+    let compare a b =
+      if a == b then 0
+      else
+        let c = Flat.compare a.flat b.flat in
+        if c <> 0 then c
+        else
+          let c = compare_int_array a.flat.Flat.sent_count b.flat.Flat.sent_count in
+          if c <> 0 then c else if a.edges == b.edges then 0 else Pair_set.compare a.edges b.edges
+
+    let triples c =
+      let n = c.flat.Flat.root.Flat.n in
+      let acc = ref [] in
+      for idx = (n * n) - 1 downto 0 do
+        for index = c.flat.Flat.sent_count.(idx) downto 1 do
+          acc := { Triple.sender = idx / n; receiver = idx mod n; index } :: !acc
+        done
+      done;
+      !acc
+
+    let edges c = Pair_set.elements c.edges
+
+    let pattern_key c =
+      let acc = ref c.efp in
+      Array.iteri (fun idx k -> acc := F.combine !acc (fp_sent_at idx k)) c.flat.Flat.sent_count;
+      F.to_int !acc
+
+    let same_pattern a b =
+      a.edges == b.edges && compare_int_array a.flat.Flat.sent_count b.flat.Flat.sent_count = 0
+  end
+
   (* ----- schedulers ----- *)
 
   type scheduler = step:int -> config -> Action.t list -> Action.t option
@@ -1111,10 +1040,6 @@ module Make (P : Protocol.S) = struct
     in
     loop c0 step0 rev_trace0 failures0 faults0
 
-  (* Linear runs attach no visited store, so they carry untracked
-     configurations: no hashing, no fingerprint deltas, no interning,
-     no edge set — the fingerprints are recomputed lazily in the
-     (unusual) case someone probes the final configuration. *)
   (* A [Fault.Crash] passed via [faults] joins the [(step, victim)]
      crash list, so the two entry points cannot disagree on fail-stop
      semantics; omission faults stay in their own pending list. *)
@@ -1129,7 +1054,7 @@ module Make (P : Protocol.S) = struct
   let run ?(max_steps = 100_000) ?(failures = []) ?(faults = []) ?(fifo_notices = false)
       ~scheduler ~n ~inputs () =
     let crash_faults, omission_faults = split_faults faults in
-    run_loop ~max_steps ~fifo_notices ~scheduler ~snap:None (init_with Lazy ~n ~inputs) 0 []
+    run_loop ~max_steps ~fifo_notices ~scheduler ~snap:None (init ~n ~inputs) 0 []
       (failures @ crash_faults)
       omission_faults
 
@@ -1160,7 +1085,7 @@ module Make (P : Protocol.S) = struct
     let snap c rev_trace = snaps := (c, rev_trace) :: !snaps in
     let ff =
       run_loop ~max_steps ~fifo_notices ~scheduler ~snap:(Some snap)
-        (init_with Lazy ~n ~inputs)
+        (init ~n ~inputs)
         0 [] [] []
     in
     { snapshots = Array.of_list (List.rev !snaps); ff }

@@ -8,13 +8,15 @@
 
     Configurations are persistent values, so exploration (branching
     over all applicable events) needs no undo machinery.  There are
-    two representations.  A {!Make.config} threads the
-    communication-pattern-so-far through every step, which lets the
-    scheme enumerator memoize on configurations alone, and yields the
-    trace events runs and replays read.  A {!Make.Flat.t} is the
-    behaviour-only configuration of exhaustive searches that read no
-    pattern and no trace: local states, failure flags and buffers,
-    stepped by a search-only {!Make.Flat.step}. *)
+    three representations, one per kind of client.  A {!Make.config}
+    threads the communication-pattern-so-far through every step and
+    yields the trace events that runs, replays and the theorem checks
+    read.  A {!Make.Flat.t} is the behaviour-only configuration of
+    exhaustive searches that read no pattern and no trace: local
+    states, failure flags and buffers, stepped by a search-only
+    {!Make.Flat.step}.  A {!Make.Patterned.t} is a flat configuration
+    with the happens-before edges, for the searches that collect
+    patterns: scheme enumeration and realization. *)
 
 module Make (P : Protocol.S) : sig
   (** {1 Configurations} *)
@@ -27,56 +29,26 @@ module Make (P : Protocol.S) : sig
   (** A configuration: all local states plus all buffer contents
       (paper Section 3), extended with the bookkeeping needed for
       patterns (per-pair send counts, per-processor knowledge sets,
-      accumulated pattern edges).
-
-      Every configuration is of one of two kinds, fixed by the
-      initial configuration it descends from:
-
-      - {e full} ({!init}): both canonical fingerprints maintained
-        incrementally, the pattern bookkeeping, and per-root interning
-        of states, knowledge/trips sets and edge sets — for searches
-        over full configurations ({!compare_config}) with a visited
-        store, such as scheme enumeration;
-      - {e untracked} ({!init_untracked}, and every {!run}): the
-        pattern bookkeeping without fingerprint upkeep or interning,
-        and with the happens-before edges left unexpanded — one entry
-        per send, holding the triple and the causes its [Sent] event
-        carries.  {!pattern_edges} and {!compare_config} build the
-        edge set from those entries on every call; the fingerprints
-        ({!fingerprint}, {!behavioral_fingerprint}, {!pattern_fp})
-        are full folds on first demand, memoized, whose edge part
-        folds over the entries; {!fingerprint_from_scratch} folds
-        afresh.  Every value equals the full kind's, bit for bit.
-        For linear runs (hunts, replays, shrinks, audits) that read
-        local states, decisions and the trace and never probe a
-        visited store.
-
-      Whatever the kind, {!apply} yields the same local states,
-      buffers (message indices included), failures and events.
-      Searches over behavioural configurations, which need neither
-      kind's pattern bookkeeping, run on {!Flat}. *)
+      the triples sent) and the happens-before edges, kept as one
+      entry per send holding its triple and the causes its [Sent]
+      event carries.  Nothing is maintained for a visited store:
+      {!pattern_edges} and {!compare_config} build the edge set from
+      the sends on every call, and the fingerprints ({!fingerprint},
+      {!behavioral_fingerprint}) are full folds on first demand,
+      memoized per configuration.  For linear runs (hunts, replays,
+      shrinks, audits) and the theorem checks, which read local
+      states, decisions and the trace and never probe a visited
+      store.  Searches run on {!Flat} or {!Patterned}, which step the
+      same way without trace events. *)
 
   val init : n:int -> inputs:bool list -> config
   (** Initial configuration: processor [i] starts in
-      [P.initial ~input:(nth inputs i)]; buffers empty.  A full
-      configuration: every descendant carries incrementally maintained
-      fingerprints and per-root interning — what a search with a
-      visited store over full configurations wants.
+      [P.initial ~input:(nth inputs i)]; buffers empty.
       @raise Invalid_argument if [length inputs <> n] or [P.valid_n n]
       is false. *)
 
-  val init_untracked : n:int -> inputs:bool list -> config
-  (** Like {!init}, but {!apply} skips fingerprint maintenance and
-      interning on every descendant and records each send's causes
-      without expanding them into edges; the pattern readers and
-      fingerprints fold over those records on demand (see
-      {!config}) — the right trade for linear runs that never probe
-      a visited store. *)
-
   val n_of : config -> int
-  val inputs_of : config -> bool array
   val state_of : config -> Proc_id.t -> P.state
-  val states_of : config -> P.state array
   val buffer_of : config -> Proc_id.t -> entry list
   (** Arrival order, oldest first. *)
 
@@ -87,71 +59,44 @@ module Make (P : Protocol.S) : sig
   (** Current decision states (amnesic processors excluded). *)
 
   val pattern_edges : config -> (Triple.t * Triple.t) list
-  (** Direct happens-before pairs accumulated so far, sorted.  An
-      untracked configuration expands its recorded sends into the set
-      on every call. *)
+  (** Direct happens-before pairs accumulated so far, sorted, expanded
+      from the recorded sends on every call. *)
 
   val triples_of : config -> Triple.t list
   (** All message triples sent so far, sorted. *)
 
-  val pattern_fp : config -> Patterns_stdx.Fingerprint.t
-  (** Canonical fingerprint of the accumulated pattern alone — the
-      triples and the happens-before edges, nothing else. *)
-
-  val same_pattern_rep : config -> config -> bool
-  (** Physical equality of the interned pattern components.  Within
-      one root this holds exactly when the accumulated patterns are
-      structurally equal, so a terminal-pattern cache can use
-      {!pattern_fp} as the key and this as the collision-proof
-      confirmation, skipping extraction for repeats. *)
-
   val compare_config : config -> config -> int
   (** Structural order including pattern bookkeeping; two configs are
-      equal iff their futures (and final patterns) coincide.  Defined
-      across the full and untracked kinds; an untracked operand's edge
-      set is built from its recorded sends when the comparison gets
-      that far. *)
+      equal iff their futures (and final patterns) coincide.  The
+      edge sets are built from the recorded sends when the comparison
+      gets that far. *)
 
   val compare_behavioral : config -> config -> int
   (** Ignores pattern bookkeeping (send counts, knowledge, edges):
       equality of states, failure flags and buffer multisets only.
-      Defined across both kinds; {!Flat.compare} decides the same
-      equality on flat configurations. *)
+      {!Flat.compare} decides the same equality on flat
+      configurations. *)
 
   val fingerprint : config -> Patterns_stdx.Fingerprint.t
   (** Canonical 64-bit fingerprint, consistent with {!compare_config}:
       equal configurations have equal fingerprints however they were
-      reached.  On a full configuration (see {!init}) it is carried in
-      the configuration and maintained incrementally by {!apply} —
-      reading it is O(1); on an untracked one the first read pays a
-      full fold, memoized per configuration. *)
+      reached.  The first read pays a full fold, memoized per
+      configuration; {!Patterned.fingerprint} is the same word for the
+      same configuration, carried. *)
 
   val behavioral_fingerprint : config -> Patterns_stdx.Fingerprint.t
   (** Canonical fingerprint of the behavioral projection, consistent
-      with {!compare_behavioral}: O(1) on full configurations, a
-      memoized full fold on untracked ones.  {!Flat.fingerprint} is
-      the same word for the same behavioural configuration. *)
-
-  val fingerprint_from_scratch : config -> Patterns_stdx.Fingerprint.t
-  (** Recompute {!fingerprint} by full folds over every field, ignoring
-      the incrementally maintained value.  For the consistency test
-      suite: [fingerprint_from_scratch c = fingerprint c] is the
-      maintenance invariant. *)
-
-  val intern_bindings : config -> int
-  (** Distinct values interned under this configuration's root (each
-      [init*] call creates fresh tables): local states, knowledge/trips
-      sets and edge sets on a full root, nothing on an untracked one.
-      A deterministic measure of sharing, surfaced in search
-      metrics. *)
+      with {!compare_behavioral}: a memoized full fold.
+      {!Flat.fingerprint} is the same word for the same behavioural
+      configuration. *)
 
   val hash_config : config -> int
   (** Consistent with {!compare_config}: the {!fingerprint} folded to
-      an [int].  O(1). *)
+      an [int]. *)
 
   val hash_behavioral : config -> int
   (** Consistent with {!compare_behavioral}: the
-      {!behavioral_fingerprint} folded to an [int].  O(1). *)
+      {!behavioral_fingerprint} folded to an [int]. *)
 
   val pp_config : Format.formatter -> config -> unit
 
@@ -186,9 +131,7 @@ module Make (P : Protocol.S) : sig
       cannot be dropped) with no state change, no knowledge update and
       no notice.  Unlike delivery it applies at a failed or
       non-receiving processor: the drop is a network event, not a step
-      of the victim.  Its fingerprint delta is the exact inverse of
-      the buffer contribution added by the send, preserving the
-      incremental-equals-scratch invariant. *)
+      of the victim. *)
 
   val apply_exn : step:int -> config -> Action.t -> config * P.msg Trace.event list
   (** @raise Failure on [Error]. *)
@@ -203,7 +146,7 @@ module Make (P : Protocol.S) : sig
       per-pair send counts (which mint the message indices buffered
       entries carry) and the behavioural fingerprint — nothing else.
       Every value equals the one a {!config} stepped through the same
-      actions carries, fingerprint words included. *)
+      actions holds, the behavioural fingerprint included. *)
   module Flat : sig
     type t
 
@@ -226,8 +169,8 @@ module Make (P : Protocol.S) : sig
         for bit; carried, O(1). *)
 
     val intern_bindings : t -> int
-    (** Distinct local states interned under the root, as
-        {!Make.intern_bindings} counts them. *)
+    (** Distinct local states interned under the root: a deterministic
+        measure of sharing, surfaced in search metrics. *)
 
     val pp : Format.formatter -> t -> unit
     (** {!Make.pp_config}'s text for the same configuration. *)
@@ -250,6 +193,69 @@ module Make (P : Protocol.S) : sig
         events, and the same refusals.  A search explores sends,
         deliveries and failures only, so it refuses every in-range
         {!Action.Drop}. *)
+  end
+
+  (** {1 Flat configurations with their pattern, for pattern searches} *)
+
+  (** The configuration of the searches that dedup on
+      {!compare_config} and collect patterns: scheme enumeration and
+      realization.  It wraps a {!Flat.t} and adds the happens-before
+      edge set, interned per root, with the fingerprints of the edges
+      and of the pattern bookkeeping.  The rest of that bookkeeping
+      needs no field: the triples sent are the send counts, and what a
+      processor knows (the causes of its next send) is everything it
+      sent plus everything sent to it that its buffer no longer holds,
+      since {!Flat.step} refuses drops.  So {!compare} decides
+      {!compare_config}'s equality, and every value equals the one a
+      {!config} stepped through the same actions holds. *)
+  module Patterned : sig
+    type t
+
+    val init : n:int -> inputs:bool list -> t
+    (** The initial configuration, as {!Make.init}'s; each call starts
+        fresh state and edge-set intern tables shared by its
+        descendants.
+        @raise Invalid_argument as {!Make.init} does. *)
+
+    val applicable : t -> Action.t list
+    (** {!Make.applicable}'s list for the same configuration. *)
+
+    val step : t -> Action.t -> t
+    (** {!Flat.step} plus the edge update: a send adds an edge from
+        each message its sender knows to the new one.  The same
+        successor as {!Make.apply}.
+        @raise Failure with {!Make.apply_exn}'s text where {!Make.apply}
+        refuses. *)
+
+    val compare : t -> t -> int
+    (** {!Flat.compare}, then the send counts, then the edge sets
+        (physically equal within a root when structurally equal): a
+        total order whose equality is {!Make.compare_config}'s. *)
+
+    val fingerprint : t -> Patterns_stdx.Fingerprint.t
+    (** The {!Make.fingerprint} of the same configuration, bit for
+        bit; carried, O(1). *)
+
+    val triples : t -> Triple.t list
+    (** {!Make.triples_of}: every message sent so far, sorted. *)
+
+    val edges : t -> (Triple.t * Triple.t) list
+    (** {!Make.pattern_edges}: the direct happens-before pairs,
+        sorted. *)
+
+    val pattern_key : t -> int
+    (** A hash of the pattern alone (the send counts, which name the
+        triples, and the edges), for a cache of terminal patterns. *)
+
+    val same_pattern : t -> t -> bool
+    (** Whether two configurations under one root have the same
+        pattern: equal send counts and physically equal edge sets.
+        With {!pattern_key} it lets a search skip extracting a pattern
+        it has seen. *)
+
+    val intern_bindings : t -> int
+    (** Distinct local states and edge sets interned under the
+        root. *)
   end
 
   (** {1 Schedulers and runs} *)
@@ -314,9 +320,8 @@ module Make (P : Protocol.S) : sig
       the run is bit-identical to what it was before omission faults
       existed.
 
-      A linear run attaches no visited store, so it runs from
-      {!init_untracked}: every configuration it passes through,
-      [final] included, is untracked. *)
+      A linear run attaches no visited store: it starts at {!init}
+      and maintains no fingerprint on the way. *)
 
   (** {1 Memoized failure-free prefixes}
 
@@ -332,8 +337,8 @@ module Make (P : Protocol.S) : sig
 
   type prefix
   (** One failure-free run with a configuration snapshot at every step
-      boundary.  Snapshots are untracked configurations sharing
-      structure with their successors: a step copies only the arrays
+      boundary.  Snapshots are configurations sharing structure with
+      their successors: a step copies only the arrays
       it touches, and a send adds one entry to the send list rather
       than an edge-set path per cause, so recording them costs
       O(steps) extra memory for a fixed [n], up to logarithmic

@@ -57,8 +57,11 @@ let worker_loop t =
   in
   loop ()
 
+(* more workers than the runtime has cores only contend for them: on
+   a 2-core box, [check fig3-chain -n 3 --max-failures 2] took 599 ms
+   at 8 workers against 218 ms at 2 *)
 let create ~jobs =
-  let jobs = max 1 jobs in
+  let jobs = max 1 (min jobs (default_jobs ())) in
   let t =
     {
       jobs;

@@ -21,14 +21,18 @@
 type t
 
 val create : jobs:int -> t
-(** A pool of [max 1 jobs] workers.  [jobs - 1] domains are spawned
-    eagerly (the calling domain is the remaining worker); they idle on
-    a condition variable between batches until {!shutdown}.  When it
+(** A pool of [jobs] workers, capped at {!default_jobs} and at least
+    one: more workers than the runtime has cores would only contend
+    for them.  The cap is silent; {!jobs} reports it.  One fewer
+    domains than workers are spawned eagerly (the calling domain is
+    the remaining worker); they idle on a condition variable between
+    batches until {!shutdown}.  When it
     spawns any, it first empties the minor heap ({!Gc.minor}): without
     that, a process that creates a pool per operation was measured to
     grow its major heap by about 64 KB per pool. *)
 
 val jobs : t -> int
+(** The number of workers, after the cap. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], the runtime's estimate of

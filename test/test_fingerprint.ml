@@ -1,24 +1,30 @@
 (* Fingerprint consistency over the whole protocol registry.
 
-   Three invariants, qcheck'd on random walks (failure steps and
-   receive-omission drops included) through every registered protocol:
+   Invariants qcheck'd on random walks through every registered
+   protocol:
 
    - canonicality: [compare_config a b = 0] implies
      [fingerprint a = fingerprint b] (and likewise for the behavioral
      projection) — equal configurations fingerprint equally however
-     they were reached;
-   - maintenance: after every [apply_exn], the incrementally carried
-     fingerprint equals [fingerprint_from_scratch] — the O(1) value
-     the search kernel keys its visited store on never drifts from
-     the full fold;
+     they were reached (failure steps and receive-omission drops
+     included);
+   - maintenance: after every [Patterned.step], the carried
+     fingerprint equals the full fold of a configuration stepped
+     through the same actions with [apply] — the O(1) value the scheme
+     search keys its visited store on never drifts from it;
+   - the pattern step is [apply]: a [Patterned.t] stepped through the
+     same actions as a configuration carries its fingerprint, its
+     triples and its edges, refuses with the same words, and over a
+     pool of walked configurations decides [compare_config]'s
+     equality;
    - the flat step is [apply]: a [Flat.t] stepped through the same
-     actions as a full configuration carries the same behavioural
+     actions as a configuration carries the same behavioural
      fingerprint, prints the same text, offers the same actions,
      reports the same first decisions and refuses with the same
      words.
 
    Each maintenance run checks every configuration along a 20-step
-   walk, so at 500 runs a protocol gets ~10k checked applications. *)
+   walk, so at 500 runs a protocol gets ~10k checked steps. *)
 
 open Patterns_sim
 open Patterns_stdx
@@ -66,6 +72,48 @@ let tests_for entry =
     on_config c0;
     go [ c0 ] c0 steps
   in
+  (* a send, delivery or failure drawn at random, most often
+     inapplicable *)
+  let random_action prng cfg =
+    let p = Prng.int prng ~bound:(n + 1) in
+    let index =
+      Prng.int prng ~bound:(3 + if p < n then List.length (E.buffer_of cfg p) else 0) - 1
+    in
+    match Prng.int prng ~bound:3 with
+    | 0 -> Action.Send_step p
+    | 1 -> Action.Deliver { at = p; index }
+    | _ -> Action.Fail p
+  in
+  let module C = E.Patterned in
+  (* A configuration stepped with [apply] and a pattern-layer one
+     stepped with [C.step] through the same walk, failures included
+     and now and then a random action both must refuse with the same
+     text: every pair along it, root first, or [None] at the first
+     action they disagree on. *)
+  let paired_walk ?inputs ~seed ~steps () =
+    let prng = Prng.create ~seed in
+    let inputs =
+      match inputs with Some i -> i | None -> List.init n (fun _ -> Prng.bool prng)
+    in
+    let rec go acc c l k =
+      if k = 0 then Some (List.rev acc)
+      else
+        let acts =
+          E.applicable c @ if Prng.int prng ~bound:4 = 0 then E.failure_actions c else []
+        in
+        let a =
+          if acts = [] || Prng.int prng ~bound:5 = 0 then random_action prng c
+          else List.nth acts (Prng.int prng ~bound:(List.length acts))
+        in
+        let stepped f = match f () with x -> Ok x | exception Failure e -> Error e in
+        match (stepped (fun () -> fst (E.apply_exn ~step:0 c a)), stepped (fun () -> C.step l a)) with
+        | Error e, Error e' -> if e = e' then go acc c l (k - 1) else None
+        | Ok c', Ok l' -> go ((c', l') :: acc) c' l' (k - 1)
+        | Ok _, Error _ | Error _, Ok _ -> None
+    in
+    let c = E.init ~n ~inputs and l = C.init ~n ~inputs in
+    go [ (c, l) ] c l steps
+  in
   let open QCheck2 in
   [
     Test.make
@@ -73,65 +121,53 @@ let tests_for entry =
       ~count:500
       Gen.(int_bound 1_000_000)
       (fun seed ->
-        let ok = ref true in
-        let check c =
-          if E.fingerprint c <> E.fingerprint_from_scratch c then ok := false
-        in
-        ignore (walk ~seed ~steps:20 ~on_config:check);
-        !ok);
+        (* a configuration's fingerprint is a full fold of its own
+           fields, first read here: the knowledge sets, triples and
+           edges [apply] built, none of them derived as the layer
+           derives them *)
+        match paired_walk ~seed ~steps:20 () with
+        | None -> false
+        | Some walk -> List.for_all (fun (c, l) -> C.fingerprint l = E.fingerprint c) walk);
     Test.make
       ~name:(Printf.sprintf "%s: untracked lazy fingerprint = tracked" P.name)
       ~count:100
       Gen.(int_bound 1_000_000)
       (fun seed ->
-        (* replay the same walk from a tracked and an untracked root:
-           the untracked configuration's on-demand fingerprint must
-           equal the incrementally maintained one, and reading it
-           twice must agree (memoization); its edges, triples and
-           [compare_config] must agree with the tracked
-           configuration's *)
-        let prng = Prng.create ~seed in
-        let inputs = List.init n (fun _ -> Prng.bool prng) in
-        let rec go ok tracked untracked k =
-          if k = 0 || not ok then ok
-          else
-            let acts =
-              E.applicable tracked
-              @ (if Prng.int prng ~bound:4 = 0 then E.failure_actions tracked else [])
-              @ (if Prng.int prng ~bound:4 = 0 then drop_actions tracked else [])
-            in
-            match acts with
-            | [] -> ok
-            | acts ->
-              let a = List.nth acts (Prng.int prng ~bound:(List.length acts)) in
-              let tracked', _ = E.apply_exn ~step:0 tracked a in
-              let untracked', _ = E.apply_exn ~step:0 untracked a in
-              let ok =
-                E.fingerprint untracked' = E.fingerprint tracked'
-                && E.fingerprint untracked' = E.fingerprint untracked'
-                && E.behavioral_fingerprint untracked'
-                   = E.behavioral_fingerprint tracked'
-                (* the edge component of the pattern fingerprint is
-                   lazy under untracked roots: recomputed on demand it
-                   must equal the eagerly maintained value, and a
-                   second read must hit the memo *)
-                && E.pattern_fp untracked' = E.pattern_fp tracked'
-                && E.pattern_fp untracked' = E.pattern_fp untracked'
-                (* the untracked pattern itself, read back and compared
-                   against the tracked one, and its from-scratch fold *)
-                && E.pattern_edges untracked' = E.pattern_edges tracked'
-                && E.triples_of untracked' = E.triples_of tracked'
-                && E.compare_config untracked' tracked' = 0
-                && E.compare_config tracked' untracked' = 0
-                && E.fingerprint_from_scratch untracked' = E.fingerprint tracked'
-              in
-              go ok tracked' untracked' (k - 1)
-        in
-        go
-          (E.fingerprint (E.init_untracked ~n ~inputs) = E.fingerprint (E.init ~n ~inputs))
-          (E.init ~n ~inputs)
-          (E.init_untracked ~n ~inputs)
-          15);
+        (* the configuration's fingerprint, folded on first demand and
+           memoized, equals the word the pattern layer carries, and a
+           second read agrees *)
+        match paired_walk ~seed ~steps:15 () with
+        | None -> false
+        | Some walk ->
+          List.for_all
+            (fun (c, l) ->
+              let first = E.fingerprint c in
+              first = C.fingerprint l && E.fingerprint c = first)
+            walk);
+    Test.make
+      ~name:(Printf.sprintf "%s: pattern step = apply" P.name)
+      ~count:60
+      Gen.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+      (fun (s1, s2) ->
+        (* the same triples and edges at every step, and over the pool
+           of both walks' configurations the same equality as
+           [compare_config]; both walks start at one root, so the pool
+           holds configurations that agree on everything but their
+           history *)
+        let inputs = List.init n (fun i -> (s1 lsr i) land 1 = 1) in
+        match (paired_walk ~inputs ~seed:s1 ~steps:20 (), paired_walk ~inputs ~seed:s2 ~steps:20 ()) with
+        | Some w1, Some w2 ->
+          let pool = w1 @ w2 in
+          List.for_all
+            (fun (c, l) -> E.triples_of c = C.triples l && E.pattern_edges c = C.edges l)
+            pool
+          && List.for_all
+               (fun (c, l) ->
+                 List.for_all
+                   (fun (c', l') -> (E.compare_config c c' = 0) = (C.compare l l' = 0))
+                   pool)
+               pool
+        | _ -> false);
     Test.make
       ~name:(Printf.sprintf "%s: flat step = full step" P.name)
       ~count:150
@@ -151,16 +187,6 @@ let tests_for entry =
           && text E.pp_config full = text E.Flat.pp flat
           && E.applicable ~fifo_notices full = E.Flat.applicable ~fifo_notices flat
           && E.failure_actions full = E.Flat.failure_actions flat
-        in
-        let random_action full =
-          let p = Prng.int prng ~bound:(n + 1) in
-          let index =
-            Prng.int prng ~bound:(3 + if p < n then List.length (E.buffer_of full p) else 0) - 1
-          in
-          match Prng.int prng ~bound:3 with
-          | 0 -> Action.Send_step p
-          | 1 -> Action.Deliver { at = p; index }
-          | _ -> Action.Fail p
         in
         (* the code [Flat.step] must report: the [Decided] event's
            decision, at the stepping processor *)
@@ -184,7 +210,7 @@ let tests_for entry =
               @ (if Prng.int prng ~bound:3 = 0 then E.failure_actions full else [])
             in
             let a =
-              if acts = [] || Prng.int prng ~bound:4 = 0 then random_action full
+              if acts = [] || Prng.int prng ~bound:4 = 0 then random_action prng full
               else List.nth acts (Prng.int prng ~bound:(List.length acts))
             in
             match (E.apply ~step:0 full a, E.Flat.step flat a) with

@@ -177,6 +177,255 @@ let test_realize_rejects_foreign_pattern () =
     (S.realize ~n:4 ~inputs:[ true; true; true; true ] ~target:foreign ()
     = Scheme.Unrealizable)
 
+(* ----- the pattern layer against a reference over configurations ----- *)
+
+module Search = Patterns_search.Search
+module Metrics = Patterns_search.Metrics
+
+(* Scheme enumeration and realization as the kernel ran them over
+   [E.config]: deduplicated on [compare_config] and [fingerprint],
+   stepped with [apply].  A test-owned reference for [Scheme.Make],
+   which runs on [E.Patterned]. *)
+module Reference (P : Protocol.S) = struct
+  module E = Engine.Make (P)
+
+  module K = Search.Make (struct
+    type state = E.config
+
+    let compare = E.compare_config
+    let fingerprint = E.fingerprint
+  end)
+
+  let pattern c = Pattern.make (E.triples_of c) (E.pattern_edges c)
+  let step c a = fst (E.apply_exn ~step:0 c a)
+
+  let patterns ~par_mode ~max_configs ~n ~inputs =
+    let expand =
+      {
+        K.empty = (fun () -> (ref Pattern.Set.empty, ref 0));
+        merge = (fun a _ -> a);
+        expand =
+          (fun (pats, terminal) c ->
+            match E.applicable c with
+            | [] ->
+              incr terminal;
+              pats := Pattern.Set.add (pattern c) !pats;
+              []
+            | actions -> List.rev_map (step c) actions);
+      }
+    in
+    let root = E.init ~n ~inputs in
+    let outcome, (pats, terminal), m =
+      match par_mode with
+      | Search.Layers -> K.run ~budget:max_configs ~expand ~root ()
+      | Search.Async -> K.run_par_async ~budget:max_configs ~expand ~root ()
+    in
+    ( !pats,
+      {
+        Scheme.configs_visited = m.Metrics.states_expanded;
+        terminal_configs = !terminal;
+        truncated = Search.truncated outcome;
+      },
+      m )
+
+  module R = struct
+    type state = { c : E.config; path : Action.t list }
+
+    let compare a b = E.compare_config a.c b.c
+    let fingerprint s = E.fingerprint s.c
+  end
+
+  module KR = Search.Make (R)
+
+  let realize ~par_mode ~max_configs ~n ~inputs ~target =
+    let expand =
+      {
+        KR.empty = Fun.id;
+        merge = (fun () () -> ());
+        expand =
+          (fun () s ->
+            List.map (fun a -> { R.c = step s.R.c a; path = a :: s.R.path }) (E.applicable s.R.c));
+      }
+    in
+    let is_goal s = E.applicable s.R.c = [] && Pattern.equal (pattern s.R.c) target in
+    let prune s = not (Pattern.is_prefix_consistent (pattern s.R.c) target) in
+    let root = { R.c = E.init ~n ~inputs; path = [] } in
+    let outcome, (), m =
+      match par_mode with
+      | Search.Layers -> KR.run ~budget:max_configs ~is_goal ~prune ~expand ~root ()
+      | Search.Async -> KR.run_par_async ~budget:max_configs ~is_goal ~prune ~expand ~root ()
+    in
+    ( (match outcome with
+      | Search.Goal_found s -> Scheme.Realized (List.rev s.R.path)
+      | Search.Exhausted -> Scheme.Unrealizable
+      | Search.Truncated _ -> Scheme.Truncated),
+      m )
+
+  (* the states a behaviour-only dedup ([compare_behavioral]) expands *)
+  module KB = Search.Make (struct
+    type state = E.config
+
+    let compare = E.compare_behavioral
+    let fingerprint = E.behavioral_fingerprint
+  end)
+
+  let behavioural_states ~n ~inputs =
+    let expand =
+      {
+        KB.empty = Fun.id;
+        merge = (fun () () -> ());
+        expand = (fun () c -> List.rev_map (step c) (E.applicable c));
+      }
+    in
+    let _, (), m = KB.run_par_async ~expand ~root:(E.init ~n ~inputs) () in
+    m.Metrics.states_expanded
+
+  (* A depth-first walk from one root that steps a configuration and
+     a pattern-layer one side by side, stops at behavioural repeats
+     and expands at most [limit] behavioural states: every repeat,
+     paired with the configuration it repeats.  The two agree on
+     states, failure flags and buffers, and may differ in their
+     pattern bookkeeping. *)
+  let behavioural_twins ~limit ~n ~inputs =
+    let module C = E.Patterned in
+    let seen = Hashtbl.create 256 in
+    let twins = ref [] and expanded = ref 0 in
+    let rec visit ((c, l) as node) =
+      let key = E.hash_behavioral c in
+      let bucket = Option.value (Hashtbl.find_opt seen key) ~default:[] in
+      match List.find_opt (fun (c', _) -> E.compare_behavioral c c' = 0) bucket with
+      | Some twin -> twins := (node, twin) :: !twins
+      | None ->
+        Hashtbl.replace seen key (node :: bucket);
+        if !expanded < limit then begin
+          incr expanded;
+          List.iter (fun a -> visit (step c a, C.step l a)) (E.applicable c)
+        end
+    in
+    visit (E.init ~n ~inputs, C.init ~n ~inputs);
+    !twins
+end
+
+let drivers = Search.[ Layers; Async ]
+
+(* [what] of a run, labelled with its parameters *)
+let oracle_label name inputs par_mode budget what =
+  Printf.sprintf "%s %s %s budget %d: %s" name (Patterns_stdx.Listx.bits inputs)
+    (Search.par_mode_string par_mode) budget what
+
+let check_counts label (m : Metrics.t) (rm : Metrics.t) =
+  Alcotest.(check int) (label "states_expanded") rm.Metrics.states_expanded
+    m.Metrics.states_expanded;
+  Alcotest.(check int) (label "dedup_hits") rm.Metrics.dedup_hits m.Metrics.dedup_hits
+
+(* Every registry protocol at small n, two input vectors each, under
+   both drivers, with a budget most vectors exhaust (1 500 states;
+   500 for realizations) and a tiny one: the same pattern sets, stats
+   and kernel counters as the reference, and the same [realize]
+   answers and witnesses for two enumerated patterns and one that no
+   execution has. *)
+let test_oracle_registry () =
+  List.iter
+    (fun entry ->
+      let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
+      let n = if P.valid_n 3 then 3 else entry.Patterns_protocols.Registry.default_n in
+      let module S = Scheme.Make (P) in
+      let module Ref = Reference (P) in
+      let vectors = [ List.init n (fun _ -> true); List.init n (fun i -> i mod 2 = 0) ] in
+      List.iter
+        (fun inputs ->
+          List.iter
+            (fun par_mode ->
+              let targets = ref [] in
+              List.iter
+                (fun budget ->
+                  let label = oracle_label P.name inputs par_mode budget in
+                  let metrics = ref Metrics.zero in
+                  let pats, stats =
+                    S.patterns_for_inputs ~metrics ~par_mode ~max_configs:budget ~n ~inputs ()
+                  in
+                  let rpats, rstats, rm = Ref.patterns ~par_mode ~max_configs:budget ~n ~inputs in
+                  Alcotest.(check bool) (label "patterns") true (Pattern.Set.equal rpats pats);
+                  Alcotest.(check bool) (label "stats") true (rstats = stats);
+                  check_counts label !metrics rm;
+                  if !targets = [] then
+                    targets :=
+                      List.filteri (fun i _ -> i < 2) (Pattern.Set.elements rpats)
+                      @ [ Pattern.make [ tr ~s:(n - 1) ~r:0 ~k:9 ] [] ])
+                [ 1_500; 40 ];
+              List.iter
+                (fun target ->
+                  List.iter
+                    (fun budget ->
+                      let label = oracle_label P.name inputs par_mode budget in
+                      let metrics = ref Metrics.zero in
+                      let r = S.realize ~metrics ~par_mode ~max_configs:budget ~n ~inputs ~target () in
+                      let rr, rm = Ref.realize ~par_mode ~max_configs:budget ~n ~inputs ~target in
+                      Alcotest.(check bool) (label "realize") true (rr = r);
+                      check_counts label !metrics rm)
+                    [ 500; 10 ])
+                !targets)
+            drivers)
+        vectors)
+    Patterns_protocols.Registry.all
+
+(* Figure 4's scheme over all 16 vectors, whose count a behaviour-only
+   dedup would change (6 800 configurations instead of 6 816): the
+   layer's sweep reads the reference's patterns and counts. *)
+let test_oracle_fig4 () =
+  let (module P) = Patterns_protocols.Perverse_proto.fig4 in
+  let module S = Scheme.Make (P) in
+  let module Ref = Reference (P) in
+  let vectors = Patterns_stdx.Listx.all_bool_vectors 4 in
+  List.iter
+    (fun par_mode ->
+      let metrics = ref Metrics.zero in
+      let pats, stats = S.scheme ~metrics ~par_mode ~n:4 () in
+      let rpats, states, dedup =
+        List.fold_left
+          (fun (pats, states, dedup) inputs ->
+            let p, _, m = Ref.patterns ~par_mode ~max_configs:max_int ~n:4 ~inputs in
+            (Pattern.Set.union pats p, states + m.Metrics.states_expanded, dedup + m.Metrics.dedup_hits))
+          (Pattern.Set.empty, 0, 0) vectors
+      in
+      let mode = Search.par_mode_string par_mode in
+      Alcotest.(check bool) (mode ^ ": patterns") true (Pattern.Set.equal rpats pats);
+      Alcotest.(check int) (mode ^ ": reference configs") 6_816 states;
+      Alcotest.(check int) (mode ^ ": configs") states stats.Scheme.configs_visited;
+      Alcotest.(check int) (mode ^ ": states_expanded") states !metrics.Metrics.states_expanded;
+      Alcotest.(check int) (mode ^ ": dedup_hits") dedup !metrics.Metrics.dedup_hits;
+      Alcotest.(check int) (mode ^ ": reference dedup_hits") 10_368 dedup)
+    drivers;
+  Alcotest.(check int) "behaviour-only dedup" 6_800
+    (List.fold_left (fun acc inputs -> acc + Ref.behavioural_states ~n:4 ~inputs) 0 vectors)
+
+(* The search outcomes above cannot see a comparison that is wrong
+   only where the fingerprints already differ, so the comparison is
+   checked on its own, at the pairs where it matters: configurations
+   with the same behaviour.  Over every registry protocol (all-ones
+   inputs, up to 1 500 behavioural states) the layer's equality is
+   [compare_config]'s at every such pair.  Some of them differ in
+   their send counts (fig4-perverse) and some in their edges alone
+   (reliable-broadcast, termination, ben-or). *)
+let test_oracle_twins () =
+  let differ_in_counts = ref 0 and differ_in_edges = ref 0 in
+  List.iter
+    (fun entry ->
+      let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
+      let n = if P.valid_n 3 then 3 else entry.Patterns_protocols.Registry.default_n in
+      let module Ref = Reference (P) in
+      List.iter
+        (fun ((c, l), (c', l')) ->
+          let same = Ref.E.compare_config c c' = 0 in
+          Alcotest.(check bool) (P.name ^ ": twin equality") same (Ref.E.Patterned.compare l l' = 0);
+          if not same then
+            if Ref.E.triples_of c = Ref.E.triples_of c' then incr differ_in_edges
+            else incr differ_in_counts)
+        (Ref.behavioural_twins ~limit:1_500 ~n ~inputs:(List.init n (fun _ -> true))))
+    Patterns_protocols.Registry.all;
+  Alcotest.(check bool) "twins differing in their send counts" true (!differ_in_counts > 0);
+  Alcotest.(check bool) "twins differing in their edges alone" true (!differ_in_edges > 0)
+
 (* ----- latency ----- *)
 
 let test_latency_fixed_delays () =
@@ -432,6 +681,12 @@ let () =
         [
           Alcotest.test_case "fig4 round trip" `Quick test_realize_fig4_roundtrip;
           Alcotest.test_case "foreign pattern rejected" `Quick test_realize_rejects_foreign_pattern;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "registry, both drivers" `Quick test_oracle_registry;
+          Alcotest.test_case "fig4 full vs behavioural" `Quick test_oracle_fig4;
+          Alcotest.test_case "behavioural twins" `Quick test_oracle_twins;
         ] );
       ( "latency",
         [

@@ -142,6 +142,16 @@ let test_pool_exception_then_reuse () =
       check (Alcotest.list Alcotest.int) "reusable after failure" [ 0; 2; 4; 6 ]
         (Domain_pool.map pool (fun x -> 2 * x) (Listx.range 0 4)))
 
+let test_pool_capped () =
+  (* more workers than the runtime recommends are not spawned *)
+  let cores = Domain_pool.default_jobs () in
+  Domain_pool.with_pool ~jobs:(cores + 3) (fun pool ->
+      Alcotest.(check int) "capped at the recommended count" cores (Domain_pool.jobs pool);
+      check (Alcotest.list Alcotest.int) "still maps in order" [ 1; 2; 3; 4; 5 ]
+        (Domain_pool.map pool succ [ 0; 1; 2; 3; 4 ]));
+  Domain_pool.with_pool ~jobs:0 (fun pool ->
+      Alcotest.(check int) "at least one worker" 1 (Domain_pool.jobs pool))
+
 let test_pool_shutdown_rejects () =
   let pool = Domain_pool.create ~jobs:2 in
   Domain_pool.shutdown pool;
@@ -429,6 +439,7 @@ let () =
           Alcotest.test_case "jobs=1 inline" `Quick test_pool_jobs1_inline;
           Alcotest.test_case "exception then reuse" `Quick test_pool_exception_then_reuse;
           Alcotest.test_case "shutdown rejects" `Quick test_pool_shutdown_rejects;
+          Alcotest.test_case "capped at the cores" `Quick test_pool_capped;
         ] );
       ( "visited_table",
         [
